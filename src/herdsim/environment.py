@@ -23,7 +23,17 @@ from dataclasses import dataclass
 
 
 from .errors import ConfigError, DomainError, SchemaError, SolverError
-from .geom import BlendTriplet, Vec2, wrap_angle
+from .geom import BlendTriplet, Vec2, dist, wrap_angle
+
+# Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
+# by at most about (2n + 10) ulps: the division by a semi-axis is magnified
+# 2n-fold by the power, and pow and the sum add a few more.  So the reach
+# radii are widened by this relative amount, and the level floor is lowered
+# by this fraction of E + 1; for any exponent below ~1e6 either margin
+# dominates every rounding error on both sides of the comparison.  The floor
+# needs the margin in E + 1, not a relative one in E: E is a difference, so
+# its rounding error stays of order ulp(E + 1) as E approaches 0.
+CULL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,13 @@ class Obstacle:
     own clearance.  All level thresholds live in the one super-ellipse family
     (semi_x, semi_y, exponent).  attacker_band holds Euclidean radii for the
     circular obstacle model the adversary navigates by.
+
+    formation_reach and defender_reach bound the band-hi contours: from any
+    point at least that far from the center, superelliptic_distance returns
+    a level >= the band's hi, so its blend weight is exactly 0.
+    level_floor_scale gives a pow-free lower bound on the evaluated level,
+    superelliptic_distance(p) >= d^2 * level_floor_scale - 1 with d the
+    distance of p from the center, wherever the right side is positive.
     """
 
     center: Vec2
@@ -67,6 +84,9 @@ class Obstacle:
     formation_band: BlendTriplet
     defender_band: BlendTriplet
     attacker_band: BlendTriplet
+    formation_reach: float
+    defender_reach: float
+    level_floor_scale: float
 
 
 @dataclass(frozen=True)
@@ -227,6 +247,18 @@ def derive_obstacle(center: Vec2, width: float, height: float,
     attacker_band = BlendTriplet(r_lo, params.attacker_mid_factor * r_lo,
                                  params.attacker_hi_factor * r_lo)
 
+    def reach(level):
+        # E < level needs |dx| < semi_x * s and |dy| < semi_y * s with
+        # s = (1 + level)^(1/2n): the contour lies inside that box, and so
+        # inside its circumcircle
+        scale = (1.0 + level) ** (1.0 / (2.0 * exponent))
+        return math.hypot(semi_x, semi_y) * scale * (1.0 + CULL_SLACK)
+
+    # with u = dx/semi_x, v = dy/semi_y and n > 1, E + 1 >= max(u^2, v^2)^n
+    # >= ((u^2 + v^2) / 2)^n >= q^n >= q for q = d^2 / (2 max(semi)^2) >= 1;
+    # scaling q by 1 - CULL_SLACK keeps the bound for the rounded level
+    level_floor_scale = (1.0 - CULL_SLACK) / (2.0 * max(semi_x, semi_y) ** 2)
+
     return Obstacle(
         center=center, width=width, height=height,
         formation_width=fw, formation_height=fh,
@@ -235,6 +267,8 @@ def derive_obstacle(center: Vec2, width: float, height: float,
         formation_band=BlendTriplet(lvl_lo, lvl_mid, lvl_hi),
         defender_band=BlendTriplet(d_lo, d_mid, d_hi),
         attacker_band=attacker_band,
+        formation_reach=reach(lvl_hi), defender_reach=reach(d_hi),
+        level_floor_scale=level_floor_scale,
     )
 
 
@@ -654,23 +688,37 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
             v.append(f"obstacle-spacing: obstacles {i} and {j} are {d:.4f} m apart "
                      f"but their circular influence radii need {needed:.4f} m")
 
-    # outer super-elliptic shells must be pairwise disjoint
-    boundaries = [_shell_boundary(ob, ob.formation_band.hi, boundary_samples)
-                  for ob in cfg.obstacles]
+    # outer super-elliptic shells must be pairwise disjoint; only shells whose
+    # centers are closer than their summed reach can meet, so only those
+    # pairs are sampled, and boundaries are built for their obstacles alone
+    boundaries = {}
+
+    def boundary(k):
+        if k not in boundaries:
+            ob = cfg.obstacles[k]
+            boundaries[k] = _shell_boundary(ob, ob.formation_band.hi, boundary_samples)
+        return boundaries[k]
+
     for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
+        if dist(a.center, b.center) >= a.formation_reach + b.formation_reach:
+            continue
         overlap = any(superelliptic_distance(p, b) <= b.formation_band.hi
-                      for p in boundaries[i])
+                      for p in boundary(i))
         overlap = overlap or any(superelliptic_distance(p, a) <= a.formation_band.hi
-                                 for p in boundaries[j])
+                                 for p in boundary(j))
         overlap = overlap or superelliptic_distance(a.center, b) <= b.formation_band.hi
         if overlap:
             v.append(f"shell-overlap: outer shells of obstacles {i} and {j} intersect")
 
-    # the safe area must be clear of every outer shell
-    for i, ob in enumerate(cfg.obstacles):
-        ring = [Vec2(cfg.safe.center.x + cfg.safe.radius * math.cos(t),
-                     cfg.safe.center.y + cfg.safe.radius * math.sin(t))
-                for t in (2.0 * math.pi * k / boundary_samples for k in range(boundary_samples))]
+    # the safe area must be clear of every outer shell; a shell reaching no
+    # closer to the safe center than its radius cannot touch it
+    near_safe = [(i, ob) for i, ob in enumerate(cfg.obstacles)
+                 if dist(ob.center, cfg.safe.center) < cfg.safe.radius + ob.formation_reach]
+    angles = (2.0 * math.pi * k / boundary_samples for k in range(boundary_samples))
+    ring = [Vec2(cfg.safe.center.x + cfg.safe.radius * math.cos(t),
+                 cfg.safe.center.y + cfg.safe.radius * math.sin(t))
+            for t in angles] if near_safe else []
+    for i, ob in near_safe:
         touched = any(superelliptic_distance(p, ob) <= ob.formation_band.hi for p in ring)
         touched = touched or superelliptic_distance(cfg.safe.center, ob) <= ob.formation_band.hi
         touched = touched or cfg.safe.contains(ob.center)

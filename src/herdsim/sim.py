@@ -25,7 +25,7 @@ from .defender_control import (TrackingGains, defender_field, defender_velocity,
 from .environment import ScenarioConfig, superelliptic_distance
 from .errors import ConfigError, IntegrityError
 from .formation_field import combined_field
-from .geom import Vec2, angle_of, dist
+from .geom import BlendTriplet, Vec2, angle_of, dist
 from .herding import (FormationSpec, HeadingState, formation_goals, formation_spec,
                       heading_rate, obstacle_resultant, schedule_heading,
                       solve_command_heading)
@@ -84,8 +84,8 @@ class RunContext:
 
     spec: Optional[FormationSpec]
     gains: tuple[TrackingGains, ...]
-    standoff: object
-    peers: object
+    standoff: Optional[BlendTriplet]
+    peers: Optional[BlendTriplet]
 
 
 @dataclass
@@ -174,6 +174,11 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig)
 
     A nonpositive actual distance (already inside a forbidden region) maps to
     +inf.  With nothing in the world a ratio is 0 by convention.
+
+    An (agent, obstacle) level is evaluated only when the obstacle's level
+    floor cannot prove the pair's ratio at or below the running maximum:
+    with E >= floor > 0, threshold / E <= threshold / floor (division rounds
+    monotonically), so a skipped pair never changes the maximum.
     """
 
     def ratio(threshold, actual):
@@ -183,11 +188,24 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig)
 
     r_ao = 0.0
     r_do = 0.0
+    ax, ay = attacker_pos
     for ob in cfg.obstacles:
-        r_ao = max(r_ao, ratio(ob.formation_band.lo,
-                               superelliptic_distance(attacker_pos, ob)))
+        cx, cy = ob.center
+        scale = ob.level_floor_scale
+        lo = ob.formation_band.lo
+        dx = ax - cx
+        dy = ay - cy
+        floor = (dx * dx + dy * dy) * scale - 1.0
+        if floor <= 0.0 or lo / floor > r_ao:
+            r_ao = max(r_ao, ratio(lo, superelliptic_distance(attacker_pos, ob)))
+        lo = ob.defender_band.lo
         for p in defender_positions:
-            r_do = max(r_do, ratio(ob.defender_band.lo, superelliptic_distance(p, ob)))
+            px, py = p
+            dx = px - cx
+            dy = py - cy
+            floor = (dx * dx + dy * dy) * scale - 1.0
+            if floor <= 0.0 or lo / floor > r_do:
+                r_do = max(r_do, ratio(lo, superelliptic_distance(p, ob)))
 
     r_dd = 0.0
     peer_min = cfg.defenders.peer_band[0]

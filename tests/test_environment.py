@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from herdsim.environment import (contour_tangent_angle, corner_level,
-                                 derive_obstacle, min_spread,
+from herdsim.environment import (_shell_boundary, contour_tangent_angle,
+                                 corner_level, derive_obstacle, min_spread,
                                  scenario_from_dict, scenario_warnings,
                                  solve_shape_exponent, superelliptic_distance,
                                  validate_scenario)
@@ -145,6 +146,38 @@ def test_validate_clean_bundle(reference_cfg):
     assert scenario_warnings(reference_cfg) == []
 
 
+def sampled_shell_violations(cfg, boundary_samples=720):
+    """The validator's shell-overlap and safe-area-shell tests without the
+    reach prefilter: every pair and every obstacle is sampled."""
+    v = []
+    boundaries = [_shell_boundary(ob, ob.formation_band.hi, boundary_samples)
+                  for ob in cfg.obstacles]
+    for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
+        overlap = any(superelliptic_distance(p, b) <= b.formation_band.hi
+                      for p in boundaries[i])
+        overlap = overlap or any(superelliptic_distance(p, a) <= a.formation_band.hi
+                                 for p in boundaries[j])
+        overlap = overlap or superelliptic_distance(a.center, b) <= b.formation_band.hi
+        if overlap:
+            v.append(f"shell-overlap: outer shells of obstacles {i} and {j} intersect")
+
+    for i, ob in enumerate(cfg.obstacles):
+        ring = [Vec2(cfg.safe.center.x + cfg.safe.radius * math.cos(t),
+                     cfg.safe.center.y + cfg.safe.radius * math.sin(t))
+                for t in (2.0 * math.pi * k / boundary_samples for k in range(boundary_samples))]
+        touched = any(superelliptic_distance(p, ob) <= ob.formation_band.hi for p in ring)
+        touched = touched or superelliptic_distance(cfg.safe.center, ob) <= ob.formation_band.hi
+        touched = touched or cfg.safe.contains(ob.center)
+        if touched:
+            v.append(f"safe-area-shell: obstacle {i} outer shell reaches into the safe area")
+    return v
+
+
+def shell_violations(cfg):
+    return [s for s in validate_scenario(cfg)
+            if s.startswith(("shell-overlap", "safe-area-shell"))]
+
+
 def test_validate_coincident_obstacles():
     doc = small_scenario_doc()
     doc["obstacles"] = [
@@ -156,6 +189,33 @@ def test_validate_coincident_obstacles():
     v = validate_scenario(cfg)
     assert any(s.startswith("shell-overlap") for s in v)
     assert any(s.startswith("obstacle-spacing") for s in v)
+    assert shell_violations(cfg) == sampled_shell_violations(cfg)
+
+    # pairs straddling their summed reach, and obstacles straddling the safe
+    # area's rim widened by their reach, along an axis, a shell corner and
+    # one more ray: the prefilter must report exactly what the unfiltered
+    # sampled test reports, overlaps and clear cases alike
+    a_rect = {"center_m": [0.0, 20.0], "width_m": 2.0, "height_m": 2.0}
+    b_size = {"width_m": 3.0, "height_m": 1.5}
+    doc["obstacles"] = [a_rect, {"center_m": [50.0, 20.0], **b_size}]
+    a, b = scenario_from_dict(doc).obstacles
+    safe = cfg.safe
+    seen = set()
+    for theta in (0.0, math.atan2(b.semi_y, b.semi_x), 1.0):
+        ray = (math.cos(theta), math.sin(theta))
+        for f in (0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0 - 1e-9, 1.0 + 1e-9, 1.1):
+            gap = f * (a.formation_reach + b.formation_reach)
+            pair = [a_rect, {"center_m": [gap * ray[0], 20.0 + gap * ray[1]], **b_size}]
+            rim = safe.radius + f * b.formation_reach
+            touching = [{"center_m": [safe.center.x + rim * ray[0],
+                                      safe.center.y + rim * ray[1]], **b_size}]
+            for obstacles in (pair, touching):
+                doc["obstacles"] = obstacles
+                placed = scenario_from_dict(doc)
+                expected = sampled_shell_violations(placed)
+                assert shell_violations(placed) == expected
+                seen.add((len(obstacles), bool(expected)))
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
 
 def test_validate_clearance_violation():

@@ -1,13 +1,18 @@
+import copy
+import hashlib
 import math
 
 import pytest
 
-from herdsim.environment import scenario_from_dict
+from herdsim.environment import scenario_from_dict, validate_scenario
 from herdsim.errors import ConfigError
 from herdsim.geom import Vec2
 from herdsim.sim import (build_context, new_state, run, safety_snapshot, step)
 
 from conftest import small_scenario_doc
+
+# sha256 of the bundled scenario's trace.csv; bench/run.py gates on the same value
+GOLDEN_TRACE_SHA256 = "fb2507b0a5192badb68e321148f3ac080a3bf8be92c1a1695baa7edba68d81a4"
 
 
 def test_zero_dt_rejected():
@@ -195,3 +200,24 @@ def test_non_finite_state_raises():
         apply_commands(state, bad, cfg.integrator.dt)
     assert "t=" in str(exc.value)
     assert exc.value.dump["defenders"]
+
+
+def test_reference_trace_matches_golden_hash(cli_artifacts):
+    trace_csv = cli_artifacts["first"]["trace.csv"]
+    assert hashlib.sha256(trace_csv).hexdigest() == GOLDEN_TRACE_SHA256
+
+
+def test_far_inert_obstacles_leave_run_unchanged(bundle_doc, reference_run):
+    """Obstacles whose shells, attacker circles and sensing range stay far
+    from every agent must not change a single trace value."""
+    doc = copy.deepcopy(bundle_doc)
+    # the reference agents stay inside [-50, 80] x [-50, 120]; a 150 m ring
+    # around the box center keeps every added obstacle 40 m or more outside
+    for k in range(12):
+        theta = 2.0 * math.pi * k / 12
+        doc["obstacles"].append({
+            "center_m": [15.0 + 150.0 * math.cos(theta), 35.0 + 150.0 * math.sin(theta)],
+            "width_m": 2.0 + 0.25 * (k % 5), "height_m": 3.5 - 0.25 * (k % 4)})
+    cfg = scenario_from_dict(doc)
+    assert validate_scenario(cfg) == []
+    assert run(cfg).rows == reference_run[0].rows
