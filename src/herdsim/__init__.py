@@ -10,24 +10,19 @@ from .defender_control import (TrackingGains, convergence_bounds, defender_field
                                terminal_phase_time)
 from .environment import (Disc, Obstacle, ObstacleDerivation, ScenarioConfig,
                           arc_magnitude, contour_tangent_angle, derive_obstacle,
-                          load_scenario, min_spread, scenario_from_dict,
-                          scenario_warnings, solve_shape_exponent,
-                          superelliptic_distance, validate_scenario)
+                          load_scenario, min_spread, reference_scenario_path,
+                          scenario_from_dict, scenario_warnings,
+                          solve_shape_exponent, superelliptic_distance,
+                          validate_scenario)
 from .errors import (ConfigError, DomainError, HerdsimError, InfeasibleHeadingError,
                      IntegrityError, SchemaError, SolverError)
 from .formation_field import (FieldSample, SweepReport, attractive_field,
                               combined_field, component_angle_gap, contour_point,
                               follow_field, repulsive_angle, singularity_sweep)
-from .geom import (BlendTriplet, Vec2, angle_of, blend_weight, dist, from_angle,
-                   unit, wrap_angle, wrap_sector)
+from .geom import (BlendTriplet, Vec2, angle_of, blend_weight, dist, unit,
+                   wrap_angle, wrap_sector)
 from .herding import (FormationSpec, HeadingState, formation_goals, formation_spec,
-                      heading_rate, heading_rate_closed_form, obstacle_resultant,
-                      schedule_heading, solve_command_heading)
+                      heading_rate, obstacle_resultant, schedule_heading,
+                      solve_command_heading)
 from .sim import (SafetySnapshot, SimState, SimTrace, build_context, new_state,
-                  run, safety_snapshot, step)
-
-
-def reference_scenario_path():
-    """Filesystem path of the bundled reference scenario."""
-    from .cli import reference_scenario_path as _p
-    return _p()
+                  run, safety_snapshot)

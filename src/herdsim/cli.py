@@ -11,8 +11,7 @@ Exit codes (stable, also listed in the README):
   6  numerical solver failure
 
 Verbosity is controlled by the HERDSIM_LOG environment variable (DEBUG, INFO,
-WARNING, ...).  --seed is accepted for interface stability but unused: the
-dynamics are deterministic.
+WARNING, ...).  The dynamics are deterministic, so no command takes a seed.
 """
 
 from __future__ import annotations
@@ -23,11 +22,11 @@ import logging
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .environment import (load_scenario, scenario_warnings, validate_scenario)
+from .environment import (load_scenario, reference_scenario_path, scenario_warnings,
+                          validate_scenario)
 from .errors import ConfigError, HerdsimError, SchemaError, SolverError
 from .formation_field import singularity_sweep
 from .sim import run
@@ -42,11 +41,6 @@ EXIT_UNACCEPTABLE = 5
 EXIT_SOLVER = 6
 
 log = logging.getLogger("herdsim.cli")
-
-
-def reference_scenario_path() -> Path:
-    """Filesystem path of the bundled reference scenario."""
-    return Path(resources.files("herdsim").joinpath("data/reference_scenario.json"))
 
 
 def _setup_logging():
@@ -221,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dt", type=float, default=None, help="timestep override (s)")
     sim.add_argument("--t-max", type=float, default=None, help="time budget override (s)")
     sim.add_argument("--svg", choices=["on", "off"], default="on", help="emit SVG plots")
-    sim.add_argument("--seed", type=int, default=None,
-                     help="reserved; the dynamics are deterministic")
     sim.set_defaults(fn=cmd_simulate)
 
     sw = sub.add_parser("sweep", parents=[common],

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .environment import Obstacle, superelliptic_distance
+from .environment import Obstacle, bisect, superelliptic_distance
 from .errors import ConfigError, DomainError, SolverError
 from .formation_field import repulsive_angle
 from .geom import BlendTriplet, Vec2, blend_weight
@@ -62,18 +62,7 @@ def solve_tracking_gains(terminal_exponent: float, speed_max: float,
         th = math.tanh(e)
         return (1.0 - th * th) - terminal_exponent * th / e
 
-    lo, hi = 1e-9, 10.0
-    if not (residual(lo) > 0.0 > residual(hi)):
-        raise SolverError("handoff-error bisection failed to bracket a sign change")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * 1e-3:
-            break
-    handoff = 0.5 * (lo + hi)
+    handoff = bisect(lambda e: -residual(e), 1e-9, 10.0, tol * 1e-3)
     if abs(residual(handoff)) > max(tol, 1e-12) * 10.0:
         raise SolverError(f"handoff-error residual {residual(handoff)} above tolerance")
     gain = approach * math.tanh(handoff) / handoff ** terminal_exponent

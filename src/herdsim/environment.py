@@ -20,7 +20,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
+import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError, SolverError
 from .geom import BlendTriplet, Vec2, dist, wrap_angle
@@ -34,6 +37,15 @@ from .geom import BlendTriplet, Vec2, dist, wrap_angle
 # needs the margin in E + 1, not a relative one in E: E is a difference, so
 # its rounding error stays of order ulp(E + 1) as E approaches 0.
 CULL_SLACK = 1e-9
+
+# The mid and hi shells of both bands sit at the corners of the rectangle
+# inflated by these multiples of the band's pad.
+OUTER_PAD_FACTORS = (1.25, 1.5)
+
+
+def reference_scenario_path() -> Path:
+    """Filesystem path of the bundled reference scenario."""
+    return Path(resources.files("herdsim").joinpath("data/reference_scenario.json"))
 
 
 @dataclass(frozen=True)
@@ -99,9 +111,35 @@ class ObstacleDerivation:
     defender_radius: float
     attacker_mid_factor: float = 1.15
     attacker_hi_factor: float = 1.3
-    outer_pad_factors: tuple = (1.25, 1.5)   # mid/hi shells as extra pad fractions
     tol: float = 1e-12
     max_iter: int = 500
+
+
+def bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of an increasing f with f(lo) < 0 < f(hi), by bisection.
+
+    Stops once the bracket is narrower than xtol, or after 200 halvings
+    (with xtol = 0, once the bracket has collapsed to adjacent floats);
+    returns the bracket's midpoint.
+    """
+    if not f(lo) < 0.0 < f(hi):
+        raise SolverError(f"bisection found no sign change on [{lo}, {hi}]")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < xtol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def corner_level(width: float, height: float, infl_width: float,
+                 infl_height: float, exponent: float) -> float:
+    """Level of the contour through the corners of an inflated rectangle."""
+    two_n = 2.0 * exponent
+    return 0.5 * ((infl_width / width) ** two_n + (infl_height / height) ** two_n) - 1.0
 
 
 def solve_shape_exponent(width: float, height: float, infl_width: float,
@@ -127,11 +165,9 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
             f"inflated rectangle must strictly contain the raw one: "
             f"{width}x{height} -> {infl_width}x{infl_height}"
         )
-    rw = infl_width / width
-    rh = infl_height / height
 
     def level_of(n):
-        return 0.5 * (rw ** (2.0 * n) + rh ** (2.0 * n)) - 1.0
+        return corner_level(width, height, infl_width, infl_height, n)
 
     def mapped(n):
         return 1.0 / (1.0 - math.exp(-level_of(n)))
@@ -144,21 +180,7 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
             return n_next, level_of(n_next)
         n = n_next
 
-    lo, hi = 1.0 + 1e-6, 50.0
-    g_lo = lo - mapped(lo)
-    g_hi = hi - mapped(hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise SolverError(
-            f"exponent solve failed to bracket a root for "
-            f"{width}x{height} -> {infl_width}x{infl_height}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - mapped(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    n = 0.5 * (lo + hi)
+    n = bisect(lambda n: n - mapped(n), 1.0 + 1e-6, 50.0, 0.0)
     return n, level_of(n)
 
 
@@ -166,12 +188,25 @@ def superelliptic_distance(p: Vec2, ob: Obstacle) -> float:
     """Level-set coordinate of p in the obstacle's super-ellipse family.
 
     -1 at the center, 0 on the contour through the raw rectangle corners,
-    strictly increasing along rays from the center.
+    strictly increasing along rays from the center.  p may hold coordinate
+    arrays, giving the level at every point.
     """
     ex = abs((p.x - ob.center.x) / ob.semi_x)
     ey = abs((p.y - ob.center.y) / ob.semi_y)
     two_n = 2.0 * ob.exponent
     return ex ** two_n + ey ** two_n - 1.0
+
+
+def contour_offsets(ob: Obstacle, beta, level: float):
+    """Offsets (dx, dy) from the obstacle center to the contour E = level
+    along the rays at sector angles beta (a float or an array)."""
+    # E(r) = level has a closed-form radius along each ray
+    two_n = 2.0 * ob.exponent
+    c = np.cos(beta)
+    s = np.sin(beta)
+    denom = (np.abs(c) / ob.semi_x) ** two_n + (np.abs(s) / ob.semi_y) ** two_n
+    r = ((1.0 + level) / denom) ** (1.0 / two_n)
+    return r * c, r * s
 
 
 def tangent_angle_at(beta: float, ob: Obstacle) -> float:
@@ -200,13 +235,6 @@ def contour_tangent_angle(p: Vec2, ob: Obstacle) -> float:
     return wrap_angle(tangent_angle_at(math.atan2(dy, dx), ob))
 
 
-def corner_level(width: float, height: float, infl_width: float,
-                 infl_height: float, exponent: float) -> float:
-    """Level of the contour through the corners of an inflated rectangle."""
-    two_n = 2.0 * exponent
-    return 0.5 * ((infl_width / width) ** two_n + (infl_height / height) ** two_n) - 1.0
-
-
 def derive_obstacle(center: Vec2, width: float, height: float,
                     params: ObstacleDerivation) -> Obstacle:
     """Build a fully derived Obstacle from a raw rectangle.
@@ -222,13 +250,13 @@ def derive_obstacle(center: Vec2, width: float, height: float,
         exponent, lvl_lo = solve_shape_exponent(
             width, height, fw, fh, tol=params.tol, max_iter=params.max_iter)
     except SolverError as exc:
-        raise SolverError(f"obstacle at {center}: {exc}") from exc
+        raise SolverError(f"obstacle at {center}: shape exponent: {exc}") from exc
 
     half_exp = 2.0 ** (1.0 / (2.0 * exponent))
     semi_x = 0.5 * width * half_exp
     semi_y = 0.5 * height * half_exp
 
-    f_mid, f_hi = params.outer_pad_factors
+    f_mid, f_hi = OUTER_PAD_FACTORS
     lvl_mid = corner_level(width, height, width + 2.0 * f_mid * pad,
                            height + 2.0 * f_mid * pad, exponent)
     lvl_hi = corner_level(width, height, width + 2.0 * f_hi * pad,
@@ -584,42 +612,10 @@ def arc_magnitude(count: int, spread: float) -> float:
     return math.sin(count * half_gap) / math.sin(half_gap)
 
 
-def _shell_boundary(ob: Obstacle, level: float, samples: int):
-    """Points on the contour E = level, sampled over the full sector range."""
-    # radius along each ray solves E(r) = level in closed form
-    two_n = 2.0 * ob.exponent
-    pts = []
-    for i in range(samples):
-        beta = 2.0 * math.pi * i / samples
-        c = math.cos(beta)
-        s = math.sin(beta)
-        denom = (abs(c) / ob.semi_x) ** two_n + (abs(s) / ob.semi_y) ** two_n
-        r = ((1.0 + level) / denom) ** (1.0 / two_n)
-        pts.append(Vec2(ob.center.x + r * c, ob.center.y + r * s))
-    return pts
-
-
-def _max_overlap_count(cfg: ScenarioConfig) -> int:
-    """Largest set of obstacles whose attacker-model influence discs can
-    overlap at a single point (clique of the pairwise overlap graph)."""
-    n = len(cfg.obstacles)
-    adj = [[False] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        a, b = cfg.obstacles[i], cfg.obstacles[j]
-        d = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
-        if d < a.attacker_band.hi + b.attacker_band.hi:
-            adj[i][j] = adj[j][i] = True
-    best = 1 if n else 0
-
-    def grow(clique, candidates):
-        nonlocal best
-        best = max(best, len(clique))
-        for k in candidates:
-            if all(adj[k][m] for m in clique):
-                grow(clique + [k], [c for c in candidates if c > k])
-
-    grow([], list(range(n)))
-    return best
+def _shell_boundary(ob: Obstacle, level: float, samples: int) -> Vec2:
+    """The contour E = level on evenly spaced rays, as a Vec2 of arrays."""
+    dx, dy = contour_offsets(ob, 2.0 * math.pi * np.arange(samples) / samples, level)
+    return Vec2(ob.center.x + dx, ob.center.y + dy)
 
 
 def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[str]:
@@ -664,7 +660,11 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
             v.append(f"spread: {cfg.formation.spread} rad is below the minimum "
                      f"{needed:.6f} rad for {cfg.defenders.count} defenders")
         mag = arc_magnitude(cfg.defenders.count, cfg.formation.spread)
-        reachable = float(_max_overlap_count(cfg))
+        # each obstacle's circular repulsion has norm at most 1, and any two
+        # whose influence discs meet fail the obstacle-spacing check below
+        # (the same distance and radius sum), so in an accepted scenario at
+        # most one obstacle repels the attacker at a time
+        reachable = 1.0 if cfg.obstacles else 0.0
         if not mag > reachable:
             v.append(f"arc-magnitude: {mag:.6f} must exceed the worst simultaneous "
                      f"obstacle repulsion {reachable:.1f} or the heading command "
@@ -702,10 +702,9 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
         if dist(a.center, b.center) >= a.formation_reach + b.formation_reach:
             continue
-        overlap = any(superelliptic_distance(p, b) <= b.formation_band.hi
-                      for p in boundary(i))
-        overlap = overlap or any(superelliptic_distance(p, a) <= a.formation_band.hi
-                                 for p in boundary(j))
+        overlap = (superelliptic_distance(boundary(i), b) <= b.formation_band.hi).any()
+        overlap = overlap or (superelliptic_distance(boundary(j), a)
+                              <= a.formation_band.hi).any()
         overlap = overlap or superelliptic_distance(a.center, b) <= b.formation_band.hi
         if overlap:
             v.append(f"shell-overlap: outer shells of obstacles {i} and {j} intersect")
@@ -714,12 +713,12 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     # closer to the safe center than its radius cannot touch it
     near_safe = [(i, ob) for i, ob in enumerate(cfg.obstacles)
                  if dist(ob.center, cfg.safe.center) < cfg.safe.radius + ob.formation_reach]
-    angles = (2.0 * math.pi * k / boundary_samples for k in range(boundary_samples))
-    ring = [Vec2(cfg.safe.center.x + cfg.safe.radius * math.cos(t),
-                 cfg.safe.center.y + cfg.safe.radius * math.sin(t))
-            for t in angles] if near_safe else []
+    if near_safe:
+        angles = 2.0 * math.pi * np.arange(boundary_samples) / boundary_samples
+        ring = Vec2(cfg.safe.center.x + cfg.safe.radius * np.cos(angles),
+                    cfg.safe.center.y + cfg.safe.radius * np.sin(angles))
     for i, ob in near_safe:
-        touched = any(superelliptic_distance(p, ob) <= ob.formation_band.hi for p in ring)
+        touched = (superelliptic_distance(ring, ob) <= ob.formation_band.hi).any()
         touched = touched or superelliptic_distance(cfg.safe.center, ob) <= ob.formation_band.hi
         touched = touched or cfg.safe.contains(ob.center)
         if touched:

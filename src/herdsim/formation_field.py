@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import Obstacle, superelliptic_distance, tangent_angle_at
+from .environment import (Obstacle, contour_offsets, superelliptic_distance,
+                          tangent_angle_at)
 from .errors import DomainError
 from .geom import TWO_PI, Vec2, blend_weight, unit, wrap_angle, wrap_sector
 
@@ -148,26 +149,8 @@ def _field_angle_np(beta_f, beta_s, ob: Obstacle):
 
 def contour_point(ob: Obstacle, beta: float, level: float) -> Vec2:
     """Point on the contour E = level lying on the ray at sector angle beta."""
-    x, y = _contour_point_np(np.asarray(beta, dtype=float), level, ob)
+    x, y = contour_offsets(ob, beta, level)
     return Vec2(ob.center.x + float(x), ob.center.y + float(y))
-
-
-def _contour_point_np(beta, level, ob: Obstacle):
-    """Offsets from the obstacle center to the level contour along each ray."""
-    n = ob.exponent
-    scale = (1.0 + level) ** (1.0 / (2.0 * n))
-    ax = ob.semi_x * scale
-    by = ob.semi_y * scale
-    c = np.cos(beta)
-    s = np.sin(beta)
-    num = np.copysign((ax * np.abs(s)) ** n, s)
-    den = np.copysign((by * np.abs(c)) ** n, c)
-    p = np.arctan2(num, den)
-    cp = np.cos(p)
-    sp = np.sin(p)
-    x = ax * np.copysign(np.abs(cp) ** (1.0 / n), cp)
-    y = by * np.copysign(np.abs(sp) ** (1.0 / n), sp)
-    return x, y
 
 
 @dataclass(frozen=True)
@@ -202,11 +185,14 @@ class SweepReport:
 
     def to_csv(self) -> str:
         lines = ["target_angle_rad,span_rad,gap_min_rad,gap_max_rad"]
-        bc = 0.5 * (self.target_angles[:-1] + self.target_angles[1:])
-        sc = 0.5 * (self.span_angles[:-1] + self.span_angles[1:])
+        # plain Python floats: repr of a numpy scalar is "np.float64(...)"
+        bc = (0.5 * (self.target_angles[:-1] + self.target_angles[1:])).tolist()
+        sc = (0.5 * (self.span_angles[:-1] + self.span_angles[1:])).tolist()
+        lo = self.cell_min.tolist()
+        hi = self.cell_max.tolist()
         for i, b in enumerate(bc):
             for j, s in enumerate(sc):
-                lines.append(f"{b!r},{s!r},{self.cell_min[i, j]!r},{self.cell_max[i, j]!r}")
+                lines.append(f"{b!r},{s!r},{lo[i][j]!r},{hi[i][j]!r}")
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
@@ -254,8 +240,8 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128, margin: float = 0.1,
     dv = span[None, :]
     bf = bs + dv
 
-    sx, sy = _contour_point_np(bs, level, ob)
-    fx, fy = _contour_point_np(bf, level, ob)
+    sx, sy = contour_offsets(ob, bs, level)
+    fx, fy = contour_offsets(ob, bf, level)
     phi = _field_angle_np(bf, bs, ob)
     toward = np.arctan2(sy - fy, sx - fx)
     gap = _wrap_angle_np(toward - phi)

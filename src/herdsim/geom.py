@@ -47,10 +47,6 @@ def unit(v: Vec2) -> Vec2:
     return Vec2(v.x / n, v.y / n)
 
 
-def from_angle(theta: float) -> Vec2:
-    return Vec2(math.cos(theta), math.sin(theta))
-
-
 def angle_of(v: Vec2) -> float:
     return math.atan2(v.y, v.x)
 

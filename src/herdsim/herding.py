@@ -101,27 +101,6 @@ def heading_rate(history: Sequence[float], dt: float, limit: float) -> float:
     return max(-limit, min(limit, raw))
 
 
-def heading_rate_closed_form(desired: float, desired_rate: float, command: float,
-                             resultant_mag: float, resultant_mag_rate: float,
-                             resultant_angle: float, resultant_angle_rate: float,
-                             magnitude: float) -> float:
-    """Exact command-heading rate from the differentiated alignment equation.
-
-    Needs rates the planner cannot measure directly; kept as a cross-check
-    for the finite-difference path.  Undefined at desired = +-pi/2 where the
-    tangent blows up.
-    """
-    t = math.tan(desired)
-    sec2 = 1.0 / math.cos(desired) ** 2
-    cg, sg = math.cos(resultant_angle), math.sin(resultant_angle)
-    cc, sc = math.cos(command), math.sin(command)
-    denom = magnitude * (cc + t * sc)
-    num = (resultant_mag_rate * (t * cg - sg)
-           - resultant_mag * resultant_angle_rate * (t * sg + cg)
-           + sec2 * desired_rate * (resultant_mag * cg + magnitude * cc))
-    return num / denom
-
-
 @dataclass
 class HeadingState:
     """Planner memory: last desired/command headings and the capture clock."""

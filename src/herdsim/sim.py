@@ -304,16 +304,6 @@ def apply_commands(state: SimState, next_attacker: AttackerState, dt: float) -> 
                   "defenders": [tuple(d.position) for d in state.defenders]})
 
 
-def step(state: SimState, cfg: ScenarioConfig, ctx: Optional[RunContext] = None) -> SimState:
-    """Advance the world by one step (compute, then apply), in place."""
-    if ctx is None:
-        ctx = build_context(cfg)
-    next_attacker = compute_commands(state, cfg, ctx)
-    apply_commands(state, next_attacker, cfg.integrator.dt)
-    state.t += cfg.integrator.dt
-    return state
-
-
 def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         t_max: Optional[float] = None) -> SimTrace:
     """Run the closed loop until capture holds through the dwell window, the

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from herdsim.cli import main as cli_main, reference_scenario_path
-from herdsim.environment import ObstacleDerivation, load_scenario
+from herdsim.cli import main as cli_main
+from herdsim.environment import ObstacleDerivation, load_scenario, reference_scenario_path
 from herdsim.sim import run
 
 REFERENCE_OBSTACLES = [(10.0, 23.0, 2.0, 3.0), (-6.0, 18.0, 3.0, 4.0),

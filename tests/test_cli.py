@@ -1,6 +1,7 @@
 import json
 
-from herdsim.cli import main, reference_scenario_path
+from herdsim import reference_scenario_path
+from herdsim.cli import main
 
 from conftest import REFERENCE_OBSTACLES, small_scenario_doc
 

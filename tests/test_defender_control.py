@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from herdsim.defender_control import (convergence_bounds, defender_field,
+from herdsim.defender_control import (TrackingGains, convergence_bounds, defender_field,
                                       defender_velocity, solve_tracking_gains,
                                       terminal_phase_time)
 from herdsim.environment import derive_obstacle, superelliptic_distance
@@ -29,6 +29,19 @@ def test_handoff_error_matches_oracle(exponent, root):
     # the defining relation holds at the solution
     e = gains.handoff_error
     assert abs((1.0 - math.tanh(e) ** 2) - exponent * math.tanh(e) / e) < 1e-12
+
+
+def test_bundled_gains_frozen(reference_cfg):
+    # bit patterns of the gains the hand-written bisection produced before it
+    # moved onto environment.bisect
+    frozen = TrackingGains(approach_speed=1.435, terminal_gain=1.095294156598228,
+                           terminal_exponent=0.5, handoff_error=1.0886594924826527)
+    cfg = reference_cfg
+    for vmax in cfg.defenders.speed_max:
+        gains = solve_tracking_gains(cfg.control.terminal_exponent, vmax,
+                                     cfg.attacker.speed_max, cfg.formation.arc_radius,
+                                     cfg.control.heading_rate_max, tol=cfg.solver.tolerance)
+        assert gains == frozen
 
 
 def test_handoff_relation_signs():

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from herdsim.environment import (_shell_boundary, contour_tangent_angle,
-                                 corner_level, derive_obstacle, min_spread,
-                                 scenario_from_dict, scenario_warnings,
+from herdsim.environment import (ScenarioConfig, _shell_boundary, arc_magnitude,
+                                 contour_tangent_angle, corner_level, derive_obstacle,
+                                 min_spread, scenario_from_dict, scenario_warnings,
                                  solve_shape_exponent, superelliptic_distance,
                                  validate_scenario)
 from herdsim.errors import ConfigError, DomainError
@@ -42,6 +43,13 @@ ORACLE_LEVEL = 2.3131900884547
 
 def test_solver_matches_frozen_oracle():
     n, lvl = solve_shape_exponent(2.0, 3.0, 3.7, 4.7)
+    assert n == pytest.approx(ORACLE_N, abs=1e-9)
+    assert lvl == pytest.approx(ORACLE_LEVEL, abs=1e-9)
+
+
+def test_solver_bisection_fallback_matches_frozen_oracle():
+    # no fixed-point iterations: the answer comes from the bisection fallback
+    n, lvl = solve_shape_exponent(2.0, 3.0, 3.7, 4.7, max_iter=0)
     assert n == pytest.approx(ORACLE_N, abs=1e-9)
     assert lvl == pytest.approx(ORACLE_LEVEL, abs=1e-9)
 
@@ -146,6 +154,32 @@ def test_validate_clean_bundle(reference_cfg):
     assert scenario_warnings(reference_cfg) == []
 
 
+def scalar_shell_boundary(ob, level, samples):
+    """The validator's former per-ray loop over the radial closed form."""
+    two_n = 2.0 * ob.exponent
+    pts = []
+    for i in range(samples):
+        beta = 2.0 * math.pi * i / samples
+        c = math.cos(beta)
+        s = math.sin(beta)
+        denom = (abs(c) / ob.semi_x) ** two_n + (abs(s) / ob.semi_y) ** two_n
+        r = ((1.0 + level) / denom) ** (1.0 / two_n)
+        pts.append(Vec2(ob.center.x + r * c, ob.center.y + r * s))
+    return pts
+
+
+def test_vectorised_boundary_matches_scalar_loop(derivation):
+    # numpy's cos/sin/pow may differ from libm's in the last bits, so the
+    # points agree to a few ulps of their coordinates, not exactly
+    for w, h in ((2.0, 3.0), (4.0, 1.0), (0.5, 6.0)):
+        ob = derive_obstacle(Vec2(-7.0, 12.0), w, h, derivation)
+        for level in (ob.defender_band.lo, ob.formation_band.hi):
+            xs, ys = _shell_boundary(ob, level, 720)
+            ref = scalar_shell_boundary(ob, level, 720)
+            assert np.allclose(xs, [p.x for p in ref], rtol=0.0, atol=1e-13)
+            assert np.allclose(ys, [p.y for p in ref], rtol=0.0, atol=1e-13)
+
+
 def sampled_shell_violations(cfg, boundary_samples=720):
     """The validator's shell-overlap and safe-area-shell tests without the
     reach prefilter: every pair and every obstacle is sampled."""
@@ -153,19 +187,18 @@ def sampled_shell_violations(cfg, boundary_samples=720):
     boundaries = [_shell_boundary(ob, ob.formation_band.hi, boundary_samples)
                   for ob in cfg.obstacles]
     for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
-        overlap = any(superelliptic_distance(p, b) <= b.formation_band.hi
-                      for p in boundaries[i])
-        overlap = overlap or any(superelliptic_distance(p, a) <= a.formation_band.hi
-                                 for p in boundaries[j])
+        overlap = (superelliptic_distance(boundaries[i], b) <= b.formation_band.hi).any()
+        overlap = overlap or (superelliptic_distance(boundaries[j], a)
+                              <= a.formation_band.hi).any()
         overlap = overlap or superelliptic_distance(a.center, b) <= b.formation_band.hi
         if overlap:
             v.append(f"shell-overlap: outer shells of obstacles {i} and {j} intersect")
 
     for i, ob in enumerate(cfg.obstacles):
-        ring = [Vec2(cfg.safe.center.x + cfg.safe.radius * math.cos(t),
-                     cfg.safe.center.y + cfg.safe.radius * math.sin(t))
-                for t in (2.0 * math.pi * k / boundary_samples for k in range(boundary_samples))]
-        touched = any(superelliptic_distance(p, ob) <= ob.formation_band.hi for p in ring)
+        t = 2.0 * math.pi * np.arange(boundary_samples) / boundary_samples
+        ring = Vec2(cfg.safe.center.x + cfg.safe.radius * np.cos(t),
+                    cfg.safe.center.y + cfg.safe.radius * np.sin(t))
+        touched = (superelliptic_distance(ring, ob) <= ob.formation_band.hi).any()
         touched = touched or superelliptic_distance(cfg.safe.center, ob) <= ob.formation_band.hi
         touched = touched or cfg.safe.contains(ob.center)
         if touched:
@@ -287,3 +320,68 @@ def test_corner_level_helper():
 def test_degenerate_scalars_rejected_at_load(dotted, value):
     with pytest.raises(ConfigError):
         scenario_from_dict(small_scenario_doc(**{dotted: value}))
+
+
+# the clique search the arc-magnitude check used before it compared against
+# one obstacle, copied verbatim as the reference
+def _max_overlap_count(cfg: ScenarioConfig) -> int:
+    """Largest set of obstacles whose attacker-model influence discs can
+    overlap at a single point (clique of the pairwise overlap graph)."""
+    n = len(cfg.obstacles)
+    adj = [[False] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = cfg.obstacles[i], cfg.obstacles[j]
+        d = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
+        if d < a.attacker_band.hi + b.attacker_band.hi:
+            adj[i][j] = adj[j][i] = True
+    best = 1 if n else 0
+
+    def grow(clique, candidates):
+        nonlocal best
+        best = max(best, len(clique))
+        for k in candidates:
+            if all(adj[k][m] for m in clique):
+                grow(clique + [k], [c for c in candidates if c > k])
+
+    grow([], list(range(n)))
+    return best
+
+
+def two_defender_doc(spread, obstacles):
+    doc = small_scenario_doc(**{"formation.spread_rad": spread})
+    doc["defenders"]["start_m"] = [[-4.0, 10.0], [4.0, 10.0]]
+    doc["obstacles"] = obstacles
+    return doc
+
+
+def test_arc_magnitude_below_one_obstacle_rejected():
+    # two unit pushers 3 rad apart nearly cancel: sin(3) / sin(1.5) ~ 0.14
+    assert arc_magnitude(2, 3.0) == pytest.approx(0.1415, abs=1e-4)
+    doc = two_defender_doc(3.0, [{"center_m": [20.0, 20.0], "width_m": 2.0,
+                                  "height_m": 2.0}])
+    v = validate_scenario(scenario_from_dict(doc))
+    assert [s for s in v if s.startswith("arc-magnitude")] == [
+        "arc-magnitude: 0.141474 must exceed the worst simultaneous obstacle "
+        "repulsion 1.0 or the heading command becomes unsolvable"]
+
+
+def test_arc_magnitude_without_obstacles_accepted():
+    v = validate_scenario(scenario_from_dict(two_defender_doc(3.0, [])))
+    assert not any(s.startswith("arc-magnitude") for s in v)
+
+
+rect = st.fixed_dictionaries({
+    "center_m": st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)).map(list),
+    "width_m": st.floats(0.5, 4.0),
+    "height_m": st.floats(0.5, 4.0),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rect, min_size=0, max_size=5))
+def test_spacing_check_bounds_overlap_count(obstacles):
+    # the arc-magnitude check compares against 1 because a scenario without
+    # obstacle-spacing violations has no two overlapping influence discs
+    cfg = scenario_from_dict(two_defender_doc(2.0, obstacles))
+    spaced = not any(s.startswith("obstacle-spacing") for s in validate_scenario(cfg))
+    assert spaced == (_max_overlap_count(cfg) <= 1)

@@ -160,6 +160,19 @@ def test_sweep_reference_obstacle_passes(derivation):
     assert len(csv.splitlines()) == 128 * 128 + 1
 
 
+def test_sweep_csv_holds_plain_numbers(square):
+    report = singularity_sweep(square, resolution=64)
+    header, *rows = report.to_csv().splitlines()
+    cells = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert cells.shape == (64 * 64, 4)
+    centers_b = 0.5 * (report.target_angles[:-1] + report.target_angles[1:])
+    centers_s = 0.5 * (report.span_angles[:-1] + report.span_angles[1:])
+    assert np.array_equal(cells[:, 0], np.repeat(centers_b, 64))
+    assert np.array_equal(cells[:, 1], np.tile(centers_s, 64))
+    assert np.array_equal(cells[:, 2], report.cell_min.ravel())
+    assert np.array_equal(cells[:, 3], report.cell_max.ravel())
+
+
 def test_streamlines_reach_safe_area(derivation):
     obstacles = [derive_obstacle(Vec2(0.0, 12.0), 3.0, 3.0, derivation),
                  derive_obstacle(Vec2(-6.0, 28.0), 2.0, 4.0, derivation)]

@@ -9,8 +9,7 @@ from herdsim.errors import ConfigError, InfeasibleHeadingError
 from herdsim.geom import BlendTriplet, Vec2, angle_of, blend_weight, dist, wrap_angle
 from herdsim.herding import (HeadingState, PHASE_APPROACH, PHASE_CAPTURED,
                              PHASE_TRANSITION, formation_goals, formation_spec,
-                             heading_rate, heading_rate_closed_form,
-                             obstacle_resultant, schedule_heading,
+                             heading_rate, obstacle_resultant, schedule_heading,
                              solve_command_heading)
 
 
@@ -125,6 +124,27 @@ def test_heading_rate_basics():
     assert heading_rate([0.0, 0.5], 0.01, 1.0) == 1.0
     assert heading_rate([math.pi - 0.001, -math.pi + 0.001], 0.01, 1.0) \
         == pytest.approx(0.2)
+
+
+def heading_rate_closed_form(desired: float, desired_rate: float, command: float,
+                             resultant_mag: float, resultant_mag_rate: float,
+                             resultant_angle: float, resultant_angle_rate: float,
+                             magnitude: float) -> float:
+    """Exact command-heading rate from the differentiated alignment equation.
+
+    Needs rates the planner cannot measure directly; kept as a cross-check
+    for the finite-difference path.  Undefined at desired = +-pi/2 where the
+    tangent blows up.
+    """
+    t = math.tan(desired)
+    sec2 = 1.0 / math.cos(desired) ** 2
+    cg, sg = math.cos(resultant_angle), math.sin(resultant_angle)
+    cc, sc = math.cos(command), math.sin(command)
+    denom = magnitude * (cc + t * sc)
+    num = (resultant_mag_rate * (t * cg - sg)
+           - resultant_mag * resultant_angle_rate * (t * sg + cg)
+           + sec2 * desired_rate * (resultant_mag * cg + magnitude * cc))
+    return num / denom
 
 
 def test_heading_rate_closed_form_matches_finite_difference():

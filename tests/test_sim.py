@@ -7,7 +7,7 @@ import pytest
 from herdsim.environment import scenario_from_dict, validate_scenario
 from herdsim.errors import ConfigError
 from herdsim.geom import Vec2
-from herdsim.sim import (build_context, new_state, run, safety_snapshot, step)
+from herdsim.sim import build_context, new_state, run, safety_snapshot
 
 from conftest import small_scenario_doc
 
@@ -23,25 +23,38 @@ def test_zero_dt_rejected():
         run(cfg, dt=-0.01)
 
 
+def one_step(cfg):
+    """run() for a single step: the trace, plus the attacker position and the
+    defender positions and goals in its first and last rows."""
+    trace = run(cfg, t_max=cfg.integrator.dt)
+    col = {name: k for k, name in enumerate(trace.columns)}
+
+    def agents(row):
+        def at(prefix):
+            return Vec2(row[col[f"{prefix}_x_m"]], row[col[f"{prefix}_y_m"]])
+        n = trace.defender_count
+        return (at("attacker"), [at(f"d{j}") for j in range(n)],
+                [at(f"d{j}_goal") for j in range(n)])
+
+    return trace, agents(trace.rows[0]), agents(trace.rows[-1])
+
+
 def test_defenders_idle_outside_sensing_zone():
     doc = small_scenario_doc(**{"defenders.sensing_zone_radius_m": 5.0})
     cfg = scenario_from_dict(doc)  # attacker starts 20 m out, zone is 5 m
-    state = new_state(cfg)
-    starts = [d.position for d in state.defenders]
-    step(state, cfg)
-    assert all(d.position == s for d, s in zip(state.defenders, starts))
-    assert all(d.goal == s for d, s in zip(state.defenders, starts))
-    assert state.attacker.position != cfg.attacker.start
-    assert state.t_sense is None
+    trace, _, (attacker, defenders, goals) = one_step(cfg)
+    starts = list(cfg.defenders.starts)
+    assert defenders == starts
+    assert goals == starts
+    assert attacker != cfg.attacker.start
+    assert trace.events["t_sense_s"] is None
 
 
 def test_defenders_act_inside_sensing_zone():
     cfg = scenario_from_dict(small_scenario_doc())
-    state = new_state(cfg)
-    starts = [d.position for d in state.defenders]
-    step(state, cfg)
-    assert state.t_sense == 0.0
-    assert any(d.position != s for d, s in zip(state.defenders, starts))
+    trace, _, (_, defenders, _) = one_step(cfg)
+    assert trace.events["t_sense_s"] == 0.0
+    assert any(d != s for d, s in zip(defenders, cfg.defenders.starts))
 
 
 def test_static_world_only_time_advances():
@@ -49,12 +62,10 @@ def test_static_world_only_time_advances():
     doc = small_scenario_doc(**{"attacker.speed_max_mps": 0.0,
                                 "defenders.sensing_zone_radius_m": 5.0})
     cfg = scenario_from_dict(doc)
-    state = new_state(cfg)
-    before = (state.attacker.position, [d.position for d in state.defenders])
-    step(state, cfg)
-    assert state.attacker.position == before[0]
-    assert [d.position for d in state.defenders] == before[1]
-    assert state.t == pytest.approx(cfg.integrator.dt)
+    trace, before, after = one_step(cfg)
+    assert after[:2] == before[:2]
+    assert len(trace.rows) == 2
+    assert trace.t_end == pytest.approx(cfg.integrator.dt)
 
 
 def test_run_deterministic():
