@@ -116,13 +116,13 @@ class ObstacleDerivation:
 
 
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
-    """Root of an increasing f with f(lo) < 0 < f(hi), by bisection.
+    """Root of an increasing f with f(lo) <= 0 < f(hi), by bisection.
 
     Stops once the bracket is narrower than xtol, or after 200 halvings
     (with xtol = 0, once the bracket has collapsed to adjacent floats);
     returns the bracket's midpoint.
     """
-    if not f(lo) < 0.0 < f(hi):
+    if not f(lo) <= 0.0 < f(hi):
         raise SolverError(f"bisection found no sign change on [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -156,7 +156,11 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
     simultaneously.  A damped fixed-point iteration (damping 0.5, seed n=2)
     handles every practical geometry; if it fails to settle within max_iter
     we fall back to bisection on g(n) = n - 1/(1-exp(-xi(n))), which is
-    strictly increasing with a guaranteed sign change on [1+1e-6, 50].
+    strictly increasing on [1, 50] with g(1) = 1 - 1/(1 - exp(-xi(1))) < 0
+    (xi > 0: the inflated rectangle strictly contains the raw one) and
+    g(50) > 0.  Strongly inflated rectangles put the root within 1e-6 of 1.
+    Where xi(1) exceeds ~37, exp(-xi) vanishes against 1 and g(1) evaluates
+    to exactly 0: n = 1 is then the root in floating point.
 
     Returns (exponent, corner_level) with |g| below tol.
     """
@@ -180,7 +184,7 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
             return n_next, level_of(n_next)
         n = n_next
 
-    n = bisect(lambda n: n - mapped(n), 1.0 + 1e-6, 50.0, 0.0)
+    n = bisect(lambda n: n - mapped(n), 1.0, 50.0, 0.0)
     return n, level_of(n)
 
 

@@ -215,6 +215,36 @@ def _cell_reduce(values: np.ndarray, cells: int, sub: int, fn):
     return fn(rows[:, idx], axis=2)         # (cells, cells)
 
 
+def _gap_lattice(ob: Obstacle, level: float, fine: int) -> np.ndarray:
+    """Component angle gap with target and sample on the contour E = level:
+    rows are target sector angles over [0, pi/2], columns spans over
+    [0, 2*pi], fine samples each."""
+    beta_s = np.linspace(0.0, math.pi / 2.0, fine)
+    span = np.linspace(0.0, TWO_PI, fine)
+
+    bs = beta_s[:, None]
+    dv = span[None, :]
+    bf = bs + dv
+
+    sx, sy = contour_offsets(ob, bs, level)
+    fx, fy = contour_offsets(ob, bf, level)
+    phi = _field_angle_np(bf, bs, ob)
+    toward = np.arctan2(sy - fy, sx - fx)
+    gap = _wrap_angle_np(toward - phi)
+
+    # At spans 0 and 2*pi the sample coincides with the target, so the gap
+    # takes its limit.  The field angle tends to the radial direction beta_s
+    # from both sides, and the chord toward the target to the contour tangent
+    # there: the counter-clockwise tangent when the sample trails the target
+    # (span -> 2*pi), reversed when it leads (span -> 0).  The gap is then
+    # lead or lead - pi, lead being the tangent's angle from the radial.
+    for i, b in enumerate(beta_s.tolist()):
+        lead = wrap_sector(tangent_angle_at(b, ob) - b)
+        gap[i, 0] = wrap_angle(lead - math.pi)
+        gap[i, -1] = wrap_angle(lead)
+    return gap
+
+
 def singularity_sweep(ob: Obstacle, resolution: int = 128, margin: float = 0.1,
                       subsamples: int = 3) -> SweepReport:
     """Map the angle between field components over the worst-case contour.
@@ -230,21 +260,7 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128, margin: float = 0.1,
     level = ob.formation_band.hi
     fine = subsamples * resolution + 1
 
-    beta_s = np.linspace(0.0, math.pi / 2.0, fine)
-    span = np.linspace(0.0, TWO_PI, fine)
-    # nudge the endpoints off the coincidence point (sample == target)
-    span[0] = 1e-9
-    span[-1] = TWO_PI - 1e-9
-
-    bs = beta_s[:, None]
-    dv = span[None, :]
-    bf = bs + dv
-
-    sx, sy = contour_offsets(ob, bs, level)
-    fx, fy = contour_offsets(ob, bf, level)
-    phi = _field_angle_np(bf, bs, ob)
-    toward = np.arctan2(sy - fy, sx - fx)
-    gap = _wrap_angle_np(toward - phi)
+    gap = _gap_lattice(ob, level, fine)
 
     edges_b = np.linspace(0.0, math.pi / 2.0, resolution + 1)
     edges_s = np.linspace(0.0, TWO_PI, resolution + 1)

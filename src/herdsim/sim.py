@@ -22,7 +22,7 @@ from typing import Optional
 from .attacker import AttackerState, attacker_field, attacker_step
 from .defender_control import (TrackingGains, defender_field, defender_velocity,
                                solve_tracking_gains)
-from .environment import ScenarioConfig, superelliptic_distance
+from .environment import CULL_SLACK, Obstacle, ScenarioConfig, superelliptic_distance
 from .errors import ConfigError, IntegrityError
 from .formation_field import combined_field
 from .geom import BlendTriplet, Vec2, angle_of, dist
@@ -35,6 +35,13 @@ log = logging.getLogger("herdsim.sim")
 TERM_CAPTURED = "captured-stable"
 TERM_TIMEOUT = "t-max"
 TERM_BREACHED = "breached"
+
+# Verlet skin (Verlet, Phys. Rev. 159, 1967): an agent's obstacle list holds
+# every obstacle that can act on it anywhere within SKIN_M of the list's
+# anchor, so the list serves until the agent has moved SKIN_M from there.
+# In the bundled scenario no agent moves more than 2.6 m/s * 0.01 s = 0.026 m
+# per step, so a list lasts at least 39 steps (about 100 on average).
+SKIN_M = 1.0
 
 
 @dataclass
@@ -169,63 +176,172 @@ def new_state(cfg: ScenarioConfig) -> SimState:
     )
 
 
-def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig) -> SafetySnapshot:
+@dataclass(frozen=True)
+class ObstacleList:
+    """What one agent needs of the obstacles while it stays near `anchor`.
+
+    `near` holds, in obstacle index order, every obstacle that can act on the
+    agent anywhere within `skin` of the anchor; a kernel given `near` in place
+    of every obstacle sums the same terms in the same order, so its result is
+    bit-identical.  `bounds` holds (ratio bound, threshold, obstacle) for
+    every obstacle, by descending bound: the bound is at or above the pair's
+    safety ratio anywhere within `skin` of the anchor.
+    """
+
+    anchor: Vec2
+    skin: float
+    near: tuple[Obstacle, ...]
+    bounds: tuple[tuple[float, float, Obstacle], ...]
+
+
+def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> ObstacleList:
+    """Build the attacker's (defender=False) or a defender's list at anchor.
+
+    Exactness, with u the unit roundoff.  The list is kept only while the
+    computed squared displacement from the anchor is below skin^2 (see
+    refresh_lists), so the true displacement is below skin * (1 + 3u).
+    Differences of floats round once, so computed distances carry a relative
+    error of a few u, never one relative to the coordinates.
+
+    - near: an obstacle acts on the attacker only within min(sensing radius,
+      attacker_band.hi) of the agent (beyond hi its weight is 0), and on a
+      defender only within defender_reach; every such center lies within
+      radius + skin of the anchor by the triangle inequality.  Widening that
+      by CULL_SLACK relative absorbs the rounding of both distance tests.
+      An obstacle whose center coincides with the agent is within skin of the
+      anchor, so it is always listed and attacker_field still raises.
+    - bounds: every point within the skin lies at least d - skin from the
+      center, d the anchor's distance.  t = d (1 - CULL_SLACK) - skin
+      (1 + CULL_SLACK) rounds d - skin outward (down) by far more than the
+      rounding of d, the displacement and t itself.  With t > 0, the level
+      floor t^2 * level_floor_scale - 1 is then below the floor at any such
+      point, and the level floor's own margin (see CULL_SLACK) keeps it below
+      the evaluated level.  So threshold / floor bounds the ratio (division
+      rounds monotonically), and one step up (nextafter) rounds the bound
+      outward as well.  Where t <= 0 or the floor is <= 0 the bound is inf.
+    """
+    skin = SKIN_M
+    ax, ay = anchor
+    sensing = cfg.attacker.sensing_radius
+    near = []
+    bounds = []
+    for ob in cfg.obstacles:
+        cx, cy = ob.center
+        dx = ax - cx
+        dy = ay - cy
+        d2 = dx * dx + dy * dy
+        if defender:
+            radius = ob.defender_reach
+            lo = ob.defender_band.lo
+        else:
+            radius = min(sensing, ob.attacker_band.hi)
+            lo = ob.formation_band.lo
+        reach = (radius + skin) * (1.0 + CULL_SLACK)
+        if d2 <= reach * reach:
+            near.append(ob)
+        bound = math.inf
+        t = math.sqrt(d2) * (1.0 - CULL_SLACK) - skin * (1.0 + CULL_SLACK)
+        if t > 0.0:
+            floor = t * t * ob.level_floor_scale - 1.0
+            if floor > 0.0:
+                bound = math.nextafter(lo / floor, math.inf)
+        bounds.append((bound, lo, ob))
+    bounds.sort(key=lambda entry: entry[0], reverse=True)
+    return ObstacleList(anchor=anchor, skin=skin, near=tuple(near), bounds=tuple(bounds))
+
+
+def refresh_lists(lists: list, agents, cfg: ScenarioConfig) -> None:
+    """Rebuild each agent's list once it has moved its list's skin or more.
+
+    agents are the attacker's position, then each defender's; lists holds
+    one ObstacleList per agent, or None where none is built yet.
+    """
+    for k, p in enumerate(agents):
+        old = lists[k]
+        if old is not None:
+            dx = p.x - old.anchor.x
+            dy = p.y - old.anchor.y
+            if dx * dx + dy * dy < old.skin * old.skin:
+                continue
+        lists[k] = obstacle_list(p, cfg, k > 0)
+
+
+def _ratio(threshold, actual):
+    if actual <= 0.0:
+        return math.inf
+    return threshold / actual
+
+
+def _max_obstacle_ratio(p: Vec2, walk, r: float) -> float:
+    """Raise r to the largest safety ratio of p against the obstacles of walk,
+    (bound, threshold, obstacle) entries in descending bound order.
+
+    Stops at the first bound at or below r: no later pair can raise it.  An
+    exact level is evaluated only when the obstacle's level floor at p cannot
+    prove the ratio at or below r: with E >= floor > 0, threshold / E <=
+    threshold / floor (division rounds monotonically), so a skipped pair never
+    changes the maximum.
+    """
+    px, py = p
+    for bound, lo, ob in walk:
+        if bound <= r:
+            break
+        cx, cy = ob.center
+        dx = px - cx
+        dy = py - cy
+        floor = (dx * dx + dy * dy) * ob.level_floor_scale - 1.0
+        if floor <= 0.0 or lo / floor > r:
+            r = max(r, _ratio(lo, superelliptic_distance(p, ob)))
+    return r
+
+
+def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
+                    lists=None) -> SafetySnapshot:
     """Evaluate the four critical relative distances at given positions.
 
     A nonpositive actual distance (already inside a forbidden region) maps to
     +inf.  With nothing in the world a ratio is 0 by convention.
 
-    An (agent, obstacle) level is evaluated only when the obstacle's level
-    floor cannot prove the pair's ratio at or below the running maximum:
-    with E >= floor > 0, threshold / E <= threshold / floor (division rounds
-    monotonically), so a skipped pair never changes the maximum.
+    lists, when given, holds the agents' ObstacleLists (attacker first), each
+    valid at its agent's position; their ratio bounds cut the obstacle scan
+    short.  Without lists every obstacle is scanned.  Either way the result is
+    the exact maximum over every pair.
     """
-
-    def ratio(threshold, actual):
-        if actual <= 0.0:
-            return math.inf
-        return threshold / actual
-
-    r_ao = 0.0
+    if lists is None:
+        walks = [[(math.inf, ob.formation_band.lo, ob) for ob in cfg.obstacles]]
+        walks += [[(math.inf, ob.defender_band.lo, ob) for ob in cfg.obstacles]] \
+            * len(defender_positions)
+    else:
+        walks = [ob_list.bounds for ob_list in lists]
+    r_ao = _max_obstacle_ratio(attacker_pos, walks[0], 0.0)
     r_do = 0.0
-    ax, ay = attacker_pos
-    for ob in cfg.obstacles:
-        cx, cy = ob.center
-        scale = ob.level_floor_scale
-        lo = ob.formation_band.lo
-        dx = ax - cx
-        dy = ay - cy
-        floor = (dx * dx + dy * dy) * scale - 1.0
-        if floor <= 0.0 or lo / floor > r_ao:
-            r_ao = max(r_ao, ratio(lo, superelliptic_distance(attacker_pos, ob)))
-        lo = ob.defender_band.lo
-        for p in defender_positions:
-            px, py = p
-            dx = px - cx
-            dy = py - cy
-            floor = (dx * dx + dy * dy) * scale - 1.0
-            if floor <= 0.0 or lo / floor > r_do:
-                r_do = max(r_do, ratio(lo, superelliptic_distance(p, ob)))
+    for p, walk in zip(defender_positions, walks[1:]):
+        r_do = _max_obstacle_ratio(p, walk, r_do)
 
     r_dd = 0.0
     peer_min = cfg.defenders.peer_band[0]
     n = len(defender_positions)
     for j in range(n):
         for l in range(j + 1, n):
-            r_dd = max(r_dd, ratio(peer_min, dist(defender_positions[j],
-                                                  defender_positions[l])))
+            r_dd = max(r_dd, _ratio(peer_min, dist(defender_positions[j],
+                                                   defender_positions[l])))
 
     r_ad = 0.0
     standoff_min = cfg.attacker.standoff_band[0]
     for p in defender_positions:
-        r_ad = max(r_ad, ratio(standoff_min, dist(attacker_pos, p)))
+        r_ad = max(r_ad, _ratio(standoff_min, dist(attacker_pos, p)))
 
     return SafetySnapshot(attacker_obstacle=r_ao, defender_obstacle=r_do,
                           defender_defender=r_dd, attacker_defender=r_ad)
 
 
-def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext) -> None:
-    """Guidance for this step: desired heading, arc command, slot targets."""
+def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
+          near: tuple[Obstacle, ...]) -> None:
+    """Guidance for this step: desired heading, arc command, slot targets.
+
+    near is the attacker's obstacle list; the guidance field still scans
+    every obstacle.
+    """
     hs = state.heading
     r_a = state.attacker.position
     sample = combined_field(r_a, cfg.obstacles, cfg.safe.center)
@@ -233,7 +349,7 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext) -> None:
     inside = dist(r_a, cfg.safe.center) <= cfg.safe.radius
     desired = schedule_heading(field_angle, state.t, inside, hs,
                                cfg.capture.transition_time, cfg.capture.tangent_margin)
-    mag, gamma = obstacle_resultant(r_a, cfg.obstacles, cfg.attacker.sensing_radius)
+    mag, gamma = obstacle_resultant(r_a, near, cfg.attacker.sensing_radius)
     command = solve_command_heading(desired, mag, gamma, ctx.spec.arc_magnitude)
     if hs._prev_command is None:
         rate = 0.0
@@ -249,11 +365,14 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext) -> None:
         d.goal_velocity = gv
 
 
-def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext) -> AttackerState:
+def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
+                     lists) -> AttackerState:
     """Fill every command for the current step from the step-start snapshot.
 
-    Returns the attacker's next state (not yet applied); defender velocities,
-    goals, and the heading state are written into `state` directly.
+    lists holds the agents' ObstacleLists (attacker first), each valid at its
+    agent's step-start position.  Returns the attacker's next state (not yet
+    applied); defender velocities, goals, and the heading state are written
+    into `state` directly.
     """
     r_a = state.attacker.position
     state.sensed = dist(r_a, cfg.protected.center) <= cfg.defenders.sensing_zone_radius
@@ -262,14 +381,14 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext) -> A
 
     planning = state.sensed and ctx.spec is not None
     if planning:
-        _plan(state, cfg, ctx)
+        _plan(state, cfg, ctx, lists[0].near)
     else:
         for d in state.defenders:
             d.goal = d.position
             d.goal_velocity = Vec2(0.0, 0.0)
 
     positions = [d.position for d in state.defenders]
-    a_field = attacker_field(r_a, positions, cfg.obstacles, cfg.protected.center,
+    a_field = attacker_field(r_a, positions, lists[0].near, cfg.protected.center,
                              cfg.attacker.sensing_radius, ctx.standoff)
     next_attacker = attacker_step(state.attacker, a_field,
                                   cfg.attacker.deadlock_turn, cfg.integrator.dt)
@@ -278,7 +397,8 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext) -> A
 
     if planning:
         for j, d in enumerate(state.defenders):
-            f, conflict = defender_field(j, positions, d.goal, cfg.obstacles, ctx.peers)
+            f, conflict = defender_field(j, positions, d.goal, lists[j + 1].near,
+                                         ctx.peers)
             d.in_conflict = conflict
             d.velocity = defender_velocity(d.position, d.goal, d.goal_velocity,
                                            f, conflict, ctx.gains[j])
@@ -327,6 +447,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     n_steps = round(cfg.integrator.t_max / cfg.integrator.dt)
     dwell = cfg.capture.dwell_factor * cfg.capture.transition_time
 
+    lists = [None] * (1 + n)
     max_ratios = [0.0, 0.0, 0.0, 0.0]
     max_def_speed = [0.0] * n
     max_att_speed = 0.0
@@ -343,6 +464,9 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         if state.t_breach is None and cfg.protected.contains(r_a):
             state.t_breach = state.t
 
+        positions = [d.position for d in state.defenders]
+        refresh_lists(lists, [r_a, *positions], cfg)
+
         terminal = None
         if state.t_breach is not None:
             terminal = TERM_BREACHED
@@ -353,14 +477,13 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             terminal = TERM_TIMEOUT
 
         if terminal is None:
-            next_attacker = compute_commands(state, cfg, ctx)
+            next_attacker = compute_commands(state, cfg, ctx, lists)
         else:
             state.attacker_velocity = Vec2(0.0, 0.0)
             for d in state.defenders:
                 d.velocity = Vec2(0.0, 0.0)
 
-        positions = [d.position for d in state.defenders]
-        snap = safety_snapshot(r_a, positions, cfg)
+        snap = safety_snapshot(r_a, positions, cfg, lists)
         row = [state.t, r_a.x, r_a.y,
                state.attacker_velocity.x, state.attacker_velocity.y,
                state.heading.desired, state.heading.command]

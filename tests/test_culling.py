@@ -1,9 +1,11 @@
 """Exactness of obstacle culling.
 
 defender_field skips an obstacle from its reach radius, and the safety
-snapshot skips an exact level from the level floor.  These properties check
-the constants against superelliptic_distance, and the culled kernels against
-the full-scan loops they replaced, copied below as the reference.
+snapshot skips an exact level from the level floor.  In a run every agent's
+kernels see only its obstacle list, and the snapshot walks the lists' ratio
+bounds.  These properties check the constants against superelliptic_distance,
+and the culled kernels against the full-scan loops they replaced, copied
+below as the reference.
 """
 
 import dataclasses
@@ -11,13 +13,17 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from herdsim import sim
+from herdsim.attacker import attacker_field
 from herdsim.defender_control import defender_field
 from herdsim.environment import (ObstacleDerivation, derive_obstacle,
                                  superelliptic_distance)
 from herdsim.errors import DomainError
 from herdsim.formation_field import repulsive_angle
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, dist
-from herdsim.sim import SafetySnapshot, safety_snapshot
+from herdsim.herding import obstacle_resultant
+from herdsim.sim import (SafetySnapshot, obstacle_list, refresh_lists,
+                         safety_snapshot)
 
 PEERS = BlendTriplet(0.25, 0.32, 0.42)
 
@@ -206,3 +212,140 @@ def test_culled_kernels_match_full_scan(reference_cfg, world):
     for j in range(len(defenders)):
         assert (outcome(defender_field, j, defenders, target, obs, PEERS)
                 == outcome(full_scan_defender_field, j, defenders, target, obs, PEERS))
+
+
+# ---------------------------------------------------------------------------
+# obstacle lists
+# ---------------------------------------------------------------------------
+
+STANDOFF = BlendTriplet(0.3, 0.8, 0.9)
+
+
+def acts_on(ob, p, cfg, defender):
+    """Whether ob can contribute to the agent's field at p, as the full-scan
+    kernels decide it."""
+    dx = p.x - ob.center.x
+    dy = p.y - ob.center.y
+    if defender:
+        return dx * dx + dy * dy < ob.defender_reach * ob.defender_reach
+    d = math.hypot(dx, dy)
+    return d <= cfg.attacker.sensing_radius and d < ob.attacker_band.hi
+
+
+@st.composite
+def list_worlds(draw, reference_cfg):
+    """0-8 obstacles packed close enough for shells and circles to overlap,
+    a random sensing radius, and agents each displaced from its own list
+    anchor by at most the skin: anywhere within it, within 1e-9 relative of
+    it, or exactly on it.  An agent sits anywhere, near an obstacle's reach
+    radii, or on an obstacle's center."""
+    params = draw(derivations)
+    obs = tuple(derive_obstacle(
+        Vec2(draw(st.floats(-15.0, 15.0)), draw(st.floats(-15.0, 15.0))),
+        draw(st.floats(0.2, 6.0)), draw(st.floats(0.2, 6.0)), params)
+        for _ in range(draw(st.integers(0, 8))))
+    sensing = draw(st.floats(0.0, 40.0))
+    cfg = dataclasses.replace(
+        reference_cfg, obstacles=obs,
+        attacker=dataclasses.replace(reference_cfg.attacker, sensing_radius=sensing))
+    skin = sim.SKIN_M
+
+    def agent():
+        kind = draw(st.sampled_from(["free", "near", "center"] if obs else ["free"]))
+        if kind == "free":
+            p = Vec2(draw(st.floats(-25.0, 25.0)), draw(st.floats(-25.0, 25.0)))
+        else:
+            ob = draw(st.sampled_from(obs))
+            if kind == "center":
+                p = ob.center
+            else:
+                radius = draw(st.sampled_from([ob.attacker_band.hi, sensing,
+                                               ob.defender_reach, ob.formation_reach]))
+                r = radius * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+                theta = draw(st.floats(-math.pi, math.pi))
+                p = Vec2(ob.center.x + r * math.cos(theta),
+                         ob.center.y + r * math.sin(theta))
+        if obs and draw(st.booleans()):
+            # the anchor straight away from an obstacle: p is nearer to it
+            ob = draw(st.sampled_from(obs))
+            theta = math.atan2(p.y - ob.center.y, p.x - ob.center.x)
+        else:
+            theta = draw(st.floats(-math.pi, math.pi))
+        r = draw(st.one_of(st.floats(0.0, skin),
+                           st.floats(0.0, 1e-9).map(lambda u: skin * (1.0 - u)),
+                           st.just(skin)))
+        return p, Vec2(p.x + r * math.cos(theta), p.y + r * math.sin(theta))
+
+    attacker = agent()
+    defenders = [agent() for _ in range(draw(st.integers(0, 4)))]
+    target = Vec2(draw(st.floats(-25.0, 25.0)), draw(st.floats(-25.0, 25.0)))
+    return cfg, attacker, defenders, target
+
+
+def lists_at(cfg, agents):
+    """Lists built at each agent's anchor, then refreshed at its position,
+    as run() does from one step to the next."""
+    lists = [obstacle_list(anchor, cfg, k > 0) for k, (_, anchor) in enumerate(agents)]
+    refresh_lists(lists, [p for p, _ in agents], cfg)
+    return lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_list_driven_kernels_match_full_scan(reference_cfg, data):
+    cfg, attacker, defenders, target = data.draw(list_worlds(reference_cfg))
+    lists = lists_at(cfg, [attacker, *defenders])
+    p_a = attacker[0]
+    positions = [p for p, _ in defenders]
+    obs = cfg.obstacles
+    sensing = cfg.attacker.sensing_radius
+    assert (outcome(attacker_field, p_a, positions, lists[0].near, target, sensing, STANDOFF)
+            == outcome(attacker_field, p_a, positions, obs, target, sensing, STANDOFF))
+    assert (obstacle_resultant(p_a, lists[0].near, sensing)
+            == obstacle_resultant(p_a, obs, sensing))
+    for j in range(len(positions)):
+        assert (outcome(defender_field, j, positions, target, lists[j + 1].near, PEERS)
+                == outcome(full_scan_defender_field, j, positions, target, obs, PEERS))
+    assert (safety_snapshot(p_a, positions, cfg, lists)
+            == full_scan_snapshot(p_a, positions, cfg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lists_cover_the_skin_disc(reference_cfg, data):
+    """Each list holds, in index order, every obstacle that acts on its agent,
+    and each ratio bound dominates the level-floor bound at the agent."""
+    cfg, attacker, defenders, _ = data.draw(list_worlds(reference_cfg))
+    agents = [attacker, *defenders]
+    index = {id(ob): k for k, ob in enumerate(cfg.obstacles)}
+    for k, (ob_list, (p, _)) in enumerate(zip(lists_at(cfg, agents), agents)):
+        near = [index[id(ob)] for ob in ob_list.near]
+        assert near == sorted(near)
+        for ob in cfg.obstacles:
+            if acts_on(ob, p, cfg, k > 0):
+                assert index[id(ob)] in near
+        bounds = [bound for bound, _, _ in ob_list.bounds]
+        assert bounds == sorted(bounds, reverse=True)
+        assert sorted(index[id(ob)] for _, _, ob in ob_list.bounds) == list(range(len(index)))
+        for bound, lo, ob in ob_list.bounds:
+            band = ob.defender_band if k else ob.formation_band
+            assert lo == band.lo
+            dx = p.x - ob.center.x
+            dy = p.y - ob.center.y
+            floor = (dx * dx + dy * dy) * ob.level_floor_scale - 1.0
+            if floor <= 0.0:
+                assert bound == math.inf
+            else:
+                assert lo / floor <= bound
+
+
+def test_list_rebuilt_once_moved_the_skin(reference_cfg):
+    skin = sim.SKIN_M
+    anchor = Vec2(0.0, -2.0)
+    lists = [obstacle_list(anchor, reference_cfg, False)]
+    inside = Vec2(math.nextafter(skin, 0.0), anchor.y)
+    refresh_lists(lists, [inside], reference_cfg)
+    assert lists[0].anchor == anchor
+    on_skin = Vec2(skin, anchor.y)
+    refresh_lists(lists, [on_skin], reference_cfg)
+    assert lists[0].anchor == on_skin

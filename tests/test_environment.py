@@ -54,6 +54,20 @@ def test_solver_bisection_fallback_matches_frozen_oracle():
     assert lvl == pytest.approx(ORACLE_LEVEL, abs=1e-9)
 
 
+def test_solver_bisection_fallback_finds_root_next_to_one():
+    # a strongly inflated thin rectangle: the root sits ~1e-12 above 1, below
+    # the fallback's old lower bracket end 1 + 1e-6
+    w, h = 0.5085711448582121, 4.201833998489935
+    iw, ih = w + 2.0 * 1.736529523230634, h + 2.0 * 0.49538264500539264
+    tol = 1e-12
+    n, lvl = solve_shape_exponent(w, h, iw, ih, tol=tol, max_iter=0)
+    n_fixed, _ = solve_shape_exponent(w, h, iw, ih, tol=tol)
+    assert n > 1.0
+    assert abs(n - n_fixed) <= tol
+    assert abs(n - 1.0 / (1.0 - math.exp(-lvl))) <= tol
+    assert lvl == corner_level(w, h, iw, ih, n)
+
+
 def test_solver_matches_oracle_on_random_rectangles():
     # side/inflation ranges keep the corner level moderate; past ~30 the
     # exponent sits within machine epsilon of its lower limit and float

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from herdsim.environment import (Disc, derive_obstacle, superelliptic_distance,
-                                 tangent_angle_at)
+from herdsim.environment import (Disc, contour_offsets, derive_obstacle,
+                                 superelliptic_distance, tangent_angle_at)
 from herdsim.errors import DomainError
-from herdsim.formation_field import (_field_angle_np, attractive_field,
+from herdsim.formation_field import (_cell_reduce, _field_angle_np, _gap_lattice,
+                                     _wrap_angle_np, attractive_field,
                                      combined_field, component_angle_gap,
                                      contour_point, follow_field, repulsive_angle,
                                      singularity_sweep)
@@ -171,6 +172,57 @@ def test_sweep_csv_holds_plain_numbers(square):
     assert np.array_equal(cells[:, 1], np.tile(centers_s, 64))
     assert np.array_equal(cells[:, 2], report.cell_min.ravel())
     assert np.array_equal(cells[:, 3], report.cell_max.ravel())
+
+
+def nudged_gap_lattice(ob, level, fine):
+    """The sweep lattice as first written: the end columns sat 1e-9 rad off
+    the coincidence point, where the chord direction carries ~3e-7 rad of
+    rounding error.  Reference for every other column."""
+    beta_s = np.linspace(0.0, math.pi / 2.0, fine)
+    span = np.linspace(0.0, 2.0 * math.pi, fine)
+    span[0] = 1e-9
+    span[-1] = 2.0 * math.pi - 1e-9
+    bs = beta_s[:, None]
+    bf = bs + span[None, :]
+    sx, sy = contour_offsets(ob, bs, level)
+    fx, fy = contour_offsets(ob, bf, level)
+    phi = _field_angle_np(bf, bs, ob)
+    return _wrap_angle_np(np.arctan2(sy - fy, sx - fx) - phi)
+
+
+def test_sweep_cells_off_the_end_columns_unchanged(reference_cfg):
+    resolution, sub = 128, 3
+    for ob in reference_cfg.obstacles:
+        report = singularity_sweep(ob, resolution=resolution, subsamples=sub)
+        old = nudged_gap_lattice(ob, ob.formation_band.hi, sub * resolution + 1)
+        for new_cells, fn in ((report.cell_min, np.min), (report.cell_max, np.max)):
+            old_cells = _cell_reduce(old, resolution, sub, fn)
+            assert np.array_equal(new_cells[:, 1:-1], old_cells[:, 1:-1])
+
+
+def test_sweep_end_columns_hold_the_coincidence_limit(reference_cfg):
+    # at the coincidence point the field angle is radial (beta) and the chord
+    # toward the target is the contour tangent, reversed when the sample
+    # leads the target; the tangent here comes from the gradient of E at the
+    # contour point, independent of tangent_angle_at
+    fine = 3 * 128 + 1
+    for ob in reference_cfg.obstacles:
+        level = ob.formation_band.hi
+        gap = _gap_lattice(ob, level, fine)
+        two_n = 2.0 * ob.exponent
+        for i, beta in enumerate(np.linspace(0.0, math.pi / 2.0, fine).tolist()):
+            x, y = (float(v) for v in contour_offsets(ob, beta, level))
+            gx = (x / ob.semi_x) ** (two_n - 1.0) / ob.semi_x
+            gy = (y / ob.semi_y) ** (two_n - 1.0) / ob.semi_y
+            lead = math.atan2(gx, -gy) - beta
+            assert abs(wrap_angle(gap[i, -1] - lead)) <= 1e-12
+            assert abs(wrap_angle(gap[i, 0] - (lead - math.pi))) <= 1e-12
+            # and it is the limit from each side: a sample 1e-5 rad away
+            for col, span in ((0, 1e-5), (-1, 2.0 * math.pi - 1e-5)):
+                fx, fy = contour_offsets(ob, beta + span, level)
+                phi = _field_angle_np(beta + span, beta, ob)
+                near = math.atan2(y - fy, x - fx) - phi
+                assert abs(wrap_angle(near - gap[i, col])) < 1e-4
 
 
 def test_streamlines_reach_safe_area(derivation):

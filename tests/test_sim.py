@@ -6,6 +6,7 @@ import pytest
 
 from herdsim.environment import scenario_from_dict, validate_scenario
 from herdsim.errors import ConfigError
+from herdsim import sim
 from herdsim.geom import Vec2
 from herdsim.sim import build_context, new_state, run, safety_snapshot
 
@@ -232,3 +233,30 @@ def test_far_inert_obstacles_leave_run_unchanged(bundle_doc, reference_run):
     cfg = scenario_from_dict(doc)
     assert validate_scenario(cfg) == []
     assert run(cfg).rows == reference_run[0].rows
+
+
+@pytest.mark.parametrize("skin", [1e-3, 1e9])
+def test_obstacle_list_skin_leaves_run_unchanged(monkeypatch, reference_cfg,
+                                                 reference_run, skin):
+    # 1 mm rebuilds the lists almost every step; 1e9 m lists every obstacle
+    # once and never rebuilds
+    monkeypatch.setattr(sim, "SKIN_M", skin)
+    assert run(reference_cfg).rows == reference_run[0].rows
+
+
+def test_obstacle_reached_midway_enters_lists(monkeypatch):
+    """An obstacle out of every agent's list at the start acts on the
+    attacker later; the rebuild that brings it in changes no trace value."""
+    doc = small_scenario_doc()
+    doc["obstacles"] = [{"center_m": [4.0, 30.0], "width_m": 2.0, "height_m": 2.0}]
+    cfg = scenario_from_dict(doc)
+    ob = cfg.obstacles[0]
+    starts = [cfg.attacker.start, *cfg.defenders.starts]
+    assert all(not sim.obstacle_list(p, cfg, k > 0).near for k, p in enumerate(starts))
+    trace = run(cfg)
+    reach = min(cfg.attacker.sensing_radius, ob.attacker_band.hi)
+    assert any(math.hypot(row[1] - ob.center.x, row[2] - ob.center.y) < reach
+               for row in trace.rows)
+    assert trace.rows != run(scenario_from_dict(small_scenario_doc())).rows
+    monkeypatch.setattr(sim, "SKIN_M", 1e9)
+    assert run(cfg).rows == trace.rows
