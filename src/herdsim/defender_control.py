@@ -77,21 +77,17 @@ def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
 
     Conflict means any obstacle or peer blending weight is nonzero; in that
     regime the tracking law drops the slot-velocity feedforward and just
-    follows the field.  An obstacle at or beyond its defender reach has
-    weight exactly 0 and is skipped without evaluating its level.
+    follows the field.  In a run, obstacles is the defender's obstacle
+    list: every obstacle within its defender reach, beyond which the weight
+    is exactly 0.
     """
     p = positions[index]
-    px, py = p
     prod = 1.0
     rx = 0.0
     ry = 0.0
     conflict = False
 
     for ob in obstacles:
-        dx = px - ob.center.x
-        dy = py - ob.center.y
-        if dx * dx + dy * dy >= ob.defender_reach * ob.defender_reach:
-            continue
         sigma = blend_weight(superelliptic_distance(p, ob), ob.defender_band)
         if sigma <= 0.0:
             continue

@@ -394,6 +394,12 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _object(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    return v
+
+
 def _vec(v, where: str) -> Vec2:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise SchemaError(f"{where} must be a 2-element [x, y] list")
@@ -414,6 +420,13 @@ def _num(v, where: str) -> float:
     if not math.isfinite(out):
         raise ConfigError(f"{where} must be finite, got {v}")
     return out
+
+
+def _int(v, where: str) -> int:
+    out = _num(v, where)
+    if not out.is_integer():
+        raise SchemaError(f"{where} must be an integer, got {v}")
+    return int(out)
 
 
 def _band(v, where: str) -> tuple[float, float, float]:
@@ -440,14 +453,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
 
-    pa = _require(doc, "protected_area", "scenario")
-    sa = _require(doc, "safe_area", "scenario")
+    pa = _object(_require(doc, "protected_area", "scenario"), "protected_area")
+    sa = _object(_require(doc, "safe_area", "scenario"), "safe_area")
     protected = Disc(_vec(_require(pa, "center_m", "protected_area"), "protected_area.center_m"),
                      _num(_require(pa, "radius_m", "protected_area"), "protected_area.radius_m"))
     safe = Disc(_vec(_require(sa, "center_m", "safe_area"), "safe_area.center_m"),
                 _num(_require(sa, "radius_m", "safe_area"), "safe_area.radius_m"))
 
-    at = _require(doc, "attacker", "scenario")
+    at = _object(_require(doc, "attacker", "scenario"), "attacker")
     attacker = AttackerConfig(
         start=_vec(_require(at, "start_m", "attacker"), "attacker.start_m"),
         body_radius=_num(_require(at, "body_radius_m", "attacker"), "attacker.body_radius_m"),
@@ -458,14 +471,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                             "attacker.defender_standoff_band_m"),
     )
 
-    de = _require(doc, "defenders", "scenario")
+    de = _object(_require(doc, "defenders", "scenario"), "defenders")
     starts = _require(de, "start_m", "defenders")
     if not isinstance(starts, list):
         raise SchemaError("defenders.start_m must be a list of [x, y] pairs")
     start_vecs = tuple(_vec(s, f"defenders.start_m[{i}]") for i, s in enumerate(starts))
     speeds_raw = _require(de, "speed_max_mps", "defenders")
     if isinstance(speeds_raw, (int, float)):
-        speeds = tuple(float(speeds_raw) for _ in start_vecs)
+        speeds = (_num(speeds_raw, "defenders.speed_max_mps"),) * len(start_vecs)
     elif isinstance(speeds_raw, list):
         if len(speeds_raw) != len(start_vecs):
             raise SchemaError("defenders.speed_max_mps list must match start_m length")
@@ -487,7 +500,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if attacker.speed_max < 0.0 or any(v <= 0.0 for v in defenders.speed_max):
         raise ConfigError("speeds must be positive (attacker may be 0)")
 
-    fo = _require(doc, "formation", "scenario")
+    fo = _object(_require(doc, "formation", "scenario"), "formation")
     clearance = _num(_require(fo, "clearance_m", "formation"), "formation.clearance_m")
     formation = FormationConfig(
         arc_radius=_num(_require(fo, "arc_radius_m", "formation"), "formation.arc_radius_m"),
@@ -500,7 +513,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if formation.arc_radius <= 0.0:
         raise ConfigError(f"arc radius must be positive, got {formation.arc_radius}")
 
-    co = _require(doc, "control", "scenario")
+    co = _object(_require(doc, "control", "scenario"), "control")
     control = ControlConfig(
         terminal_exponent=_num(_require(co, "terminal_exponent", "control"),
                                "control.terminal_exponent"),
@@ -508,7 +521,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                               "control.heading_rate_max_radps"),
     )
 
-    ca = _require(doc, "capture", "scenario")
+    ca = _object(_require(doc, "capture", "scenario"), "capture")
     v_d_min = min(speeds) if speeds else attacker.speed_max
     default_transition = (math.pi / 2.0) * (v_d_min - attacker.speed_max) / formation.arc_radius
     capture = CaptureConfig(
@@ -520,7 +533,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if capture.transition_time <= 0.0:
         raise ConfigError(f"capture transition time must be positive, got {capture.transition_time}")
 
-    it = _require(doc, "integrator", "scenario")
+    it = _object(_require(doc, "integrator", "scenario"), "integrator")
     integrator = IntegratorConfig(
         dt=_num(_require(it, "dt_s", "integrator"), "integrator.dt_s"),
         t_max=_num(_require(it, "t_max_s", "integrator"), "integrator.t_max_s"),
@@ -530,15 +543,15 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if integrator.t_max <= 0.0:
         raise ConfigError(f"integrator t_max must be positive, got {integrator.t_max}")
 
-    so = doc.get("solver", {})
+    so = _object(doc.get("solver", {}), "solver")
     solver = SolverConfig(
         tolerance=_num(so.get("tolerance", 1e-12), "solver.tolerance"),
-        max_iterations=int(so.get("max_iterations", 500)),
+        max_iterations=_int(so.get("max_iterations", 500), "solver.max_iterations"),
     )
     if solver.tolerance <= 0.0:
         raise ConfigError("solver tolerance must be positive")
 
-    om = doc.get("obstacle_model", {})
+    om = _object(doc.get("obstacle_model", {}), "obstacle_model")
     factors = om.get("attacker_circle_factors", [1.15, 1.3])
     if not (isinstance(factors, (list, tuple)) and len(factors) == 2):
         raise SchemaError("obstacle_model.attacker_circle_factors must be [mid, hi]")
@@ -562,6 +575,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         raise SchemaError("obstacles must be a list")
     obstacles = []
     for i, rec in enumerate(raw_obstacles):
+        rec = _object(rec, f"obstacles[{i}]")
         c = _vec(_require(rec, "center_m", f"obstacles[{i}]"), f"obstacles[{i}].center_m")
         w = _num(_require(rec, "width_m", f"obstacles[{i}]"), f"obstacles[{i}].width_m")
         h = _num(_require(rec, "height_m", f"obstacles[{i}]"), f"obstacles[{i}].height_m")

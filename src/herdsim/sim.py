@@ -43,6 +43,10 @@ TERM_BREACHED = "breached"
 # per step, so a list lasts at least 39 steps (about 100 on average).
 SKIN_M = 1.0
 
+# the safety snapshot's trace columns, in SafetySnapshot field order
+RATIO_COLUMNS = ("ratio_attacker_obstacle", "ratio_defender_obstacle",
+                 "ratio_defender_defender", "ratio_attacker_defender")
+
 
 @dataclass
 class DefenderState:
@@ -80,10 +84,6 @@ class SafetySnapshot:
     defender_defender: float
     attacker_defender: float
 
-    def worst(self) -> float:
-        return max(self.attacker_obstacle, self.defender_obstacle,
-                   self.defender_defender, self.attacker_defender)
-
 
 @dataclass
 class RunContext:
@@ -113,6 +113,11 @@ class SimTrace:
     def t_end(self) -> float:
         return self.rows[-1][0] if self.rows else 0.0
 
+    def column(self, name: str) -> list:
+        """Every row's value of the named column, in time order."""
+        k = self.columns.index(name)
+        return [row[k] for row in self.rows]
+
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.rows:
@@ -139,9 +144,7 @@ def _trace_columns(n_defenders: int) -> tuple[str, ...]:
     for j in range(n_defenders):
         cols += [f"d{j}_x_m", f"d{j}_y_m", f"d{j}_vx_mps", f"d{j}_vy_mps",
                  f"d{j}_goal_x_m", f"d{j}_goal_y_m"]
-    cols += ["ratio_attacker_obstacle", "ratio_defender_obstacle",
-             "ratio_defender_defender", "ratio_attacker_defender"]
-    return tuple(cols)
+    return tuple(cols) + RATIO_COLUMNS
 
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
@@ -272,51 +275,34 @@ def _ratio(threshold, actual):
     return threshold / actual
 
 
-def _max_obstacle_ratio(p: Vec2, walk, r: float) -> float:
-    """Raise r to the largest safety ratio of p against the obstacles of walk,
-    (bound, threshold, obstacle) entries in descending bound order.
+def _max_obstacle_ratio(p: Vec2, ob_list: ObstacleList, r: float) -> float:
+    """Raise r to the largest safety ratio of p against every obstacle.
 
-    Stops at the first bound at or below r: no later pair can raise it.  An
-    exact level is evaluated only when the obstacle's level floor at p cannot
-    prove the ratio at or below r: with E >= floor > 0, threshold / E <=
-    threshold / floor (division rounds monotonically), so a skipped pair never
-    changes the maximum.
+    Walks ob_list's bounds in descending order and stops at the first bound
+    at or below r: that bound holds at p, so no later pair can raise r.
     """
-    px, py = p
-    for bound, lo, ob in walk:
+    for bound, lo, ob in ob_list.bounds:
         if bound <= r:
             break
-        cx, cy = ob.center
-        dx = px - cx
-        dy = py - cy
-        floor = (dx * dx + dy * dy) * ob.level_floor_scale - 1.0
-        if floor <= 0.0 or lo / floor > r:
-            r = max(r, _ratio(lo, superelliptic_distance(p, ob)))
+        r = max(r, _ratio(lo, superelliptic_distance(p, ob)))
     return r
 
 
 def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
-                    lists=None) -> SafetySnapshot:
+                    lists) -> SafetySnapshot:
     """Evaluate the four critical relative distances at given positions.
 
     A nonpositive actual distance (already inside a forbidden region) maps to
     +inf.  With nothing in the world a ratio is 0 by convention.
 
-    lists, when given, holds the agents' ObstacleLists (attacker first), each
-    valid at its agent's position; their ratio bounds cut the obstacle scan
-    short.  Without lists every obstacle is scanned.  Either way the result is
-    the exact maximum over every pair.
+    lists holds the agents' ObstacleLists (attacker first), each valid at its
+    agent's position; their ratio bounds cut the obstacle scan short, and the
+    result is still the exact maximum over every pair.
     """
-    if lists is None:
-        walks = [[(math.inf, ob.formation_band.lo, ob) for ob in cfg.obstacles]]
-        walks += [[(math.inf, ob.defender_band.lo, ob) for ob in cfg.obstacles]] \
-            * len(defender_positions)
-    else:
-        walks = [ob_list.bounds for ob_list in lists]
-    r_ao = _max_obstacle_ratio(attacker_pos, walks[0], 0.0)
+    r_ao = _max_obstacle_ratio(attacker_pos, lists[0], 0.0)
     r_do = 0.0
-    for p, walk in zip(defender_positions, walks[1:]):
-        r_do = _max_obstacle_ratio(p, walk, r_do)
+    for p, ob_list in zip(defender_positions, lists[1:]):
+        r_do = _max_obstacle_ratio(p, ob_list, r_do)
 
     r_dd = 0.0
     peer_min = cfg.defenders.peer_band[0]
@@ -448,9 +434,6 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     dwell = cfg.capture.dwell_factor * cfg.capture.transition_time
 
     lists = [None] * (1 + n)
-    max_ratios = [0.0, 0.0, 0.0, 0.0]
-    max_def_speed = [0.0] * n
-    max_att_speed = 0.0
     goal_tol = cfg.formation.goal_tolerance
 
     for i in range(n_steps + 1):
@@ -494,14 +477,6 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
                 snap.defender_defender, snap.attacker_defender]
         trace.rows.append(tuple(row))
 
-        max_ratios[0] = max(max_ratios[0], snap.attacker_obstacle)
-        max_ratios[1] = max(max_ratios[1], snap.defender_obstacle)
-        max_ratios[2] = max(max_ratios[2], snap.defender_defender)
-        max_ratios[3] = max(max_ratios[3], snap.attacker_defender)
-        max_att_speed = max(max_att_speed, state.attacker_velocity.norm())
-        for j, d in enumerate(state.defenders):
-            max_def_speed[j] = max(max_def_speed[j], d.velocity.norm())
-
         if (state.t_formed is None and state.sensed and ctx.spec is not None
                 and all(dist(d.position, d.goal) <= goal_tol for d in state.defenders)):
             state.t_formed = state.t
@@ -519,12 +494,12 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         "t_capture_s": state.t_capture,
         "t_breach_s": state.t_breach,
     }
-    trace.maxima = {
-        "ratio_attacker_obstacle": max_ratios[0],
-        "ratio_defender_obstacle": max_ratios[1],
-        "ratio_defender_defender": max_ratios[2],
-        "ratio_attacker_defender": max_ratios[3],
-        "attacker_speed_mps": max_att_speed,
-        "defender_speed_mps": max_def_speed,
-    }
+    trace.maxima = {name: max(trace.column(name)) for name in RATIO_COLUMNS}
+    trace.maxima["attacker_speed_mps"] = _max_speed(trace, "attacker")
+    trace.maxima["defender_speed_mps"] = [_max_speed(trace, f"d{j}") for j in range(n)]
     return trace
+
+
+def _max_speed(trace: SimTrace, agent: str) -> float:
+    return max(map(math.hypot, trace.column(f"{agent}_vx_mps"),
+                   trace.column(f"{agent}_vy_mps")))

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .environment import contour_offsets
+from .sim import RATIO_COLUMNS
+
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
@@ -71,11 +76,10 @@ class Canvas:
 
 def trajectory_svg(trace, cfg) -> str:
     """World-frame overview: areas, obstacles with their shells, agent paths."""
-    xs = [r[1] for r in trace.rows]
-    ys = [r[2] for r in trace.rows]
-    for j in range(trace.defender_count):
-        xs += [r[7 + 6 * j] for r in trace.rows]
-        ys += [r[8 + 6 * j] for r in trace.rows]
+    paths = [(trace.column(f"{agent}_x_m"), trace.column(f"{agent}_y_m"))
+             for agent in ["attacker"] + [f"d{j}" for j in range(trace.defender_count)]]
+    xs = [x for path_x, _ in paths for x in path_x]
+    ys = [y for _, path_y in paths for y in path_y]
     xs += [cfg.safe.center.x - cfg.safe.radius, cfg.safe.center.x + cfg.safe.radius,
            cfg.protected.center.x - cfg.protected.radius]
     ys += [cfg.safe.center.y - cfg.safe.radius, cfg.safe.center.y + cfg.safe.radius,
@@ -97,39 +101,30 @@ def trajectory_svg(trace, cfg) -> str:
         shell = _shell_points(ob, ob.formation_band.lo)
         canvas.polyline(shell + shell[:1], stroke="slateblue", width=0.8, dash="3,3")
 
-    canvas.polyline([(r[1], r[2]) for r in trace.rows], stroke="red", width=1.5)
-    canvas.marker(trace.rows[0][1], trace.rows[0][2], fill="red")
-    for j in range(trace.defender_count):
-        canvas.polyline([(r[7 + 6 * j], r[8 + 6 * j]) for r in trace.rows],
-                        stroke="royalblue", width=1.0)
-        canvas.marker(trace.rows[0][7 + 6 * j], trace.rows[0][8 + 6 * j], fill="royalblue")
+    for k, (path_x, path_y) in enumerate(paths):
+        color, width = ("red", 1.5) if k == 0 else ("royalblue", 1.0)
+        canvas.polyline(list(zip(path_x, path_y)), stroke=color, width=width)
+        canvas.marker(path_x[0], path_y[0], fill=color)
     return canvas.render()
 
 
 def _shell_points(ob, level, samples=180):
-    pts = []
-    two_n = 2.0 * ob.exponent
-    for i in range(samples):
-        beta = 2.0 * math.pi * i / samples
-        c, s = math.cos(beta), math.sin(beta)
-        denom = (abs(c) / ob.semi_x) ** two_n + (abs(s) / ob.semi_y) ** two_n
-        r = ((1.0 + level) / denom) ** (1.0 / two_n)
-        pts.append((ob.center.x + r * c, ob.center.y + r * s))
-    return pts
+    dx, dy = contour_offsets(ob, 2.0 * np.pi * np.arange(samples) / samples, level)
+    return list(zip((ob.center.x + dx).tolist(), (ob.center.y + dy).tolist()))
 
 
 def ratio_curves_svg(trace) -> str:
     """Critical relative distances (upper band) and defender speeds (lower
     band) over time, with the ratio-1 violation line marked."""
     t_end = trace.t_end if trace.rows else 1.0
-    n = trace.defender_count
-    base = 7 + 6 * n
+    ts = trace.column("t_s")
     names = ["attacker/obstacle", "defender/obstacle", "defender/defender",
              "attacker/defender"]
     colors = ["darkorange", "seagreen", "royalblue", "crimson"]
 
-    speeds = [[(r[0], math.hypot(r[9 + 6 * j], r[10 + 6 * j])) for r in trace.rows]
-              for j in range(n)]
+    speeds = [list(zip(ts, map(math.hypot, trace.column(f"d{j}_vx_mps"),
+                               trace.column(f"d{j}_vy_mps"))))
+              for j in range(trace.defender_count)]
     s_max = max((s for data in speeds for _, s in data), default=1.0)
     s_max = max(s_max, 1e-9)
 
@@ -137,8 +132,8 @@ def ratio_curves_svg(trace) -> str:
     canvas = Canvas(0.0, t_end, -2.5, 2.6, height=640)
     canvas.text(0.02 * t_end, 2.55, "critical relative distances (1 = violation)")
     canvas.polyline([(0.0, 0.5 + 1.0), (t_end, 0.5 + 1.0)], stroke="black", dash="4,4")
-    for k, (name, color) in enumerate(zip(names, colors)):
-        data = [(r[0], 0.5 + min(r[base + k], 2.0)) for r in trace.rows]
+    for k, (column, name, color) in enumerate(zip(RATIO_COLUMNS, names, colors)):
+        data = [(t, 0.5 + min(v, 2.0)) for t, v in zip(ts, trace.column(column))]
         canvas.polyline(data, stroke=color, width=1.2)
         canvas.text(0.65 * t_end, 2.45 - 0.16 * k, name, size=11, fill=color)
 

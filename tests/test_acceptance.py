@@ -43,12 +43,10 @@ def test_c02_safety_throughout(reference_cfg, reference_run):
     m = trace.maxima
     ratios = {k: m[k] for k in ("ratio_attacker_obstacle", "ratio_defender_obstacle",
                                 "ratio_defender_defender", "ratio_attacker_defender")}
-    speeds_ok = True
-    for row in trace.rows:
-        for j in range(trace.defender_count):
-            if math.hypot(row[9 + 6 * j], row[10 + 6 * j]) > \
-                    reference_cfg.defenders.speed_max[j] + 1e-12:
-                speeds_ok = False
+    speeds_ok = all(
+        speed <= vmax + 1e-12
+        for j, vmax in enumerate(reference_cfg.defenders.speed_max)
+        for speed in map(math.hypot, trace.column(f"d{j}_vx_mps"), trace.column(f"d{j}_vy_mps")))
     ok = all(v < 1.0 for v in ratios.values()) and speeds_ok
     report("C2", ok,
            "max ratios " + ", ".join(f"{k.split('_', 1)[1]}={v:.3f}"

@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from herdsim import reference_scenario_path
 from herdsim.cli import main
@@ -36,6 +39,28 @@ def test_malformed_scenario_exit_code(tmp_path):
     assert main(["check", "--scenario", str(bad)]) == 3
     bad.write_text(json.dumps({"protected_area": {}}))
     assert main(["check", "--scenario", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("solver", 3),
+    ("obstacle_model", [1]),
+    ("obstacles", [5]),
+    ("solver.max_iterations", "abc"),
+    ("solver.max_iterations", None),
+    ("solver.max_iterations", 2.5),
+    ("defenders.speed_max_mps", math.inf),
+    ("defenders.speed_max_mps", [2.6, math.inf, 2.6]),
+])
+def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
+    if "." in key:
+        doc = small_scenario_doc(**{key: value})
+    else:
+        doc = small_scenario_doc()
+        doc[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 3
+    assert "bad scenario" in capsys.readouterr().err
 
 
 def test_invalid_scenario_exit_code(tmp_path, capsys):

@@ -1,11 +1,10 @@
 """Exactness of obstacle culling.
 
-defender_field skips an obstacle from its reach radius, and the safety
-snapshot skips an exact level from the level floor.  In a run every agent's
-kernels see only its obstacle list, and the snapshot walks the lists' ratio
-bounds.  These properties check the constants against superelliptic_distance,
-and the culled kernels against the full-scan loops they replaced, copied
-below as the reference.
+In a run every agent's kernels see only its obstacle list, built from the
+obstacles' reach radii, and the safety snapshot walks the lists' ratio
+bounds, built from the level floor.  These properties check those constants
+against superelliptic_distance, and the list-driven kernels against the
+full-scan loops they replaced, copied below as the reference.
 """
 
 import dataclasses
@@ -154,15 +153,15 @@ def obstacle_and_point(draw):
 
 @st.composite
 def worlds(draw):
-    """Obstacles sharing one derivation, plus an attacker, defenders and a
-    target placed around randomly chosen obstacles."""
+    """Obstacles sharing one derivation, plus an attacker and defenders
+    placed around randomly chosen obstacles."""
     params = draw(derivations)
     obs = draw(st.lists(obstacles(params), min_size=1, max_size=5))
 
     def point():
         return draw(st.sampled_from(obs).flatmap(points_near))
 
-    return obs, point(), [point() for _ in range(draw(st.integers(0, 4)))], point()
+    return obs, point(), [point() for _ in range(draw(st.integers(0, 4)))]
 
 
 def outcome(fn, *args):
@@ -205,13 +204,11 @@ def test_level_floor_bounds_level(case):
 @settings(max_examples=200, deadline=None)
 @given(worlds())
 def test_culled_kernels_match_full_scan(reference_cfg, world):
-    obs, attacker, defenders, target = world
+    obs, attacker, defenders = world
     cfg = dataclasses.replace(reference_cfg, obstacles=tuple(obs))
-    assert (outcome(safety_snapshot, attacker, defenders, cfg)
+    lists = [obstacle_list(p, cfg, k > 0) for k, p in enumerate([attacker, *defenders])]
+    assert (outcome(safety_snapshot, attacker, defenders, cfg, lists)
             == outcome(full_scan_snapshot, attacker, defenders, cfg))
-    for j in range(len(defenders)):
-        assert (outcome(defender_field, j, defenders, target, obs, PEERS)
-                == outcome(full_scan_defender_field, j, defenders, target, obs, PEERS))
 
 
 # ---------------------------------------------------------------------------

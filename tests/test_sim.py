@@ -14,6 +14,12 @@ from conftest import small_scenario_doc
 
 # sha256 of the bundled scenario's trace.csv; bench/run.py gates on the same value
 GOLDEN_TRACE_SHA256 = "fb2507b0a5192badb68e321148f3ac080a3bf8be92c1a1695baa7edba68d81a4"
+# sha256 of the other `simulate` artifacts of the bundled run
+GOLDEN_ARTIFACT_SHA256 = {
+    "summary.json": "916a6a0128c7fa7e5e6e3a00941d2585d07ca5a7f83085c8d81cb0d2b7913d3d",
+    "trajectories.svg": "a5ba9460afc7051070e64d4474c4d6fddfc3ea0bc464e403bf1de9c601119318",
+    "ratios.svg": "8ec64aa710f9e86c5e87993dc4e175b24391467538b4094f2e7e281041c5a38d",
+}
 
 
 def test_zero_dt_rejected():
@@ -28,16 +34,15 @@ def one_step(cfg):
     """run() for a single step: the trace, plus the attacker position and the
     defender positions and goals in its first and last rows."""
     trace = run(cfg, t_max=cfg.integrator.dt)
-    col = {name: k for k, name in enumerate(trace.columns)}
 
-    def agents(row):
+    def agents(k):
         def at(prefix):
-            return Vec2(row[col[f"{prefix}_x_m"]], row[col[f"{prefix}_y_m"]])
+            return Vec2(trace.column(f"{prefix}_x_m")[k], trace.column(f"{prefix}_y_m")[k])
         n = trace.defender_count
         return (at("attacker"), [at(f"d{j}") for j in range(n)],
                 [at(f"d{j}_goal") for j in range(n)])
 
-    return trace, agents(trace.rows[0]), agents(trace.rows[-1])
+    return trace, agents(0), agents(-1)
 
 
 def test_defenders_idle_outside_sensing_zone():
@@ -82,8 +87,8 @@ def test_run_converges_under_refinement():
     cfg = scenario_from_dict(small_scenario_doc())
     coarse = run(cfg, t_max=5.0)
     fine = run(cfg, dt=0.005, t_max=5.0)
-    ca, fa = coarse.rows[-1], fine.rows[-1]
-    assert math.hypot(ca[1] - fa[1], ca[2] - fa[2]) < 0.05
+    assert math.hypot(coarse.column("attacker_x_m")[-1] - fine.column("attacker_x_m")[-1],
+                      coarse.column("attacker_y_m")[-1] - fine.column("attacker_y_m")[-1]) < 0.05
     assert len(fine.rows) == 2 * len(coarse.rows) - 1
 
 
@@ -111,9 +116,15 @@ def test_attacker_starting_inside_safe_is_captured_immediately():
         cfg.capture.dwell_factor * cfg.capture.transition_time, abs=0.011)
 
 
+def snapshot(attacker, defenders, cfg):
+    """safety_snapshot with each agent's obstacle list built at its position."""
+    lists = [sim.obstacle_list(p, cfg, k > 0) for k, p in enumerate([attacker, *defenders])]
+    return safety_snapshot(attacker, defenders, cfg, lists)
+
+
 def test_snapshot_far_from_everything(reference_cfg):
-    snap = safety_snapshot(Vec2(500.0, 500.0),
-                           [Vec2(400.0, 400.0), Vec2(430.0, 400.0)], reference_cfg)
+    snap = snapshot(Vec2(500.0, 500.0),
+                    [Vec2(400.0, 400.0), Vec2(430.0, 400.0)], reference_cfg)
     assert snap.attacker_obstacle < 0.01
     assert snap.defender_obstacle < 0.01
     assert snap.attacker_defender < 0.01
@@ -122,15 +133,25 @@ def test_snapshot_far_from_everything(reference_cfg):
 
 def test_snapshot_boundary_and_violation(reference_cfg):
     peer_min = reference_cfg.defenders.peer_band[0]
-    snap = safety_snapshot(Vec2(500.0, 500.0),
-                           [Vec2(400.0, 400.0), Vec2(400.0 + peer_min, 400.0)],
-                           reference_cfg)
+    snap = snapshot(Vec2(500.0, 500.0),
+                    [Vec2(400.0, 400.0), Vec2(400.0 + peer_min, 400.0)], reference_cfg)
     assert snap.defender_defender == pytest.approx(1.0)
     # a defender inside an obstacle's base contour has nonpositive level
     inside = reference_cfg.obstacles[0].center
-    snap = safety_snapshot(Vec2(500.0, 500.0), [inside, Vec2(400.0, 400.0)],
-                           reference_cfg)
+    snap = snapshot(Vec2(500.0, 500.0), [inside, Vec2(400.0, 400.0)], reference_cfg)
     assert snap.defender_obstacle == math.inf
+
+
+def test_maxima_include_the_first_row():
+    # the attacker starts 1 m from an idle defender and moves away from it,
+    # so the attacker/defender ratio and the attacker speed peak in row 0
+    doc = small_scenario_doc(**{"attacker.start_m": [0.0, 8.0],
+                                "defenders.sensing_zone_radius_m": 5.0})
+    cfg = scenario_from_dict(doc)
+    trace = run(cfg, t_max=cfg.integrator.dt)
+    assert trace.maxima["ratio_attacker_defender"] == cfg.attacker.standoff_band[0] / 1.0
+    assert trace.maxima["attacker_speed_mps"] == pytest.approx(cfg.attacker.speed_max)
+    assert trace.maxima["defender_speed_mps"] == [0.0, 0.0, 0.0]
 
 
 def test_reference_run_events_ordered(reference_run):
@@ -145,17 +166,16 @@ def test_reference_run_events_ordered(reference_run):
 
 def test_reference_run_speed_bounds_every_step(reference_cfg, reference_run):
     trace, _ = reference_run
-    n = trace.defender_count
-    for row in trace.rows:
-        assert math.hypot(row[3], row[4]) <= reference_cfg.attacker.speed_max + 1e-12
-        for j in range(n):
-            speed = math.hypot(row[9 + 6 * j], row[10 + 6 * j])
-            assert speed <= reference_cfg.defenders.speed_max[j] + 1e-12
+    limits = {"attacker": reference_cfg.attacker.speed_max}
+    limits.update((f"d{j}", vmax) for j, vmax in enumerate(reference_cfg.defenders.speed_max))
+    for agent, vmax in limits.items():
+        speeds = map(math.hypot, trace.column(f"{agent}_vx_mps"), trace.column(f"{agent}_vy_mps"))
+        assert all(speed <= vmax + 1e-12 for speed in speeds)
 
 
 def test_reference_run_time_monotone(reference_run):
     trace, _ = reference_run
-    ts = [row[0] for row in trace.rows]
+    ts = trace.column("t_s")
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
@@ -181,21 +201,19 @@ def test_positions_move_only_through_velocity(reference_run):
     # no hidden state: every logged displacement is exactly velocity * dt
     trace, _ = reference_run
     dt = trace.dt
-    for prev, cur in zip(trace.rows[:-1], trace.rows[1:]):
-        assert cur[1] == pytest.approx(prev[1] + prev[3] * dt, abs=1e-12)
-        assert cur[2] == pytest.approx(prev[2] + prev[4] * dt, abs=1e-12)
-        for j in range(trace.defender_count):
-            assert cur[7 + 6 * j] == pytest.approx(
-                prev[7 + 6 * j] + prev[9 + 6 * j] * dt, abs=1e-12)
-            assert cur[8 + 6 * j] == pytest.approx(
-                prev[8 + 6 * j] + prev[10 + 6 * j] * dt, abs=1e-12)
+    for agent in ["attacker"] + [f"d{j}" for j in range(trace.defender_count)]:
+        for axis in "xy":
+            pos = trace.column(f"{agent}_{axis}_m")
+            vel = trace.column(f"{agent}_v{axis}_mps")
+            for k in range(1, len(pos)):
+                assert pos[k] == pytest.approx(pos[k - 1] + vel[k - 1] * dt, abs=1e-12)
 
 
 def test_desired_heading_mostly_continuous(reference_run):
     # smooth within phases; isolated jumps (watershed, capture ramp joins)
     # are expected but must stay rare
     trace, _ = reference_run
-    headings = [row[5] for row in trace.rows]
+    headings = trace.column("heading_desired_rad")
     jumps = sum(1 for a, b in zip(headings, headings[1:])
                 if abs(math.remainder(b - a, 2.0 * math.pi)) > 0.5)
     assert jumps < 0.01 * len(headings)
@@ -217,6 +235,12 @@ def test_non_finite_state_raises():
 def test_reference_trace_matches_golden_hash(cli_artifacts):
     trace_csv = cli_artifacts["first"]["trace.csv"]
     assert hashlib.sha256(trace_csv).hexdigest() == GOLDEN_TRACE_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARTIFACT_SHA256))
+def test_reference_artifacts_match_golden_hash(cli_artifacts, name):
+    digest = hashlib.sha256(cli_artifacts["first"][name]).hexdigest()
+    assert digest == GOLDEN_ARTIFACT_SHA256[name]
 
 
 def test_far_inert_obstacles_leave_run_unchanged(bundle_doc, reference_run):
@@ -255,8 +279,8 @@ def test_obstacle_reached_midway_enters_lists(monkeypatch):
     assert all(not sim.obstacle_list(p, cfg, k > 0).near for k, p in enumerate(starts))
     trace = run(cfg)
     reach = min(cfg.attacker.sensing_radius, ob.attacker_band.hi)
-    assert any(math.hypot(row[1] - ob.center.x, row[2] - ob.center.y) < reach
-               for row in trace.rows)
+    assert any(math.hypot(x - ob.center.x, y - ob.center.y) < reach
+               for x, y in zip(trace.column("attacker_x_m"), trace.column("attacker_y_m")))
     assert trace.rows != run(scenario_from_dict(small_scenario_doc())).rows
     monkeypatch.setattr(sim, "SKIN_M", 1e9)
     assert run(cfg).rows == trace.rows
