@@ -9,8 +9,9 @@ band.  Writes obstacle_shells.svg next to this script.
 
 from pathlib import Path
 
-from herdsim import ObstacleDerivation, Vec2, derive_obstacle, superelliptic_distance
-from herdsim.svg import Canvas, _shell_points
+from herdsim import (ObstacleDerivation, Vec2, derive_obstacle, shell_points,
+                     superelliptic_distance)
+from herdsim.svg import Canvas
 
 params = ObstacleDerivation(formation_radius=0.65, clearance=0.2,
                             defender_clearance=0.1, defender_radius=0.1)
@@ -38,7 +39,8 @@ for level, color in [(0.0, "black"), (ob.defender_band.lo, "seagreen"),
                      (ob.formation_band.lo, "slateblue"),
                      (ob.formation_band.mid, "orange"),
                      (ob.formation_band.hi, "crimson")]:
-    pts = _shell_points(ob, level, samples=240)
+    xs, ys = shell_points(ob, level, 240)
+    pts = list(zip(xs.tolist(), ys.tolist()))
     canvas.polyline(pts + pts[:1], stroke=color, width=1.2)
 canvas.text(-5.8, 5.6, "shells: base (black), defender (green), formation lo/mid/hi")
 out = Path(__file__).with_name("obstacle_shells.svg")

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from herdsim import (Disc, ObstacleDerivation, Vec2, combined_field,
-                     derive_obstacle, follow_field, singularity_sweep,
-                     superelliptic_distance)
-from herdsim.svg import Canvas, _shell_points
+                     derive_obstacle, follow_field, shell_points,
+                     singularity_sweep, superelliptic_distance)
+from herdsim.svg import Canvas
 
 params = ObstacleDerivation(formation_radius=0.65, clearance=0.2,
                             defender_clearance=0.1, defender_radius=0.1)
@@ -28,7 +28,8 @@ safe = Disc(Vec2(3.0, 7.0), 1.0)
 canvas = Canvas(-9.0, 9.0, -9.0, 10.5, width=640, height=640)
 canvas.rect(0.0, 0.0, 4.0, 3.0, stroke="dimgray", fill="lightgray")
 for level in (obstacle.formation_band.lo, obstacle.formation_band.hi):
-    pts = _shell_points(obstacle, level, samples=240)
+    xs, ys = shell_points(obstacle, level, 240)
+    pts = list(zip(xs.tolist(), ys.tolist()))
     canvas.polyline(pts + pts[:1], stroke="slateblue", width=0.8, dash="3,3")
 canvas.circle(safe.center.x, safe.center.y, safe.radius, stroke="green", dash="5,3")
 

@@ -9,16 +9,15 @@ from .defender_control import (TrackingGains, convergence_bounds, defender_field
                                defender_velocity, solve_tracking_gains,
                                terminal_phase_time)
 from .environment import (Disc, Obstacle, ObstacleDerivation, ScenarioConfig,
-                          arc_magnitude, contour_tangent_angle, derive_obstacle,
-                          load_scenario, min_spread, reference_scenario_path,
-                          scenario_from_dict, scenario_warnings,
-                          solve_shape_exponent, superelliptic_distance,
-                          validate_scenario)
+                          arc_magnitude, derive_obstacle, load_scenario,
+                          min_spread, reference_scenario_path, scenario_from_dict,
+                          scenario_warnings, shell_points, solve_shape_exponent,
+                          superelliptic_distance, validate_scenario)
 from .errors import (ConfigError, DomainError, HerdsimError, InfeasibleHeadingError,
                      IntegrityError, SchemaError, SolverError)
 from .formation_field import (FieldSample, SweepReport, attractive_field,
-                              combined_field, component_angle_gap, contour_point,
-                              follow_field, repulsive_angle, singularity_sweep)
+                              combined_field, follow_field, repulsive_angle,
+                              singularity_sweep)
 from .geom import (BlendTriplet, Vec2, angle_of, blend_weight, dist, unit,
                    wrap_angle, wrap_sector)
 from .herding import (FormationSpec, HeadingState, formation_goals, formation_spec,

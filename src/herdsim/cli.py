@@ -29,7 +29,7 @@ from .environment import (load_scenario, reference_scenario_path, scenario_warni
                           validate_scenario)
 from .errors import ConfigError, HerdsimError, SchemaError, SolverError
 from .formation_field import singularity_sweep
-from .sim import run
+from .sim import RATIO_COLUMNS, run
 from .svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
 
 EXIT_OK = 0
@@ -102,10 +102,7 @@ def cmd_simulate(args) -> int:
     summary["manifest"] = manifest
     (out / "summary.json").write_text(_json_dump(summary))
 
-    worst = max(trace.maxima[k] for k in ("ratio_attacker_obstacle",
-                                          "ratio_defender_obstacle",
-                                          "ratio_defender_defender",
-                                          "ratio_attacker_defender"))
+    worst = max(trace.maxima[k] for k in RATIO_COLUMNS)
     ok = trace.capture_held and trace.termination == "captured-stable" and worst < 1.0
     print(f"termination: {trace.termination} at t={trace.t_end:.2f} s")
     print(f"events: {trace.events}")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .environment import Obstacle, bisect, superelliptic_distance
+from .environment import Obstacle, SolverConfig, bisect, superelliptic_distance
 from .errors import ConfigError, DomainError, SolverError
 from .formation_field import repulsive_angle
 from .geom import BlendTriplet, Vec2, blend_weight
@@ -37,7 +37,8 @@ class TrackingGains:
 
 def solve_tracking_gains(terminal_exponent: float, speed_max: float,
                          attacker_speed_max: float, arc_radius: float,
-                         heading_rate_max: float, tol: float = 1e-12) -> TrackingGains:
+                         heading_rate_max: float,
+                         tol: float = SolverConfig.tolerance) -> TrackingGains:
     """Derive the tracking gains from the speed budget.
 
     The far-field speed scale is what remains of the defender's speed after

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError, SolverError
-from .geom import BlendTriplet, Vec2, dist, wrap_angle
+from .errors import ConfigError, SchemaError, SolverError
+from .geom import BlendTriplet, Vec2, dist
 
 # Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
 # by at most about (2n + 10) ulps: the division by a semi-axis is magnified
@@ -70,8 +70,9 @@ class Obstacle:
     """Axis-aligned rectangle plus its derived super-elliptic shells.
 
     formation_* is the rectangle inflated by the whole formation footprint
-    plus the safety clearance; defender_* by a single defender body plus its
-    own clearance.  All level thresholds live in the one super-ellipse family
+    plus the safety clearance; defender_band's lo contour passes through the
+    corners of the rectangle inflated by a single defender body plus its own
+    clearance.  All level thresholds live in the one super-ellipse family
     (semi_x, semi_y, exponent).  attacker_band holds Euclidean radii for the
     circular obstacle model the adversary navigates by.
 
@@ -88,8 +89,6 @@ class Obstacle:
     height: float
     formation_width: float
     formation_height: float
-    defender_width: float
-    defender_height: float
     exponent: float
     semi_x: float
     semi_y: float
@@ -102,6 +101,12 @@ class Obstacle:
 
 
 @dataclass(frozen=True)
+class SolverConfig:
+    tolerance: float = 1e-12
+    max_iterations: int = 500
+
+
+@dataclass(frozen=True)
 class ObstacleDerivation:
     """Parameters driving the rectangle -> Obstacle derivation."""
 
@@ -111,8 +116,8 @@ class ObstacleDerivation:
     defender_radius: float
     attacker_mid_factor: float = 1.15
     attacker_hi_factor: float = 1.3
-    tol: float = 1e-12
-    max_iter: int = 500
+    tol: float = SolverConfig.tolerance
+    max_iter: int = SolverConfig.max_iterations
 
 
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
@@ -143,8 +148,8 @@ def corner_level(width: float, height: float, infl_width: float,
 
 
 def solve_shape_exponent(width: float, height: float, infl_width: float,
-                         infl_height: float, tol: float = 1e-12,
-                         max_iter: int = 500) -> tuple[float, float]:
+                         infl_height: float, tol: float = SolverConfig.tolerance,
+                         max_iter: int = SolverConfig.max_iterations) -> tuple[float, float]:
     """Solve the coupled (exponent, corner level) pair for one obstacle.
 
     The exponent n and the level xi of the contour through the inflated
@@ -230,15 +235,6 @@ def tangent_angle_at(beta: float, ob: Obstacle) -> float:
     return math.atan2(gx, -gy)
 
 
-def contour_tangent_angle(p: Vec2, ob: Obstacle) -> float:
-    """Tangent direction of the contour through p, wrapped to (-pi, pi]."""
-    dx = p.x - ob.center.x
-    dy = p.y - ob.center.y
-    if dx == 0.0 and dy == 0.0:
-        raise DomainError("tangent undefined at the obstacle center")
-    return wrap_angle(tangent_angle_at(math.atan2(dy, dx), ob))
-
-
 def derive_obstacle(center: Vec2, width: float, height: float,
                     params: ObstacleDerivation) -> Obstacle:
     """Build a fully derived Obstacle from a raw rectangle.
@@ -294,7 +290,6 @@ def derive_obstacle(center: Vec2, width: float, height: float,
     return Obstacle(
         center=center, width=width, height=height,
         formation_width=fw, formation_height=fh,
-        defender_width=dw, defender_height=dh,
         exponent=exponent, semi_x=semi_x, semi_y=semi_y,
         formation_band=BlendTriplet(lvl_lo, lvl_mid, lvl_hi),
         defender_band=BlendTriplet(d_lo, d_mid, d_hi),
@@ -366,12 +361,6 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-12
-    max_iterations: int = 500
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Full world description; immutable after construction."""
 
@@ -385,7 +374,6 @@ class ScenarioConfig:
     capture: CaptureConfig
     integrator: IntegratorConfig
     solver: SolverConfig
-    attacker_circle_factors: tuple[float, float]
 
 
 def _require(d: dict, key: str, where: str):
@@ -403,20 +391,17 @@ def _object(v, where: str) -> dict:
 def _vec(v, where: str) -> Vec2:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise SchemaError(f"{where} must be a 2-element [x, y] list")
-    try:
-        out = Vec2(float(v[0]), float(v[1]))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where} must hold numbers: {exc}") from exc
-    if not out.is_finite():
-        raise ConfigError(f"{where} must be finite, got {v}")
-    return out
+    return Vec2(_num(v[0], where), _num(v[1], where))
 
 
 def _num(v, where: str) -> float:
+    """A JSON number: an int or a float, never a bool or a quoted number."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"{where} must be a number, got {v!r}")
     try:
         out = float(v)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where} must be a number: {exc}") from exc
+    except OverflowError:           # an integer literal beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{where} must be finite, got {v}")
     return out
@@ -477,14 +462,12 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         raise SchemaError("defenders.start_m must be a list of [x, y] pairs")
     start_vecs = tuple(_vec(s, f"defenders.start_m[{i}]") for i, s in enumerate(starts))
     speeds_raw = _require(de, "speed_max_mps", "defenders")
-    if isinstance(speeds_raw, (int, float)):
-        speeds = (_num(speeds_raw, "defenders.speed_max_mps"),) * len(start_vecs)
-    elif isinstance(speeds_raw, list):
+    if isinstance(speeds_raw, list):
         if len(speeds_raw) != len(start_vecs):
             raise SchemaError("defenders.speed_max_mps list must match start_m length")
         speeds = tuple(_num(s, "defenders.speed_max_mps") for s in speeds_raw)
     else:
-        raise SchemaError("defenders.speed_max_mps must be a number or list")
+        speeds = (_num(speeds_raw, "defenders.speed_max_mps"),) * len(start_vecs)
     defenders = DefenderTeamConfig(
         starts=start_vecs,
         body_radius=_num(_require(de, "body_radius_m", "defenders"), "defenders.body_radius_m"),
@@ -545,14 +528,16 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     so = _object(doc.get("solver", {}), "solver")
     solver = SolverConfig(
-        tolerance=_num(so.get("tolerance", 1e-12), "solver.tolerance"),
-        max_iterations=_int(so.get("max_iterations", 500), "solver.max_iterations"),
+        tolerance=_num(so.get("tolerance", SolverConfig.tolerance), "solver.tolerance"),
+        max_iterations=_int(so.get("max_iterations", SolverConfig.max_iterations),
+                            "solver.max_iterations"),
     )
     if solver.tolerance <= 0.0:
         raise ConfigError("solver tolerance must be positive")
 
     om = _object(doc.get("obstacle_model", {}), "obstacle_model")
-    factors = om.get("attacker_circle_factors", [1.15, 1.3])
+    factors = om.get("attacker_circle_factors", [ObstacleDerivation.attacker_mid_factor,
+                                                 ObstacleDerivation.attacker_hi_factor])
     if not (isinstance(factors, (list, tuple)) and len(factors) == 2):
         raise SchemaError("obstacle_model.attacker_circle_factors must be [mid, hi]")
     mid_f = _num(factors[0], "attacker_circle_factors[0]")
@@ -585,7 +570,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         protected=protected, safe=safe, obstacles=tuple(obstacles),
         attacker=attacker, defenders=defenders, formation=formation,
         control=control, capture=capture, integrator=integrator, solver=solver,
-        attacker_circle_factors=(mid_f, hi_f),
     )
 
 
@@ -630,8 +614,9 @@ def arc_magnitude(count: int, spread: float) -> float:
     return math.sin(count * half_gap) / math.sin(half_gap)
 
 
-def _shell_boundary(ob: Obstacle, level: float, samples: int) -> Vec2:
-    """The contour E = level on evenly spaced rays, as a Vec2 of arrays."""
+def shell_points(ob: Obstacle, level: float, samples: int) -> Vec2:
+    """The contour E = level on `samples` evenly spaced rays from the
+    obstacle center, counter-clockwise from +x, as a Vec2 of arrays."""
     dx, dy = contour_offsets(ob, 2.0 * math.pi * np.arange(samples) / samples, level)
     return Vec2(ob.center.x + dx, ob.center.y + dy)
 
@@ -714,7 +699,7 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     def boundary(k):
         if k not in boundaries:
             ob = cfg.obstacles[k]
-            boundaries[k] = _shell_boundary(ob, ob.formation_band.hi, boundary_samples)
+            boundaries[k] = shell_points(ob, ob.formation_band.hi, boundary_samples)
         return boundaries[k]
 
     for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):

@@ -106,16 +106,6 @@ def combined_field(p: Vec2, obstacles: Sequence[Obstacle], safe_center: Vec2) ->
     )
 
 
-def component_angle_gap(p: Vec2, ob: Obstacle, target: Vec2) -> float:
-    """Angle between the converging field and the obstacle-following field
-    at p, wrapped to (-pi, pi].  Zero by convention when p coincides with
-    the target (the converging field vanishes there)."""
-    if p.x == target.x and p.y == target.y:
-        return 0.0
-    toward = math.atan2(target.y - p.y, target.x - p.x)
-    return wrap_angle(toward - repulsive_angle(p, ob, target))
-
-
 # ---------------------------------------------------------------------------
 # vectorized contour machinery for the sweep
 # ---------------------------------------------------------------------------
@@ -145,12 +135,6 @@ def _field_angle_np(beta_f, beta_s, ob: Obstacle):
     inner = tangent_f - lead_s + (span / math.pi) * (lead_s - math.pi)
     outer = tangent_f - lead_s * (span - math.pi) / math.pi
     return np.where(span < math.pi, inner, outer)
-
-
-def contour_point(ob: Obstacle, beta: float, level: float) -> Vec2:
-    """Point on the contour E = level lying on the ray at sector angle beta."""
-    x, y = contour_offsets(ob, beta, level)
-    return Vec2(ob.center.x + float(x), ob.center.y + float(y))
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,6 @@ class HeadingState:
 
     desired: float = 0.0
     command: float = 0.0
-    command_rate: float = 0.0
     phase: str = PHASE_APPROACH
     entered_safe_at: Optional[float] = None
     _prev_command: Optional[float] = None

@@ -17,7 +17,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .attacker import AttackerState, attacker_field, attacker_step
 from .defender_control import (TrackingGains, defender_field, defender_velocity,
@@ -42,10 +42,6 @@ TERM_BREACHED = "breached"
 # In the bundled scenario no agent moves more than 2.6 m/s * 0.01 s = 0.026 m
 # per step, so a list lasts at least 39 steps (about 100 on average).
 SKIN_M = 1.0
-
-# the safety snapshot's trace columns, in SafetySnapshot field order
-RATIO_COLUMNS = ("ratio_attacker_obstacle", "ratio_defender_obstacle",
-                 "ratio_defender_defender", "ratio_attacker_defender")
 
 
 @dataclass
@@ -75,14 +71,17 @@ class SimState:
         return self.heading.entered_safe_at
 
 
-@dataclass(frozen=True)
-class SafetySnapshot:
+class SafetySnapshot(NamedTuple):
     """Threshold-over-actual distance ratios; any value >= 1 is a violation."""
 
     attacker_obstacle: float
     defender_obstacle: float
     defender_defender: float
     attacker_defender: float
+
+
+# the safety snapshot's trace columns, in field order
+RATIO_COLUMNS = tuple("ratio_" + name for name in SafetySnapshot._fields)
 
 
 @dataclass
@@ -317,8 +316,7 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     for p in defender_positions:
         r_ad = max(r_ad, _ratio(standoff_min, dist(attacker_pos, p)))
 
-    return SafetySnapshot(attacker_obstacle=r_ao, defender_obstacle=r_do,
-                          defender_defender=r_dd, attacker_defender=r_ad)
+    return SafetySnapshot(r_ao, r_do, r_dd, r_ad)
 
 
 def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
@@ -343,7 +341,6 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
         rate = heading_rate([hs._prev_command, command], cfg.integrator.dt,
                             cfg.control.heading_rate_max)
     hs.command = command
-    hs.command_rate = rate
     hs._prev_command = command
     goals = formation_goals(r_a, state.attacker_velocity, command, rate, ctx.spec)
     for d, (gp, gv) in zip(state.defenders, goals):
@@ -473,8 +470,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         for d in state.defenders:
             row += [d.position.x, d.position.y, d.velocity.x, d.velocity.y,
                     d.goal.x, d.goal.y]
-        row += [snap.attacker_obstacle, snap.defender_obstacle,
-                snap.defender_defender, snap.attacker_defender]
+        row += snap
         trace.rows.append(tuple(row))
 
         if (state.t_formed is None and state.sensed and ctx.spec is not None

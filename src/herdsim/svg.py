@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .environment import contour_offsets
+from .environment import shell_points
 from .sim import RATIO_COLUMNS
 
 
@@ -98,7 +96,8 @@ def trajectory_svg(trace, cfg) -> str:
     for ob in cfg.obstacles:
         canvas.rect(ob.center.x, ob.center.y, ob.width, ob.height,
                     stroke="dimgray", fill="lightgray")
-        shell = _shell_points(ob, ob.formation_band.lo)
+        xs, ys = shell_points(ob, ob.formation_band.lo, 180)
+        shell = list(zip(xs.tolist(), ys.tolist()))
         canvas.polyline(shell + shell[:1], stroke="slateblue", width=0.8, dash="3,3")
 
     for k, (path_x, path_y) in enumerate(paths):
@@ -108,18 +107,12 @@ def trajectory_svg(trace, cfg) -> str:
     return canvas.render()
 
 
-def _shell_points(ob, level, samples=180):
-    dx, dy = contour_offsets(ob, 2.0 * np.pi * np.arange(samples) / samples, level)
-    return list(zip((ob.center.x + dx).tolist(), (ob.center.y + dy).tolist()))
-
-
 def ratio_curves_svg(trace) -> str:
     """Critical relative distances (upper band) and defender speeds (lower
     band) over time, with the ratio-1 violation line marked."""
-    t_end = trace.t_end if trace.rows else 1.0
+    # a run stopped at step 0 has one row at t = 0: give the axis a width
+    t_end = trace.t_end if trace.t_end > 0.0 else 1.0
     ts = trace.column("t_s")
-    names = ["attacker/obstacle", "defender/obstacle", "defender/defender",
-             "attacker/defender"]
     colors = ["darkorange", "seagreen", "royalblue", "crimson"]
 
     speeds = [list(zip(ts, map(math.hypot, trace.column(f"d{j}_vx_mps"),
@@ -132,10 +125,11 @@ def ratio_curves_svg(trace) -> str:
     canvas = Canvas(0.0, t_end, -2.5, 2.6, height=640)
     canvas.text(0.02 * t_end, 2.55, "critical relative distances (1 = violation)")
     canvas.polyline([(0.0, 0.5 + 1.0), (t_end, 0.5 + 1.0)], stroke="black", dash="4,4")
-    for k, (column, name, color) in enumerate(zip(RATIO_COLUMNS, names, colors)):
+    for k, (column, color) in enumerate(zip(RATIO_COLUMNS, colors)):
         data = [(t, 0.5 + min(v, 2.0)) for t, v in zip(ts, trace.column(column))]
         canvas.polyline(data, stroke=color, width=1.2)
-        canvas.text(0.65 * t_end, 2.45 - 0.16 * k, name, size=11, fill=color)
+        label = column.removeprefix("ratio_").replace("_", "/")
+        canvas.text(0.65 * t_end, 2.45 - 0.16 * k, label, size=11, fill=color)
 
     canvas.text(0.02 * t_end, -0.25, f"defender speeds (max {s_max:.3f} m/s)")
     canvas.polyline([(0.0, -2.4), (t_end, -2.4)], stroke="gray", width=0.5)

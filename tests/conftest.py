@@ -1,15 +1,42 @@
 import json
+import math
 import time
 
 import pytest
 
 from herdsim.cli import main as cli_main
-from herdsim.environment import ObstacleDerivation, load_scenario, reference_scenario_path
+from herdsim.environment import (ObstacleDerivation, contour_offsets, load_scenario,
+                                 reference_scenario_path, tangent_angle_at)
+from herdsim.formation_field import repulsive_angle
+from herdsim.geom import Vec2, wrap_angle
 from herdsim.sim import run
 
 REFERENCE_OBSTACLES = [(10.0, 23.0, 2.0, 3.0), (-6.0, 18.0, 3.0, 4.0),
                        (11.0, 5.0, 2.0, 2.0), (15.0, 43.0, 3.0, 3.0),
                        (-2.0, 45.0, 3.0, 4.0), (12.0, 60.0, 4.0, 3.0)]
+
+
+def contour_point(ob, beta, level):
+    """Point on the contour E = level lying on the ray at sector angle beta."""
+    x, y = contour_offsets(ob, beta, level)
+    return Vec2(ob.center.x + float(x), ob.center.y + float(y))
+
+
+def contour_tangent_angle(p, ob):
+    """Tangent direction of the contour through p, wrapped to (-pi, pi]."""
+    beta = math.atan2(p.y - ob.center.y, p.x - ob.center.x)
+    return wrap_angle(tangent_angle_at(beta, ob))
+
+
+def component_angle_gap(p, ob, target):
+    """Angle between the converging field and the obstacle-following field
+    at p, wrapped to (-pi, pi].  Zero by convention when p coincides with
+    the target (the converging field vanishes there)."""
+    if p.x == target.x and p.y == target.y:
+        return 0.0
+    toward = math.atan2(target.y - p.y, target.x - p.x)
+    return wrap_angle(toward - repulsive_angle(p, ob, target))
+
 
 @pytest.fixture(scope="session")
 def reference_cfg():

@@ -50,6 +50,15 @@ def test_malformed_scenario_exit_code(tmp_path):
     ("solver.max_iterations", 2.5),
     ("defenders.speed_max_mps", math.inf),
     ("defenders.speed_max_mps", [2.6, math.inf, 2.6]),
+    ("defenders.speed_max_mps", True),
+    ("defenders.speed_max_mps", ["2.6", 2.6, 2.6]),
+    ("attacker.speed_max_mps", "1.0"),
+    ("attacker.speed_max_mps", True),
+    pytest.param("attacker.speed_max_mps", 10 ** 400, id="int-beyond-float-range"),
+    ("attacker.start_m", ["0", 20]),
+    ("attacker.defender_standoff_band_m", [0.3, True, 0.9]),
+    ("solver.max_iterations", "500"),
+    ("solver.max_iterations", True),
 ])
 def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
     if "." in key:
@@ -61,6 +70,15 @@ def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
     path.write_text(json.dumps(doc))
     assert main(["check", "--scenario", str(path)]) == 3
     assert "bad scenario" in capsys.readouterr().err
+
+
+def test_simulate_stopped_at_step_zero_writes_every_artifact(tmp_path):
+    # round(0.004 / 0.01) = 0 steps: the trace holds the start row alone
+    out = tmp_path / "o"
+    assert main(["simulate", "--t-max", "0.004", "--out", str(out)]) == 5
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ratios.svg", "summary.json", "trace.csv", "trajectories.svg"]
+    assert json.loads((out / "summary.json").read_text())["steps"] == 0
 
 
 def test_invalid_scenario_exit_code(tmp_path, capsys):

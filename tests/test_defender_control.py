@@ -9,8 +9,10 @@ from herdsim.defender_control import (TrackingGains, convergence_bounds, defende
                                       terminal_phase_time)
 from herdsim.environment import derive_obstacle, superelliptic_distance
 from herdsim.errors import ConfigError, DomainError
-from herdsim.formation_field import contour_point, repulsive_angle
+from herdsim.formation_field import repulsive_angle
 from herdsim.geom import BlendTriplet, Vec2, blend_weight
+
+from conftest import contour_point
 
 PEERS = BlendTriplet(0.25, 0.32, 0.42)
 

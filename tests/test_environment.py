@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from herdsim.environment import (ScenarioConfig, _shell_boundary, arc_magnitude,
-                                 contour_tangent_angle, corner_level, derive_obstacle,
-                                 min_spread, scenario_from_dict, scenario_warnings,
-                                 solve_shape_exponent, superelliptic_distance,
-                                 validate_scenario)
-from herdsim.errors import ConfigError, DomainError
+from herdsim.environment import (ScenarioConfig, arc_magnitude, corner_level,
+                                 derive_obstacle, min_spread, scenario_from_dict,
+                                 scenario_warnings, shell_points, solve_shape_exponent,
+                                 superelliptic_distance, validate_scenario)
+from herdsim.errors import ConfigError
 from herdsim.geom import Vec2
 
-from conftest import REFERENCE_OBSTACLES, small_scenario_doc
+from conftest import REFERENCE_OBSTACLES, contour_tangent_angle, small_scenario_doc
 
 
 def bisect_exponent_oracle(w, h, iw, ih):
@@ -136,18 +135,14 @@ def test_tangent_axis_limits(derivation):
     assert abs(contour_tangent_angle(Vec2(0.0, 4.0), ob)) == pytest.approx(math.pi, abs=1e-9)
 
 
-def test_tangent_rejects_center(derivation):
-    ob = derive_obstacle(Vec2(0.0, 0.0), 2.0, 2.0, derivation)
-    with pytest.raises(DomainError):
-        contour_tangent_angle(ob.center, ob)
-
-
 def test_derive_obstacle_footprint(derivation):
     # defender radius 0.1, arc radius 0.55, clearance 0.2 -> side + 1.7
     ob = derive_obstacle(Vec2(0.0, 0.0), 2.0, 3.0, derivation)
     assert ob.formation_width == pytest.approx(3.7)
     assert ob.formation_height == pytest.approx(4.7)
-    assert ob.defender_width == pytest.approx(2.4)
+    # defender radius 0.1 and clearance 0.1 -> side + 0.4
+    assert superelliptic_distance(Vec2(1.2, 1.7), ob) == \
+        pytest.approx(ob.defender_band.lo, abs=1e-9)
     assert ob.defender_band.lo < ob.formation_band.lo
     assert ob.defender_band.lo > 0.0
     assert ob.attacker_band.lo == pytest.approx(math.hypot(3.7, 4.7))
@@ -188,7 +183,7 @@ def test_vectorised_boundary_matches_scalar_loop(derivation):
     for w, h in ((2.0, 3.0), (4.0, 1.0), (0.5, 6.0)):
         ob = derive_obstacle(Vec2(-7.0, 12.0), w, h, derivation)
         for level in (ob.defender_band.lo, ob.formation_band.hi):
-            xs, ys = _shell_boundary(ob, level, 720)
+            xs, ys = shell_points(ob, level, 720)
             ref = scalar_shell_boundary(ob, level, 720)
             assert np.allclose(xs, [p.x for p in ref], rtol=0.0, atol=1e-13)
             assert np.allclose(ys, [p.y for p in ref], rtol=0.0, atol=1e-13)
@@ -198,7 +193,7 @@ def sampled_shell_violations(cfg, boundary_samples=720):
     """The validator's shell-overlap and safe-area-shell tests without the
     reach prefilter: every pair and every obstacle is sampled."""
     v = []
-    boundaries = [_shell_boundary(ob, ob.formation_band.hi, boundary_samples)
+    boundaries = [shell_points(ob, ob.formation_band.hi, boundary_samples)
                   for ob in cfg.obstacles]
     for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
         overlap = (superelliptic_distance(boundaries[i], b) <= b.formation_band.hi).any()

@@ -8,10 +8,11 @@ from herdsim.environment import (Disc, contour_offsets, derive_obstacle,
 from herdsim.errors import DomainError
 from herdsim.formation_field import (_cell_reduce, _field_angle_np, _gap_lattice,
                                      _wrap_angle_np, attractive_field,
-                                     combined_field, component_angle_gap,
-                                     contour_point, follow_field, repulsive_angle,
+                                     combined_field, follow_field, repulsive_angle,
                                      singularity_sweep)
 from herdsim.geom import Vec2, blend_weight, wrap_angle
+
+from conftest import component_angle_gap, contour_point
 
 
 @pytest.fixture()
