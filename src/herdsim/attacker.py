@@ -28,20 +28,17 @@ class AttackerState:
     speed: float        # commanded speed magnitude (m/s)
 
 
-def attacker_field(position: Vec2, defenders: Sequence[Vec2],
-                   obstacles: Sequence[Obstacle], protected_center: Vec2,
-                   sensing_radius: float, standoff: BlendTriplet) -> Vec2:
-    """Blended steering field at the attacker's position.
-
-    May legitimately be the zero vector (opposing terms cancel); the caller
-    handles that case.  Coincidence with a defender or an obstacle center is
-    outside the model and raises.
-    """
+def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
+                  sensing_radius: float) -> tuple[float, float, float]:
+    """Circular-model push of the obstacles within the sensing radius: the
+    product of the weights' complements and the weighted sum (rx, ry) of
+    unit vectors away from each center; raises at a center.  The obstacle
+    resultant is this push, so the arc command cancels what the attacker
+    feels by construction."""
     prod = 1.0
     rx = 0.0
     ry = 0.0
     px, py = position.x, position.y
-
     for ob in obstacles:
         dx = px - ob.center.x
         dy = py - ob.center.y
@@ -56,6 +53,20 @@ def attacker_field(position: Vec2, defenders: Sequence[Vec2],
         prod *= 1.0 - sigma
         rx += sigma * dx / d
         ry += sigma * dy / d
+    return prod, rx, ry
+
+
+def attacker_field(position: Vec2, defenders: Sequence[Vec2],
+                   obstacles: Sequence[Obstacle], protected_center: Vec2,
+                   sensing_radius: float, standoff: BlendTriplet) -> Vec2:
+    """Blended steering field at the attacker's position.
+
+    May legitimately be the zero vector (opposing terms cancel); the caller
+    handles that case.  Coincidence with a defender or an obstacle center is
+    outside the model and raises.
+    """
+    prod, rx, ry = obstacle_push(position, obstacles, sensing_radius)
+    px, py = position.x, position.y
 
     for dpos in defenders:
         dx = px - dpos.x

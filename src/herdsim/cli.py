@@ -25,8 +25,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .environment import (load_scenario, reference_scenario_path, scenario_warnings,
-                          validate_scenario)
+from .defender_control import convergence_bounds, solve_tracking_gains
+from .environment import (arc_magnitude, load_scenario, min_spread, reference_scenario_path,
+                          scenario_warnings, validate_scenario)
 from .errors import ConfigError, HerdsimError, SchemaError, SolverError
 from .formation_field import singularity_sweep
 from .sim import RATIO_COLUMNS, run
@@ -82,12 +83,7 @@ def cmd_simulate(args) -> int:
             print(f"violation: {v}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
 
-    try:
-        trace = run(cfg, dt=args.dt, t_max=args.t_max)
-    except HerdsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    trace = run(cfg, dt=args.dt, t_max=args.t_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
@@ -123,13 +119,12 @@ def cmd_sweep(args) -> int:
         print(f"error: obstacle index {args.obstacle} out of range "
               f"(scenario has {len(cfg.obstacles)})", file=sys.stderr)
         return EXIT_BAD_SCENARIO
-    if args.resolution < 64:
-        print(f"error: sweep resolution must be at least 64, got {args.resolution}",
-              file=sys.stderr)
+    try:
+        report = singularity_sweep(cfg.obstacles[args.obstacle],
+                                   resolution=args.resolution, margin=args.margin)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
-
-    report = singularity_sweep(cfg.obstacles[args.obstacle],
-                               resolution=args.resolution, margin=args.margin)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(report.to_csv())
@@ -152,9 +147,6 @@ def cmd_check(args) -> int:
     violations = validate_scenario(cfg)
     warnings = scenario_warnings(cfg)
 
-    from .defender_control import convergence_bounds, solve_tracking_gains
-    from .environment import arc_magnitude, min_spread
-
     print(f"scenario: {manifest['scenario']} (sha256 {manifest['scenario_sha256'][:12]})")
     print(f"defenders: {cfg.defenders.count}, obstacles: {len(cfg.obstacles)}")
     if cfg.defenders.count >= 2:
@@ -168,14 +160,16 @@ def cmd_check(args) -> int:
                 cfg.control.terminal_exponent, min(cfg.defenders.speed_max),
                 cfg.attacker.speed_max, cfg.formation.arc_radius,
                 cfg.control.heading_rate_max, tol=cfg.solver.tolerance)
+        except ConfigError as exc:
+            print(f"tracking gains unsolvable: {exc}")
+        else:
             print(f"tracking gains: approach {gains.approach_speed:.6f} m/s, "
                   f"terminal gain {gains.terminal_gain:.6f}, "
                   f"handoff error {gains.handoff_error:.6f} m")
-            _, arrival = convergence_bounds(1.0, gains, cfg.attacker.start,
-                                            cfg.protected.center, cfg.attacker.speed_max)
-            print(f"attacker straight-line arrival bound: {arrival:.3f} s")
-        except (ConfigError, SolverError) as exc:
-            print(f"tracking gains unsolvable: {exc}")
+            if cfg.attacker.speed_max > 0.0:
+                _, arrival = convergence_bounds(1.0, gains, cfg.attacker.start,
+                                                cfg.protected.center, cfg.attacker.speed_max)
+                print(f"attacker straight-line arrival bound: {arrival:.3f} s")
     print("obstacle shells (exponent, formation level lo/mid/hi, defender lo, circle radii):")
     for i, ob in enumerate(cfg.obstacles):
         fb, db, ab = ob.formation_band, ob.defender_band, ob.attacker_band

@@ -17,14 +17,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .environment import Obstacle, SolverConfig, bisect, superelliptic_distance
+from .environment import Obstacle, SolverConfig, bisect
 from .errors import ConfigError, DomainError, SolverError
-from .formation_field import repulsive_angle
+from .formation_field import follow_obstacles
 from .geom import BlendTriplet, Vec2, blend_weight
 
 log = logging.getLogger("herdsim.defender")
 
 FIELD_TOL = 1e-12
+
+# a larger handoff-equation residual fails solve_tracking_gains, whatever its tol
+HANDOFF_RESIDUAL_MAX = 1e-11
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,9 @@ def solve_tracking_gains(terminal_exponent: float, speed_max: float,
         return (1.0 - th * th) - terminal_exponent * th / e
 
     handoff = bisect(lambda e: -residual(e), 1e-9, 10.0, tol * 1e-3)
-    if abs(residual(handoff)) > max(tol, 1e-12) * 10.0:
-        raise SolverError(f"handoff-error residual {residual(handoff)} above tolerance")
+    if abs(residual(handoff)) > HANDOFF_RESIDUAL_MAX:
+        raise SolverError(f"handoff-error residual {residual(handoff)} above "
+                          f"{HANDOFF_RESIDUAL_MAX}")
     gain = approach * math.tanh(handoff) / handoff ** terminal_exponent
     return TrackingGains(approach_speed=approach, terminal_gain=gain,
                          terminal_exponent=terminal_exponent, handoff_error=handoff)
@@ -83,20 +87,8 @@ def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
     is exactly 0.
     """
     p = positions[index]
-    prod = 1.0
-    rx = 0.0
-    ry = 0.0
-    conflict = False
-
-    for ob in obstacles:
-        sigma = blend_weight(superelliptic_distance(p, ob), ob.defender_band)
-        if sigma <= 0.0:
-            continue
-        conflict = True
-        prod *= 1.0 - sigma
-        phi = repulsive_angle(p, ob, goal)
-        rx += sigma * math.cos(phi)
-        ry += sigma * math.sin(phi)
+    prod, rx, ry, sigma_max, _ = follow_obstacles(p, obstacles, goal, True)
+    conflict = sigma_max > 0.0
 
     for l, other in enumerate(positions):
         if l == index:

@@ -30,13 +30,16 @@ from .geom import BlendTriplet, Vec2, dist
 
 # Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
 # by at most about (2n + 10) ulps: the division by a semi-axis is magnified
-# 2n-fold by the power, and pow and the sum add a few more.  So the reach
-# radii are widened by this relative amount, and the level floor is lowered
-# by this fraction of E + 1; for any exponent below ~1e6 either margin
-# dominates every rounding error on both sides of the comparison.  The floor
-# needs the margin in E + 1, not a relative one in E: E is a difference, so
-# its rounding error stays of order ulp(E + 1) as E approaches 0.
+# 2n-fold by the power, and pow and the sum add a few more; level_floor
+# rounds about as much.  So the reach radii are widened by this relative
+# amount, and level_floor is lowered by this fraction of E + 1; for any
+# exponent below ~1e6 either margin dominates every rounding error on both
+# sides of the comparison.  The floor needs the margin in E + 1, not in E:
+# E is a difference, so its rounding error stays of order ulp(E + 1).
 CULL_SLACK = 1e-9
+
+# a larger |n - 1/(1 - exp(-xi))| fails solve_shape_exponent, whatever its tol
+EXPONENT_RESIDUAL_MAX = 1e-9
 
 # The mid and hi shells of both bands sit at the corners of the rectangle
 # inflated by these multiples of the band's pad.
@@ -78,10 +81,8 @@ class Obstacle:
 
     formation_reach and defender_reach bound the band-hi contours: from any
     point at least that far from the center, superelliptic_distance returns
-    a level >= the band's hi, so its blend weight is exactly 0.
-    level_floor_scale gives a pow-free lower bound on the evaluated level,
-    superelliptic_distance(p) >= d^2 * level_floor_scale - 1 with d the
-    distance of p from the center, wherever the right side is positive.
+    a level >= the band's hi, so its blend weight is exactly 0.  They are
+    level_floor's bound solved for the distance.
     """
 
     center: Vec2
@@ -97,7 +98,6 @@ class Obstacle:
     attacker_band: BlendTriplet
     formation_reach: float
     defender_reach: float
-    level_floor_scale: float
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,8 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
     Where xi(1) exceeds ~37, exp(-xi) vanishes against 1 and g(1) evaluates
     to exactly 0: n = 1 is then the root in floating point.
 
-    Returns (exponent, corner_level) with |g| below tol.
+    Returns (exponent, corner_level); raises SolverError if |g| at the
+    result exceeds EXPONENT_RESIDUAL_MAX, as it does when tol is too loose.
     """
     if not (infl_width > width > 0.0 and infl_height > height > 0.0):
         raise ConfigError(
@@ -185,11 +186,15 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
     damping = 0.5
     for _ in range(max_iter):
         n_next = (1.0 - damping) * n + damping * mapped(n)
-        if abs(n_next - n) < tol:
-            return n_next, level_of(n_next)
+        step = abs(n_next - n)
         n = n_next
-
-    n = bisect(lambda n: n - mapped(n), 1.0, 50.0, 0.0)
+        if step < tol:
+            break
+    else:
+        n = bisect(lambda n: n - mapped(n), 1.0, 50.0, 0.0)
+    residual = n - mapped(n)
+    if abs(residual) > EXPONENT_RESIDUAL_MAX:
+        raise SolverError(f"exponent residual {residual} above {EXPONENT_RESIDUAL_MAX}")
     return n, level_of(n)
 
 
@@ -204,6 +209,15 @@ def superelliptic_distance(p: Vec2, ob: Obstacle) -> float:
     ey = abs((p.y - ob.center.y) / ob.semi_y)
     two_n = 2.0 * ob.exponent
     return ex ** two_n + ey ** two_n - 1.0
+
+
+def level_floor(ob: Obstacle, d: float) -> float:
+    """Lower bound on the evaluated level at any point d or more from the
+    center: with u = |dx| / semi_x, v = |dy| / semi_y and h = hypot(semi_x,
+    semi_y), d^2 <= max(u, v)^2 h^2, so E + 1 >= max(u, v)^(2n) >= (d/h)^(2n).
+    Every culling constant comes from it: the reach radii are its inverse."""
+    h = math.hypot(ob.semi_x, ob.semi_y)
+    return (1.0 - CULL_SLACK) * (d / h) ** (2.0 * ob.exponent) - 1.0
 
 
 def contour_offsets(ob: Obstacle, beta, level: float):
@@ -271,21 +285,16 @@ def derive_obstacle(center: Vec2, width: float, height: float,
     d_hi = corner_level(width, height, width + 2.0 * f_hi * pad_d,
                         height + 2.0 * f_hi * pad_d, exponent)
 
+    # lo is the inflated rectangle's full diagonal, so the circle holds it
     r_lo = math.hypot(fw, fh)
     attacker_band = BlendTriplet(r_lo, params.attacker_mid_factor * r_lo,
                                  params.attacker_hi_factor * r_lo)
 
     def reach(level):
-        # E < level needs |dx| < semi_x * s and |dy| < semi_y * s with
-        # s = (1 + level)^(1/2n): the contour lies inside that box, and so
-        # inside its circumcircle
+        # level_floor solved for d: E + 1 >= (d / h)^(2n) >= 1 + level
+        # beyond h * (1 + level)^(1/2n), widened by the slack
         scale = (1.0 + level) ** (1.0 / (2.0 * exponent))
         return math.hypot(semi_x, semi_y) * scale * (1.0 + CULL_SLACK)
-
-    # with u = dx/semi_x, v = dy/semi_y and n > 1, E + 1 >= max(u^2, v^2)^n
-    # >= ((u^2 + v^2) / 2)^n >= q^n >= q for q = d^2 / (2 max(semi)^2) >= 1;
-    # scaling q by 1 - CULL_SLACK keeps the bound for the rounded level
-    level_floor_scale = (1.0 - CULL_SLACK) / (2.0 * max(semi_x, semi_y) ** 2)
 
     return Obstacle(
         center=center, width=width, height=height,
@@ -295,7 +304,6 @@ def derive_obstacle(center: Vec2, width: float, height: float,
         defender_band=BlendTriplet(d_lo, d_mid, d_hi),
         attacker_band=attacker_band,
         formation_reach=reach(lvl_hi), defender_reach=reach(d_hi),
-        level_floor_scale=level_floor_scale,
     )
 
 
@@ -428,6 +436,13 @@ def _band_or_min(v, where: str) -> tuple[float, float, float]:
     return _band(v, where)
 
 
+def transition_heuristic(defender_speed_min: float, attacker_speed: float,
+                         arc_radius: float) -> float:
+    """(pi/2)(v_min - v_a)/R: the default capture transition time, and the
+    floor below which scenario_warnings flags a given one."""
+    return (math.pi / 2.0) * (defender_speed_min - attacker_speed) / arc_radius
+
+
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed scenario document.
 
@@ -505,8 +520,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     )
 
     ca = _object(_require(doc, "capture", "scenario"), "capture")
-    v_d_min = min(speeds) if speeds else attacker.speed_max
-    default_transition = (math.pi / 2.0) * (v_d_min - attacker.speed_max) / formation.arc_radius
+    default_transition = transition_heuristic(min(speeds, default=attacker.speed_max),
+                                              attacker.speed_max, formation.arc_radius)
     capture = CaptureConfig(
         transition_time=_num(ca.get("transition_time_s", default_transition),
                              "capture.transition_time_s"),
@@ -629,6 +644,8 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     """
     v: list[str] = []
 
+    if cfg.defenders.count == 1:
+        v.append("defender-count: a lone defender cannot form an arc; use 0 or >= 2")
     if cfg.defenders.count > 0:
         v_d_min = min(cfg.defenders.speed_max)
         if not cfg.attacker.speed_max < v_d_min:
@@ -727,17 +744,9 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
         if touched:
             v.append(f"safe-area-shell: obstacle {i} outer shell reaches into the safe area")
 
-    # circular stand-in must contain the whole inflated rectangle
-    for i, ob in enumerate(cfg.obstacles):
-        diag = math.hypot(ob.formation_width, ob.formation_height)
-        if ob.attacker_band.lo < diag - 1e-9:
-            v.append(f"attacker-circle: obstacle {i} minimum radius "
-                     f"{ob.attacker_band.lo:.4f} is below the inflated diagonal {diag:.4f}")
-
     # capture-phase timing must keep the attacker inside once it is in
     if cfg.defenders.count > 0:
-        v_d_min = min(cfg.defenders.speed_max)
-        gap = v_d_min - cfg.attacker.speed_max
+        gap = min(cfg.defenders.speed_max) - cfg.attacker.speed_max
         if gap > 0.0:
             rho_needed = (cfg.attacker.speed_max * cfg.capture.transition_time
                           + cfg.attacker.speed_max * cfg.formation.arc_radius / gap)
@@ -761,8 +770,8 @@ def scenario_warnings(cfg: ScenarioConfig) -> list[str]:
             w.append(f"arc-radius-midpoint: arc radius {cfg.formation.arc_radius} is not "
                      f"the midpoint {midpoint} of the saturated standoff band")
     if cfg.defenders.count > 0:
-        gap = min(cfg.defenders.speed_max) - cfg.attacker.speed_max
-        heuristic = (math.pi / 2.0) * gap / cfg.formation.arc_radius
+        heuristic = transition_heuristic(min(cfg.defenders.speed_max),
+                                         cfg.attacker.speed_max, cfg.formation.arc_radius)
         if cfg.capture.transition_time < heuristic:
             w.append(f"transition-time: {cfg.capture.transition_time} s is below the "
                      f"heuristic floor {heuristic:.4f} s")

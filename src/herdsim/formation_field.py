@@ -75,30 +75,40 @@ def attractive_field(p: Vec2, target: Vec2) -> Vec2:
     return unit(Vec2(target.x - p.x, target.y - p.y))
 
 
-def combined_field(p: Vec2, obstacles: Sequence[Obstacle], safe_center: Vec2) -> FieldSample:
-    """Blend the converging field with the obstacle-following fields.
-
-    Weights come from each obstacle's formation band evaluated at the
-    super-elliptic distance of p.  With disjoint outer shells the result is
-    nonzero everywhere outside the inner shells except at the safe center.
-    """
-    attract = attractive_field(p, safe_center)
+def follow_obstacles(p: Vec2, obstacles: Sequence[Obstacle], target: Vec2,
+                     defender: bool):
+    """Obstacle-following terms at p toward target, weighted on each
+    obstacle's formation band (defender band if defender is set): the
+    product of the weights' complements, the weighted sum (fx, fy) and the
+    largest weight with its index in obstacles (None if all are 0)."""
     prod = 1.0
     fx = 0.0
     fy = 0.0
     active = None
     sigma_max = 0.0
     for k, ob in enumerate(obstacles):
-        sigma = blend_weight(superelliptic_distance(p, ob), ob.formation_band)
+        band = ob.defender_band if defender else ob.formation_band
+        sigma = blend_weight(superelliptic_distance(p, ob), band)
         if sigma <= 0.0:
             continue
         prod *= 1.0 - sigma
-        phi = repulsive_angle(p, ob, safe_center)
+        phi = repulsive_angle(p, ob, target)
         fx += sigma * math.cos(phi)
         fy += sigma * math.sin(phi)
         if sigma > sigma_max:
             sigma_max = sigma
             active = k
+    return prod, fx, fy, sigma_max, active
+
+
+def combined_field(p: Vec2, obstacles: Sequence[Obstacle], safe_center: Vec2) -> FieldSample:
+    """Blend the converging field with the obstacle-following fields.
+
+    With disjoint outer shells the result is nonzero everywhere outside the
+    inner shells except at the safe center.
+    """
+    attract = attractive_field(p, safe_center)
+    prod, fx, fy, sigma_max, active = follow_obstacles(p, obstacles, safe_center, False)
     return FieldSample(
         direction=Vec2(prod * attract.x + fx, prod * attract.y + fy),
         active_obstacle=active,
@@ -273,7 +283,7 @@ def follow_field(start: Vec2, obstacles: Sequence[Obstacle], safe: "Disc",
     steps = int(max_path / step)
     converged = False
     for _ in range(steps):
-        if math.hypot(p.x - safe.center.x, p.y - safe.center.y) < safe.radius:
+        if safe.contains(p):
             converged = True
             break
         sample = combined_field(p, obstacles, safe.center)

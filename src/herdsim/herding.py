@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .attacker import obstacle_push
 from .environment import Obstacle, arc_magnitude, min_spread
 from .errors import ConfigError, InfeasibleHeadingError
-from .geom import Vec2, blend_weight, wrap_angle
+from .geom import Vec2, wrap_angle
 
 PHASE_APPROACH = "approach"
 PHASE_TRANSITION = "transition"
@@ -56,23 +57,8 @@ def obstacle_resultant(position: Vec2, obstacles: Sequence[Obstacle],
                        sensing_radius: float) -> tuple[float, float]:
     """Polar form (magnitude, angle) of the summed circular-model repulsion
     the attacker feels at this position; (0, 0) when nothing is in range."""
-    rx = 0.0
-    ry = 0.0
-    for ob in obstacles:
-        dx = position.x - ob.center.x
-        dy = position.y - ob.center.y
-        d = math.hypot(dx, dy)
-        if d > sensing_radius or d == 0.0:
-            continue
-        sigma = blend_weight(d, ob.attacker_band)
-        if sigma <= 0.0:
-            continue
-        rx += sigma * dx / d
-        ry += sigma * dy / d
-    mag = math.hypot(rx, ry)
-    if mag == 0.0:
-        return 0.0, 0.0
-    return mag, math.atan2(ry, rx)
+    _, rx, ry = obstacle_push(position, obstacles, sensing_radius)
+    return math.hypot(rx, ry), math.atan2(ry, rx)
 
 
 def solve_command_heading(desired: float, resultant_mag: float,

@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional
 from .attacker import AttackerState, attacker_field, attacker_step
 from .defender_control import (TrackingGains, defender_field, defender_velocity,
                                solve_tracking_gains)
-from .environment import CULL_SLACK, Obstacle, ScenarioConfig, superelliptic_distance
+from .environment import (CULL_SLACK, Obstacle, ScenarioConfig, level_floor,
+                          superelliptic_distance)
 from .errors import ConfigError, IntegrityError
 from .formation_field import combined_field
 from .geom import BlendTriplet, Vec2, angle_of, dist
@@ -150,7 +151,7 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
     n = cfg.defenders.count
     spec = None
     gains = ()
-    if n >= 2:
+    if n:
         spec = formation_spec(n, cfg.formation.spread, cfg.formation.arc_radius,
                               cfg.attacker.standoff_band[0], cfg.defenders.peer_band[0])
         gains = tuple(
@@ -158,8 +159,6 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
                                  cfg.attacker.speed_max, cfg.formation.arc_radius,
                                  cfg.control.heading_rate_max, tol=cfg.solver.tolerance)
             for vmax in cfg.defenders.speed_max)
-    elif n == 1:
-        raise ConfigError("a lone defender cannot form an arc; use 0 or >= 2")
     return RunContext(spec=spec, gains=gains,
                       standoff=cfg.attacker.standoff_triplet() if n else None,
                       peers=cfg.defenders.peer_triplet() if n else None)
@@ -216,11 +215,11 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
       center, d the anchor's distance.  t = d (1 - CULL_SLACK) - skin
       (1 + CULL_SLACK) rounds d - skin outward (down) by far more than the
       rounding of d, the displacement and t itself.  With t > 0, the level
-      floor t^2 * level_floor_scale - 1 is then below the floor at any such
-      point, and the level floor's own margin (see CULL_SLACK) keeps it below
-      the evaluated level.  So threshold / floor bounds the ratio (division
-      rounds monotonically), and one step up (nextafter) rounds the bound
-      outward as well.  Where t <= 0 or the floor is <= 0 the bound is inf.
+      floor at t is then below the floor at any such point, and the floor's
+      own margin (see CULL_SLACK) keeps it below the evaluated level.  So
+      threshold / floor bounds the ratio (division rounds monotonically),
+      and one step up (nextafter) rounds the bound outward as well.  Where
+      the floor is <= 0 (as it is for t <= 0) the bound is inf.
     """
     skin = SKIN_M
     ax, ay = anchor
@@ -241,12 +240,9 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
         reach = (radius + skin) * (1.0 + CULL_SLACK)
         if d2 <= reach * reach:
             near.append(ob)
-        bound = math.inf
         t = math.sqrt(d2) * (1.0 - CULL_SLACK) - skin * (1.0 + CULL_SLACK)
-        if t > 0.0:
-            floor = t * t * ob.level_floor_scale - 1.0
-            if floor > 0.0:
-                bound = math.nextafter(lo / floor, math.inf)
+        floor = level_floor(ob, max(t, 0.0))
+        bound = math.nextafter(lo / floor, math.inf) if floor > 0.0 else math.inf
         bounds.append((bound, lo, ob))
     bounds.sort(key=lambda entry: entry[0], reverse=True)
     return ObstacleList(anchor=anchor, skin=skin, near=tuple(near), bounds=tuple(bounds))
@@ -330,7 +326,7 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     r_a = state.attacker.position
     sample = combined_field(r_a, cfg.obstacles, cfg.safe.center)
     field_angle = angle_of(sample.direction)
-    inside = dist(r_a, cfg.safe.center) <= cfg.safe.radius
+    inside = cfg.safe.contains(r_a)
     desired = schedule_heading(field_angle, state.t, inside, hs,
                                cfg.capture.transition_time, cfg.capture.tangent_margin)
     mag, gamma = obstacle_resultant(r_a, near, cfg.attacker.sensing_radius)
@@ -438,7 +434,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         r_a = state.attacker.position
 
         if state.t_capture is not None and not state.capture_broken:
-            if dist(r_a, cfg.safe.center) > cfg.safe.radius:
+            if not cfg.safe.contains(r_a):
                 state.capture_broken = True
                 log.warning("attacker left the safe area at t=%.3f", state.t)
         if state.t_breach is None and cfg.protected.contains(r_a):

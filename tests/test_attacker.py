@@ -7,6 +7,7 @@ from herdsim.attacker import AttackerState, attacker_field, attacker_step
 from herdsim.environment import derive_obstacle
 from herdsim.errors import DomainError
 from herdsim.geom import BlendTriplet, Vec2
+from herdsim.herding import obstacle_resultant
 
 STANDOFF = BlendTriplet(0.3, 0.8, 0.9)
 
@@ -45,6 +46,16 @@ def test_coincident_defender_rejected():
     with pytest.raises(DomainError):
         attacker_field(Vec2(1.0, 1.0), [Vec2(1.0, 1.0)], [], Vec2(0.0, 0.0),
                        10.0, STANDOFF)
+
+
+def test_attacker_on_an_obstacle_center_rejected_by_both_push_kernels(derivation):
+    # the arc command cancels the push the attacker feels, so the resultant
+    # refuses the same point the attacker field does
+    ob = derive_obstacle(Vec2(3.0, 6.0), 2.0, 1.0, derivation)
+    with pytest.raises(DomainError):
+        attacker_field(ob.center, [], [ob], Vec2(0.0, 0.0), 10.0, STANDOFF)
+    with pytest.raises(DomainError):
+        obstacle_resultant(ob.center, [ob], 10.0)
 
 
 def test_step_normalizes_field():

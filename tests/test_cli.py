@@ -98,6 +98,47 @@ def test_spread_below_minimum_exit_code(tmp_path, capsys):
     assert "violation: spread" in capsys.readouterr().err
 
 
+def test_lone_defender_is_a_violation(tmp_path, capsys):
+    doc = small_scenario_doc(**{"defenders.start_m": [[0.0, 5.0]],
+                                "defenders.speed_max_mps": [2.6]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 4
+    assert "violation: defender-count" in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "violation: defender-count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 0.5, 10.0])
+@pytest.mark.parametrize("world", ["bundled", "open-field"])
+def test_loose_solver_tolerance_is_a_solver_failure(tmp_path, capsys, bundle_doc,
+                                                     world, tolerance):
+    # a loose tolerance stops the exponent iteration (bundled world) or the
+    # handoff bisection (no obstacles) short of the relation it solves
+    if world == "bundled":
+        doc = json.loads(json.dumps(bundle_doc))
+        doc["solver"] = {"tolerance": tolerance}
+    else:
+        doc = small_scenario_doc(**{"solver.tolerance": tolerance})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 6
+    assert main(["simulate", "--scenario", str(path), "--t-max", "0.5",
+                 "--out", str(tmp_path / "o")]) == 6
+    assert "residual" in capsys.readouterr().err
+
+
+def test_check_attacker_at_rest(tmp_path, capsys):
+    doc = small_scenario_doc(**{"attacker.speed_max_mps": 0})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "tracking gains: approach" in out
+    assert "unsolvable" not in out
+    assert "arrival bound" not in out
+
+
 def test_check_inconsistent_reference_parameters_flagged(tmp_path, capsys):
     doc = small_scenario_doc()
     doc["obstacles"] = [{"center_m": [x, y], "width_m": w, "height_m": h}

@@ -2,9 +2,9 @@
 
 In a run every agent's kernels see only its obstacle list, built from the
 obstacles' reach radii, and the safety snapshot walks the lists' ratio
-bounds, built from the level floor.  These properties check those constants
-against superelliptic_distance, and the list-driven kernels against the
-full-scan loops they replaced, copied below as the reference.
+bounds.  Both come from one inequality, level_floor.  These properties check
+those constants against superelliptic_distance, and the list-driven kernels
+against the full-scan loops they replaced, copied below as the reference.
 """
 
 import dataclasses
@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from herdsim import sim
 from herdsim.attacker import attacker_field
 from herdsim.defender_control import defender_field
-from herdsim.environment import (ObstacleDerivation, derive_obstacle,
-                                 superelliptic_distance)
+from herdsim.environment import (CULL_SLACK, ObstacleDerivation, derive_obstacle,
+                                 level_floor, superelliptic_distance)
 from herdsim.errors import DomainError
 from herdsim.formation_field import repulsive_angle
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, dist
@@ -135,7 +135,8 @@ def points_near(draw, ob):
     theta = draw(st.one_of(
         st.floats(-math.pi, math.pi),
         st.sampled_from([corner, math.pi - corner, corner - math.pi, -corner])))
-    floor_zero = 1.0 / math.sqrt(ob.level_floor_scale)
+    floor_zero = (math.hypot(ob.semi_x, ob.semi_y)
+                  * (1.0 - CULL_SLACK) ** (-1.0 / (2.0 * ob.exponent)))
     r = draw(st.one_of(
         st.floats(0.0, 3.0 * ob.formation_reach),
         st.sampled_from([ob.formation_reach, ob.defender_reach]).flatmap(
@@ -194,11 +195,8 @@ def test_weight_is_zero_beyond_reach(case):
 @given(obstacle_and_point())
 def test_level_floor_bounds_level(case):
     ob, p = case
-    dx = p.x - ob.center.x
-    dy = p.y - ob.center.y
-    floor = (dx * dx + dy * dy) * ob.level_floor_scale - 1.0
-    if floor > 0.0:
-        assert floor <= superelliptic_distance(p, ob)
+    d = math.hypot(p.x - ob.center.x, p.y - ob.center.y)
+    assert level_floor(ob, d) <= superelliptic_distance(p, ob)
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,8 +296,8 @@ def test_list_driven_kernels_match_full_scan(reference_cfg, data):
     sensing = cfg.attacker.sensing_radius
     assert (outcome(attacker_field, p_a, positions, lists[0].near, target, sensing, STANDOFF)
             == outcome(attacker_field, p_a, positions, obs, target, sensing, STANDOFF))
-    assert (obstacle_resultant(p_a, lists[0].near, sensing)
-            == obstacle_resultant(p_a, obs, sensing))
+    assert (outcome(obstacle_resultant, p_a, lists[0].near, sensing)
+            == outcome(obstacle_resultant, p_a, obs, sensing))
     for j in range(len(positions)):
         assert (outcome(defender_field, j, positions, target, lists[j + 1].near, PEERS)
                 == outcome(full_scan_defender_field, j, positions, target, obs, PEERS))
@@ -311,7 +309,7 @@ def test_list_driven_kernels_match_full_scan(reference_cfg, data):
 @given(st.data())
 def test_lists_cover_the_skin_disc(reference_cfg, data):
     """Each list holds, in index order, every obstacle that acts on its agent,
-    and each ratio bound dominates the level-floor bound at the agent."""
+    and each ratio bound is at or above the pair's exact ratio at the agent."""
     cfg, attacker, defenders, _ = data.draw(list_worlds(reference_cfg))
     agents = [attacker, *defenders]
     index = {id(ob): k for k, ob in enumerate(cfg.obstacles)}
@@ -327,13 +325,23 @@ def test_lists_cover_the_skin_disc(reference_cfg, data):
         for bound, lo, ob in ob_list.bounds:
             band = ob.defender_band if k else ob.formation_band
             assert lo == band.lo
-            dx = p.x - ob.center.x
-            dy = p.y - ob.center.y
-            floor = (dx * dx + dy * dy) * ob.level_floor_scale - 1.0
-            if floor <= 0.0:
-                assert bound == math.inf
-            else:
-                assert lo / floor <= bound
+            level = superelliptic_distance(p, ob)
+            assert (lo / level if level > 0.0 else math.inf) <= bound
+
+
+def test_ratio_bound_on_the_long_axis_of_a_thin_obstacle(reference_cfg, derivation):
+    """Along the long axis of a 12 x 0.2 m rectangle the level floor is within
+    0.03% of the level, so a bound that undercounted the skin would fall
+    below the exact ratio here."""
+    ob = derive_obstacle(Vec2(0.0, 0.0), 12.0, 0.2, derivation)
+    cfg = dataclasses.replace(reference_cfg, obstacles=(ob,))
+    for k in range(1, 400):
+        p = Vec2(ob.semi_x * (1.0 + 0.01 * k), 0.0)
+        for defender in (False, True):
+            (bound, lo, _), = obstacle_list(Vec2(p.x + sim.SKIN_M, 0.0), cfg,
+                                            defender).bounds
+            level = superelliptic_distance(p, ob)
+            assert (lo / level if level > 0.0 else math.inf) <= bound
 
 
 def test_list_rebuilt_once_moved_the_skin(reference_cfg):
