@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .defender_control import convergence_bounds, solve_tracking_gains
+from .defender_control import convergence_bounds, solve_tracking_gains, terminal_phase_time
 from .environment import (arc_magnitude, load_scenario, min_spread, reference_scenario_path,
                           scenario_warnings, validate_scenario)
 from .errors import ConfigError, HerdsimError, SchemaError, SolverError
@@ -166,6 +166,7 @@ def cmd_check(args) -> int:
             print(f"tracking gains: approach {gains.approach_speed:.6f} m/s, "
                   f"terminal gain {gains.terminal_gain:.6f}, "
                   f"handoff error {gains.handoff_error:.6f} m")
+            print(f"terminal phase: {terminal_phase_time(gains, gains.handoff_error):.3f} s")
             if cfg.attacker.speed_max > 0.0:
                 _, arrival = convergence_bounds(1.0, gains, cfg.attacker.start,
                                                 cfg.protected.center, cfg.attacker.speed_max)

@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, SchemaError, SolverError
 from .geom import BlendTriplet, Vec2, dist
+
+# numpy is imported inside the functions that build arrays (the contour
+# sampler and the validator's boundary sampling), so that loading and
+# validating a scenario whose shells are far apart never imports it.
 
 # Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
 # by at most about (2n + 10) ulps: the division by a semi-axis is magnified
@@ -223,6 +225,8 @@ def level_floor(ob: Obstacle, d: float) -> float:
 def contour_offsets(ob: Obstacle, beta, level: float):
     """Offsets (dx, dy) from the obstacle center to the contour E = level
     along the rays at sector angles beta (a float or an array)."""
+    import numpy as np
+
     # E(r) = level has a closed-form radius along each ray
     two_n = 2.0 * ob.exponent
     c = np.cos(beta)
@@ -632,6 +636,8 @@ def arc_magnitude(count: int, spread: float) -> float:
 def shell_points(ob: Obstacle, level: float, samples: int) -> Vec2:
     """The contour E = level on `samples` evenly spaced rays from the
     obstacle center, counter-clockwise from +x, as a Vec2 of arrays."""
+    import numpy as np
+
     dx, dy = contour_offsets(ob, 2.0 * math.pi * np.arange(samples) / samples, level)
     return Vec2(ob.center.x + dx, ob.center.y + dy)
 
@@ -644,6 +650,10 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     """
     v: list[str] = []
 
+    # run() detects a breach by this same test
+    if cfg.protected.contains(cfg.attacker.start):
+        v.append(f"attacker-start: attacker starts at ({cfg.attacker.start.x:g}, "
+                 f"{cfg.attacker.start.y:g}), inside the protected area")
     if cfg.defenders.count == 1:
         v.append("defender-count: a lone defender cannot form an arc; use 0 or >= 2")
     if cfg.defenders.count > 0:
@@ -734,6 +744,8 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     near_safe = [(i, ob) for i, ob in enumerate(cfg.obstacles)
                  if dist(ob.center, cfg.safe.center) < cfg.safe.radius + ob.formation_reach]
     if near_safe:
+        import numpy as np
+
         angles = 2.0 * math.pi * np.arange(boundary_samples) / boundary_samples
         ring = Vec2(cfg.safe.center.x + cfg.safe.radius * np.cos(angles),
                     cfg.safe.center.y + cfg.safe.radius * np.sin(angles))

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .environment import (Obstacle, contour_offsets, superelliptic_distance,
                           tangent_angle_at)
 from .errors import DomainError
@@ -117,10 +115,13 @@ def combined_field(p: Vec2, obstacles: Sequence[Obstacle], safe_center: Vec2) ->
 
 
 # ---------------------------------------------------------------------------
-# vectorized contour machinery for the sweep
+# vectorized contour machinery for the sweep; each function imports numpy
+# itself, so that only the sweep loads it
 # ---------------------------------------------------------------------------
 
 def _tangent_angle_np(beta, ob: Obstacle):
+    import numpy as np
+
     c = np.cos(beta)
     s = np.sin(beta)
     p = 2.0 * ob.exponent - 1.0
@@ -130,14 +131,20 @@ def _tangent_angle_np(beta, ob: Obstacle):
 
 
 def _wrap_sector_np(theta):
+    import numpy as np
+
     return np.mod(theta, TWO_PI)
 
 
 def _wrap_angle_np(theta):
+    import numpy as np
+
     return theta - TWO_PI * np.floor((theta + math.pi) / TWO_PI)
 
 
 def _field_angle_np(beta_f, beta_s, ob: Obstacle):
+    import numpy as np
+
     tangent_f = _tangent_angle_np(beta_f, ob)
     tangent_s = _tangent_angle_np(beta_s, ob)
     span = _wrap_sector_np(beta_f - beta_s)
@@ -204,6 +211,8 @@ class SweepReport:
 def _cell_reduce(values: np.ndarray, cells: int, sub: int, fn):
     """Reduce a fine lattice of shape (sub*cells+1, sub*cells+1) to per-cell
     extrema over each (sub+1) x (sub+1) covering window."""
+    import numpy as np
+
     idx = sub * np.arange(cells)[:, None] + np.arange(sub + 1)[None, :]
     rows = fn(values[idx], axis=1)          # (cells, fine)
     return fn(rows[:, idx], axis=2)         # (cells, cells)
@@ -213,6 +222,8 @@ def _gap_lattice(ob: Obstacle, level: float, fine: int) -> np.ndarray:
     """Component angle gap with target and sample on the contour E = level:
     rows are target sector angles over [0, pi/2], columns spans over
     [0, 2*pi], fine samples each."""
+    import numpy as np
+
     beta_s = np.linspace(0.0, math.pi / 2.0, fine)
     span = np.linspace(0.0, TWO_PI, fine)
 
@@ -251,6 +262,8 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128, margin: float = 0.1,
     """
     if resolution < 64:
         raise ValueError(f"sweep resolution must be at least 64, got {resolution}")
+    import numpy as np
+
     level = ob.formation_band.hi
     fine = subsamples * resolution + 1
 

@@ -121,7 +121,7 @@ class SimTrace:
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.rows:
-            lines.append(",".join(repr(v) for v in row))
+            lines.append(",".join(map(repr, row)))
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:

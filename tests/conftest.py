@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,14 @@ from herdsim.environment import (ObstacleDerivation, contour_offsets, load_scena
 from herdsim.formation_field import repulsive_angle
 from herdsim.geom import Vec2, wrap_angle
 from herdsim.sim import run
+
+def child_env():
+    """This process's environment with src/ first on PYTHONPATH, for
+    running herdsim in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
 
 REFERENCE_OBSTACLES = [(10.0, 23.0, 2.0, 3.0), (-6.0, 18.0, 3.0, 4.0),
                        (11.0, 5.0, 2.0, 2.0), (15.0, 43.0, 3.0, 3.0),

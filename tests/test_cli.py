@@ -1,12 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
 from herdsim import reference_scenario_path
 from herdsim.cli import main
 
-from conftest import REFERENCE_OBSTACLES, small_scenario_doc
+from conftest import REFERENCE_OBSTACLES, child_env, small_scenario_doc
 
 
 def test_check_bundle_clean(capsys):
@@ -15,6 +17,7 @@ def test_check_bundle_clean(capsys):
     assert "scenario is clean" in out
     assert "arc repulsion magnitude" in out
     assert "tracking gains" in out
+    assert "terminal phase: 1.905 s" in out
 
 
 def test_simulate_bundle_artifacts(cli_artifacts):
@@ -137,6 +140,47 @@ def test_check_attacker_at_rest(tmp_path, capsys):
     assert "tracking gains: approach" in out
     assert "unsolvable" not in out
     assert "arrival bound" not in out
+
+
+def test_attacker_start_in_protected_area_is_a_violation(tmp_path, capsys):
+    doc = small_scenario_doc(**{"attacker.start_m": [0.0, 1.0]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 4
+    assert "violation: attacker-start" in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "violation: attacker-start" in capsys.readouterr().err
+
+
+# Runs cli.main(argv) in a fresh interpreter (argv None: import only) and
+# prints its exit code and whether numpy got imported, as the last line.
+NUMPY_PROBE = """
+import sys
+from herdsim import cli
+argv = {argv!r}
+try:
+    code = 0 if argv is None else cli.main(argv)
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, code, loads_numpy", [
+    (None, 0, False),
+    (["--version"], 0, False),
+    (["check"], 0, False),
+    # the bundled run is not captured within 1 s, hence exit 5
+    (["simulate", "--svg", "off", "--t-max", "1", "--out", "o"], 5, False),
+    (["sweep", "--obstacle", "0", "--out", "o"], 0, True),
+], ids=["import", "version", "check", "simulate-svg-off", "sweep"])
+def test_numpy_is_imported_only_where_arrays_are_built(tmp_path, argv, code, loads_numpy):
+    # a fresh interpreter: this one imported numpy long ago
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE.format(argv=argv)],
+                          cwd=tmp_path, env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
 
 
 def test_check_inconsistent_reference_parameters_flagged(tmp_path, capsys):

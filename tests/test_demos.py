@@ -1,7 +1,6 @@
 """Every demo runs to completion and uses only herdsim's public names."""
 
 import ast
-import os
 import shutil
 import subprocess
 import sys
@@ -9,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def private_herdsim_imports(source: str) -> list[str]:
@@ -31,8 +31,6 @@ def test_demo_runs(demo, tmp_path):
     # each demo writes its SVG next to itself, so run a copy
     script = tmp_path / demo.name
     shutil.copy(demo, script)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
