@@ -159,7 +159,7 @@ def cmd_check(args) -> int:
             gains = solve_tracking_gains(
                 cfg.control.terminal_exponent, min(cfg.defenders.speed_max),
                 cfg.attacker.speed_max, cfg.formation.arc_radius,
-                cfg.control.heading_rate_max, tol=cfg.solver.tolerance)
+                cfg.control.heading_rate_max)
         except ConfigError as exc:
             print(f"tracking gains unsolvable: {exc}")
         else:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .environment import Obstacle, SolverConfig, bisect
+from .environment import SOLVER_TOL, Obstacle, bisect
 from .errors import ConfigError, DomainError, SolverError
 from .formation_field import follow_obstacles
 from .geom import BlendTriplet, Vec2, blend_weight
@@ -26,7 +26,7 @@ log = logging.getLogger("herdsim.defender")
 
 FIELD_TOL = 1e-12
 
-# a larger handoff-equation residual fails solve_tracking_gains, whatever its tol
+# a larger handoff-equation residual fails solve_tracking_gains
 HANDOFF_RESIDUAL_MAX = 1e-11
 
 
@@ -40,8 +40,7 @@ class TrackingGains:
 
 def solve_tracking_gains(terminal_exponent: float, speed_max: float,
                          attacker_speed_max: float, arc_radius: float,
-                         heading_rate_max: float,
-                         tol: float = SolverConfig.tolerance) -> TrackingGains:
+                         heading_rate_max: float) -> TrackingGains:
     """Derive the tracking gains from the speed budget.
 
     The far-field speed scale is what remains of the defender's speed after
@@ -66,7 +65,7 @@ def solve_tracking_gains(terminal_exponent: float, speed_max: float,
         th = math.tanh(e)
         return (1.0 - th * th) - terminal_exponent * th / e
 
-    handoff = bisect(lambda e: -residual(e), 1e-9, 10.0, tol * 1e-3)
+    handoff = bisect(lambda e: -residual(e), 1e-9, 10.0, SOLVER_TOL * 1e-3)
     if abs(residual(handoff)) > HANDOFF_RESIDUAL_MAX:
         raise SolverError(f"handoff-error residual {residual(handoff)} above "
                           f"{HANDOFF_RESIDUAL_MAX}")

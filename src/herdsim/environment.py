@@ -40,7 +40,12 @@ from .geom import BlendTriplet, Vec2, dist
 # E is a difference, so its rounding error stays of order ulp(E + 1).
 CULL_SLACK = 1e-9
 
-# a larger |n - 1/(1 - exp(-xi))| fails solve_shape_exponent, whatever its tol
+# the root finders stop below this step (the handoff bisection below a
+# thousandth of it); the exponent iteration fails after SOLVER_MAX_ITER steps
+SOLVER_TOL = 1e-12
+SOLVER_MAX_ITER = 500
+
+# a larger |n - 1/(1 - exp(-xi))| fails solve_shape_exponent
 EXPONENT_RESIDUAL_MAX = 1e-9
 
 # The mid and hi shells of both bands sit at the corners of the rectangle
@@ -103,12 +108,6 @@ class Obstacle:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-12
-    max_iterations: int = 500
-
-
-@dataclass(frozen=True)
 class ObstacleDerivation:
     """Parameters driving the rectangle -> Obstacle derivation."""
 
@@ -118,16 +117,14 @@ class ObstacleDerivation:
     defender_radius: float
     attacker_mid_factor: float = 1.15
     attacker_hi_factor: float = 1.3
-    tol: float = SolverConfig.tolerance
-    max_iter: int = SolverConfig.max_iterations
 
 
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
     """Root of an increasing f with f(lo) <= 0 < f(hi), by bisection.
 
-    Stops once the bracket is narrower than xtol, or after 200 halvings
-    (with xtol = 0, once the bracket has collapsed to adjacent floats);
-    returns the bracket's midpoint.
+    Stops once the bracket is narrower than xtol, or after 200 halvings;
+    returns the bracket's midpoint.  solve_tracking_gains finds the handoff
+    error with it.
     """
     if not f(lo) <= 0.0 < f(hi):
         raise SolverError(f"bisection found no sign change on [{lo}, {hi}]")
@@ -150,8 +147,7 @@ def corner_level(width: float, height: float, infl_width: float,
 
 
 def solve_shape_exponent(width: float, height: float, infl_width: float,
-                         infl_height: float, tol: float = SolverConfig.tolerance,
-                         max_iter: int = SolverConfig.max_iterations) -> tuple[float, float]:
+                         infl_height: float) -> tuple[float, float]:
     """Solve the coupled (exponent, corner level) pair for one obstacle.
 
     The exponent n and the level xi of the contour through the inflated
@@ -161,16 +157,15 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
         xi = ((iw/w)^(2n) + (ih/h)^(2n)) / 2 - 1
 
     simultaneously.  A damped fixed-point iteration (damping 0.5, seed n=2)
-    handles every practical geometry; if it fails to settle within max_iter
-    we fall back to bisection on g(n) = n - 1/(1-exp(-xi(n))), which is
-    strictly increasing on [1, 50] with g(1) = 1 - 1/(1 - exp(-xi(1))) < 0
-    (xi > 0: the inflated rectangle strictly contains the raw one) and
-    g(50) > 0.  Strongly inflated rectangles put the root within 1e-6 of 1.
-    Where xi(1) exceeds ~37, exp(-xi) vanishes against 1 and g(1) evaluates
-    to exactly 0: n = 1 is then the root in floating point.
+    runs until a step is below SOLVER_TOL.  Strongly inflated rectangles put
+    the root within 1e-6 of 1; where xi(1) exceeds ~37, exp(-xi) vanishes
+    against 1 and n = 1 is the root in floating point.
 
-    Returns (exponent, corner_level); raises SolverError if |g| at the
-    result exceeds EXPONENT_RESIDUAL_MAX, as it does when tol is too loose.
+    Returns (exponent, corner_level).  Raises SolverError if the iteration
+    has not settled after SOLVER_MAX_ITER steps, or if |n - 1/(1 - exp(-xi))|
+    at the result exceeds EXPONENT_RESIDUAL_MAX.  Some nearly uninflated
+    rectangles, with roots above about 85, never settle: rounding holds their
+    iteration in a cycle whose step stays just above SOLVER_TOL.
     """
     if not (infl_width > width > 0.0 and infl_height > height > 0.0):
         raise ConfigError(
@@ -186,14 +181,14 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
 
     n = 2.0
     damping = 0.5
-    for _ in range(max_iter):
+    for _ in range(SOLVER_MAX_ITER):
         n_next = (1.0 - damping) * n + damping * mapped(n)
         step = abs(n_next - n)
         n = n_next
-        if step < tol:
+        if step < SOLVER_TOL:
             break
     else:
-        n = bisect(lambda n: n - mapped(n), 1.0, 50.0, 0.0)
+        raise SolverError(f"exponent iteration did not settle in {SOLVER_MAX_ITER} steps")
     residual = n - mapped(n)
     if abs(residual) > EXPONENT_RESIDUAL_MAX:
         raise SolverError(f"exponent residual {residual} above {EXPONENT_RESIDUAL_MAX}")
@@ -265,8 +260,7 @@ def derive_obstacle(center: Vec2, width: float, height: float,
     fw = width + 2.0 * pad
     fh = height + 2.0 * pad
     try:
-        exponent, lvl_lo = solve_shape_exponent(
-            width, height, fw, fh, tol=params.tol, max_iter=params.max_iter)
+        exponent, lvl_lo = solve_shape_exponent(width, height, fw, fh)
     except SolverError as exc:
         raise SolverError(f"obstacle at {center}: shape exponent: {exc}") from exc
 
@@ -385,59 +379,54 @@ class ScenarioConfig:
     control: ControlConfig
     capture: CaptureConfig
     integrator: IntegratorConfig
-    solver: SolverConfig
+
+
+def _at(where: str, i) -> str:
+    return where if i is None else f"{where}[{i}]"
+
+
+def _object(v, where: str) -> dict:
+    """A copy of a JSON object, from which each read pops its key."""
+    if not isinstance(v, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    return dict(v)
 
 
 def _require(d: dict, key: str, where: str):
     if key not in d:
         raise SchemaError(f"missing key '{key}' in {where}")
-    return d[key]
+    return d.pop(key)
 
 
-def _object(v, where: str) -> dict:
-    if not isinstance(v, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    return v
+def _done(d: dict, where: str) -> None:
+    if d:
+        raise SchemaError(f"unknown key(s) {', '.join(f'{where}.{k}'.lstrip('.') for k in d)}")
 
 
 def _vec(v, where: str) -> Vec2:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise SchemaError(f"{where} must be a 2-element [x, y] list")
-    return Vec2(_num(v[0], where), _num(v[1], where))
+    return Vec2(_num(v[0], where, 0), _num(v[1], where, 1))
 
 
-def _num(v, where: str) -> float:
-    """A JSON number: an int or a float, never a bool or a quoted number."""
+def _num(v, where: str, i=None) -> float:
+    """A JSON number (an int or a float, never a bool or a quoted number):
+    the value at where, or element i of the list there."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{where} must be a number, got {v!r}")
+        raise SchemaError(f"{_at(where, i)} must be a number, got {v!r}")
     try:
         out = float(v)
     except OverflowError:           # an integer literal beyond the float range
         out = math.inf
     if not math.isfinite(out):
-        raise ConfigError(f"{where} must be finite, got {v}")
+        raise ConfigError(f"{_at(where, i)} must be finite, got {v}")
     return out
-
-
-def _int(v, where: str) -> int:
-    out = _num(v, where)
-    if not out.is_integer():
-        raise SchemaError(f"{where} must be an integer, got {v}")
-    return int(out)
 
 
 def _band(v, where: str) -> tuple[float, float, float]:
     if not (isinstance(v, (list, tuple)) and len(v) == 3):
         raise SchemaError(f"{where} must be a 3-element [lo, mid, hi] list")
-    return (_num(v[0], where), _num(v[1], where), _num(v[2], where))
-
-
-def _band_or_min(v, where: str) -> tuple[float, float, float]:
-    """A full [lo, mid, hi] band, or [lo] alone with mid/hi at 1.5x and 2x."""
-    if isinstance(v, (list, tuple)) and len(v) == 1:
-        lo = _num(v[0], where)
-        return (lo, 1.5 * lo, 2.0 * lo)
-    return _band(v, where)
+    return (_num(v[0], where, 0), _num(v[1], where, 1), _num(v[2], where, 2))
 
 
 def transition_heuristic(defender_speed_min: float, attacker_speed: float,
@@ -450,19 +439,21 @@ def transition_heuristic(defender_speed_min: float, attacker_speed: float,
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed scenario document.
 
-    Structural problems raise SchemaError; unusable values raise ConfigError.
+    Structural problems raise SchemaError, an unknown key in any section or
+    obstacle record among them; unusable values raise ConfigError.
     Consistency conditions that merely make the scenario unsound are left to
     validate_scenario, which reports them as data.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("scenario document must be a JSON object")
+    doc = _object(doc, "scenario document")
 
     pa = _object(_require(doc, "protected_area", "scenario"), "protected_area")
-    sa = _object(_require(doc, "safe_area", "scenario"), "safe_area")
     protected = Disc(_vec(_require(pa, "center_m", "protected_area"), "protected_area.center_m"),
                      _num(_require(pa, "radius_m", "protected_area"), "protected_area.radius_m"))
+    _done(pa, "protected_area")
+    sa = _object(_require(doc, "safe_area", "scenario"), "safe_area")
     safe = Disc(_vec(_require(sa, "center_m", "safe_area"), "safe_area.center_m"),
                 _num(_require(sa, "radius_m", "safe_area"), "safe_area.radius_m"))
+    _done(sa, "safe_area")
 
     at = _object(_require(doc, "attacker", "scenario"), "attacker")
     attacker = AttackerConfig(
@@ -470,21 +461,22 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         body_radius=_num(_require(at, "body_radius_m", "attacker"), "attacker.body_radius_m"),
         speed_max=_num(_require(at, "speed_max_mps", "attacker"), "attacker.speed_max_mps"),
         sensing_radius=_num(_require(at, "sensing_radius_m", "attacker"), "attacker.sensing_radius_m"),
-        deadlock_turn=_num(at.get("deadlock_turn_rad", 0.05), "attacker.deadlock_turn_rad"),
+        deadlock_turn=_num(at.pop("deadlock_turn_rad", 0.05), "attacker.deadlock_turn_rad"),
         standoff_band=_band(_require(at, "defender_standoff_band_m", "attacker"),
                             "attacker.defender_standoff_band_m"),
     )
+    _done(at, "attacker")
 
     de = _object(_require(doc, "defenders", "scenario"), "defenders")
     starts = _require(de, "start_m", "defenders")
     if not isinstance(starts, list):
         raise SchemaError("defenders.start_m must be a list of [x, y] pairs")
-    start_vecs = tuple(_vec(s, f"defenders.start_m[{i}]") for i, s in enumerate(starts))
+    start_vecs = tuple(_vec(s, f"defenders.start_m[{k}]") for k, s in enumerate(starts))
     speeds_raw = _require(de, "speed_max_mps", "defenders")
     if isinstance(speeds_raw, list):
         if len(speeds_raw) != len(start_vecs):
             raise SchemaError("defenders.speed_max_mps list must match start_m length")
-        speeds = tuple(_num(s, "defenders.speed_max_mps") for s in speeds_raw)
+        speeds = tuple(_num(s, "defenders.speed_max_mps", k) for k, s in enumerate(speeds_raw))
     else:
         speeds = (_num(speeds_raw, "defenders.speed_max_mps"),) * len(start_vecs)
     defenders = DefenderTeamConfig(
@@ -493,9 +485,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         speed_max=speeds,
         sensing_zone_radius=_num(_require(de, "sensing_zone_radius_m", "defenders"),
                                  "defenders.sensing_zone_radius_m"),
-        peer_band=_band_or_min(_require(de, "peer_separation_band_m", "defenders"),
-                               "defenders.peer_separation_band_m"),
+        peer_band=_band(_require(de, "peer_separation_band_m", "defenders"),
+                        "defenders.peer_separation_band_m"),
     )
+    _done(de, "defenders")
 
     if attacker.body_radius <= 0.0 or defenders.body_radius <= 0.0:
         raise ConfigError("agent body radii must be positive")
@@ -508,10 +501,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         arc_radius=_num(_require(fo, "arc_radius_m", "formation"), "formation.arc_radius_m"),
         spread=_num(_require(fo, "spread_rad", "formation"), "formation.spread_rad"),
         clearance=clearance,
-        defender_clearance=_num(fo.get("defender_clearance_m", 0.5 * clearance),
+        defender_clearance=_num(fo.pop("defender_clearance_m", 0.5 * clearance),
                                 "formation.defender_clearance_m"),
-        goal_tolerance=_num(fo.get("goal_tolerance_m", 0.05), "formation.goal_tolerance_m"),
+        goal_tolerance=_num(fo.pop("goal_tolerance_m", 0.05), "formation.goal_tolerance_m"),
     )
+    _done(fo, "formation")
     if formation.arc_radius <= 0.0:
         raise ConfigError(f"arc radius must be positive, got {formation.arc_radius}")
 
@@ -522,16 +516,18 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         heading_rate_max=_num(_require(co, "heading_rate_max_radps", "control"),
                               "control.heading_rate_max_radps"),
     )
+    _done(co, "control")
 
     ca = _object(_require(doc, "capture", "scenario"), "capture")
     default_transition = transition_heuristic(min(speeds, default=attacker.speed_max),
                                               attacker.speed_max, formation.arc_radius)
     capture = CaptureConfig(
-        transition_time=_num(ca.get("transition_time_s", default_transition),
+        transition_time=_num(ca.pop("transition_time_s", default_transition),
                              "capture.transition_time_s"),
-        tangent_margin=_num(ca.get("tangent_margin_rad", 0.1), "capture.tangent_margin_rad"),
-        dwell_factor=_num(ca.get("dwell_factor", 2.0), "capture.dwell_factor"),
+        tangent_margin=_num(ca.pop("tangent_margin_rad", 0.1), "capture.tangent_margin_rad"),
+        dwell_factor=_num(ca.pop("dwell_factor", 2.0), "capture.dwell_factor"),
     )
+    _done(ca, "capture")
     if capture.transition_time <= 0.0:
         raise ConfigError(f"capture transition time must be positive, got {capture.transition_time}")
 
@@ -540,27 +536,20 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         dt=_num(_require(it, "dt_s", "integrator"), "integrator.dt_s"),
         t_max=_num(_require(it, "t_max_s", "integrator"), "integrator.t_max_s"),
     )
+    _done(it, "integrator")
     if integrator.dt <= 0.0:
         raise ConfigError(f"integrator dt must be positive, got {integrator.dt}")
     if integrator.t_max <= 0.0:
         raise ConfigError(f"integrator t_max must be positive, got {integrator.t_max}")
 
-    so = _object(doc.get("solver", {}), "solver")
-    solver = SolverConfig(
-        tolerance=_num(so.get("tolerance", SolverConfig.tolerance), "solver.tolerance"),
-        max_iterations=_int(so.get("max_iterations", SolverConfig.max_iterations),
-                            "solver.max_iterations"),
-    )
-    if solver.tolerance <= 0.0:
-        raise ConfigError("solver tolerance must be positive")
-
-    om = _object(doc.get("obstacle_model", {}), "obstacle_model")
-    factors = om.get("attacker_circle_factors", [ObstacleDerivation.attacker_mid_factor,
+    om = _object(doc.pop("obstacle_model", {}), "obstacle_model")
+    factors = om.pop("attacker_circle_factors", [ObstacleDerivation.attacker_mid_factor,
                                                  ObstacleDerivation.attacker_hi_factor])
+    _done(om, "obstacle_model")
     if not (isinstance(factors, (list, tuple)) and len(factors) == 2):
         raise SchemaError("obstacle_model.attacker_circle_factors must be [mid, hi]")
-    mid_f = _num(factors[0], "attacker_circle_factors[0]")
-    hi_f = _num(factors[1], "attacker_circle_factors[1]")
+    mid_f = _num(factors[0], "obstacle_model.attacker_circle_factors", 0)
+    hi_f = _num(factors[1], "obstacle_model.attacker_circle_factors", 1)
     if not (1.0 < mid_f < hi_f):
         raise ConfigError(f"attacker circle factors must satisfy 1 < mid < hi, got {factors}")
 
@@ -571,24 +560,25 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         defender_radius=defenders.body_radius,
         attacker_mid_factor=mid_f,
         attacker_hi_factor=hi_f,
-        tol=solver.tolerance,
-        max_iter=solver.max_iterations,
     )
     raw_obstacles = _require(doc, "obstacles", "scenario")
+    _done(doc, "")
     if not isinstance(raw_obstacles, list):
         raise SchemaError("obstacles must be a list")
     obstacles = []
     for i, rec in enumerate(raw_obstacles):
-        rec = _object(rec, f"obstacles[{i}]")
-        c = _vec(_require(rec, "center_m", f"obstacles[{i}]"), f"obstacles[{i}].center_m")
-        w = _num(_require(rec, "width_m", f"obstacles[{i}]"), f"obstacles[{i}].width_m")
-        h = _num(_require(rec, "height_m", f"obstacles[{i}]"), f"obstacles[{i}].height_m")
+        where = f"obstacles[{i}]"
+        rec = _object(rec, where)
+        c = _vec(_require(rec, "center_m", where), where + ".center_m")
+        w = _num(_require(rec, "width_m", where), where + ".width_m")
+        h = _num(_require(rec, "height_m", where), where + ".height_m")
+        _done(rec, where)
         obstacles.append(derive_obstacle(c, w, h, derivation))
 
     return ScenarioConfig(
         protected=protected, safe=safe, obstacles=tuple(obstacles),
         attacker=attacker, defenders=defenders, formation=formation,
-        control=control, capture=capture, integrator=integrator, solver=solver,
+        control=control, capture=capture, integrator=integrator,
     )
 
 
@@ -642,6 +632,14 @@ def shell_points(ob: Obstacle, level: float, samples: int) -> Vec2:
     return Vec2(ob.center.x + dx, ob.center.y + dy)
 
 
+def safety_ratio(threshold: float, actual: float) -> float:
+    """Threshold over actual distance, +inf where the actual distance is
+    nonpositive (already inside a forbidden region); >= 1 is a violation."""
+    if actual <= 0.0:
+        return math.inf
+    return threshold / actual
+
+
 def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[str]:
     """Check every structural assumption the guarantees rest on.
 
@@ -654,6 +652,33 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     if cfg.protected.contains(cfg.attacker.start):
         v.append(f"attacker-start: attacker starts at ({cfg.attacker.start.x:g}, "
                  f"{cfg.attacker.start.y:g}), inside the protected area")
+    # No safety_snapshot ratio may start at or above 1: each actual distance
+    # must exceed its threshold.  Beyond a band's reach the level exceeds the
+    # band's hi, so only nearer obstacles are evaluated.
+    a0, starts = cfg.attacker.start, cfg.defenders.starts
+    for i, ob in enumerate(cfg.obstacles):
+        cx, cy = ob.center
+        if math.hypot(a0.x - cx, a0.y - cy) < ob.formation_reach:
+            e, lo = superelliptic_distance(a0, ob), ob.formation_band.lo
+            if e <= lo:
+                v.append(f"start-clearance: attacker_obstacle ratio "
+                         f"{safety_ratio(lo, e):.4g} (obstacle {i})")
+        for k, p in enumerate(starts):
+            if math.hypot(p.x - cx, p.y - cy) < ob.defender_reach:
+                e, lo = superelliptic_distance(p, ob), ob.defender_band.lo
+                if e <= lo:
+                    v.append(f"start-clearance: defender_obstacle ratio "
+                             f"{safety_ratio(lo, e):.4g} (defender {k}, obstacle {i})")
+    lo = cfg.defenders.peer_band[0]
+    for (j, p), (k, q) in itertools.combinations(enumerate(starts), 2):
+        if dist(p, q) <= lo:
+            v.append(f"start-clearance: defender_defender ratio "
+                     f"{safety_ratio(lo, dist(p, q)):.4g} (defenders {j} and {k})")
+    lo = cfg.attacker.standoff_band[0]
+    for k, p in enumerate(starts):
+        if dist(a0, p) <= lo:
+            v.append(f"start-clearance: attacker_defender ratio "
+                     f"{safety_ratio(lo, dist(a0, p)):.4g} (defender {k})")
     if cfg.defenders.count == 1:
         v.append("defender-count: a lone defender cannot form an arc; use 0 or >= 2")
     if cfg.defenders.count > 0:
@@ -710,17 +735,11 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
             v.append(f"tracking-speed: defender speed budget leaves no tracking "
                      f"margin (k0 = {k0:.6f} <= 0)")
 
-    # shell spacing for the attacker's circular obstacle model
-    for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
-        d = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
-        needed = a.attacker_band.hi + b.attacker_band.hi
-        if d < needed:
-            v.append(f"obstacle-spacing: obstacles {i} and {j} are {d:.4f} m apart "
-                     f"but their circular influence radii need {needed:.4f} m")
-
-    # outer super-elliptic shells must be pairwise disjoint; only shells whose
-    # centers are closer than their summed reach can meet, so only those
-    # pairs are sampled, and boundaries are built for their obstacles alone
+    # Each obstacle pair, once.  The attacker's circular influence discs must
+    # be disjoint, and so must the outer super-elliptic shells; only shells
+    # whose centers are closer than their summed reach can meet, so only
+    # those pairs are sampled, and boundaries are built for their obstacles
+    # alone.
     boundaries = {}
 
     def boundary(k):
@@ -730,7 +749,12 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
         return boundaries[k]
 
     for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
-        if dist(a.center, b.center) >= a.formation_reach + b.formation_reach:
+        d = dist(a.center, b.center)
+        needed = a.attacker_band.hi + b.attacker_band.hi
+        if d < needed:
+            v.append(f"obstacle-spacing: obstacles {i} and {j} are {d:.4f} m apart "
+                     f"but their circular influence radii need {needed:.4f} m")
+        if d >= a.formation_reach + b.formation_reach:
             continue
         overlap = (superelliptic_distance(boundary(i), b) <= b.formation_band.hi).any()
         overlap = overlap or (superelliptic_distance(boundary(j), a)

@@ -23,7 +23,7 @@ from .attacker import AttackerState, attacker_field, attacker_step
 from .defender_control import (TrackingGains, defender_field, defender_velocity,
                                solve_tracking_gains)
 from .environment import (CULL_SLACK, Obstacle, ScenarioConfig, level_floor,
-                          superelliptic_distance)
+                          safety_ratio, superelliptic_distance)
 from .errors import ConfigError, IntegrityError
 from .formation_field import combined_field
 from .geom import BlendTriplet, Vec2, angle_of, dist
@@ -157,7 +157,7 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
         gains = tuple(
             solve_tracking_gains(cfg.control.terminal_exponent, vmax,
                                  cfg.attacker.speed_max, cfg.formation.arc_radius,
-                                 cfg.control.heading_rate_max, tol=cfg.solver.tolerance)
+                                 cfg.control.heading_rate_max)
             for vmax in cfg.defenders.speed_max)
     return RunContext(spec=spec, gains=gains,
                       standoff=cfg.attacker.standoff_triplet() if n else None,
@@ -264,12 +264,6 @@ def refresh_lists(lists: list, agents, cfg: ScenarioConfig) -> None:
         lists[k] = obstacle_list(p, cfg, k > 0)
 
 
-def _ratio(threshold, actual):
-    if actual <= 0.0:
-        return math.inf
-    return threshold / actual
-
-
 def _max_obstacle_ratio(p: Vec2, ob_list: ObstacleList, r: float) -> float:
     """Raise r to the largest safety ratio of p against every obstacle.
 
@@ -279,7 +273,7 @@ def _max_obstacle_ratio(p: Vec2, ob_list: ObstacleList, r: float) -> float:
     for bound, lo, ob in ob_list.bounds:
         if bound <= r:
             break
-        r = max(r, _ratio(lo, superelliptic_distance(p, ob)))
+        r = max(r, safety_ratio(lo, superelliptic_distance(p, ob)))
     return r
 
 
@@ -304,13 +298,13 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     n = len(defender_positions)
     for j in range(n):
         for l in range(j + 1, n):
-            r_dd = max(r_dd, _ratio(peer_min, dist(defender_positions[j],
-                                                   defender_positions[l])))
+            r_dd = max(r_dd, safety_ratio(peer_min, dist(defender_positions[j],
+                                                         defender_positions[l])))
 
     r_ad = 0.0
     standoff_min = cfg.attacker.standoff_band[0]
     for p in defender_positions:
-        r_ad = max(r_ad, _ratio(standoff_min, dist(attacker_pos, p)))
+        r_ad = max(r_ad, safety_ratio(standoff_min, dist(attacker_pos, p)))
 
     return SafetySnapshot(r_ao, r_do, r_dd, r_ad)
 

@@ -117,7 +117,6 @@ def small_scenario_doc(**overrides):
         "capture": {"transition_time_s": 3.0, "tangent_margin_rad": 0.1,
                     "dwell_factor": 2.0},
         "integrator": {"dt_s": 0.01, "t_max_s": 60.0},
-        "solver": {"tolerance": 1e-12, "max_iterations": 500},
     }
     for dotted, value in overrides.items():
         section, key = dotted.split(".")

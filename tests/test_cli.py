@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from herdsim import reference_scenario_path
+from herdsim import defender_control, environment, reference_scenario_path
 from herdsim.cli import main
 
 from conftest import REFERENCE_OBSTACLES, child_env, small_scenario_doc
@@ -44,13 +44,17 @@ def test_malformed_scenario_exit_code(tmp_path):
     assert main(["check", "--scenario", str(bad)]) == 3
 
 
+EXTRA_KEY_OBSTACLE = {"center_m": [50.0, 50.0], "width_m": 2.0, "height_m": 2.0,
+                      "color": "red"}
+
+
 @pytest.mark.parametrize("key, value", [
     ("solver", 3),
     ("obstacle_model", [1]),
     ("obstacles", [5]),
-    ("solver.max_iterations", "abc"),
-    ("solver.max_iterations", None),
-    ("solver.max_iterations", 2.5),
+    ("solver", {"tolerance": 1e-12, "max_iterations": 500}),
+    ("formation.goal_tolerance_mm", 9.0),
+    ("obstacles", [EXTRA_KEY_OBSTACLE]),
     ("defenders.speed_max_mps", math.inf),
     ("defenders.speed_max_mps", [2.6, math.inf, 2.6]),
     ("defenders.speed_max_mps", True),
@@ -60,8 +64,7 @@ def test_malformed_scenario_exit_code(tmp_path):
     pytest.param("attacker.speed_max_mps", 10 ** 400, id="int-beyond-float-range"),
     ("attacker.start_m", ["0", 20]),
     ("attacker.defender_standoff_band_m", [0.3, True, 0.9]),
-    ("solver.max_iterations", "500"),
-    ("solver.max_iterations", True),
+    ("defenders.peer_separation_band_m", [0.25]),
 ])
 def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
     if "." in key:
@@ -72,7 +75,40 @@ def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["check", "--scenario", str(path)]) == 3
-    assert "bad scenario" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad scenario" in err
+    assert key in err
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("obstacle_model.attacker_circle_factors", [1.1, "1.2"],
+     "obstacle_model.attacker_circle_factors[1] must be a number"),
+    ("defenders.speed_max_mps", [2.6, True, 2.6], "defenders.speed_max_mps[1] must be a number"),
+    ("defenders.speed_max_mps", [2.6, 2.6, 1e400], "defenders.speed_max_mps[2] must be finite"),
+    ("attacker.defender_standoff_band_m", [0.3, 0.8, "0.9"],
+     "attacker.defender_standoff_band_m[2] must be a number"),
+    ("defenders.start_m", [[-4.0, 10.0], [0.0, "9"], [4.0, 10.0]],
+     "defenders.start_m[1][1] must be a number"),
+    ("obstacles", [{"center_m": [50.0, None], "width_m": 2.0, "height_m": 2.0}],
+     "obstacles[0].center_m[1] must be a number"),
+    ("obstacles", [EXTRA_KEY_OBSTACLE], "unknown key(s) obstacles[0].color"),
+    ("formation.goal_tolerance_mm", 9.0, "unknown key(s) formation.goal_tolerance_mm"),
+    ("solver", {"tolerance": 1e-12}, "unknown key(s) solver"),
+], ids=["circle-factor", "speed-list-bool", "speed-list-inf", "standoff-band", "defender-start",
+        "obstacle-center", "obstacle-extra-key", "formation-extra-key", "solver-section"])
+@pytest.mark.parametrize("command", ["check", "simulate", "sweep"])
+def test_bad_scenario_error_names_the_path(tmp_path, capsys, command, key, value, named):
+    if "." in key:
+        doc = small_scenario_doc(**{key: value})
+    else:
+        doc = small_scenario_doc()
+        doc[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    extra = {"check": [], "simulate": ["--out", str(tmp_path / "o")],
+             "sweep": ["--obstacle", "0", "--out", str(tmp_path / "o")]}[command]
+    assert main([command, "--scenario", str(path), *extra]) == 3
+    assert f"error: bad scenario: {named}" in capsys.readouterr().err
 
 
 def test_simulate_stopped_at_step_zero_writes_every_artifact(tmp_path):
@@ -114,15 +150,16 @@ def test_lone_defender_is_a_violation(tmp_path, capsys):
 
 @pytest.mark.parametrize("tolerance", [1e-6, 0.5, 10.0])
 @pytest.mark.parametrize("world", ["bundled", "open-field"])
-def test_loose_solver_tolerance_is_a_solver_failure(tmp_path, capsys, bundle_doc,
-                                                     world, tolerance):
+def test_loose_solver_tolerance_is_a_solver_failure(tmp_path, capsys, monkeypatch,
+                                                     bundle_doc, world, tolerance):
     # a loose tolerance stops the exponent iteration (bundled world) or the
     # handoff bisection (no obstacles) short of the relation it solves
     if world == "bundled":
-        doc = json.loads(json.dumps(bundle_doc))
-        doc["solver"] = {"tolerance": tolerance}
+        doc = bundle_doc
+        monkeypatch.setattr(environment, "SOLVER_TOL", tolerance)
     else:
-        doc = small_scenario_doc(**{"solver.tolerance": tolerance})
+        doc = small_scenario_doc()
+        monkeypatch.setattr(defender_control, "SOLVER_TOL", tolerance)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["check", "--scenario", str(path)]) == 6
@@ -150,6 +187,24 @@ def test_attacker_start_in_protected_area_is_a_violation(tmp_path, capsys):
     assert "violation: attacker-start" in capsys.readouterr().out
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "violation: attacker-start" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, ratio", [
+    ((10.0, 60.0), "inf (obstacle 5)"),
+    ((10.0, 20.0), "1.741 (obstacle 0)"),
+    ((0.0, 48.0), "1.243 (obstacle 4)"),
+], ids=["at-10-60", "at-10-20", "at-0-48"])
+def test_attacker_start_inside_a_shell_is_a_violation(tmp_path, capsys, bundle_doc,
+                                                      start, ratio):
+    doc = json.loads(json.dumps(bundle_doc))
+    doc["attacker"]["start_m"] = list(start)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    violation = f"violation: start-clearance: attacker_obstacle ratio {ratio}"
+    assert main(["check", "--scenario", str(path)]) == 4
+    assert violation in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert violation in capsys.readouterr().err
 
 
 # Runs cli.main(argv) in a fresh interpreter (argv None: import only) and

@@ -42,7 +42,7 @@ def test_bundled_gains_frozen(reference_cfg):
     for vmax in cfg.defenders.speed_max:
         gains = solve_tracking_gains(cfg.control.terminal_exponent, vmax,
                                      cfg.attacker.speed_max, cfg.formation.arc_radius,
-                                     cfg.control.heading_rate_max, tol=cfg.solver.tolerance)
+                                     cfg.control.heading_rate_max)
         assert gains == frozen
 
 

@@ -1,15 +1,18 @@
 import itertools
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from herdsim.environment import (ScenarioConfig, arc_magnitude, corner_level,
+from herdsim.environment import (SOLVER_TOL, ScenarioConfig, arc_magnitude, corner_level,
                                  derive_obstacle, min_spread, scenario_from_dict,
                                  scenario_warnings, shell_points, solve_shape_exponent,
                                  superelliptic_distance, validate_scenario)
-from herdsim.errors import ConfigError
+from herdsim.errors import ConfigError, SolverError
 from herdsim.geom import Vec2
 
 from conftest import REFERENCE_OBSTACLES, contour_tangent_angle, small_scenario_doc
@@ -46,25 +49,22 @@ def test_solver_matches_frozen_oracle():
     assert lvl == pytest.approx(ORACLE_LEVEL, abs=1e-9)
 
 
-def test_solver_bisection_fallback_matches_frozen_oracle():
-    # no fixed-point iterations: the answer comes from the bisection fallback
-    n, lvl = solve_shape_exponent(2.0, 3.0, 3.7, 4.7, max_iter=0)
-    assert n == pytest.approx(ORACLE_N, abs=1e-9)
-    assert lvl == pytest.approx(ORACLE_LEVEL, abs=1e-9)
-
-
-def test_solver_bisection_fallback_finds_root_next_to_one():
-    # a strongly inflated thin rectangle: the root sits ~1e-12 above 1, below
-    # the fallback's old lower bracket end 1 + 1e-6
+def test_solver_finds_root_next_to_one():
+    # a strongly inflated thin rectangle: the root sits ~1e-12 above 1
     w, h = 0.5085711448582121, 4.201833998489935
     iw, ih = w + 2.0 * 1.736529523230634, h + 2.0 * 0.49538264500539264
-    tol = 1e-12
-    n, lvl = solve_shape_exponent(w, h, iw, ih, tol=tol, max_iter=0)
-    n_fixed, _ = solve_shape_exponent(w, h, iw, ih, tol=tol)
+    n, lvl = solve_shape_exponent(w, h, iw, ih)
     assert n > 1.0
-    assert abs(n - n_fixed) <= tol
-    assert abs(n - 1.0 / (1.0 - math.exp(-lvl))) <= tol
+    assert abs(n - 1.0 / (1.0 - math.exp(-lvl))) <= SOLVER_TOL
     assert lvl == corner_level(w, h, iw, ih, n)
+
+
+def test_solver_error_when_the_iteration_does_not_settle():
+    # a nearly uninflated rectangle: near its root, 95.19, the iteration
+    # ends in a rounding 2-cycle whose step, 1.3e-12, stays above SOLVER_TOL
+    w, h, pad = 40.0, 35.0, 1.03e-3
+    with pytest.raises(SolverError, match="did not settle in 500 steps"):
+        solve_shape_exponent(w, h, w + 2.0 * pad, h + 2.0 * pad)
 
 
 def test_solver_matches_oracle_on_random_rectangles():
@@ -302,10 +302,36 @@ def test_validate_safe_radius_bound():
     assert any(s.startswith("safe-radius") for s in validate_scenario(cfg))
 
 
-def test_peer_band_default_expansion():
-    doc = small_scenario_doc(**{"defenders.peer_separation_band_m": [0.2]})
-    cfg = scenario_from_dict(doc)
-    assert cfg.defenders.peer_band == pytest.approx((0.2, 0.3, 0.4))
+@pytest.mark.parametrize("key, value, violation", [
+    ("attacker.start_m", [math.nextafter(0.3, 1.0), 9.0], None),
+    ("attacker.start_m", [0.3, 9.0], "attacker_defender ratio 1 (defender 1)"),
+    ("attacker.start_m", [0.0, 9.0], "attacker_defender ratio inf (defender 1)"),
+    ("defenders.start_m", [[-4.0, 10.0], [0.0, 9.0], [0.25, 9.0]],
+     "defender_defender ratio 1 (defenders 1 and 2)"),
+    ("obstacles", [{"center_m": [-4.0, 10.0], "width_m": 2.0, "height_m": 2.0}],
+     "defender_obstacle ratio inf (defender 0, obstacle 0)"),
+], ids=["standoff-above-lo", "standoff-at-lo", "standoff-zero", "peer-at-lo",
+        "defender-on-obstacle"])
+def test_start_clearance(key, value, violation):
+    # a ratio threshold / actual reaches 1 where the actual distance is at or
+    # below its threshold (standoff lo 0.3, peer lo 0.25)
+    doc = small_scenario_doc()
+    section, field = key.split(".") if "." in key else (key, None)
+    if field:
+        doc[section][field] = value
+    else:
+        doc[section] = value
+    found = [s for s in validate_scenario(scenario_from_dict(doc))
+             if s.startswith("start-clearance")]
+    assert found == ([f"start-clearance: {violation}"] if violation else [])
+
+
+def test_readme_scenario_block_parses():
+    # every key the README documents is one the parser knows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    block = re.sub(r"//[^\n]*", "", block).replace(", ...", "")
+    scenario_from_dict(json.loads(block))
 
 
 def test_arc_radius_midpoint_warning():

@@ -16,7 +16,7 @@ from conftest import small_scenario_doc
 GOLDEN_TRACE_SHA256 = "fb2507b0a5192badb68e321148f3ac080a3bf8be92c1a1695baa7edba68d81a4"
 # sha256 of the other `simulate` artifacts of the bundled run
 GOLDEN_ARTIFACT_SHA256 = {
-    "summary.json": "916a6a0128c7fa7e5e6e3a00941d2585d07ca5a7f83085c8d81cb0d2b7913d3d",
+    "summary.json": "f6c3cf9ee069c30a36ec2e6c9b7a3a206d5a84d8430ccf28bd00199816422aee",
     "trajectories.svg": "a5ba9460afc7051070e64d4474c4d6fddfc3ea0bc464e403bf1de9c601119318",
     "ratios.svg": "8ec64aa710f9e86c5e87993dc4e175b24391467538b4094f2e7e281041c5a38d",
 }
