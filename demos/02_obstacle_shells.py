@@ -39,8 +39,7 @@ for level, color in [(0.0, "black"), (ob.defender_band.lo, "seagreen"),
                      (ob.formation_band.lo, "slateblue"),
                      (ob.formation_band.mid, "orange"),
                      (ob.formation_band.hi, "crimson")]:
-    xs, ys = shell_points(ob, level, 240)
-    pts = list(zip(xs.tolist(), ys.tolist()))
+    pts = shell_points(ob, level, 240)
     canvas.polyline(pts + pts[:1], stroke=color, width=1.2)
 canvas.text(-5.8, 5.6, "shells: base (black), defender (green), formation lo/mid/hi")
 out = Path(__file__).with_name("obstacle_shells.svg")

@@ -28,8 +28,7 @@ safe = Disc(Vec2(3.0, 7.0), 1.0)
 canvas = Canvas(-9.0, 9.0, -9.0, 10.5, width=640, height=640)
 canvas.rect(0.0, 0.0, 4.0, 3.0, stroke="dimgray", fill="lightgray")
 for level in (obstacle.formation_band.lo, obstacle.formation_band.hi):
-    xs, ys = shell_points(obstacle, level, 240)
-    pts = list(zip(xs.tolist(), ys.tolist()))
+    pts = shell_points(obstacle, level, 240)
     canvas.polyline(pts + pts[:1], stroke="slateblue", width=0.8, dash="3,3")
 canvas.circle(safe.center.x, safe.center.y, safe.radius, stroke="green", dash="5,3")
 

@@ -30,7 +30,7 @@ from .environment import (arc_magnitude, load_scenario, min_spread, reference_sc
                           scenario_warnings, validate_scenario)
 from .errors import ConfigError, HerdsimError, SchemaError, SolverError
 from .formation_field import singularity_sweep
-from .sim import RATIO_COLUMNS, run
+from .sim import RATIO_COLUMNS, TERM_CAPTURED, run
 from .svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
 
 EXIT_OK = 0
@@ -87,7 +87,8 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
-    (out / "trace.csv").write_text(trace.to_csv())
+    with open(out / "trace.csv", "w") as fh:
+        trace.to_csv(fh)
     if args.svg == "on":
         outputs["trajectories_svg"] = "trajectories.svg"
         outputs["ratios_svg"] = "ratios.svg"
@@ -99,7 +100,7 @@ def cmd_simulate(args) -> int:
     (out / "summary.json").write_text(_json_dump(summary))
 
     worst = max(trace.maxima[k] for k in RATIO_COLUMNS)
-    ok = trace.capture_held and trace.termination == "captured-stable" and worst < 1.0
+    ok = trace.termination == TERM_CAPTURED and worst < 1.0
     print(f"termination: {trace.termination} at t={trace.t_end:.2f} s")
     print(f"events: {trace.events}")
     print(f"worst safety ratio: {worst:.4f}")

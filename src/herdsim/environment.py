@@ -26,10 +26,6 @@ from pathlib import Path
 from .errors import ConfigError, SchemaError, SolverError
 from .geom import BlendTriplet, Vec2, dist
 
-# numpy is imported inside the functions that build arrays (the contour
-# sampler and the validator's boundary sampling), so that loading and
-# validating a scenario whose shells are far apart never imports it.
-
 # Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
 # by at most about (2n + 10) ulps: the division by a semi-axis is magnified
 # 2n-fold by the power, and pow and the sum add a few more; level_floor
@@ -41,7 +37,7 @@ from .geom import BlendTriplet, Vec2, dist
 CULL_SLACK = 1e-9
 
 # the root finders stop below this step (the handoff bisection below a
-# thousandth of it); the exponent iteration fails after SOLVER_MAX_ITER steps
+# thousandth of it); the exponent iteration stops after SOLVER_MAX_ITER steps
 SOLVER_TOL = 1e-12
 SOLVER_MAX_ITER = 500
 
@@ -157,15 +153,16 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
         xi = ((iw/w)^(2n) + (ih/h)^(2n)) / 2 - 1
 
     simultaneously.  A damped fixed-point iteration (damping 0.5, seed n=2)
-    runs until a step is below SOLVER_TOL.  Strongly inflated rectangles put
-    the root within 1e-6 of 1; where xi(1) exceeds ~37, exp(-xi) vanishes
-    against 1 and n = 1 is the root in floating point.
+    runs until a step is below SOLVER_TOL, or for SOLVER_MAX_ITER steps.
+    Strongly inflated rectangles put the root within 1e-6 of 1; where xi(1)
+    exceeds ~37, exp(-xi) vanishes against 1 and n = 1 is the root in
+    floating point.  Some nearly uninflated rectangles, with roots above
+    about 85, never reach that step: rounding holds their iteration in a
+    cycle whose step stays just above SOLVER_TOL, around the root.
 
-    Returns (exponent, corner_level).  Raises SolverError if the iteration
-    has not settled after SOLVER_MAX_ITER steps, or if |n - 1/(1 - exp(-xi))|
-    at the result exceeds EXPONENT_RESIDUAL_MAX.  Some nearly uninflated
-    rectangles, with roots above about 85, never settle: rounding holds their
-    iteration in a cycle whose step stays just above SOLVER_TOL.
+    Returns (exponent, corner_level).  Raises SolverError if
+    |n - 1/(1 - exp(-xi))| at the last iterate exceeds EXPONENT_RESIDUAL_MAX,
+    however the iteration stopped.
     """
     if not (infl_width > width > 0.0 and infl_height > height > 0.0):
         raise ConfigError(
@@ -187,8 +184,6 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
         n = n_next
         if step < SOLVER_TOL:
             break
-    else:
-        raise SolverError(f"exponent iteration did not settle in {SOLVER_MAX_ITER} steps")
     residual = n - mapped(n)
     if abs(residual) > EXPONENT_RESIDUAL_MAX:
         raise SolverError(f"exponent residual {residual} above {EXPONENT_RESIDUAL_MAX}")
@@ -217,16 +212,13 @@ def level_floor(ob: Obstacle, d: float) -> float:
     return (1.0 - CULL_SLACK) * (d / h) ** (2.0 * ob.exponent) - 1.0
 
 
-def contour_offsets(ob: Obstacle, beta, level: float):
+def contour_offsets(ob: Obstacle, c, s, level: float):
     """Offsets (dx, dy) from the obstacle center to the contour E = level
-    along the rays at sector angles beta (a float or an array)."""
-    import numpy as np
-
+    along the ray of direction (c, s) = (cos beta, sin beta).  Only abs, **
+    and arithmetic touch c and s, so they may be floats or arrays."""
     # E(r) = level has a closed-form radius along each ray
     two_n = 2.0 * ob.exponent
-    c = np.cos(beta)
-    s = np.sin(beta)
-    denom = (np.abs(c) / ob.semi_x) ** two_n + (np.abs(s) / ob.semi_y) ** two_n
+    denom = (abs(c) / ob.semi_x) ** two_n + (abs(s) / ob.semi_y) ** two_n
     r = ((1.0 + level) / denom) ** (1.0 / two_n)
     return r * c, r * s
 
@@ -623,13 +615,15 @@ def arc_magnitude(count: int, spread: float) -> float:
     return math.sin(count * half_gap) / math.sin(half_gap)
 
 
-def shell_points(ob: Obstacle, level: float, samples: int) -> Vec2:
+def shell_points(ob: Obstacle, level: float, samples: int) -> list[Vec2]:
     """The contour E = level on `samples` evenly spaced rays from the
-    obstacle center, counter-clockwise from +x, as a Vec2 of arrays."""
-    import numpy as np
-
-    dx, dy = contour_offsets(ob, 2.0 * math.pi * np.arange(samples) / samples, level)
-    return Vec2(ob.center.x + dx, ob.center.y + dy)
+    obstacle center, counter-clockwise from +x."""
+    points = []
+    for i in range(samples):
+        beta = 2.0 * math.pi * i / samples
+        dx, dy = contour_offsets(ob, math.cos(beta), math.sin(beta), level)
+        points.append(Vec2(ob.center.x + dx, ob.center.y + dy))
+    return points
 
 
 def safety_ratio(threshold: float, actual: float) -> float:
@@ -756,9 +750,10 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
                      f"but their circular influence radii need {needed:.4f} m")
         if d >= a.formation_reach + b.formation_reach:
             continue
-        overlap = (superelliptic_distance(boundary(i), b) <= b.formation_band.hi).any()
-        overlap = overlap or (superelliptic_distance(boundary(j), a)
-                              <= a.formation_band.hi).any()
+        overlap = any(superelliptic_distance(p, b) <= b.formation_band.hi
+                      for p in boundary(i))
+        overlap = overlap or any(superelliptic_distance(p, a) <= a.formation_band.hi
+                                 for p in boundary(j))
         overlap = overlap or superelliptic_distance(a.center, b) <= b.formation_band.hi
         if overlap:
             v.append(f"shell-overlap: outer shells of obstacles {i} and {j} intersect")
@@ -768,13 +763,12 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     near_safe = [(i, ob) for i, ob in enumerate(cfg.obstacles)
                  if dist(ob.center, cfg.safe.center) < cfg.safe.radius + ob.formation_reach]
     if near_safe:
-        import numpy as np
-
-        angles = 2.0 * math.pi * np.arange(boundary_samples) / boundary_samples
-        ring = Vec2(cfg.safe.center.x + cfg.safe.radius * np.cos(angles),
-                    cfg.safe.center.y + cfg.safe.radius * np.sin(angles))
+        cx, cy = cfg.safe.center
+        angles = (2.0 * math.pi * k / boundary_samples for k in range(boundary_samples))
+        ring = [Vec2(cx + cfg.safe.radius * math.cos(t), cy + cfg.safe.radius * math.sin(t))
+                for t in angles]
     for i, ob in near_safe:
-        touched = (superelliptic_distance(ring, ob) <= ob.formation_band.hi).any()
+        touched = any(superelliptic_distance(p, ob) <= ob.formation_band.hi for p in ring)
         touched = touched or superelliptic_distance(cfg.safe.center, ob) <= ob.formation_band.hi
         touched = touched or cfg.safe.contains(ob.center)
         if touched:

@@ -231,8 +231,8 @@ def _gap_lattice(ob: Obstacle, level: float, fine: int) -> np.ndarray:
     dv = span[None, :]
     bf = bs + dv
 
-    sx, sy = contour_offsets(ob, bs, level)
-    fx, fy = contour_offsets(ob, bf, level)
+    sx, sy = contour_offsets(ob, np.cos(bs), np.sin(bs), level)
+    fx, fy = contour_offsets(ob, np.cos(bf), np.sin(bf), level)
     phi = _field_angle_np(bf, bs, ob)
     toward = np.arctan2(sy - fy, sx - fx)
     gap = _wrap_angle_np(toward - phi)

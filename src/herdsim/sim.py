@@ -14,10 +14,11 @@ safety snapshot.
 from __future__ import annotations
 
 import dataclasses
+import io
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, TextIO
 
 from .attacker import AttackerState, attacker_field, attacker_step
 from .defender_control import (TrackingGains, defender_field, defender_velocity,
@@ -65,7 +66,6 @@ class SimState:
     t_sense: Optional[float] = None
     t_formed: Optional[float] = None
     t_breach: Optional[float] = None
-    capture_broken: bool = False
 
     @property
     def t_capture(self) -> Optional[float]:
@@ -106,8 +106,7 @@ class SimTrace:
     events: dict = field(default_factory=dict)
     maxima: dict = field(default_factory=dict)
     termination: str = ""
-    captured: bool = False
-    capture_held: bool = False
+    captured: bool = False          # a capture clock runs at the end of the run
 
     @property
     def t_end(self) -> float:
@@ -118,11 +117,15 @@ class SimTrace:
         k = self.columns.index(name)
         return [row[k] for row in self.rows]
 
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(map(repr, row)))
-        return "\n".join(lines) + "\n"
+    def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
+        """Write the trace as CSV to the text stream out, one row at a time;
+        with no stream, return the CSV as a string."""
+        if out is None:
+            buf = io.StringIO()
+            self.to_csv(buf)
+            return buf.getvalue()
+        out.write(",".join(self.columns) + "\n")
+        out.writelines(",".join(map(repr, row)) + "\n" for row in self.rows)
 
     def summary(self) -> dict:
         return {
@@ -130,7 +133,9 @@ class SimTrace:
             "maxima": self.maxima,
             "termination": self.termination,
             "captured": self.captured,
-            "capture_held": self.capture_held,
+            # an exit from the safe area stops the capture clock, so a clock
+            # that runs at the end has held since its entry
+            "capture_held": self.captured,
             "t_end": self.t_end,
             "steps": len(self.rows) - 1 if self.rows else 0,
             "dt_s": self.dt,
@@ -427,10 +432,10 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         state.t = i * cfg.integrator.dt
         r_a = state.attacker.position
 
-        if state.t_capture is not None and not state.capture_broken:
-            if not cfg.safe.contains(r_a):
-                state.capture_broken = True
-                log.warning("attacker left the safe area at t=%.3f", state.t)
+        if state.t_capture is not None and not cfg.safe.contains(r_a):
+            # the capture clock stops; the next entry restarts the transition
+            state.heading.entered_safe_at = None
+            log.warning("attacker left the safe area at t=%.3f", state.t)
         if state.t_breach is None and cfg.protected.contains(r_a):
             state.t_breach = state.t
 
@@ -440,8 +445,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         terminal = None
         if state.t_breach is not None:
             terminal = TERM_BREACHED
-        elif (state.t_capture is not None and not state.capture_broken
-              and state.t - state.t_capture >= dwell):
+        elif state.t_capture is not None and state.t - state.t_capture >= dwell:
             terminal = TERM_CAPTURED
         elif i == n_steps:
             terminal = TERM_TIMEOUT
@@ -473,7 +477,6 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         apply_commands(state, next_attacker, cfg.integrator.dt)
 
     trace.captured = state.t_capture is not None
-    trace.capture_held = trace.captured and not state.capture_broken
     trace.events = {
         "t_sense_s": state.t_sense,
         "t_formed_s": state.t_formed,

@@ -42,7 +42,10 @@ class Canvas:
     def polyline(self, points, stroke="black", width=1.0, dash=None, fill="none"):
         if not points:
             return
-        px = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in (self.to_px(x, y) for x, y in points))
+        pad, x_min, y_max, k = self.pad, self.x_min, self.y_max, self.scale
+        # to_px and _fmt, inline: one f-string per point
+        px = " ".join(f"{pad + (x - x_min) * k:.3f},{pad + (y_max - y) * k:.3f}"
+                      for x, y in points)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(f'<polyline points="{px}" fill="{fill}" stroke="{stroke}" '
                           f'stroke-width="{_fmt(width)}"{dash_attr}/>')
@@ -96,8 +99,7 @@ def trajectory_svg(trace, cfg) -> str:
     for ob in cfg.obstacles:
         canvas.rect(ob.center.x, ob.center.y, ob.width, ob.height,
                     stroke="dimgray", fill="lightgray")
-        xs, ys = shell_points(ob, ob.formation_band.lo, 180)
-        shell = list(zip(xs.tolist(), ys.tolist()))
+        shell = shell_points(ob, ob.formation_band.lo, 180)
         canvas.polyline(shell + shell[:1], stroke="slateblue", width=0.8, dash="3,3")
 
     for k, (path_x, path_y) in enumerate(paths):

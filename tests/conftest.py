@@ -28,8 +28,8 @@ REFERENCE_OBSTACLES = [(10.0, 23.0, 2.0, 3.0), (-6.0, 18.0, 3.0, 4.0),
 
 def contour_point(ob, beta, level):
     """Point on the contour E = level lying on the ray at sector angle beta."""
-    x, y = contour_offsets(ob, beta, level)
-    return Vec2(ob.center.x + float(x), ob.center.y + float(y))
+    x, y = contour_offsets(ob, math.cos(beta), math.sin(beta), level)
+    return Vec2(ob.center.x + x, ob.center.y + y)
 
 
 def contour_tangent_angle(p, ob):

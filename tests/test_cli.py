@@ -7,6 +7,7 @@ import pytest
 
 from herdsim import defender_control, environment, reference_scenario_path
 from herdsim.cli import main
+from herdsim.geom import dist
 
 from conftest import REFERENCE_OBSTACLES, child_env, small_scenario_doc
 
@@ -221,15 +222,45 @@ print(code, "numpy" in sys.modules)
 """
 
 
+# Worlds whose obstacles the validator samples along their shells: in
+# "pair" two 2 m squares sit closer than their summed formation_reach (and
+# break obstacle-spacing), in "near-safe" one lies within the safe area's
+# radius plus its formation_reach and clear of it.
+SAMPLED_WORLDS = {"pair": [(20.0, 20.0), (28.0, 20.0)], "near-safe": [(0.0, 49.0)]}
+
+
+def write_sampled_worlds(folder):
+    for name, centers in SAMPLED_WORLDS.items():
+        doc = small_scenario_doc()
+        doc["obstacles"] = [{"center_m": list(c), "width_m": 2.0, "height_m": 2.0}
+                            for c in centers]
+        cfg = environment.scenario_from_dict(doc)
+        obs = cfg.obstacles
+        if name == "pair":
+            assert dist(obs[0].center, obs[1].center) < \
+                obs[0].formation_reach + obs[1].formation_reach
+        else:
+            assert dist(obs[0].center, cfg.safe.center) < \
+                cfg.safe.radius + obs[0].formation_reach
+        (folder / f"{name}.json").write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("argv, code, loads_numpy", [
     (None, 0, False),
     (["--version"], 0, False),
     (["check"], 0, False),
     # the bundled run is not captured within 1 s, hence exit 5
     (["simulate", "--svg", "off", "--t-max", "1", "--out", "o"], 5, False),
+    (["simulate", "--t-max", "1", "--out", "o"], 5, False),
+    (["check", "--scenario", "pair.json"], 4, False),
+    (["simulate", "--scenario", "pair.json", "--t-max", "1", "--out", "o"], 4, False),
+    (["check", "--scenario", "near-safe.json"], 0, False),
+    (["simulate", "--scenario", "near-safe.json", "--t-max", "1", "--out", "o"], 5, False),
     (["sweep", "--obstacle", "0", "--out", "o"], 0, True),
-], ids=["import", "version", "check", "simulate-svg-off", "sweep"])
+], ids=["import", "version", "check", "simulate-svg-off", "simulate", "check-pair",
+        "simulate-pair", "check-near-safe", "simulate-near-safe", "sweep"])
 def test_numpy_is_imported_only_where_arrays_are_built(tmp_path, argv, code, loads_numpy):
+    write_sampled_worlds(tmp_path)
     # a fresh interpreter: this one imported numpy long ago
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE.format(argv=argv)],
                           cwd=tmp_path, env=child_env(), capture_output=True,

@@ -185,8 +185,8 @@ def nudged_gap_lattice(ob, level, fine):
     span[-1] = 2.0 * math.pi - 1e-9
     bs = beta_s[:, None]
     bf = bs + span[None, :]
-    sx, sy = contour_offsets(ob, bs, level)
-    fx, fy = contour_offsets(ob, bf, level)
+    sx, sy = contour_offsets(ob, np.cos(bs), np.sin(bs), level)
+    fx, fy = contour_offsets(ob, np.cos(bf), np.sin(bf), level)
     phi = _field_angle_np(bf, bs, ob)
     return _wrap_angle_np(np.arctan2(sy - fy, sx - fx) - phi)
 
@@ -212,7 +212,7 @@ def test_sweep_end_columns_hold_the_coincidence_limit(reference_cfg):
         gap = _gap_lattice(ob, level, fine)
         two_n = 2.0 * ob.exponent
         for i, beta in enumerate(np.linspace(0.0, math.pi / 2.0, fine).tolist()):
-            x, y = (float(v) for v in contour_offsets(ob, beta, level))
+            x, y = (float(v) for v in contour_offsets(ob, np.cos(beta), np.sin(beta), level))
             gx = (x / ob.semi_x) ** (two_n - 1.0) / ob.semi_x
             gy = (y / ob.semi_y) ** (two_n - 1.0) / ob.semi_y
             lead = math.atan2(gx, -gy) - beta
@@ -220,7 +220,7 @@ def test_sweep_end_columns_hold_the_coincidence_limit(reference_cfg):
             assert abs(wrap_angle(gap[i, 0] - (lead - math.pi))) <= 1e-12
             # and it is the limit from each side: a sample 1e-5 rad away
             for col, span in ((0, 1e-5), (-1, 2.0 * math.pi - 1e-5)):
-                fx, fy = contour_offsets(ob, beta + span, level)
+                fx, fy = contour_offsets(ob, np.cos(beta + span), np.sin(beta + span), level)
                 phi = _field_angle_np(beta + span, beta, ob)
                 near = math.atan2(y - fy, x - fx) - phi
                 assert abs(wrap_angle(near - gap[i, col])) < 1e-4

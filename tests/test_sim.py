@@ -111,7 +111,7 @@ def test_attacker_starting_inside_safe_is_captured_immediately():
     trace = run(cfg)
     assert trace.events["t_capture_s"] == 0.0
     assert trace.termination == "captured-stable"
-    assert trace.capture_held
+    assert trace.captured
     assert trace.t_end == pytest.approx(
         cfg.capture.dwell_factor * cfg.capture.transition_time, abs=0.011)
 
@@ -241,6 +241,30 @@ def test_reference_trace_matches_golden_hash(cli_artifacts):
 def test_reference_artifacts_match_golden_hash(cli_artifacts, name):
     digest = hashlib.sha256(cli_artifacts["first"][name]).hexdigest()
     assert digest == GOLDEN_ARTIFACT_SHA256[name]
+
+
+def test_streamed_trace_csv_equals_to_csv(cli_artifacts, reference_run):
+    # `simulate` streams trace.csv into the file row by row
+    trace, _ = reference_run
+    assert cli_artifacts["first"]["trace.csv"] == trace.to_csv().encode()
+
+
+def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc):
+    # (-10, 60) lies on the safe area's rim: the capture clock starts at
+    # t = 0 and the attacker leaves at 1.65 s.  A capture that latched on the
+    # first exit ran this start out to t-max; the next entry restarts it.
+    doc = copy.deepcopy(bundle_doc)
+    doc["attacker"]["start_m"] = [-10.0, 60.0]
+    cfg = scenario_from_dict(doc)
+    assert validate_scenario(cfg) == []
+    trace = run(cfg)
+    inside = [cfg.safe.contains(Vec2(x, y)) for x, y in
+              zip(trace.column("attacker_x_m"), trace.column("attacker_y_m"))]
+    assert inside[0] and not all(inside)
+    assert trace.termination == "captured-stable"
+    assert trace.events["t_capture_s"] > 1.65
+    assert trace.captured and trace.summary()["capture_held"]
+    assert all(trace.maxima[name] < 1.0 for name in sim.RATIO_COLUMNS)
 
 
 def test_far_inert_obstacles_leave_run_unchanged(bundle_doc, reference_run):
