@@ -20,8 +20,7 @@ from .formation_field import (FieldSample, SweepReport, attractive_field,
                               singularity_sweep)
 from .geom import (BlendTriplet, Vec2, angle_of, blend_weight, dist, unit,
                    wrap_angle, wrap_sector)
-from .herding import (FormationSpec, HeadingState, formation_goals, formation_spec,
-                      heading_rate, obstacle_resultant, schedule_heading,
-                      solve_command_heading)
+from .herding import (FormationSpec, formation_goals, formation_spec, heading_rate,
+                      obstacle_resultant, schedule_heading, solve_command_heading)
 from .sim import (SafetySnapshot, SimState, SimTrace, build_context, new_state,
                   run, safety_snapshot)

@@ -32,9 +32,9 @@ def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
                   sensing_radius: float) -> tuple[float, float, float]:
     """Circular-model push of the obstacles within the sensing radius: the
     product of the weights' complements and the weighted sum (rx, ry) of
-    unit vectors away from each center; raises at a center.  The obstacle
-    resultant is this push, so the arc command cancels what the attacker
-    feels by construction."""
+    unit vectors away from each center; raises at a center.  The arc command
+    and the attacker field take the same push, so the command cancels what
+    the attacker feels by construction."""
     prod = 1.0
     rx = 0.0
     ry = 0.0
@@ -57,15 +57,16 @@ def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
 
 
 def attacker_field(position: Vec2, defenders: Sequence[Vec2],
-                   obstacles: Sequence[Obstacle], protected_center: Vec2,
+                   push: tuple[float, float, float], protected_center: Vec2,
                    sensing_radius: float, standoff: BlendTriplet) -> Vec2:
-    """Blended steering field at the attacker's position.
+    """Blended steering field at the attacker's position, given the
+    obstacles' `obstacle_push` there.
 
     May legitimately be the zero vector (opposing terms cancel); the caller
-    handles that case.  Coincidence with a defender or an obstacle center is
-    outside the model and raises.
+    handles that case.  Coincidence with a defender is outside the model and
+    raises.
     """
-    prod, rx, ry = obstacle_push(position, obstacles, sensing_radius)
+    prod, rx, ry = push
     px, py = position.x, position.y
 
     for dpos in defenders:

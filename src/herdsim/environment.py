@@ -48,6 +48,10 @@ EXPONENT_RESIDUAL_MAX = 1e-9
 # inflated by these multiples of the band's pad.
 OUTER_PAD_FACTORS = (1.25, 1.5)
 
+# validate_scenario samples each outer shell and the safe-area rim on this
+# many evenly spaced rays
+BOUNDARY_SAMPLES = 720
+
 
 def reference_scenario_path() -> Path:
     """Filesystem path of the bundled reference scenario."""
@@ -594,10 +598,12 @@ def min_spread(count: int, standoff_min: float, peer_min: float) -> float:
     """Smallest total arc spread keeping adjacent slots peer_min apart.
 
     Chord construction on the circle of radius standoff_min; if the peer
-    separation exceeds the diameter the per-gap angle saturates at pi.
+    separation reaches the diameter the per-gap angle saturates at pi.
     """
     if count < 2:
         return 0.0
+    if peer_min >= 2.0 * standoff_min:
+        return (count - 1) * math.pi
     arg = 1.0 - peer_min * peer_min / (2.0 * standoff_min * standoff_min)
     arg = min(1.0, max(-1.0, arg))
     return (count - 1) * math.acos(arg)
@@ -634,7 +640,7 @@ def safety_ratio(threshold: float, actual: float) -> float:
     return threshold / actual
 
 
-def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[str]:
+def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Check every structural assumption the guarantees rest on.
 
     Returns a list of violation strings (empty iff the scenario is sound).
@@ -739,7 +745,7 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
     def boundary(k):
         if k not in boundaries:
             ob = cfg.obstacles[k]
-            boundaries[k] = shell_points(ob, ob.formation_band.hi, boundary_samples)
+            boundaries[k] = shell_points(ob, ob.formation_band.hi, BOUNDARY_SAMPLES)
         return boundaries[k]
 
     for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
@@ -764,7 +770,7 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
                  if dist(ob.center, cfg.safe.center) < cfg.safe.radius + ob.formation_reach]
     if near_safe:
         cx, cy = cfg.safe.center
-        angles = (2.0 * math.pi * k / boundary_samples for k in range(boundary_samples))
+        angles = (2.0 * math.pi * k / BOUNDARY_SAMPLES for k in range(BOUNDARY_SAMPLES))
         ring = [Vec2(cx + cfg.safe.radius * math.cos(t), cy + cfg.safe.radius * math.sin(t))
                 for t in angles]
     for i, ob in near_safe:
@@ -774,8 +780,15 @@ def validate_scenario(cfg: ScenarioConfig, boundary_samples: int = 720) -> list[
         if touched:
             v.append(f"safe-area-shell: obstacle {i} outer shell reaches into the safe area")
 
-    # capture-phase timing must keep the attacker inside once it is in
     if cfg.defenders.count > 0:
+        # the defenders plan only while the attacker is in the sensing zone,
+        # so the whole safe area must lie inside it
+        reach = dist(cfg.protected.center, cfg.safe.center) + cfg.safe.radius
+        if reach > cfg.defenders.sensing_zone_radius:
+            v.append(f"sensing-zone: the safe area reaches {reach:.4f} m from the "
+                     f"protected center, beyond the "
+                     f"{cfg.defenders.sensing_zone_radius} m sensing zone")
+        # capture-phase timing must keep the attacker inside once it is in
         gap = min(cfg.defenders.speed_max) - cfg.attacker.speed_max
         if gap > 0.0:
             rho_needed = (cfg.attacker.speed_max * cfg.capture.transition_time

@@ -19,12 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .environment import (Obstacle, contour_offsets, superelliptic_distance,
                           tangent_angle_at)
 from .errors import DomainError
 from .geom import TWO_PI, Vec2, blend_weight, unit, wrap_angle, wrap_sector
+
+if TYPE_CHECKING:
+    # for annotations only: `check` and `simulate` never load numpy
+    import numpy as np
+
+    from .environment import Disc
+
+# the sweep samples the gap this many times per cell along each axis and
+# reports each cell's extrema over its covering window
+SWEEP_SUBSAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -250,8 +260,8 @@ def _gap_lattice(ob: Obstacle, level: float, fine: int) -> np.ndarray:
     return gap
 
 
-def singularity_sweep(ob: Obstacle, resolution: int = 128, margin: float = 0.1,
-                      subsamples: int = 3) -> SweepReport:
+def singularity_sweep(ob: Obstacle, resolution: int = 128,
+                      margin: float = 0.1) -> SweepReport:
     """Map the angle between field components over the worst-case contour.
 
     Both the target point and the sample point are placed on the outermost
@@ -265,7 +275,7 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128, margin: float = 0.1,
     import numpy as np
 
     level = ob.formation_band.hi
-    fine = subsamples * resolution + 1
+    fine = SWEEP_SUBSAMPLES * resolution + 1
 
     gap = _gap_lattice(ob, level, fine)
 
@@ -274,13 +284,13 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128, margin: float = 0.1,
     return SweepReport(
         target_angles=edges_b,
         span_angles=edges_s,
-        cell_min=_cell_reduce(gap, resolution, subsamples, np.min),
-        cell_max=_cell_reduce(gap, resolution, subsamples, np.max),
+        cell_min=_cell_reduce(gap, resolution, SWEEP_SUBSAMPLES, np.min),
+        cell_max=_cell_reduce(gap, resolution, SWEEP_SUBSAMPLES, np.max),
         margin=margin,
     )
 
 
-def follow_field(start: Vec2, obstacles: Sequence[Obstacle], safe: "Disc",
+def follow_field(start: Vec2, obstacles: Sequence[Obstacle], safe: Disc,
                  step: float = 0.03, max_path: float = 400.0):
     """Integrate the normalized field from start until the safe area is
     reached or the path budget runs out.

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .attacker import obstacle_push
-from .environment import Obstacle, arc_magnitude, min_spread
+from .environment import arc_magnitude, min_spread
 from .errors import ConfigError, InfeasibleHeadingError
 from .geom import Vec2, wrap_angle
-
-PHASE_APPROACH = "approach"
-PHASE_TRANSITION = "transition"
-PHASE_CAPTURED = "captured"
 
 
 @dataclass(frozen=True)
@@ -53,11 +48,10 @@ def formation_spec(count: int, spread: float, arc_radius: float,
                          offsets=offsets, arc_magnitude=arc_magnitude(count, spread))
 
 
-def obstacle_resultant(position: Vec2, obstacles: Sequence[Obstacle],
-                       sensing_radius: float) -> tuple[float, float]:
+def obstacle_resultant(push: tuple[float, float, float]) -> tuple[float, float]:
     """Polar form (magnitude, angle) of the summed circular-model repulsion
-    the attacker feels at this position; (0, 0) when nothing is in range."""
-    _, rx, ry = obstacle_push(position, obstacles, sensing_radius)
+    in an `obstacle_push` result; (0, 0) when nothing is in range."""
+    _, rx, ry = push
     return math.hypot(rx, ry), math.atan2(ry, rx)
 
 
@@ -78,49 +72,30 @@ def solve_command_heading(desired: float, resultant_mag: float,
     return wrap_angle(desired + math.asin(ratio))
 
 
-def heading_rate(history: Sequence[float], dt: float, limit: float) -> float:
-    """Backward finite difference of the command heading, unwrapped across
-    the circle seam and clamped to the configured rate limit."""
-    if len(history) < 2:
-        return 0.0
-    raw = wrap_angle(history[-1] - history[-2]) / dt
+def heading_rate(prev: float, command: float, dt: float, limit: float) -> float:
+    """Backward finite difference of the command heading from prev, unwrapped
+    across the circle seam and clamped to the configured rate limit."""
+    raw = wrap_angle(command - prev) / dt
     return max(-limit, min(limit, raw))
 
 
-@dataclass
-class HeadingState:
-    """Planner memory: last desired/command headings and the capture clock."""
+def schedule_heading(field_angle: float, t: float, t_capture: Optional[float],
+                     transition_time: float, tangent_margin: float) -> float:
+    """Desired herd direction at time t.
 
-    desired: float = 0.0
-    command: float = 0.0
-    phase: str = PHASE_APPROACH
-    entered_safe_at: Optional[float] = None
-    _prev_command: Optional[float] = None
-
-
-def schedule_heading(field_angle: float, t: float, inside_safe: bool,
-                     state: HeadingState, transition_time: float,
-                     tangent_margin: float) -> float:
-    """Desired herd direction for this instant.
-
-    Before capture it is the guidance-field direction itself; once the
-    attacker first enters the safe area the direction ramps linearly over the
-    transition window to nearly perpendicular and stays there, turning the
-    safe area into an orbit the attacker cannot leave.
+    Before capture (t_capture None) it is the guidance-field direction
+    itself; from the attacker's entry into the safe area at t_capture the
+    direction ramps linearly over the transition window to nearly
+    perpendicular and stays there, turning the safe area into an orbit the
+    attacker cannot leave.
     """
-    if state.entered_safe_at is None and inside_safe:
-        state.entered_safe_at = t
-    if state.entered_safe_at is None:
-        state.phase = PHASE_APPROACH
+    if t_capture is None:
         offset = 0.0
-    elif t <= state.entered_safe_at + transition_time:
-        state.phase = PHASE_TRANSITION
-        offset = (t - state.entered_safe_at) * (math.pi / 2.0 - tangent_margin) / transition_time
+    elif t <= t_capture + transition_time:
+        offset = (t - t_capture) * (math.pi / 2.0 - tangent_margin) / transition_time
     else:
-        state.phase = PHASE_CAPTURED
         offset = math.pi / 2.0 - tangent_margin
-    state.desired = wrap_angle(field_angle + offset)
-    return state.desired
+    return wrap_angle(field_angle + offset)
 
 
 def formation_goals(attacker_pos: Vec2, attacker_vel: Vec2, command: float,

@@ -6,8 +6,9 @@ integrator would buy accuracy it cannot keep; determinism and simplicity win.
 Every per-step quantity is computed from the step-start snapshot and all
 position updates are applied together at the end of the step.
 
-Step order: sense -> plan (guidance field, heading schedule, arc command,
-slots) -> attacker policy -> defender tracking -> synchronous Euler update ->
+Step order: sense -> obstacle push on the attacker (once) -> plan (guidance
+field, heading schedule, arc command against that push, slots) -> attacker
+policy (the same push) -> defender tracking -> synchronous Euler update ->
 safety snapshot.
 """
 
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
 
-from .attacker import AttackerState, attacker_field, attacker_step
+from .attacker import AttackerState, attacker_field, attacker_step, obstacle_push
 from .defender_control import (TrackingGains, defender_field, defender_velocity,
                                solve_tracking_gains)
 from .environment import (CULL_SLACK, Obstacle, ScenarioConfig, level_floor,
@@ -28,9 +29,8 @@ from .environment import (CULL_SLACK, Obstacle, ScenarioConfig, level_floor,
 from .errors import ConfigError, IntegrityError
 from .formation_field import combined_field
 from .geom import BlendTriplet, Vec2, angle_of, dist
-from .herding import (FormationSpec, HeadingState, formation_goals, formation_spec,
-                      heading_rate, obstacle_resultant, schedule_heading,
-                      solve_command_heading)
+from .herding import (FormationSpec, formation_goals, formation_spec, heading_rate,
+                      obstacle_resultant, schedule_heading, solve_command_heading)
 
 log = logging.getLogger("herdsim.sim")
 
@@ -52,7 +52,6 @@ class DefenderState:
     velocity: Vec2
     goal: Vec2
     goal_velocity: Vec2
-    in_conflict: bool = False
 
 
 @dataclass
@@ -61,15 +60,13 @@ class SimState:
     attacker: AttackerState
     attacker_velocity: Vec2          # velocity commanded for the current step
     defenders: list[DefenderState]
-    heading: HeadingState
+    desired: float = 0.0             # desired herd heading of the last plan
+    command: Optional[float] = None  # arc command of the last plan; None before any
     sensed: bool = False
     t_sense: Optional[float] = None
     t_formed: Optional[float] = None
+    t_capture: Optional[float] = None  # last entry into the safe area, None once out
     t_breach: Optional[float] = None
-
-    @property
-    def t_capture(self) -> Optional[float]:
-        return self.heading.entered_safe_at
 
 
 class SafetySnapshot(NamedTuple):
@@ -178,7 +175,6 @@ def new_state(cfg: ScenarioConfig) -> SimState:
         defenders=[DefenderState(position=p, velocity=Vec2(0.0, 0.0),
                                  goal=p, goal_velocity=Vec2(0.0, 0.0))
                    for p in cfg.defenders.starts],
-        heading=HeadingState(),
     )
 
 
@@ -315,28 +311,26 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
 
 
 def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
-          near: tuple[Obstacle, ...]) -> None:
+          push: tuple[float, float, float]) -> None:
     """Guidance for this step: desired heading, arc command, slot targets.
 
-    near is the attacker's obstacle list; the guidance field still scans
-    every obstacle.
+    push is the attacker's obstacle push at its position; the guidance field
+    still scans every obstacle.  Starts the capture clock on entry to the
+    safe area.
     """
-    hs = state.heading
     r_a = state.attacker.position
     sample = combined_field(r_a, cfg.obstacles, cfg.safe.center)
     field_angle = angle_of(sample.direction)
-    inside = cfg.safe.contains(r_a)
-    desired = schedule_heading(field_angle, state.t, inside, hs,
-                               cfg.capture.transition_time, cfg.capture.tangent_margin)
-    mag, gamma = obstacle_resultant(r_a, near, cfg.attacker.sensing_radius)
-    command = solve_command_heading(desired, mag, gamma, ctx.spec.arc_magnitude)
-    if hs._prev_command is None:
-        rate = 0.0
-    else:
-        rate = heading_rate([hs._prev_command, command], cfg.integrator.dt,
-                            cfg.control.heading_rate_max)
-    hs.command = command
-    hs._prev_command = command
+    if state.t_capture is None and cfg.safe.contains(r_a):
+        state.t_capture = state.t
+    state.desired = schedule_heading(field_angle, state.t, state.t_capture,
+                                     cfg.capture.transition_time,
+                                     cfg.capture.tangent_margin)
+    mag, gamma = obstacle_resultant(push)
+    command = solve_command_heading(state.desired, mag, gamma, ctx.spec.arc_magnitude)
+    rate = 0.0 if state.command is None else heading_rate(
+        state.command, command, cfg.integrator.dt, cfg.control.heading_rate_max)
+    state.command = command
     goals = formation_goals(r_a, state.attacker_velocity, command, rate, ctx.spec)
     for d, (gp, gv) in zip(state.defenders, goals):
         d.goal = gp
@@ -349,24 +343,25 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
     agent's step-start position.  Returns the attacker's next state (not yet
-    applied); defender velocities, goals, and the heading state are written
-    into `state` directly.
+    applied); defender velocities, goals, headings and the capture clock's
+    start are written into `state` directly.
     """
     r_a = state.attacker.position
     state.sensed = dist(r_a, cfg.protected.center) <= cfg.defenders.sensing_zone_radius
     if state.sensed and state.t_sense is None:
         state.t_sense = state.t
 
+    push = obstacle_push(r_a, lists[0].near, cfg.attacker.sensing_radius)
     planning = state.sensed and ctx.spec is not None
     if planning:
-        _plan(state, cfg, ctx, lists[0].near)
+        _plan(state, cfg, ctx, push)
     else:
         for d in state.defenders:
             d.goal = d.position
             d.goal_velocity = Vec2(0.0, 0.0)
 
     positions = [d.position for d in state.defenders]
-    a_field = attacker_field(r_a, positions, lists[0].near, cfg.protected.center,
+    a_field = attacker_field(r_a, positions, push, cfg.protected.center,
                              cfg.attacker.sensing_radius, ctx.standoff)
     next_attacker = attacker_step(state.attacker, a_field,
                                   cfg.attacker.deadlock_turn, cfg.integrator.dt)
@@ -377,12 +372,10 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
         for j, d in enumerate(state.defenders):
             f, conflict = defender_field(j, positions, d.goal, lists[j + 1].near,
                                          ctx.peers)
-            d.in_conflict = conflict
             d.velocity = defender_velocity(d.position, d.goal, d.goal_velocity,
                                            f, conflict, ctx.gains[j])
     else:
         for d in state.defenders:
-            d.in_conflict = False
             d.velocity = Vec2(0.0, 0.0)
     return next_attacker
 
@@ -434,7 +427,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
 
         if state.t_capture is not None and not cfg.safe.contains(r_a):
             # the capture clock stops; the next entry restarts the transition
-            state.heading.entered_safe_at = None
+            state.t_capture = None
             log.warning("attacker left the safe area at t=%.3f", state.t)
         if state.t_breach is None and cfg.protected.contains(r_a):
             state.t_breach = state.t
@@ -460,7 +453,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         snap = safety_snapshot(r_a, positions, cfg, lists)
         row = [state.t, r_a.x, r_a.y,
                state.attacker_velocity.x, state.attacker_velocity.y,
-               state.heading.desired, state.heading.command]
+               state.desired, 0.0 if state.command is None else state.command]
         for d in state.defenders:
             row += [d.position.x, d.position.y, d.velocity.x, d.velocity.y,
                     d.goal.x, d.goal.y]

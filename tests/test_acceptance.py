@@ -17,7 +17,7 @@ from herdsim.environment import superelliptic_distance
 from herdsim.formation_field import follow_field, singularity_sweep
 from herdsim.geom import BlendTriplet, Vec2, angle_of, blend_weight, unit, wrap_angle
 from herdsim.herding import formation_goals, formation_spec, solve_command_heading
-from herdsim.attacker import attacker_field
+from herdsim.attacker import attacker_field, obstacle_push
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -145,7 +145,8 @@ def test_c06_command_heading_correctness(derivation):
                    ob.center.y + d * math.sin(bearing))
         defenders = [g for g, _ in formation_goals(r_a, Vec2(0.0, 0.0), command,
                                                    0.0, spec)]
-        field = attacker_field(r_a, defenders, [ob], Vec2(800.0, 0.0), 1e6, standoff)
+        field = attacker_field(r_a, defenders, obstacle_push(r_a, [ob], 1e6),
+                               Vec2(800.0, 0.0), 1e6, standoff)
         worst_align = max(worst_align, abs(wrap_angle(angle_of(field) - desired)))
     ok = worst_residual < 1e-9 and worst_align < 1e-6
     report("C6", ok,

@@ -1,10 +1,16 @@
+import ast
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
+import herdsim
 from herdsim import defender_control, environment, reference_scenario_path
 from herdsim.cli import main
 from herdsim.geom import dist
@@ -208,6 +214,61 @@ def test_attacker_start_inside_a_shell_is_a_violation(tmp_path, capsys, bundle_d
     assert violation in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, violation", [
+    # a zero standoff saturates every gap of the arc at a half turn
+    ("attacker", "defender_standoff_band_m", [0.0, 0.8, 0.9],
+     "spread: 2.0 rad is below the minimum 6.283185 rad for 3 defenders"),
+    # the defenders would stop planning inside the far side of the safe area
+    ("defenders", "sensing_zone_radius_m", 55.0,
+     "sensing-zone: the safe area reaches 65.2080 m from the protected center, "
+     "beyond the 55.0 m sensing zone"),
+], ids=["standoff-lo-0", "sensing-zone-55"])
+def test_bundled_world_violation(tmp_path, capsys, bundle_doc, section, key, value,
+                                 violation):
+    doc = json.loads(json.dumps(bundle_doc))
+    doc[section][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 4
+    assert f"violation: {violation}" in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert f"violation: {violation}" in capsys.readouterr().err
+
+
+def type_checking_namespace(module) -> dict:
+    """The module's globals plus the names its `if TYPE_CHECKING:` blocks
+    import, which exist for annotations only."""
+    ns = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(body=node.body, type_ignores=[]),
+                         module.__file__, "exec"), ns)
+    return ns
+
+
+def test_every_annotation_resolves():
+    checked = 0
+    for info in pkgutil.iter_modules(herdsim.__path__, "herdsim."):
+        if info.name == "herdsim.__main__":   # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        ns = type_checking_namespace(module)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                typing.get_type_hints(obj, globalns=ns)
+                members = [m.fget if isinstance(m, property) else m
+                           for m in vars(obj).values()]
+                for fn in filter(inspect.isfunction, members):
+                    typing.get_type_hints(fn, globalns=ns)
+                checked += 1
+            elif inspect.isfunction(obj):
+                typing.get_type_hints(obj, globalns=ns)
+                checked += 1
+    assert checked > 100
+
+
 # Runs cli.main(argv) in a fresh interpreter (argv None: import only) and
 # prints its exit code and whether numpy got imported, as the last line.
 NUMPY_PROBE = """
@@ -286,8 +347,7 @@ def test_check_inconsistent_reference_parameters_flagged(tmp_path, capsys):
 
 
 def test_dt_override_doubles_rows(tmp_path):
-    doc = small_scenario_doc(**{"integrator.t_max_s": 1.0,
-                                "defenders.sensing_zone_radius_m": 5.0})
+    doc = small_scenario_doc(**{"integrator.t_max_s": 1.0})
     path = tmp_path / "short.json"
     path.write_text(json.dumps(doc))
     out1 = tmp_path / "a"

@@ -13,7 +13,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from herdsim import sim
-from herdsim.attacker import attacker_field
+from herdsim.attacker import attacker_field, obstacle_push
 from herdsim.defender_control import defender_field
 from herdsim.environment import (CULL_SLACK, ObstacleDerivation, derive_obstacle,
                                  level_floor, superelliptic_distance)
@@ -294,10 +294,16 @@ def test_list_driven_kernels_match_full_scan(reference_cfg, data):
     positions = [p for p, _ in defenders]
     obs = cfg.obstacles
     sensing = cfg.attacker.sensing_radius
-    assert (outcome(attacker_field, p_a, positions, lists[0].near, target, sensing, STANDOFF)
-            == outcome(attacker_field, p_a, positions, obs, target, sensing, STANDOFF))
-    assert (outcome(obstacle_resultant, p_a, lists[0].near, sensing)
-            == outcome(obstacle_resultant, p_a, obs, sensing))
+
+    def field_over(obstacles):
+        push = obstacle_push(p_a, obstacles, sensing)
+        return attacker_field(p_a, positions, push, target, sensing, STANDOFF)
+
+    def resultant_over(obstacles):
+        return obstacle_resultant(obstacle_push(p_a, obstacles, sensing))
+
+    assert outcome(field_over, lists[0].near) == outcome(field_over, obs)
+    assert outcome(resultant_over, lists[0].near) == outcome(resultant_over, obs)
     for j in range(len(positions)):
         assert (outcome(defender_field, j, positions, target, lists[j + 1].near, PEERS)
                 == outcome(full_scan_defender_field, j, positions, target, obs, PEERS))

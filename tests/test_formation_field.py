@@ -6,8 +6,8 @@ import pytest
 from herdsim.environment import (Disc, contour_offsets, derive_obstacle,
                                  superelliptic_distance, tangent_angle_at)
 from herdsim.errors import DomainError
-from herdsim.formation_field import (_cell_reduce, _field_angle_np, _gap_lattice,
-                                     _wrap_angle_np, attractive_field,
+from herdsim.formation_field import (SWEEP_SUBSAMPLES, _cell_reduce, _field_angle_np,
+                                     _gap_lattice, _wrap_angle_np, attractive_field,
                                      combined_field, follow_field, repulsive_angle,
                                      singularity_sweep)
 from herdsim.geom import Vec2, blend_weight, wrap_angle
@@ -192,9 +192,9 @@ def nudged_gap_lattice(ob, level, fine):
 
 
 def test_sweep_cells_off_the_end_columns_unchanged(reference_cfg):
-    resolution, sub = 128, 3
+    resolution, sub = 128, SWEEP_SUBSAMPLES
     for ob in reference_cfg.obstacles:
-        report = singularity_sweep(ob, resolution=resolution, subsamples=sub)
+        report = singularity_sweep(ob, resolution=resolution)
         old = nudged_gap_lattice(ob, ob.formation_band.hi, sub * resolution + 1)
         for new_cells, fn in ((report.cell_min, np.min), (report.cell_max, np.max)):
             old_cells = _cell_reduce(old, resolution, sub, fn)

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from herdsim.attacker import attacker_field
+from herdsim.attacker import attacker_field, obstacle_push
 from herdsim.environment import derive_obstacle
 from herdsim.errors import ConfigError, InfeasibleHeadingError
 from herdsim.geom import BlendTriplet, Vec2, angle_of, blend_weight, dist, wrap_angle
-from herdsim.herding import (HeadingState, PHASE_APPROACH, PHASE_CAPTURED,
-                             PHASE_TRANSITION, formation_goals, formation_spec,
-                             heading_rate, obstacle_resultant, schedule_heading,
-                             solve_command_heading)
+from herdsim.herding import (formation_goals, formation_spec, heading_rate,
+                             obstacle_resultant, schedule_heading, solve_command_heading)
 
 
 def test_offsets_symmetric_thirds():
@@ -38,13 +36,13 @@ def test_one_defender_rejected():
 
 
 def test_resultant_empty():
-    assert obstacle_resultant(Vec2(0.0, 0.0), [], 10.0) == (0.0, 0.0)
+    assert obstacle_resultant(obstacle_push(Vec2(0.0, 0.0), [], 10.0)) == (0.0, 0.0)
 
 
 def test_resultant_single_obstacle_north(derivation):
     ob = derive_obstacle(Vec2(0.0, 8.0), 2.0, 2.0, derivation)
     d = 0.5 * (ob.attacker_band.lo + ob.attacker_band.mid)
-    mag, angle = obstacle_resultant(Vec2(0.0, 8.0 - d), [ob], 100.0)
+    mag, angle = obstacle_resultant(obstacle_push(Vec2(0.0, 8.0 - d), [ob], 100.0))
     assert mag == pytest.approx(1.0)
     assert angle == pytest.approx(-math.pi / 2.0)
 
@@ -54,7 +52,7 @@ def test_resultant_symmetric_pair(derivation):
     oa = derive_obstacle(Vec2(4.0, 4.0), 2.0, 2.0, derivation)
     obb = derive_obstacle(Vec2(4.0, -4.0), 2.0, 2.0, derivation)
     assert math.hypot(4.0, 4.0) < oa.attacker_band.mid  # saturated at the origin
-    mag, angle = obstacle_resultant(Vec2(0.0, 0.0), [oa, obb], 100.0)
+    mag, angle = obstacle_resultant(obstacle_push(Vec2(0.0, 0.0), [oa, obb], 100.0))
     assert mag == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert angle == pytest.approx(math.pi, abs=1e-9)
 
@@ -112,17 +110,18 @@ def test_saturated_arc_field_aligns_with_desired(derivation):
         fo = blend_weight(d, ob.attacker_band)
         cmd = solve_command_heading(desired, fo, bearing, spec.arc_magnitude)
         defenders = [g for g, _ in formation_goals(r_a, Vec2(0.0, 0.0), cmd, 0.0, spec)]
-        field = attacker_field(r_a, defenders, [ob], Vec2(500.0, 0.0), 1e6, standoff)
+        field = attacker_field(r_a, defenders, obstacle_push(r_a, [ob], 1e6),
+                               Vec2(500.0, 0.0), 1e6, standoff)
         assert abs(wrap_angle(angle_of(field) - desired)) < 1e-6
 
 
 def test_heading_rate_basics():
-    assert heading_rate([0.4], 0.01, 1.0) == 0.0
-    assert heading_rate([0.4, 0.4], 0.01, 1.0) == 0.0
-    assert heading_rate([0.0, 0.002], 0.01, 1.0) == pytest.approx(0.2)
+    assert heading_rate(0.4, 0.4, 0.01, 1.0) == 0.0
+    assert heading_rate(0.0, 0.002, 0.01, 1.0) == pytest.approx(0.2)
     # clamped at the limit, and unwrapped across the seam
-    assert heading_rate([0.0, 0.5], 0.01, 1.0) == 1.0
-    assert heading_rate([math.pi - 0.001, -math.pi + 0.001], 0.01, 1.0) \
+    assert heading_rate(0.0, 0.5, 0.01, 1.0) == 1.0
+    assert heading_rate(0.0, -0.5, 0.01, 1.0) == -1.0
+    assert heading_rate(math.pi - 0.001, -math.pi + 0.001, 0.01, 1.0) \
         == pytest.approx(0.2)
 
 
@@ -173,23 +172,18 @@ def test_heading_rate_closed_form_matches_finite_difference():
 
 
 def test_schedule_phases():
-    hs = HeadingState()
-    # approach: the raw field direction
-    psi = schedule_heading(0.4, 1.0, False, hs, transition_time=4.0, tangent_margin=0.1)
-    assert psi == pytest.approx(0.4)
-    assert hs.phase == PHASE_APPROACH
-    # entry latches the clock
-    psi = schedule_heading(0.4, 10.0, True, hs, 4.0, 0.1)
-    assert hs.entered_safe_at == 10.0
-    assert hs.phase == PHASE_TRANSITION
-    assert psi == pytest.approx(0.4)
-    # mid-transition: half the final offset
-    psi = schedule_heading(0.4, 12.0, True, hs, 4.0, 0.1)
-    assert psi == pytest.approx(0.4 + 0.5 * (math.pi / 2.0 - 0.1))
-    # afterwards the offset pins at a quarter turn minus the margin
-    psi = schedule_heading(0.4, 30.0, False, hs, 4.0, 0.1)
-    assert hs.phase == PHASE_CAPTURED
-    assert psi == pytest.approx(0.4 + math.pi / 2.0 - 0.1)
+    quarter = math.pi / 2.0 - 0.1   # the captured offset, short by the margin
+    table = [  # (t, t_capture, offset)
+        (1.0, None, 0.0),                      # approach
+        (12.0, 10.0, 0.5 * quarter),           # transition midpoint
+        # t == t_capture + transition_time is still on the ramp; here
+        # t - t_capture rounds above 4 s, so it ends one ulp past quarter
+        (4.03 + 4.0, 4.03, (4.03 + 4.0 - 4.03) * quarter / 4.0),
+        (30.0, 10.0, quarter),                 # captured
+    ]
+    for t, t_capture, offset in table:
+        # field angle 0.4 rad, transition time 4 s, tangent margin 0.1 rad
+        assert schedule_heading(0.4, t, t_capture, 4.0, 0.1) == wrap_angle(0.4 + offset)
 
 
 def test_goals_geometry():

@@ -1,12 +1,13 @@
 import copy
 import hashlib
 import math
+import sys
 
 import pytest
 
 from herdsim.environment import scenario_from_dict, validate_scenario
 from herdsim.errors import ConfigError
-from herdsim import sim
+from herdsim import attacker, sim
 from herdsim.geom import Vec2
 from herdsim.sim import build_context, new_state, run, safety_snapshot
 
@@ -265,6 +266,23 @@ def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc):
     assert trace.events["t_capture_s"] > 1.65
     assert trace.captured and trace.summary()["capture_held"]
     assert all(trace.maxima[name] < 1.0 for name in sim.RATIO_COLUMNS)
+
+
+def test_one_obstacle_push_per_step(reference_cfg, monkeypatch):
+    # the arc command and the attacker field share one push per step
+    original = attacker.obstacle_push
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("herdsim") and getattr(module, "obstacle_push", None) is original:
+            monkeypatch.setattr(module, "obstacle_push", counted)
+    trace = run(reference_cfg, t_max=1.0)
+    assert trace.events["t_sense_s"] == 0.0   # every step plans
+    assert len(calls) == len(trace.rows) - 1  # the last row is terminal
 
 
 def test_far_inert_obstacles_leave_run_unchanged(bundle_doc, reference_run):
