@@ -4,7 +4,8 @@ Exit codes (stable, also listed in the README):
   0  success
   1  unexpected internal error
   2  scenario file missing or unreadable (argparse usage errors also exit 2)
-  3  scenario malformed (schema mismatch, unusable values, bad index/resolution)
+  3  scenario malformed (schema mismatch, unusable values, bad index/resolution/
+     margin, a non-finite or non-positive --dt/--t-max override)
   4  scenario failed validation
   5  run finished but the outcome is unacceptable (no stable capture, safety
      ratio at or above 1, or the protected area was breached)
@@ -83,7 +84,11 @@ def cmd_simulate(args) -> int:
             print(f"violation: {v}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
 
-    trace = run(cfg, dt=args.dt, t_max=args.t_max)
+    try:
+        trace = run(cfg, dt=args.dt, t_max=args.t_max)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_SCENARIO
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
@@ -213,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", parents=[common],
                         help="non-singularity sweep of one obstacle's field")
     sw.add_argument("--obstacle", type=int, required=True, help="obstacle index")
-    sw.add_argument("--resolution", type=int, default=128, help="cells per axis (>= 64)")
+    sw.add_argument("--resolution", type=int, default=128, help="cells per axis (64 to 768)")
     sw.add_argument("--margin", type=float, default=0.1,
-                    help="required clearance below a half turn (rad)")
+                    help="required clearance below a half turn, in [0, pi) (rad)")
     sw.add_argument("--out", default="out", help="output directory (default: ./out)")
     sw.add_argument("--svg", choices=["on", "off"], default="on", help="emit SVG heatmap")
     sw.set_defaults(fn=cmd_sweep)

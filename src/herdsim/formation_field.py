@@ -35,6 +35,10 @@ if TYPE_CHECKING:
 # the sweep samples the gap this many times per cell along each axis and
 # reports each cell's extrema over its covering window
 SWEEP_SUBSAMPLES = 3
+# the largest resolution the sweep accepts: the fine lattice holds
+# (3 r + 1)^2 samples, about 400 MB peak at 768, and the heatmap draws a
+# cell below one pixel beyond it
+SWEEP_MAX_RESOLUTION = 768
 
 
 @dataclass(frozen=True)
@@ -129,11 +133,10 @@ def combined_field(p: Vec2, obstacles: Sequence[Obstacle], safe_center: Vec2) ->
 # itself, so that only the sweep loads it
 # ---------------------------------------------------------------------------
 
-def _tangent_angle_np(beta, ob: Obstacle):
+def _tangent_angle_np(c, s, ob: Obstacle):
+    """tangent_angle_at over arrays, from the ray's cosine c and sine s."""
     import numpy as np
 
-    c = np.cos(beta)
-    s = np.sin(beta)
     p = 2.0 * ob.exponent - 1.0
     gx = np.copysign(np.abs(c) ** p, c) / ob.semi_x ** (2.0 * ob.exponent)
     gy = np.copysign(np.abs(s) ** p, s) / ob.semi_y ** (2.0 * ob.exponent)
@@ -152,11 +155,11 @@ def _wrap_angle_np(theta):
     return theta - TWO_PI * np.floor((theta + math.pi) / TWO_PI)
 
 
-def _field_angle_np(beta_f, beta_s, ob: Obstacle):
+def _field_angle_np(beta_f, tangent_f, beta_s, ob: Obstacle):
+    """_field_angle over arrays; tangent_f is the contour tangent at beta_f."""
     import numpy as np
 
-    tangent_f = _tangent_angle_np(beta_f, ob)
-    tangent_s = _tangent_angle_np(beta_s, ob)
+    tangent_s = _tangent_angle_np(np.cos(beta_s), np.sin(beta_s), ob)
     span = _wrap_sector_np(beta_f - beta_s)
     lead_s = _wrap_sector_np(tangent_s - beta_s)
     inner = tangent_f - lead_s + (span / math.pi) * (lead_s - math.pi)
@@ -199,11 +202,12 @@ class SweepReport:
         # plain Python floats: repr of a numpy scalar is "np.float64(...)"
         bc = (0.5 * (self.target_angles[:-1] + self.target_angles[1:])).tolist()
         sc = (0.5 * (self.span_angles[:-1] + self.span_angles[1:])).tolist()
-        lo = self.cell_min.tolist()
-        hi = self.cell_max.tolist()
-        for i, b in enumerate(bc):
-            for j, s in enumerate(sc):
-                lines.append(f"{b!r},{s!r},{lo[i][j]!r},{hi[i][j]!r}")
+        # each row's target and each column's span are formatted once
+        spans = [f"{s!r}," for s in sc]
+        for b, lo_row, hi_row in zip(bc, self.cell_min.tolist(), self.cell_max.tolist()):
+            target = f"{b!r},"
+            lines += [f"{target}{s}{lo!r},{hi!r}"
+                      for s, lo, hi in zip(spans, lo_row, hi_row)]
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
@@ -218,14 +222,15 @@ class SweepReport:
         }
 
 
-def _cell_reduce(values: np.ndarray, cells: int, sub: int, fn):
+def _cell_extrema(values: np.ndarray, cells: int, sub: int):
     """Reduce a fine lattice of shape (sub*cells+1, sub*cells+1) to per-cell
-    extrema over each (sub+1) x (sub+1) covering window."""
+    (minima, maxima) over each (sub+1) x (sub+1) covering window."""
     import numpy as np
 
     idx = sub * np.arange(cells)[:, None] + np.arange(sub + 1)[None, :]
-    rows = fn(values[idx], axis=1)          # (cells, fine)
-    return fn(rows[:, idx], axis=2)         # (cells, cells)
+    window = values[idx]                    # (cells, sub+1, fine)
+    return (window.min(axis=1)[:, idx].min(axis=2),     # (cells, cells)
+            window.max(axis=1)[:, idx].max(axis=2))
 
 
 def _gap_lattice(ob: Obstacle, level: float, fine: int) -> np.ndarray:
@@ -240,10 +245,12 @@ def _gap_lattice(ob: Obstacle, level: float, fine: int) -> np.ndarray:
     bs = beta_s[:, None]
     dv = span[None, :]
     bf = bs + dv
+    cf = np.cos(bf)
+    sf = np.sin(bf)
 
     sx, sy = contour_offsets(ob, np.cos(bs), np.sin(bs), level)
-    fx, fy = contour_offsets(ob, np.cos(bf), np.sin(bf), level)
-    phi = _field_angle_np(bf, bs, ob)
+    fx, fy = contour_offsets(ob, cf, sf, level)
+    phi = _field_angle_np(bf, _tangent_angle_np(cf, sf, ob), bs, ob)
     toward = np.arctan2(sy - fy, sx - fx)
     gap = _wrap_angle_np(toward - phi)
 
@@ -268,24 +275,31 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128,
     blending contour (the configuration that maximizes the gap); the target
     sector angle covers the first quadrant, the remaining quadrants following
     by symmetry of the axis-aligned family.  Passes when the gap magnitude
-    never reaches a half turn minus the margin.
+    never reaches a half turn minus the margin.  Raises ValueError, before
+    any array is built, unless 64 <= resolution <= SWEEP_MAX_RESOLUTION and
+    0 <= margin < pi.
     """
-    if resolution < 64:
-        raise ValueError(f"sweep resolution must be at least 64, got {resolution}")
+    if not 64 <= resolution <= SWEEP_MAX_RESOLUTION:
+        raise ValueError(f"sweep resolution must be 64 to {SWEEP_MAX_RESOLUTION}, "
+                         f"got {resolution}")
+    # a margin of pi or more leaves no gap to certify; NaN fails both tests
+    if not 0.0 <= margin < math.pi:
+        raise ValueError(f"sweep margin must be finite and in [0, pi), got {margin}")
     import numpy as np
 
     level = ob.formation_band.hi
     fine = SWEEP_SUBSAMPLES * resolution + 1
 
     gap = _gap_lattice(ob, level, fine)
+    cell_min, cell_max = _cell_extrema(gap, resolution, SWEEP_SUBSAMPLES)
 
     edges_b = np.linspace(0.0, math.pi / 2.0, resolution + 1)
     edges_s = np.linspace(0.0, TWO_PI, resolution + 1)
     return SweepReport(
         target_angles=edges_b,
         span_angles=edges_s,
-        cell_min=_cell_reduce(gap, resolution, SWEEP_SUBSAMPLES, np.min),
-        cell_max=_cell_reduce(gap, resolution, SWEEP_SUBSAMPLES, np.max),
+        cell_min=cell_min,
+        cell_max=cell_max,
         margin=margin,
     )
 

@@ -406,8 +406,9 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         integ = dataclasses.replace(cfg.integrator,
                                     **({"dt": dt} if dt is not None else {}),
                                     **({"t_max": t_max} if t_max is not None else {}))
-        if integ.dt <= 0.0 or integ.t_max <= 0.0:
-            raise ConfigError("dt and t_max overrides must be positive")
+        if not (0.0 < integ.dt < math.inf and 0.0 < integ.t_max < math.inf):
+            raise ConfigError("dt and t_max overrides must be finite and positive, "
+                              f"got dt={integ.dt}, t_max={integ.t_max}")
         cfg = dataclasses.replace(cfg, integrator=integ)
 
     ctx = build_context(cfg)

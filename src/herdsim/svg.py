@@ -46,6 +46,21 @@ class Canvas:
         # to_px and _fmt, inline: one f-string per point
         px = " ".join(f"{pad + (x - x_min) * k:.3f},{pad + (y_max - y) * k:.3f}"
                       for x, y in points)
+        self._polyline(px, stroke, width, dash, fill)
+
+    def x_px(self, xs) -> list:
+        """Pixel x of each world x, formatted for series()."""
+        pad, x_min, k = self.pad, self.x_min, self.scale
+        return [f"{pad + (x - x_min) * k:.3f}," for x in xs]
+
+    def series(self, x_px, ys, stroke="black", width=1.0):
+        """polyline() through the points (x, y), each x given by x_px(), so
+        that curves over one axis format it once."""
+        pad, y_max, k = self.pad, self.y_max, self.scale
+        px = " ".join([f"{x}{pad + (y_max - y) * k:.3f}" for x, y in zip(x_px, ys)])
+        self._polyline(px, stroke, width, None, "none")
+
+    def _polyline(self, px, stroke, width, dash, fill):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(f'<polyline points="{px}" fill="{fill}" stroke="{stroke}" '
                           f'stroke-width="{_fmt(width)}"{dash_attr}/>')
@@ -114,31 +129,31 @@ def ratio_curves_svg(trace) -> str:
     band) over time, with the ratio-1 violation line marked."""
     # a run stopped at step 0 has one row at t = 0: give the axis a width
     t_end = trace.t_end if trace.t_end > 0.0 else 1.0
-    ts = trace.column("t_s")
     colors = ["darkorange", "seagreen", "royalblue", "crimson"]
 
-    speeds = [list(zip(ts, map(math.hypot, trace.column(f"d{j}_vx_mps"),
-                               trace.column(f"d{j}_vy_mps"))))
+    speeds = [list(map(math.hypot, trace.column(f"d{j}_vx_mps"),
+                       trace.column(f"d{j}_vy_mps")))
               for j in range(trace.defender_count)]
-    s_max = max((s for data in speeds for _, s in data), default=1.0)
+    s_max = max((s for data in speeds for s in data), default=1.0)
     s_max = max(s_max, 1e-9)
 
     # upper band: ratios in y [0.5, 2.5]; lower band: speeds scaled into [-2.4, -0.4]
     canvas = Canvas(0.0, t_end, -2.5, 2.6, height=640)
+    ts = canvas.x_px(trace.column("t_s"))
     canvas.text(0.02 * t_end, 2.55, "critical relative distances (1 = violation)")
     canvas.polyline([(0.0, 0.5 + 1.0), (t_end, 0.5 + 1.0)], stroke="black", dash="4,4")
     for k, (column, color) in enumerate(zip(RATIO_COLUMNS, colors)):
-        data = [(t, 0.5 + min(v, 2.0)) for t, v in zip(ts, trace.column(column))]
-        canvas.polyline(data, stroke=color, width=1.2)
+        canvas.series(ts, [0.5 + min(v, 2.0) for v in trace.column(column)],
+                      stroke=color, width=1.2)
         label = column.removeprefix("ratio_").replace("_", "/")
         canvas.text(0.65 * t_end, 2.45 - 0.16 * k, label, size=11, fill=color)
 
     canvas.text(0.02 * t_end, -0.25, f"defender speeds (max {s_max:.3f} m/s)")
     canvas.polyline([(0.0, -2.4), (t_end, -2.4)], stroke="gray", width=0.5)
     for j, data in enumerate(speeds):
-        scaled = [(t, -2.4 + 2.0 * s / s_max) for t, s in data]
-        canvas.polyline(scaled, stroke=["royalblue", "seagreen", "darkorange",
-                                        "purple", "teal"][j % 5], width=1.2)
+        canvas.series(ts, [-2.4 + 2.0 * s / s_max for s in data],
+                      stroke=["royalblue", "seagreen", "darkorange",
+                              "purple", "teal"][j % 5], width=1.2)
     return canvas.render()
 
 
@@ -150,13 +165,15 @@ def sweep_heatmap_svg(report) -> str:
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size + 40}" '
              f'viewBox="0 0 {size} {size + 40}">',
              f'<rect x="0" y="0" width="{size}" height="{size + 40}" fill="white"/>']
-    for i in range(cells):
-        for j in range(cells):
-            worst = max(abs(report.cell_min[i, j]), abs(report.cell_max[i, j]))
-            shade = int(255 * (1.0 - min(worst / math.pi, 1.0)))
-            parts.append(f'<rect x="{_fmt(j * px)}" y="{_fmt(size - (i + 1) * px)}" '
-                         f'width="{_fmt(px)}" height="{_fmt(px)}" '
-                         f'fill="rgb({shade},{shade},255)"/>')
+    # each column's x, each row's y and the cell size are formatted once
+    xs = [f'<rect x="{_fmt(j * px)}" y="' for j in range(cells)]
+    side = _fmt(px)
+    rows = zip(report.cell_min.tolist(), report.cell_max.tolist())
+    for i, (lo_row, hi_row) in enumerate(rows):
+        row = f'{_fmt(size - (i + 1) * px)}" width="{side}" height="{side}" fill="rgb('
+        for x, lo, hi in zip(xs, lo_row, hi_row):
+            shade = int(255 * (1.0 - min(max(abs(lo), abs(hi)) / math.pi, 1.0)))
+            parts.append(f'{x}{row}{shade},{shade},255)"/>')
     parts.append(f'<text x="4" y="{size + 16}" font-size="12" font-family="sans-serif">'
                  f'max |gap| = {report.max_abs:.4f} rad '
                  f'(limit {math.pi - report.margin:.4f})</text>')

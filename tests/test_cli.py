@@ -363,6 +363,19 @@ def test_dt_override_doubles_rows(tmp_path):
     assert rows2 == 2 * rows1 - 2
 
 
+@pytest.mark.parametrize("override", [
+    ["--dt", "nan"], ["--t-max", "nan"], ["--t-max", "inf"], ["--dt", "-1"],
+    ["--dt", "inf"], ["--dt", "0"], ["--t-max=-inf"]],
+    ids=lambda o: " ".join(o))
+def test_unusable_dt_or_t_max_override_exits_3(tmp_path, capsys, override):
+    # refused before the run: a NaN or infinite t_max has no step count, and
+    # an infinite dt would run 0 steps
+    out = tmp_path / "o"
+    assert main(["simulate", "--out", str(out), *override]) == 3
+    assert "overrides must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_svg_off_suppresses_plots(tmp_path):
     doc = small_scenario_doc(**{"integrator.t_max_s": 1.0})
     path = tmp_path / "short.json"
@@ -387,6 +400,23 @@ def test_sweep_bundle_passes(tmp_path, capsys):
 def test_sweep_rejects_low_resolution(tmp_path):
     assert main(["sweep", "--obstacle", "0", "--resolution", "16",
                  "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("resolution", ["769", "20000"])
+def test_sweep_rejects_resolution_above_768(tmp_path, capsys, resolution):
+    # refused before any array is built; 20000 would raise MemoryError
+    assert main(["sweep", "--obstacle", "0", "--resolution", resolution,
+                 "--out", str(tmp_path)]) == 3
+    assert "resolution must be 64 to 768" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("margin", ["-5", "3.1416", "4", "inf", "nan"])
+def test_sweep_rejects_a_margin_that_certifies_nothing(tmp_path, capsys, margin):
+    # a limit of pi - margin above pi, at or below 0, or NaN certifies nothing
+    assert main(["sweep", "--obstacle", "0", "--margin", margin,
+                 "--out", str(tmp_path)]) == 3
+    assert "margin must be finite and in [0, pi)" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_index(tmp_path):

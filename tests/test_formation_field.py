@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,13 +7,27 @@ import pytest
 from herdsim.environment import (Disc, contour_offsets, derive_obstacle,
                                  superelliptic_distance, tangent_angle_at)
 from herdsim.errors import DomainError
-from herdsim.formation_field import (SWEEP_SUBSAMPLES, _cell_reduce, _field_angle_np,
-                                     _gap_lattice, _wrap_angle_np, attractive_field,
-                                     combined_field, follow_field, repulsive_angle,
-                                     singularity_sweep)
+from herdsim.formation_field import (SWEEP_SUBSAMPLES, _cell_extrema, _field_angle_np,
+                                     _gap_lattice, _tangent_angle_np, _wrap_angle_np,
+                                     attractive_field, combined_field, follow_field,
+                                     repulsive_angle, singularity_sweep)
 from herdsim.geom import Vec2, blend_weight, wrap_angle
+from herdsim.svg import _fmt, sweep_heatmap_svg
 
 from conftest import component_angle_gap, contour_point
+
+# sha256 of the bundled obstacle 0's sweep artifacts (resolution 128, and
+# the CSV at 64)
+GOLDEN_SWEEP_SHA256 = {
+    ("sweep.csv", 128): "be219f8981b297b1d9127d560dba2f74d2d3e651883c5315e14dc98c3d8947e8",
+    ("sweep.svg", 128): "4051221e9214d32410f6b5669006ba1fcb7ac8782a410a536bc90cf99b3a7948",
+    ("sweep.csv", 64): "04ec74e1500043d8215e8264432fd00e10b45795971865c1dd1291497e725b34",
+}
+
+
+def field_angle_np(beta_f, beta_s, ob):
+    return _field_angle_np(beta_f, _tangent_angle_np(np.cos(beta_f), np.sin(beta_f), ob),
+                           beta_s, ob)
 
 
 @pytest.fixture()
@@ -124,7 +139,7 @@ def test_scalar_and_vector_angle_paths_agree(square):
     rng = np.random.default_rng(5)
     beta_f = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=200)
     beta_s = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=200)
-    vec = _field_angle_np(beta_f, beta_s, square)
+    vec = field_angle_np(beta_f, beta_s, square)
     for bf, bs, v in zip(beta_f, beta_s, vec):
         p = Vec2(3.0 * math.cos(bf), 3.0 * math.sin(bf))
         s = Vec2(5.0 * math.cos(bs), 5.0 * math.sin(bs))
@@ -162,6 +177,76 @@ def test_sweep_reference_obstacle_passes(derivation):
     assert len(csv.splitlines()) == 128 * 128 + 1
 
 
+def test_sweep_rejects_resolution_above_the_limit(square, monkeypatch):
+    # refused before the lattice (the (3r + 1)^2 arrays) is built
+    def no_lattice(*args):
+        raise AssertionError("lattice built")
+    monkeypatch.setattr("herdsim.formation_field._gap_lattice", no_lattice)
+    for resolution in (769, 20000):
+        with pytest.raises(ValueError, match="64 to 768"):
+            singularity_sweep(square, resolution=resolution)
+
+
+@pytest.mark.parametrize("margin", [-5.0, -1e-12, math.pi, 4.0, math.inf, -math.inf, math.nan])
+def test_sweep_rejects_a_margin_outside_zero_to_pi(square, margin):
+    with pytest.raises(ValueError, match="margin"):
+        singularity_sweep(square, resolution=64, margin=margin)
+
+
+def per_cell_csv(report):
+    """SweepReport.to_csv as first written, formatting every field of every
+    cell; reference for the writer."""
+    lines = ["target_angle_rad,span_rad,gap_min_rad,gap_max_rad"]
+    bc = (0.5 * (report.target_angles[:-1] + report.target_angles[1:])).tolist()
+    sc = (0.5 * (report.span_angles[:-1] + report.span_angles[1:])).tolist()
+    lo = report.cell_min.tolist()
+    hi = report.cell_max.tolist()
+    for i, b in enumerate(bc):
+        for j, s in enumerate(sc):
+            lines.append(f"{b!r},{s!r},{lo[i][j]!r},{hi[i][j]!r}")
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_heatmap(report):
+    """sweep_heatmap_svg as first written, indexing the arrays and formatting
+    every attribute of every cell; reference for the writer."""
+    cells = report.cell_min.shape[0]
+    size = max(256, min(768, 4 * cells))
+    px = size / cells
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size + 40}" '
+             f'viewBox="0 0 {size} {size + 40}">',
+             f'<rect x="0" y="0" width="{size}" height="{size + 40}" fill="white"/>']
+    for i in range(cells):
+        for j in range(cells):
+            worst = max(abs(report.cell_min[i, j]), abs(report.cell_max[i, j]))
+            shade = int(255 * (1.0 - min(worst / math.pi, 1.0)))
+            parts.append(f'<rect x="{_fmt(j * px)}" y="{_fmt(size - (i + 1) * px)}" '
+                         f'width="{_fmt(px)}" height="{_fmt(px)}" '
+                         f'fill="rgb({shade},{shade},255)"/>')
+    parts.append(f'<text x="4" y="{size + 16}" font-size="12" font-family="sans-serif">'
+                 f'max |gap| = {report.max_abs:.4f} rad '
+                 f'(limit {math.pi - report.margin:.4f})</text>')
+    parts.append(f'<text x="4" y="{size + 32}" font-size="12" font-family="sans-serif">'
+                 f'x: span over [0, 2pi), y: target angle over [0, pi/2]</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("which, resolution", [("bundled-0", 128), ("square", 64)])
+def test_sweep_writers_match_the_per_cell_loops(which, resolution, reference_cfg, square):
+    ob = reference_cfg.obstacles[0] if which == "bundled-0" else square
+    report = singularity_sweep(ob, resolution=resolution)
+    assert report.to_csv() == per_cell_csv(report)
+    assert sweep_heatmap_svg(report) == per_cell_heatmap(report)
+
+
+@pytest.mark.parametrize("name, resolution", sorted(GOLDEN_SWEEP_SHA256))
+def test_sweep_artifacts_match_golden_hash(reference_cfg, name, resolution):
+    report = singularity_sweep(reference_cfg.obstacles[0], resolution=resolution)
+    text = report.to_csv() if name == "sweep.csv" else sweep_heatmap_svg(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SWEEP_SHA256[name, resolution]
+
+
 def test_sweep_csv_holds_plain_numbers(square):
     report = singularity_sweep(square, resolution=64)
     header, *rows = report.to_csv().splitlines()
@@ -187,7 +272,7 @@ def nudged_gap_lattice(ob, level, fine):
     bf = bs + span[None, :]
     sx, sy = contour_offsets(ob, np.cos(bs), np.sin(bs), level)
     fx, fy = contour_offsets(ob, np.cos(bf), np.sin(bf), level)
-    phi = _field_angle_np(bf, bs, ob)
+    phi = field_angle_np(bf, bs, ob)
     return _wrap_angle_np(np.arctan2(sy - fy, sx - fx) - phi)
 
 
@@ -196,9 +281,10 @@ def test_sweep_cells_off_the_end_columns_unchanged(reference_cfg):
     for ob in reference_cfg.obstacles:
         report = singularity_sweep(ob, resolution=resolution)
         old = nudged_gap_lattice(ob, ob.formation_band.hi, sub * resolution + 1)
-        for new_cells, fn in ((report.cell_min, np.min), (report.cell_max, np.max)):
-            old_cells = _cell_reduce(old, resolution, sub, fn)
-            assert np.array_equal(new_cells[:, 1:-1], old_cells[:, 1:-1])
+        old_min, old_max = _cell_extrema(old, resolution, sub)
+        assert np.array_equal(report.cell_min[:, 1:-1], old_min[:, 1:-1])
+        assert np.array_equal(report.cell_max[:, 1:-1], old_max[:, 1:-1])
+
 
 
 def test_sweep_end_columns_hold_the_coincidence_limit(reference_cfg):
@@ -221,7 +307,7 @@ def test_sweep_end_columns_hold_the_coincidence_limit(reference_cfg):
             # and it is the limit from each side: a sample 1e-5 rad away
             for col, span in ((0, 1e-5), (-1, 2.0 * math.pi - 1e-5)):
                 fx, fy = contour_offsets(ob, np.cos(beta + span), np.sin(beta + span), level)
-                phi = _field_angle_np(beta + span, beta, ob)
+                phi = field_angle_np(beta + span, beta, ob)
                 near = math.atan2(y - fy, x - fx) - phi
                 assert abs(wrap_angle(near - gap[i, col])) < 1e-4
 

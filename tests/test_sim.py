@@ -10,6 +10,7 @@ from herdsim.errors import ConfigError
 from herdsim import attacker, sim
 from herdsim.geom import Vec2
 from herdsim.sim import build_context, new_state, run, safety_snapshot
+from herdsim.svg import ratio_curves_svg
 
 from conftest import small_scenario_doc
 
@@ -20,6 +21,13 @@ GOLDEN_ARTIFACT_SHA256 = {
     "summary.json": "f6c3cf9ee069c30a36ec2e6c9b7a3a206d5a84d8430ccf28bd00199816422aee",
     "trajectories.svg": "a5ba9460afc7051070e64d4474c4d6fddfc3ea0bc464e403bf1de9c601119318",
     "ratios.svg": "8ec64aa710f9e86c5e87993dc4e175b24391467538b4094f2e7e281041c5a38d",
+}
+# sha256 of ratios.svg for runs that the bundled one does not cover
+GOLDEN_RATIOS_SHA256 = {
+    # the bundled world stopped at step 0 (t_max 0.004 s rounds to 0 steps)
+    "step-0": "bb1a42000d43a7a71f5e67fc4080dc1682f7488d1c6e0ca8f9d31dfa6a2c7d38",
+    # no speed curves; the attacker breaches at 18 s
+    "no-defenders": "b40f70cd25b98650912b5622973c1937c96e6c5a241bb53e23b5bc14455a8e5e",
 }
 
 
@@ -242,6 +250,17 @@ def test_reference_trace_matches_golden_hash(cli_artifacts):
 def test_reference_artifacts_match_golden_hash(cli_artifacts, name):
     digest = hashlib.sha256(cli_artifacts["first"][name]).hexdigest()
     assert digest == GOLDEN_ARTIFACT_SHA256[name]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RATIOS_SHA256))
+def test_ratios_svg_matches_golden_hash(case, reference_cfg):
+    if case == "step-0":
+        trace = run(reference_cfg, t_max=0.004)
+    else:
+        trace = run(scenario_from_dict(small_scenario_doc(
+            **{"defenders.start_m": [], "defenders.speed_max_mps": 2.6})))
+    digest = hashlib.sha256(ratio_curves_svg(trace).encode()).hexdigest()
+    assert digest == GOLDEN_RATIOS_SHA256[case]
 
 
 def test_streamed_trace_csv_equals_to_csv(cli_artifacts, reference_run):
