@@ -14,7 +14,7 @@ from .environment import (Disc, Obstacle, ObstacleDerivation, ScenarioConfig,
                           scenario_warnings, shell_points, solve_shape_exponent,
                           superelliptic_distance, validate_scenario)
 from .errors import (ConfigError, DomainError, HerdsimError, InfeasibleHeadingError,
-                     IntegrityError, SchemaError, SolverError)
+                     IntegrityError, ScenarioFileError, SchemaError, SolverError)
 from .formation_field import (FieldSample, SweepReport, attractive_field,
                               combined_field, follow_field, repulsive_angle,
                               singularity_sweep)

@@ -1,11 +1,13 @@
 """Command-line front end: simulate | sweep | check.
 
-Exit codes (stable, also listed in the README):
+Exit codes (stable, also listed in the README); 4 and 5 are outcomes, every
+other nonzero code is the `exit_code` of the HerdsimError a command raised:
   0  success
   1  unexpected internal error
   2  scenario file missing or unreadable (argparse usage errors also exit 2)
-  3  scenario malformed (schema mismatch, unusable values, bad index/resolution/
-     margin, a non-finite or non-positive --dt/--t-max override)
+  3  scenario malformed (not JSON text, schema mismatch, unusable values, bad
+     index/resolution/margin, a non-finite or non-positive dt or t_max, or
+     more than MAX_STEPS steps), in the file or in an override
   4  scenario failed validation
   5  run finished but the outcome is unacceptable (no stable capture, safety
      ratio at or above 1, or the protected area was breached)
@@ -29,18 +31,14 @@ from . import __version__
 from .defender_control import convergence_bounds, solve_tracking_gains, terminal_phase_time
 from .environment import (arc_magnitude, load_scenario, min_spread, reference_scenario_path,
                           scenario_warnings, validate_scenario)
-from .errors import ConfigError, HerdsimError, SchemaError, SolverError
+from .errors import ConfigError, HerdsimError, SchemaError
 from .formation_field import singularity_sweep
 from .sim import RATIO_COLUMNS, TERM_CAPTURED, run
 from .svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
 
 EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_MISSING_FILE = 2
-EXIT_BAD_SCENARIO = 3
 EXIT_INVALID_SCENARIO = 4
 EXIT_UNACCEPTABLE = 5
-EXIT_SOLVER = 6
 
 log = logging.getLogger("herdsim.cli")
 
@@ -52,20 +50,14 @@ def _setup_logging():
 
 
 def _load(scenario_arg):
+    """(config, manifest) of the scenario file, or of the bundled one."""
     path = Path(scenario_arg) if scenario_arg else reference_scenario_path()
-    if not path.is_file():
-        print(f"error: scenario file not found: {path}", file=sys.stderr)
-        return None, None, EXIT_MISSING_FILE
     try:
         cfg, digest = load_scenario(path)
     except (SchemaError, ConfigError) as exc:
-        print(f"error: bad scenario: {exc}", file=sys.stderr)
-        return None, None, EXIT_BAD_SCENARIO
-    except SolverError as exc:
-        print(f"error: solver failure while deriving obstacles: {exc}", file=sys.stderr)
-        return None, None, EXIT_SOLVER
-    return (cfg, {"scenario": str(scenario_arg) if scenario_arg else "bundled:reference_scenario",
-                  "scenario_sha256": digest, "tool_version": __version__}, EXIT_OK)
+        raise type(exc)(f"bad scenario: {exc}") from exc
+    return cfg, {"scenario": str(scenario_arg) if scenario_arg else "bundled:reference_scenario",
+                 "scenario_sha256": digest, "tool_version": __version__}
 
 
 def _json_dump(obj) -> str:
@@ -73,9 +65,7 @@ def _json_dump(obj) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg, manifest, code = _load(args.scenario)
-    if code != EXIT_OK:
-        return code
+    cfg, manifest = _load(args.scenario)
     violations = validate_scenario(cfg)
     for w in scenario_warnings(cfg):
         print(f"warning: {w}", file=sys.stderr)
@@ -84,11 +74,7 @@ def cmd_simulate(args) -> int:
             print(f"violation: {v}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
 
-    try:
-        trace = run(cfg, dt=args.dt, t_max=args.t_max)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+    trace = run(cfg, dt=args.dt, t_max=args.t_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
@@ -118,19 +104,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, manifest, code = _load(args.scenario)
-    if code != EXIT_OK:
-        return code
-    if not (0 <= args.obstacle < len(cfg.obstacles)):
-        print(f"error: obstacle index {args.obstacle} out of range "
-              f"(scenario has {len(cfg.obstacles)})", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
-    try:
-        report = singularity_sweep(cfg.obstacles[args.obstacle],
-                                   resolution=args.resolution, margin=args.margin)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+    cfg, manifest = _load(args.scenario)
+    if not 0 <= args.obstacle < len(cfg.obstacles):
+        raise ConfigError(f"obstacle index {args.obstacle} out of range "
+                          f"(scenario has {len(cfg.obstacles)})")
+    report = singularity_sweep(cfg.obstacles[args.obstacle],
+                               resolution=args.resolution, margin=args.margin)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(report.to_csv())
@@ -147,9 +126,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg, manifest, code = _load(args.scenario)
-    if code != EXIT_OK:
-        return code
+    cfg, manifest = _load(args.scenario)
     violations = validate_scenario(cfg)
     warnings = scenario_warnings(cfg)
 
@@ -236,12 +213,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SolverError as exc:
-        print(f"error: solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except HerdsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return exc.exit_code
 
 
 if __name__ == "__main__":

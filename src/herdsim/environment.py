@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, SchemaError, SolverError
+from .errors import ConfigError, ScenarioFileError, SchemaError, SolverError
 from .geom import BlendTriplet, Vec2, dist
 
 # Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
@@ -256,7 +256,7 @@ def derive_obstacle(center: Vec2, width: float, height: float,
     fw = width + 2.0 * pad
     fh = height + 2.0 * pad
     try:
-        exponent, lvl_lo = solve_shape_exponent(width, height, fw, fh)
+        exponent, _ = solve_shape_exponent(width, height, fw, fh)
     except SolverError as exc:
         raise SolverError(f"obstacle at {center}: shape exponent: {exc}") from exc
 
@@ -264,20 +264,15 @@ def derive_obstacle(center: Vec2, width: float, height: float,
     semi_x = 0.5 * width * half_exp
     semi_y = 0.5 * height * half_exp
 
-    f_mid, f_hi = OUTER_PAD_FACTORS
-    lvl_mid = corner_level(width, height, width + 2.0 * f_mid * pad,
-                           height + 2.0 * f_mid * pad, exponent)
-    lvl_hi = corner_level(width, height, width + 2.0 * f_hi * pad,
-                          height + 2.0 * f_hi * pad, exponent)
+    def band(pad):
+        # the levels through the corners of the rectangle inflated by pad and
+        # by OUTER_PAD_FACTORS times pad; the formation lo is the solver's level
+        return BlendTriplet(*[corner_level(width, height, width + 2.0 * f * pad,
+                                           height + 2.0 * f * pad, exponent)
+                              for f in (1.0, *OUTER_PAD_FACTORS)])
 
-    pad_d = params.defender_radius + params.defender_clearance
-    dw = width + 2.0 * pad_d
-    dh = height + 2.0 * pad_d
-    d_lo = corner_level(width, height, dw, dh, exponent)
-    d_mid = corner_level(width, height, width + 2.0 * f_mid * pad_d,
-                         height + 2.0 * f_mid * pad_d, exponent)
-    d_hi = corner_level(width, height, width + 2.0 * f_hi * pad_d,
-                        height + 2.0 * f_hi * pad_d, exponent)
+    formation_band = band(pad)
+    defender_band = band(params.defender_radius + params.defender_clearance)
 
     # lo is the inflated rectangle's full diagonal, so the circle holds it
     r_lo = math.hypot(fw, fh)
@@ -294,10 +289,9 @@ def derive_obstacle(center: Vec2, width: float, height: float,
         center=center, width=width, height=height,
         formation_width=fw, formation_height=fh,
         exponent=exponent, semi_x=semi_x, semi_y=semi_y,
-        formation_band=BlendTriplet(lvl_lo, lvl_mid, lvl_hi),
-        defender_band=BlendTriplet(d_lo, d_mid, d_hi),
+        formation_band=formation_band, defender_band=defender_band,
         attacker_band=attacker_band,
-        formation_reach=reach(lvl_hi), defender_reach=reach(d_hi),
+        formation_reach=reach(formation_band.hi), defender_reach=reach(defender_band.hi),
     )
 
 
@@ -356,10 +350,26 @@ class CaptureConfig:
     dwell_factor: float         # termination dwell as a multiple of transition_time
 
 
+# A run records one trace row per step, about 1 kB in memory with 3 defenders
+# (977 B measured on CPython 3.11), so 10**6 steps hold about 1 GB.
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Both finite and positive, with t_max / dt at most MAX_STEPS."""
+
     dt: float
     t_max: float
+
+    def __post_init__(self):
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_max < math.inf):
+            raise ConfigError(f"dt and t_max must be finite and positive, "
+                              f"got dt={self.dt}, t_max={self.t_max}")
+        steps = self.t_max / self.dt
+        if steps > MAX_STEPS:
+            raise ConfigError(f"t_max / dt asks for {steps:.4g} steps, "
+                              f"more than MAX_STEPS = {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -379,24 +389,6 @@ class ScenarioConfig:
 
 def _at(where: str, i) -> str:
     return where if i is None else f"{where}[{i}]"
-
-
-def _object(v, where: str) -> dict:
-    """A copy of a JSON object, from which each read pops its key."""
-    if not isinstance(v, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    return dict(v)
-
-
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise SchemaError(f"missing key '{key}' in {where}")
-    return d.pop(key)
-
-
-def _done(d: dict, where: str) -> None:
-    if d:
-        raise SchemaError(f"unknown key(s) {', '.join(f'{where}.{k}'.lstrip('.') for k in d)}")
 
 
 def _vec(v, where: str) -> Vec2:
@@ -425,6 +417,59 @@ def _band(v, where: str) -> tuple[float, float, float]:
     return (_num(v[0], where, 0), _num(v[1], where, 1), _num(v[2], where, 2))
 
 
+def _speeds(v, where: str, count: int) -> tuple[float, ...]:
+    """One number for all `count` defenders, or a list of `count` numbers."""
+    if not isinstance(v, list):
+        return (_num(v, where),) * count
+    if len(v) != count:
+        raise SchemaError(f"{where} list must match start_m length")
+    return tuple(_num(s, where, k) for k, s in enumerate(v))
+
+
+def _circle_factors(v, where: str) -> tuple[float, float]:
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise SchemaError(f"{where} must be [mid, hi]")
+    mid, hi = _num(v[0], where, 0), _num(v[1], where, 1)
+    if not 1.0 < mid < hi:
+        raise ConfigError(f"attacker circle factors must satisfy 1 < mid < hi, got {v}")
+    return mid, hi
+
+
+def _list_of(read, what: str = ""):
+    """A reader of a JSON list whose element k is read(element, path[k])."""
+    def read_list(v, where: str) -> list:
+        if not isinstance(v, list):
+            raise SchemaError(f"{where} must be a list{what}")
+        return [read(x, _at(where, k)) for k, x in enumerate(v)]
+    return read_list
+
+
+class _Record:
+    """A JSON object of a scenario (the document itself has path ""): rec(key,
+    read, default) is read(value, full path) of the value at key, or of the
+    default if given; rec.section(key) is the object at key; rec.done()
+    refuses the keys that nothing read."""
+
+    def __init__(self, v, where: str):
+        if not isinstance(v, dict):
+            raise SchemaError(f"{where or 'scenario document'} must be a JSON object")
+        self._left = dict(v)
+        self._where = where
+        self._prefix = f"{where}." if where else ""
+
+    def __call__(self, key: str, read=_num, default=None):
+        if default is None and key not in self._left:
+            raise SchemaError(f"missing key '{key}' in {self._where or 'scenario'}")
+        return read(self._left.pop(key, default), self._prefix + key)
+
+    def section(self, key: str, default=None) -> _Record:
+        return self(key, read=_Record, default=default)
+
+    def done(self) -> None:
+        if self._left:
+            raise SchemaError(f"unknown key(s) {', '.join(self._prefix + k for k in self._left)}")
+
+
 def transition_heuristic(defender_speed_min: float, attacker_speed: float,
                          arc_radius: float) -> float:
     """(pi/2)(v_min - v_a)/R: the default capture transition time, and the
@@ -440,114 +485,81 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     Consistency conditions that merely make the scenario unsound are left to
     validate_scenario, which reports them as data.
     """
-    doc = _object(doc, "scenario document")
+    doc = _Record(doc, "")
 
-    pa = _object(_require(doc, "protected_area", "scenario"), "protected_area")
-    protected = Disc(_vec(_require(pa, "center_m", "protected_area"), "protected_area.center_m"),
-                     _num(_require(pa, "radius_m", "protected_area"), "protected_area.radius_m"))
-    _done(pa, "protected_area")
-    sa = _object(_require(doc, "safe_area", "scenario"), "safe_area")
-    safe = Disc(_vec(_require(sa, "center_m", "safe_area"), "safe_area.center_m"),
-                _num(_require(sa, "radius_m", "safe_area"), "safe_area.radius_m"))
-    _done(sa, "safe_area")
+    pa = doc.section("protected_area")
+    protected = Disc(pa("center_m", read=_vec), pa("radius_m"))
+    pa.done()
+    sa = doc.section("safe_area")
+    safe = Disc(sa("center_m", read=_vec), sa("radius_m"))
+    sa.done()
 
-    at = _object(_require(doc, "attacker", "scenario"), "attacker")
+    at = doc.section("attacker")
     attacker = AttackerConfig(
-        start=_vec(_require(at, "start_m", "attacker"), "attacker.start_m"),
-        body_radius=_num(_require(at, "body_radius_m", "attacker"), "attacker.body_radius_m"),
-        speed_max=_num(_require(at, "speed_max_mps", "attacker"), "attacker.speed_max_mps"),
-        sensing_radius=_num(_require(at, "sensing_radius_m", "attacker"), "attacker.sensing_radius_m"),
-        deadlock_turn=_num(at.pop("deadlock_turn_rad", 0.05), "attacker.deadlock_turn_rad"),
-        standoff_band=_band(_require(at, "defender_standoff_band_m", "attacker"),
-                            "attacker.defender_standoff_band_m"),
+        start=at("start_m", read=_vec),
+        body_radius=at("body_radius_m"),
+        speed_max=at("speed_max_mps"),
+        sensing_radius=at("sensing_radius_m"),
+        deadlock_turn=at("deadlock_turn_rad", default=0.05),
+        standoff_band=at("defender_standoff_band_m", read=_band),
     )
-    _done(at, "attacker")
+    at.done()
 
-    de = _object(_require(doc, "defenders", "scenario"), "defenders")
-    starts = _require(de, "start_m", "defenders")
-    if not isinstance(starts, list):
-        raise SchemaError("defenders.start_m must be a list of [x, y] pairs")
-    start_vecs = tuple(_vec(s, f"defenders.start_m[{k}]") for k, s in enumerate(starts))
-    speeds_raw = _require(de, "speed_max_mps", "defenders")
-    if isinstance(speeds_raw, list):
-        if len(speeds_raw) != len(start_vecs):
-            raise SchemaError("defenders.speed_max_mps list must match start_m length")
-        speeds = tuple(_num(s, "defenders.speed_max_mps", k) for k, s in enumerate(speeds_raw))
-    else:
-        speeds = (_num(speeds_raw, "defenders.speed_max_mps"),) * len(start_vecs)
+    de = doc.section("defenders")
+    starts = tuple(de("start_m", read=_list_of(_vec, " of [x, y] pairs")))
     defenders = DefenderTeamConfig(
-        starts=start_vecs,
-        body_radius=_num(_require(de, "body_radius_m", "defenders"), "defenders.body_radius_m"),
-        speed_max=speeds,
-        sensing_zone_radius=_num(_require(de, "sensing_zone_radius_m", "defenders"),
-                                 "defenders.sensing_zone_radius_m"),
-        peer_band=_band(_require(de, "peer_separation_band_m", "defenders"),
-                        "defenders.peer_separation_band_m"),
+        starts=starts,
+        speed_max=de("speed_max_mps", read=lambda v, path: _speeds(v, path, len(starts))),
+        body_radius=de("body_radius_m"),
+        sensing_zone_radius=de("sensing_zone_radius_m"),
+        peer_band=de("peer_separation_band_m", read=_band),
     )
-    _done(de, "defenders")
+    de.done()
 
     if attacker.body_radius <= 0.0 or defenders.body_radius <= 0.0:
         raise ConfigError("agent body radii must be positive")
     if attacker.speed_max < 0.0 or any(v <= 0.0 for v in defenders.speed_max):
         raise ConfigError("speeds must be positive (attacker may be 0)")
 
-    fo = _object(_require(doc, "formation", "scenario"), "formation")
-    clearance = _num(_require(fo, "clearance_m", "formation"), "formation.clearance_m")
+    fo = doc.section("formation")
+    clearance = fo("clearance_m")
     formation = FormationConfig(
-        arc_radius=_num(_require(fo, "arc_radius_m", "formation"), "formation.arc_radius_m"),
-        spread=_num(_require(fo, "spread_rad", "formation"), "formation.spread_rad"),
+        arc_radius=fo("arc_radius_m"),
+        spread=fo("spread_rad"),
         clearance=clearance,
-        defender_clearance=_num(fo.pop("defender_clearance_m", 0.5 * clearance),
-                                "formation.defender_clearance_m"),
-        goal_tolerance=_num(fo.pop("goal_tolerance_m", 0.05), "formation.goal_tolerance_m"),
+        defender_clearance=fo("defender_clearance_m", default=0.5 * clearance),
+        goal_tolerance=fo("goal_tolerance_m", default=0.05),
     )
-    _done(fo, "formation")
+    fo.done()
     if formation.arc_radius <= 0.0:
         raise ConfigError(f"arc radius must be positive, got {formation.arc_radius}")
 
-    co = _object(_require(doc, "control", "scenario"), "control")
-    control = ControlConfig(
-        terminal_exponent=_num(_require(co, "terminal_exponent", "control"),
-                               "control.terminal_exponent"),
-        heading_rate_max=_num(_require(co, "heading_rate_max_radps", "control"),
-                              "control.heading_rate_max_radps"),
-    )
-    _done(co, "control")
+    co = doc.section("control")
+    control = ControlConfig(terminal_exponent=co("terminal_exponent"),
+                            heading_rate_max=co("heading_rate_max_radps"))
+    co.done()
 
-    ca = _object(_require(doc, "capture", "scenario"), "capture")
-    default_transition = transition_heuristic(min(speeds, default=attacker.speed_max),
+    ca = doc.section("capture")
+    default_transition = transition_heuristic(min(defenders.speed_max, default=attacker.speed_max),
                                               attacker.speed_max, formation.arc_radius)
     capture = CaptureConfig(
-        transition_time=_num(ca.pop("transition_time_s", default_transition),
-                             "capture.transition_time_s"),
-        tangent_margin=_num(ca.pop("tangent_margin_rad", 0.1), "capture.tangent_margin_rad"),
-        dwell_factor=_num(ca.pop("dwell_factor", 2.0), "capture.dwell_factor"),
+        transition_time=ca("transition_time_s", default=default_transition),
+        tangent_margin=ca("tangent_margin_rad", default=0.1),
+        dwell_factor=ca("dwell_factor", default=2.0),
     )
-    _done(ca, "capture")
+    ca.done()
     if capture.transition_time <= 0.0:
         raise ConfigError(f"capture transition time must be positive, got {capture.transition_time}")
 
-    it = _object(_require(doc, "integrator", "scenario"), "integrator")
-    integrator = IntegratorConfig(
-        dt=_num(_require(it, "dt_s", "integrator"), "integrator.dt_s"),
-        t_max=_num(_require(it, "t_max_s", "integrator"), "integrator.t_max_s"),
-    )
-    _done(it, "integrator")
-    if integrator.dt <= 0.0:
-        raise ConfigError(f"integrator dt must be positive, got {integrator.dt}")
-    if integrator.t_max <= 0.0:
-        raise ConfigError(f"integrator t_max must be positive, got {integrator.t_max}")
+    it = doc.section("integrator")
+    integrator = IntegratorConfig(dt=it("dt_s"), t_max=it("t_max_s"))
+    it.done()
 
-    om = _object(doc.pop("obstacle_model", {}), "obstacle_model")
-    factors = om.pop("attacker_circle_factors", [ObstacleDerivation.attacker_mid_factor,
-                                                 ObstacleDerivation.attacker_hi_factor])
-    _done(om, "obstacle_model")
-    if not (isinstance(factors, (list, tuple)) and len(factors) == 2):
-        raise SchemaError("obstacle_model.attacker_circle_factors must be [mid, hi]")
-    mid_f = _num(factors[0], "obstacle_model.attacker_circle_factors", 0)
-    hi_f = _num(factors[1], "obstacle_model.attacker_circle_factors", 1)
-    if not (1.0 < mid_f < hi_f):
-        raise ConfigError(f"attacker circle factors must satisfy 1 < mid < hi, got {factors}")
+    om = doc.section("obstacle_model", default={})
+    mid_f, hi_f = om("attacker_circle_factors", read=_circle_factors,
+                     default=[ObstacleDerivation.attacker_mid_factor,
+                              ObstacleDerivation.attacker_hi_factor])
+    om.done()
 
     derivation = ObstacleDerivation(
         formation_radius=formation.arc_radius + defenders.body_radius,
@@ -557,18 +569,12 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         attacker_mid_factor=mid_f,
         attacker_hi_factor=hi_f,
     )
-    raw_obstacles = _require(doc, "obstacles", "scenario")
-    _done(doc, "")
-    if not isinstance(raw_obstacles, list):
-        raise SchemaError("obstacles must be a list")
+    records = doc("obstacles", read=_list_of(_Record))
+    doc.done()
     obstacles = []
-    for i, rec in enumerate(raw_obstacles):
-        where = f"obstacles[{i}]"
-        rec = _object(rec, where)
-        c = _vec(_require(rec, "center_m", where), where + ".center_m")
-        w = _num(_require(rec, "width_m", where), where + ".width_m")
-        h = _num(_require(rec, "height_m", where), where + ".height_m")
-        _done(rec, where)
+    for rec in records:
+        c, w, h = rec("center_m", read=_vec), rec("width_m"), rec("height_m")
+        rec.done()
         obstacles.append(derive_obstacle(c, w, h, derivation))
 
     return ScenarioConfig(
@@ -579,13 +585,17 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
 
 def load_scenario(path) -> tuple[ScenarioConfig, str]:
-    """Load a scenario JSON file; returns (config, sha256 of the file bytes)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Load a scenario JSON file; returns (config, sha256 of the file bytes).
+    An unreadable file raises ScenarioFileError, one not JSON text SchemaError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ScenarioFileError(f"cannot read scenario file: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # also not UTF-8, or nested too deep
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc), digest
 

@@ -1,20 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each carries `exit_code`, the
+CLI's exit status when a command raises it."""
 
 
 class HerdsimError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1       # unexpected internal error
 
 
-class ConfigError(HerdsimError):
+class ConfigError(HerdsimError, ValueError):
     """A parameter value is unusable (wrong sign, bad ordering, non-finite)."""
+    exit_code = 3
 
 
 class SchemaError(HerdsimError):
     """A scenario document does not match the expected structure."""
+    exit_code = 3
+
+
+class ScenarioFileError(HerdsimError):
+    """A scenario file is missing or cannot be read."""
+    exit_code = 2
 
 
 class SolverError(HerdsimError):
     """A numerical solver failed to converge or bracket a root."""
+    exit_code = 6
 
 
 class DomainError(HerdsimError):

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .environment import (Obstacle, contour_offsets, superelliptic_distance,
                           tangent_angle_at)
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .geom import TWO_PI, Vec2, blend_weight, unit, wrap_angle, wrap_sector
 
 if TYPE_CHECKING:
@@ -275,16 +275,16 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128,
     blending contour (the configuration that maximizes the gap); the target
     sector angle covers the first quadrant, the remaining quadrants following
     by symmetry of the axis-aligned family.  Passes when the gap magnitude
-    never reaches a half turn minus the margin.  Raises ValueError, before
+    never reaches a half turn minus the margin.  Raises ConfigError, before
     any array is built, unless 64 <= resolution <= SWEEP_MAX_RESOLUTION and
     0 <= margin < pi.
     """
     if not 64 <= resolution <= SWEEP_MAX_RESOLUTION:
-        raise ValueError(f"sweep resolution must be 64 to {SWEEP_MAX_RESOLUTION}, "
-                         f"got {resolution}")
+        raise ConfigError(f"sweep resolution must be 64 to {SWEEP_MAX_RESOLUTION}, "
+                          f"got {resolution}")
     # a margin of pi or more leaves no gap to certify; NaN fails both tests
     if not 0.0 <= margin < math.pi:
-        raise ValueError(f"sweep margin must be finite and in [0, pi), got {margin}")
+        raise ConfigError(f"sweep margin must be finite and in [0, pi), got {margin}")
     import numpy as np
 
     level = ob.formation_band.hi

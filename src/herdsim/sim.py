@@ -26,7 +26,7 @@ from .defender_control import (TrackingGains, defender_field, defender_velocity,
                                solve_tracking_gains)
 from .environment import (CULL_SLACK, Obstacle, ScenarioConfig, level_floor,
                           safety_ratio, superelliptic_distance)
-from .errors import ConfigError, IntegrityError
+from .errors import IntegrityError
 from .formation_field import combined_field
 from .geom import BlendTriplet, Vec2, angle_of, dist
 from .herding import (FormationSpec, formation_goals, formation_spec, heading_rate,
@@ -400,16 +400,13 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     """Run the closed loop until capture holds through the dwell window, the
     protected area is breached, or the time budget runs out.
 
-    Deterministic: identical configurations produce identical traces.
+    dt and t_max, where given, replace the scenario's (IntegratorConfig checks
+    them).  Deterministic: identical configurations produce identical traces.
     """
-    if dt is not None or t_max is not None:
-        integ = dataclasses.replace(cfg.integrator,
-                                    **({"dt": dt} if dt is not None else {}),
-                                    **({"t_max": t_max} if t_max is not None else {}))
-        if not (0.0 < integ.dt < math.inf and 0.0 < integ.t_max < math.inf):
-            raise ConfigError("dt and t_max overrides must be finite and positive, "
-                              f"got dt={integ.dt}, t_max={integ.t_max}")
-        cfg = dataclasses.replace(cfg, integrator=integ)
+    overrides = {k: v for k, v in (("dt", dt), ("t_max", t_max)) if v is not None}
+    if overrides:
+        cfg = dataclasses.replace(
+            cfg, integrator=dataclasses.replace(cfg.integrator, **overrides))
 
     ctx = build_context(cfg)
     state = new_state(cfg)

@@ -4,14 +4,16 @@ import inspect
 import json
 import math
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import pytest
 
 import herdsim
-from herdsim import defender_control, environment, reference_scenario_path
+from herdsim import cli, defender_control, environment, errors, reference_scenario_path
 from herdsim.cli import main
 from herdsim.geom import dist
 
@@ -38,17 +40,32 @@ def test_simulate_bundle_artifacts(cli_artifacts):
     assert summary["manifest"]["outputs"]["trace_csv"] == "trace.csv"
 
 
-def test_missing_scenario_exit_code(tmp_path):
+def test_missing_scenario_exit_code(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
+    # unreadable paths: a directory, and a path below a regular file (root
+    # ignores permission bits, so no permission-based case)
+    (tmp_path / "file.json").write_text("{}")
+    for unreadable in (tmp_path, tmp_path / "file.json" / "below.json"):
+        capsys.readouterr()
+        assert main(["check", "--scenario", str(unreadable)]) == 2
+        assert "error: cannot read scenario file: " in capsys.readouterr().err
 
 
-def test_malformed_scenario_exit_code(tmp_path):
+def test_malformed_scenario_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", "--scenario", str(bad)]) == 3
     bad.write_text(json.dumps({"protected_area": {}}))
     assert main(["check", "--scenario", str(bad)]) == 3
+    # not UTF-8 text, a UTF-16 byte-order mark before an odd byte count, and
+    # lists nested deeper than the interpreter's recursion limit
+    for raw in (b'{"a": "\xff"}', b"\xff\xfe{", b"[" * 100_000):
+        bad.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["check", "--scenario", str(bad)]) == 3
+        assert "error: bad scenario: scenario file is not valid JSON: " in \
+            capsys.readouterr().err
 
 
 EXTRA_KEY_OBSTACLE = {"center_m": [50.0, 50.0], "width_m": 2.0, "height_m": 2.0,
@@ -372,8 +389,55 @@ def test_unusable_dt_or_t_max_override_exits_3(tmp_path, capsys, override):
     # an infinite dt would run 0 steps
     out = tmp_path / "o"
     assert main(["simulate", "--out", str(out), *override]) == 3
-    assert "overrides must be finite and positive" in capsys.readouterr().err
+    assert "dt and t_max must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    ["--dt", "1e-320"], ["--dt", "1e-300"], ["--t-max", "1e300"],
+    ["--dt", "0.001", "--t-max", "1000.001"]],
+    ids=lambda o: " ".join(o))
+def test_step_count_above_max_steps_exits_3(tmp_path, capsys, override):
+    # refused before step 0: 1e-320 once overflowed round(t_max / dt), and
+    # 1e-300 asked for 2e302 steps
+    out = tmp_path / "o"
+    assert main(["simulate", "--out", str(out), *override]) == 3
+    assert "more than MAX_STEPS = 1000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", [1e-320, 1e-300])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_scenario_step_count_above_max_steps_exits_3(tmp_path, capsys, command, dt):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(small_scenario_doc(**{"integrator.dt_s": dt})))
+    out = tmp_path / "o"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    assert main([command, "--scenario", str(path), *extra]) == 3
+    assert "error: bad scenario: t_max / dt asks for" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def exit_code_table() -> dict:
+    """code -> meaning, from the README's "Exit codes" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    return {int(m[1]): m[2] for m in re.finditer(r"^\| (\d+) \| (.*) \|$", section, re.M)}
+
+
+def test_every_error_exits_with_its_documented_code(monkeypatch, capsys):
+    table = exit_code_table()
+    assert sorted(table) == [0, 1, 2, 3, 4, 5, 6]
+    kinds = [c for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.HerdsimError)]
+    for kind in kinds:
+        def raise_it(args, kind=kind):
+            raise kind("raised by the command")
+        monkeypatch.setattr(cli, "cmd_check", raise_it)
+        assert main(["check"]) == kind.exit_code, kind.__name__
+        assert capsys.readouterr().err == "error: raised by the command\n"
+        assert kind.exit_code in table, kind.__name__
+    assert {k.exit_code for k in kinds} == {1, 2, 3, 6}
 
 
 def test_svg_off_suppresses_plots(tmp_path):
@@ -419,8 +483,11 @@ def test_sweep_rejects_a_margin_that_certifies_nothing(tmp_path, capsys, margin)
     assert "margin must be finite and in [0, pi)" in capsys.readouterr().err
 
 
-def test_sweep_rejects_bad_index(tmp_path):
+def test_sweep_rejects_bad_index(tmp_path, capsys):
     assert main(["sweep", "--obstacle", "17", "--out", str(tmp_path)]) == 3
+    assert main(["sweep", "--obstacle", "-1", "--out", str(tmp_path)]) == 3
+    assert "error: obstacle index -1 out of range (scenario has 6)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_bundled_scenario_path_exists():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -8,13 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from herdsim.environment import (EXPONENT_RESIDUAL_MAX, SOLVER_TOL, ScenarioConfig,
+from herdsim.environment import (CULL_SLACK, EXPONENT_RESIDUAL_MAX, MAX_STEPS,
+                                 OUTER_PAD_FACTORS, SOLVER_TOL, IntegratorConfig,
+                                 ObstacleDerivation, ScenarioConfig,
                                  arc_magnitude, corner_level, derive_obstacle,
                                  min_spread, scenario_from_dict,
                                  scenario_warnings, shell_points, solve_shape_exponent,
                                  superelliptic_distance, validate_scenario)
 from herdsim.errors import ConfigError, SolverError
-from herdsim.geom import Vec2
+from herdsim.geom import BlendTriplet, Vec2
 
 from conftest import REFERENCE_OBSTACLES, contour_tangent_angle, small_scenario_doc
 
@@ -166,6 +169,70 @@ def test_derive_obstacle_deterministic(derivation):
     a = derive_obstacle(Vec2(2.0, 5.0), 3.0, 4.0, derivation)
     b = derive_obstacle(Vec2(2.0, 5.0), 3.0, 4.0, derivation)
     assert a == b
+
+
+def derive_obstacle_by_hand(center, width, height, params):
+    """derive_obstacle as it was written before the bands shared one formula:
+    the reference that test_derive_obstacle_bands_match_the_hand_formulas
+    compares against."""
+    pad = params.formation_radius + params.clearance
+    fw = width + 2.0 * pad
+    fh = height + 2.0 * pad
+    exponent, lvl_lo = solve_shape_exponent(width, height, fw, fh)
+    half_exp = 2.0 ** (1.0 / (2.0 * exponent))
+    semi_x = 0.5 * width * half_exp
+    semi_y = 0.5 * height * half_exp
+    f_mid, f_hi = OUTER_PAD_FACTORS
+    lvl_mid = corner_level(width, height, width + 2.0 * f_mid * pad,
+                           height + 2.0 * f_mid * pad, exponent)
+    lvl_hi = corner_level(width, height, width + 2.0 * f_hi * pad,
+                          height + 2.0 * f_hi * pad, exponent)
+    pad_d = params.defender_radius + params.defender_clearance
+    dw = width + 2.0 * pad_d
+    dh = height + 2.0 * pad_d
+    d_lo = corner_level(width, height, dw, dh, exponent)
+    d_mid = corner_level(width, height, width + 2.0 * f_mid * pad_d,
+                         height + 2.0 * f_mid * pad_d, exponent)
+    d_hi = corner_level(width, height, width + 2.0 * f_hi * pad_d,
+                        height + 2.0 * f_hi * pad_d, exponent)
+    r_lo = math.hypot(fw, fh)
+    attacker_band = BlendTriplet(r_lo, params.attacker_mid_factor * r_lo,
+                                 params.attacker_hi_factor * r_lo)
+
+    def reach(level):
+        scale = (1.0 + level) ** (1.0 / (2.0 * exponent))
+        return math.hypot(semi_x, semi_y) * scale * (1.0 + CULL_SLACK)
+
+    return (center, width, height, fw, fh, exponent, semi_x, semi_y,
+            BlendTriplet(lvl_lo, lvl_mid, lvl_hi), BlendTriplet(d_lo, d_mid, d_hi),
+            attacker_band, reach(lvl_hi), reach(d_hi))
+
+
+def test_derive_obstacle_bands_match_the_hand_formulas():
+    rng = random.Random(14)
+    for _ in range(300):
+        params = ObstacleDerivation(
+            formation_radius=rng.uniform(0.1, 3.0), clearance=rng.uniform(0.05, 1.0),
+            defender_clearance=rng.uniform(0.01, 0.5), defender_radius=rng.uniform(0.05, 0.5),
+            attacker_mid_factor=rng.uniform(1.01, 1.2), attacker_hi_factor=rng.uniform(1.25, 1.5))
+        center = Vec2(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+        width, height = rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0)
+        ob = derive_obstacle(center, width, height, params)
+        fields = tuple(getattr(ob, f) for f in ob.__dataclass_fields__)
+        # repr compares every float to the last bit
+        assert repr(fields) == repr(derive_obstacle_by_hand(center, width, height, params))
+
+
+def test_integrator_config_caps_the_step_count():
+    assert IntegratorConfig(dt=1.0, t_max=float(MAX_STEPS)).t_max == MAX_STEPS
+    for dt, t_max in [(1.0, MAX_STEPS * (1.0 + 1e-12)), (1e-300, 200.0), (1e-320, 200.0),
+                      (0.01, 1e300)]:
+        with pytest.raises(ConfigError, match="MAX_STEPS"):
+            IntegratorConfig(dt=dt, t_max=t_max)
+    for dt, t_max in [(0.0, 1.0), (-0.01, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                      (0.01, 0.0), (0.01, math.inf), (0.01, math.nan)]:
+        with pytest.raises(ConfigError, match="must be finite and positive"):
+            IntegratorConfig(dt=dt, t_max=t_max)
 
 
 def test_min_spread_example():
