@@ -37,8 +37,7 @@ for x in np.linspace(-8.5, 8.5, 24):
         p = Vec2(float(x), float(y))
         if superelliptic_distance(p, obstacle) < obstacle.formation_band.lo:
             continue
-        sample = combined_field(p, [obstacle], safe.center)
-        d = sample.direction
+        d = combined_field(p, [obstacle], safe.center)
         n = d.norm()
         if n == 0.0:
             continue

@@ -15,11 +15,10 @@ from .environment import (Disc, Obstacle, ObstacleDerivation, ScenarioConfig,
                           superelliptic_distance, validate_scenario)
 from .errors import (ConfigError, DomainError, HerdsimError, InfeasibleHeadingError,
                      IntegrityError, ScenarioFileError, SchemaError, SolverError)
-from .formation_field import (FieldSample, SweepReport, attractive_field,
-                              combined_field, follow_field, repulsive_angle,
-                              singularity_sweep)
-from .geom import (BlendTriplet, Vec2, angle_of, blend_weight, dist, unit,
-                   wrap_angle, wrap_sector)
+from .formation_field import (SweepReport, attractive_field, combined_field,
+                              follow_field, repulsive_angle, singularity_sweep)
+from .geom import (BlendTriplet, Vec2, angle_of, blend_weight, close_blend, dist,
+                   repel, unit, wrap_angle, wrap_sector)
 from .herding import (FormationSpec, formation_goals, formation_spec, heading_rate,
                       obstacle_resultant, schedule_heading, solve_command_heading)
 from .sim import (SafetySnapshot, SimState, SimTrace, build_context, new_state,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .environment import Obstacle
-from .errors import DomainError
-from .geom import BlendTriplet, Vec2, blend_weight, wrap_angle
+from .geom import BlendTriplet, Vec2, close_blend, repel, wrap_angle
 
 DEADLOCK_TOL = 1e-6
 
@@ -29,36 +29,18 @@ class AttackerState:
 
 
 def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
-                  sensing_radius: float) -> tuple[float, float, float]:
-    """Circular-model push of the obstacles within the sensing radius: the
-    product of the weights' complements and the weighted sum (rx, ry) of
-    unit vectors away from each center; raises at a center.  The arc command
-    and the attacker field take the same push, so the command cancels what
-    the attacker feels by construction."""
-    prod = 1.0
-    rx = 0.0
-    ry = 0.0
-    px, py = position.x, position.y
-    for ob in obstacles:
-        dx = px - ob.center.x
-        dy = py - ob.center.y
-        d = math.hypot(dx, dy)
-        if d > sensing_radius:
-            continue
-        if d == 0.0:
-            raise DomainError("attacker coincides with an obstacle center")
-        sigma = blend_weight(d, ob.attacker_band)
-        if sigma <= 0.0:
-            continue
-        prod *= 1.0 - sigma
-        rx += sigma * dx / d
-        ry += sigma * dy / d
-    return prod, rx, ry
+                  sensing_radius: float):
+    """Circular-model push of the obstacles within the sensing radius, as a
+    blend (see `geom.repel`); raises at a center.  The arc command and the
+    attacker field take the same push, so the command cancels what the
+    attacker feels by construction."""
+    return repel(position, ((ob.center, ob.attacker_band) for ob in obstacles),
+                 sensing_radius, (1.0, 0.0, 0.0, False))
 
 
-def attacker_field(position: Vec2, defenders: Sequence[Vec2],
-                   push: tuple[float, float, float], protected_center: Vec2,
-                   sensing_radius: float, standoff: BlendTriplet) -> Vec2:
+def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
+                   protected_center: Vec2, sensing_radius: float,
+                   standoff: BlendTriplet) -> Vec2:
     """Blended steering field at the attacker's position, given the
     obstacles' `obstacle_push` there.
 
@@ -66,31 +48,8 @@ def attacker_field(position: Vec2, defenders: Sequence[Vec2],
     handles that case.  Coincidence with a defender is outside the model and
     raises.
     """
-    prod, rx, ry = push
-    px, py = position.x, position.y
-
-    for dpos in defenders:
-        dx = px - dpos.x
-        dy = py - dpos.y
-        d = math.hypot(dx, dy)
-        if d > sensing_radius:
-            continue
-        if d == 0.0:
-            raise DomainError("attacker coincides with a defender")
-        sigma = blend_weight(d, standoff)
-        if sigma <= 0.0:
-            continue
-        prod *= 1.0 - sigma
-        rx += sigma * dx / d
-        ry += sigma * dy / d
-
-    gx = protected_center.x - px
-    gy = protected_center.y - py
-    g = math.hypot(gx, gy)
-    if g > 0.0:
-        rx += prod * gx / g
-        ry += prod * gy / g
-    return Vec2(rx, ry)
+    blend = repel(position, zip(defenders, repeat(standoff)), sensing_radius, push)
+    return close_blend(position, protected_center, blend)
 
 
 def attacker_step(state: AttackerState, field: Vec2, turn: float,

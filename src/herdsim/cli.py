@@ -44,8 +44,10 @@ log = logging.getLogger("herdsim.cli")
 
 
 def _setup_logging():
-    level = os.environ.get("HERDSIM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # getLevelName maps a level name to its number and anything else (even
+    # another logging attribute, such as BASIC_FORMAT) to a string
+    level = logging.getLevelName(os.environ.get("HERDSIM_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
 

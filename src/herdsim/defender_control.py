@@ -15,12 +15,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .environment import SOLVER_TOL, Obstacle, bisect
-from .errors import ConfigError, DomainError, SolverError
+from .errors import ConfigError, SolverError
 from .formation_field import follow_obstacles
-from .geom import BlendTriplet, Vec2, blend_weight
+from .geom import BlendTriplet, Vec2, close_blend, repel
 
 log = logging.getLogger("herdsim.defender")
 
@@ -86,32 +87,9 @@ def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
     is exactly 0.
     """
     p = positions[index]
-    prod, rx, ry, sigma_max, _ = follow_obstacles(p, obstacles, goal, True)
-    conflict = sigma_max > 0.0
-
-    for l, other in enumerate(positions):
-        if l == index:
-            continue
-        dx = p.x - other.x
-        dy = p.y - other.y
-        d = math.hypot(dx, dy)
-        if d == 0.0:
-            raise DomainError(f"defenders {index} and {l} coincide")
-        sigma = blend_weight(d, peer_band)
-        if sigma <= 0.0:
-            continue
-        conflict = True
-        prod *= 1.0 - sigma
-        rx += sigma * dx / d
-        ry += sigma * dy / d
-
-    gx = goal.x - p.x
-    gy = goal.y - p.y
-    g = math.hypot(gx, gy)
-    if g > 0.0:
-        rx += prod * gx / g
-        ry += prod * gy / g
-    return Vec2(rx, ry), conflict
+    peers = zip(positions[:index] + positions[index + 1:], repeat(peer_band))
+    blend = repel(p, peers, math.inf, follow_obstacles(p, obstacles, goal, True))
+    return close_blend(p, goal, blend), blend[3]
 
 
 def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,

@@ -166,7 +166,8 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
 
     Returns (exponent, corner_level).  Raises SolverError if
     |n - 1/(1 - exp(-xi))| at the last iterate exceeds EXPONENT_RESIDUAL_MAX,
-    however the iteration stopped.
+    however the iteration stopped, or if the corner level overflows (a side
+    tiny against its pad).
     """
     if not (infl_width > width > 0.0 and infl_height > height > 0.0):
         raise ConfigError(
@@ -182,24 +183,27 @@ def solve_shape_exponent(width: float, height: float, infl_width: float,
 
     n = 2.0
     damping = 0.5
-    for _ in range(SOLVER_MAX_ITER):
-        n_next = (1.0 - damping) * n + damping * mapped(n)
-        step = abs(n_next - n)
-        n = n_next
-        if step < SOLVER_TOL:
-            break
-    residual = n - mapped(n)
+    try:
+        for _ in range(SOLVER_MAX_ITER):
+            n_next = (1.0 - damping) * n + damping * mapped(n)
+            step = abs(n_next - n)
+            n = n_next
+            if step < SOLVER_TOL:
+                break
+        residual = n - mapped(n)
+        level = level_of(n)
+    except OverflowError as exc:
+        raise SolverError(f"corner level overflows at exponent {n}: {exc}") from exc
     if abs(residual) > EXPONENT_RESIDUAL_MAX:
         raise SolverError(f"exponent residual {residual} above {EXPONENT_RESIDUAL_MAX}")
-    return n, level_of(n)
+    return n, level
 
 
 def superelliptic_distance(p: Vec2, ob: Obstacle) -> float:
     """Level-set coordinate of p in the obstacle's super-ellipse family.
 
     -1 at the center, 0 on the contour through the raw rectangle corners,
-    strictly increasing along rays from the center.  p may hold coordinate
-    arrays, giving the level at every point.
+    strictly increasing along rays from the center.
     """
     ex = abs((p.x - ob.center.x) / ob.semi_x)
     ey = abs((p.y - ob.center.y) / ob.semi_y)

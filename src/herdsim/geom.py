@@ -1,5 +1,6 @@
-"""Planar geometry primitives: 2-vectors, angle wrapping, and the smooth
-on/off distance ramp used by every field in the package."""
+"""Planar geometry primitives: 2-vectors, angle wrapping, the smooth on/off
+distance ramp, and the blend that every steering field in the package is
+built from."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,6 +97,47 @@ def blend_weight(delta: float, band: BlendTriplet) -> float:
     # coordinate u it is identically 1 - 3u^2 + 2u^3, exact to float
     u = (delta - band.mid) / (band.hi - band.mid)
     return 1.0 + u * u * (2.0 * u - 3.0)
+
+
+# A blend (prod, x, y, hit) accumulates weighted unit terms: prod is the
+# product of the weights' complements, (x, y) the weighted sum of the terms
+# and hit whether any weight was nonzero; (1.0, 0.0, 0.0, False) is empty.
+# A field is a blend closed by its attraction, weighted with prod.
+
+def repel(p: Vec2, sources, reach: float, blend):
+    """Continue a blend with a unit push away from each (point, band) source
+    within reach of p, weighted on its band; raises at a source's point."""
+    prod, x, y, hit = blend
+    px, py = p.x, p.y
+    for q, band in sources:
+        dx = px - q.x
+        dy = py - q.y
+        d = math.hypot(dx, dy)
+        if d > reach:
+            continue
+        if d == 0.0:
+            raise DomainError(f"({px}, {py}) coincides with a repelling point")
+        sigma = blend_weight(d, band)
+        if sigma <= 0.0:
+            continue
+        hit = True
+        prod *= 1.0 - sigma
+        x += sigma * dx / d
+        y += sigma * dy / d
+    return prod, x, y, hit
+
+
+def close_blend(p: Vec2, target: Vec2, blend) -> Vec2:
+    """The blend's field: its sum plus prod times the unit vector from p
+    toward target (nothing exactly at the target)."""
+    prod, x, y, _ = blend
+    gx = target.x - p.x
+    gy = target.y - p.y
+    g = math.hypot(gx, gy)
+    if g > 0.0:
+        x += prod * gx / g
+        y += prod * gy / g
+    return Vec2(x, y)
 
 
 def wrap_angle(theta: float) -> float:

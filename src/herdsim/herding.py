@@ -25,8 +25,6 @@ from .geom import Vec2, wrap_angle
 class FormationSpec:
     """Static geometry of the defender arc."""
 
-    count: int
-    spread: float                    # total angular spread (rad)
     arc_radius: float                # distance of each slot from the attacker
     offsets: tuple[float, ...]       # symmetric slot offsets along the arc
     arc_magnitude: float             # norm of the summed unit repulsions
@@ -44,14 +42,14 @@ def formation_spec(count: int, spread: float, arc_radius: float,
             f"for {count} defenders")
     offsets = tuple(spread * (2 * j - count - 1) / (2 * count - 2)
                     for j in range(1, count + 1))
-    return FormationSpec(count=count, spread=spread, arc_radius=arc_radius,
-                         offsets=offsets, arc_magnitude=arc_magnitude(count, spread))
+    return FormationSpec(arc_radius=arc_radius, offsets=offsets,
+                         arc_magnitude=arc_magnitude(count, spread))
 
 
-def obstacle_resultant(push: tuple[float, float, float]) -> tuple[float, float]:
+def obstacle_resultant(push) -> tuple[float, float]:
     """Polar form (magnitude, angle) of the summed circular-model repulsion
-    in an `obstacle_push` result; (0, 0) when nothing is in range."""
-    _, rx, ry = push
+    in an `obstacle_push` blend; (0, 0) when nothing is in range."""
+    _, rx, ry, _ = push
     return math.hypot(rx, ry), math.atan2(ry, rx)
 
 

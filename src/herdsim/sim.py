@@ -211,7 +211,7 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
       radius + skin of the anchor by the triangle inequality.  Widening that
       by CULL_SLACK relative absorbs the rounding of both distance tests.
       An obstacle whose center coincides with the agent is within skin of the
-      anchor, so it is always listed and attacker_field still raises.
+      anchor, so it is always listed and obstacle_push still raises.
     - bounds: every point within the skin lies at least d - skin from the
       center, d the anchor's distance.  t = d (1 - CULL_SLACK) - skin
       (1 + CULL_SLACK) rounds d - skin outward (down) by far more than the
@@ -310,8 +310,7 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     return SafetySnapshot(r_ao, r_do, r_dd, r_ad)
 
 
-def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
-          push: tuple[float, float, float]) -> None:
+def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> None:
     """Guidance for this step: desired heading, arc command, slot targets.
 
     push is the attacker's obstacle push at its position; the guidance field
@@ -319,8 +318,7 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     safe area.
     """
     r_a = state.attacker.position
-    sample = combined_field(r_a, cfg.obstacles, cfg.safe.center)
-    field_angle = angle_of(sample.direction)
+    field_angle = angle_of(combined_field(r_a, cfg.obstacles, cfg.safe.center))
     if state.t_capture is None and cfg.safe.contains(r_a):
         state.t_capture = state.t
     state.desired = schedule_heading(field_angle, state.t, state.t_capture,

@@ -192,6 +192,18 @@ def test_loose_solver_tolerance_is_a_solver_failure(tmp_path, capsys, monkeypatc
     assert "residual" in capsys.readouterr().err
 
 
+def test_tiny_obstacle_side_is_a_solver_failure(tmp_path, capsys, bundle_doc):
+    # the first exponent step overflows the corner level
+    doc = json.loads(json.dumps(bundle_doc))
+    doc["obstacles"].append({"center_m": [200.0, 200.0], "width_m": 1e-300,
+                             "height_m": 2.0})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 6
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 6
+    assert "obstacle at" in capsys.readouterr().err
+
+
 def test_check_attacker_at_rest(tmp_path, capsys):
     doc = small_scenario_doc(**{"attacker.speed_max_mps": 0})
     path = tmp_path / "scenario.json"
@@ -345,6 +357,19 @@ def test_numpy_is_imported_only_where_arrays_are_built(tmp_path, argv, code, loa
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
+
+
+@pytest.mark.parametrize("value, level", [("basic_format", "WARNING"),
+                                          ("debug", "DEBUG")])
+def test_herdsim_log_takes_only_level_names(tmp_path, value, level):
+    # BASIC_FORMAT is a logging attribute but no level
+    probe = ("import logging; from herdsim import cli; "
+             "print(cli.main(['check']), logging.getLevelName(logging.getLogger().level))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                          env=dict(child_env(), HERDSIM_LOG=value), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {level}"
 
 
 def test_check_inconsistent_reference_parameters_flagged(tmp_path, capsys):

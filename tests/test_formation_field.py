@@ -10,7 +10,7 @@ from herdsim.errors import DomainError
 from herdsim.formation_field import (SWEEP_SUBSAMPLES, _cell_extrema, _field_angle_np,
                                      _gap_lattice, _tangent_angle_np, _wrap_angle_np,
                                      attractive_field, combined_field, follow_field,
-                                     repulsive_angle, singularity_sweep)
+                                     follow_obstacles, repulsive_angle, singularity_sweep)
 from herdsim.geom import Vec2, blend_weight, wrap_angle
 from herdsim.svg import _fmt, sweep_heatmap_svg
 
@@ -86,22 +86,22 @@ def test_attractive_field_cases():
 
 def test_combined_field_far_is_pure_attraction(square):
     safe = Vec2(0.0, 30.0)
-    sample = combined_field(Vec2(20.0, -5.0), [square], safe)
-    assert sample.sigma == 0.0
-    assert sample.active_obstacle is None
-    assert abs(sample.direction.norm() - 1.0) < 1e-15
+    p = Vec2(20.0, -5.0)
+    prod, _, _, hit = follow_obstacles(p, [square], safe, False)
+    assert prod == 1.0 and not hit
+    assert abs(combined_field(p, [square], safe).norm() - 1.0) < 1e-15
 
 
 def test_combined_field_saturated_is_pure_following(square):
     safe = Vec2(0.0, 30.0)
     p = contour_point(square, 0.3, square.formation_band.lo)  # weight saturates at 1
-    sample = combined_field(p, [square], safe)
-    assert sample.sigma == 1.0
-    assert sample.active_obstacle == 0
-    assert abs(sample.direction.norm() - 1.0) < 1e-15
+    prod, _, _, hit = follow_obstacles(p, [square], safe, False)
+    assert prod == 0.0 and hit
+    field = combined_field(p, [square], safe)
+    assert abs(field.norm() - 1.0) < 1e-15
     phi = repulsive_angle(p, square, safe)
-    assert sample.direction.x == pytest.approx(math.cos(phi))
-    assert sample.direction.y == pytest.approx(math.sin(phi))
+    assert field.x == pytest.approx(math.cos(phi))
+    assert field.y == pytest.approx(math.sin(phi))
 
 
 def test_blend_norm_identity():
@@ -123,10 +123,10 @@ def test_combined_norm_matches_composition_formula(square):
         s = blend_weight(superelliptic_distance(p, square), square.formation_band)
         if not (0.0 < s < 1.0):
             continue
-        sample = combined_field(p, [square], safe)
+        field = combined_field(p, [square], safe)
         gap = component_angle_gap(p, square, safe)
         expect = math.sqrt(1.0 + 2.0 * s * (1.0 - s) * (math.cos(gap) - 1.0))
-        assert sample.direction.norm() == pytest.approx(expect, abs=1e-12)
+        assert field.norm() == pytest.approx(expect, abs=1e-12)
         checked += 1
 
 

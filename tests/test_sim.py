@@ -29,6 +29,13 @@ GOLDEN_RATIOS_SHA256 = {
     # no speed curves; the attacker breaches at 18 s
     "no-defenders": "b40f70cd25b98650912b5622973c1937c96e6c5a241bb53e23b5bc14455a8e5e",
 }
+# sha256 of trace.csv for the bundled world from other attacker starts; each
+# ends captured-stable with every ratio below 1
+GOLDEN_START_TRACE_SHA256 = {
+    (-30.0, 60.0): "ab5c734d73da5587fa9a7a885a2d646262260040c901be8f9fcbfe71b5df1662",
+    (40.0, 60.0): "b71d2473b2495499881dd3110546d97bb69f037f6223c0804d4f76f049b953bc",
+    (0.0, 20.0): "3b1afcc18f7f45fc8066a5bb3ab0522341f94f5df3bc0767faa5fdd9313a1205",
+}
 
 
 def test_zero_dt_rejected():
@@ -261,6 +268,15 @@ def test_ratios_svg_matches_golden_hash(case, reference_cfg):
             **{"defenders.start_m": [], "defenders.speed_max_mps": 2.6})))
     digest = hashlib.sha256(ratio_curves_svg(trace).encode()).hexdigest()
     assert digest == GOLDEN_RATIOS_SHA256[case]
+
+
+@pytest.mark.parametrize("start", sorted(GOLDEN_START_TRACE_SHA256))
+def test_other_start_traces_match_golden_hash(bundle_doc, start):
+    doc = copy.deepcopy(bundle_doc)
+    doc["attacker"]["start_m"] = list(start)
+    trace = run(scenario_from_dict(doc))
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == \
+        GOLDEN_START_TRACE_SHA256[start]
 
 
 def test_streamed_trace_csv_equals_to_csv(cli_artifacts, reference_run):
