@@ -28,7 +28,8 @@ ev = trace.events
 print(f"attacker sensed at t = {ev['t_sense_s']} s")
 print(f"formation assembled at t = {ev['t_formed_s']} s")
 print(f"attacker entered the safe area at t = {ev['t_capture_s']} s")
-print(f"termination: {trace.termination} (capture held: {trace.captured})")
+print(f"termination: {trace.termination} "
+      f"(capture held: {ev['t_capture_s'] is not None})")
 
 print("\nworst-case safety ratios over the run (any value >= 1 is a violation):")
 for key in ("ratio_attacker_obstacle", "ratio_defender_obstacle",

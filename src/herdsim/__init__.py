@@ -14,7 +14,8 @@ from .environment import (Disc, Obstacle, ObstacleDerivation, ScenarioConfig,
                           scenario_warnings, shell_points, solve_shape_exponent,
                           superelliptic_distance, validate_scenario)
 from .errors import (ConfigError, DomainError, HerdsimError, InfeasibleHeadingError,
-                     IntegrityError, ScenarioFileError, SchemaError, SolverError)
+                     IntegrityError, OutputDirError, ScenarioFileError, SchemaError,
+                     SolverError)
 from .formation_field import (SweepReport, attractive_field, combined_field,
                               follow_field, repulsive_angle, singularity_sweep)
 from .geom import (BlendTriplet, Vec2, angle_of, blend_weight, close_blend, dist,

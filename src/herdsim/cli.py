@@ -4,7 +4,8 @@ Exit codes (stable, also listed in the README); 4 and 5 are outcomes, every
 other nonzero code is the `exit_code` of the HerdsimError a command raised:
   0  success
   1  unexpected internal error
-  2  scenario file missing or unreadable (argparse usage errors also exit 2)
+  2  scenario file missing or unreadable, or an --out path that cannot be a
+     directory (argparse usage errors also exit 2)
   3  scenario malformed (not JSON text, schema mismatch, unusable values, bad
      index/resolution/margin, a non-finite or non-positive dt or t_max, or
      more than MAX_STEPS steps), in the file or in an override
@@ -31,7 +32,7 @@ from . import __version__
 from .defender_control import convergence_bounds, solve_tracking_gains, terminal_phase_time
 from .environment import (arc_magnitude, load_scenario, min_spread, reference_scenario_path,
                           scenario_warnings, validate_scenario)
-from .errors import ConfigError, HerdsimError, SchemaError
+from .errors import ConfigError, HerdsimError, OutputDirError, SchemaError
 from .formation_field import singularity_sweep
 from .sim import RATIO_COLUMNS, TERM_CAPTURED, run
 from .svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
@@ -62,11 +63,22 @@ def _load(scenario_arg):
                  "scenario_sha256": digest, "tool_version": __version__}
 
 
+def _out_dir(arg) -> Path:
+    """The --out directory, checked before any work and without creating
+    anything: the path, or its nearest existing ancestor, must be a directory."""
+    out = Path(arg)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise OutputDirError(f"cannot write to --out {arg}: {found} is not a directory")
+    return out
+
+
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_simulate(args) -> int:
+    out = _out_dir(args.out)
     cfg, manifest = _load(args.scenario)
     violations = validate_scenario(cfg)
     for w in scenario_warnings(cfg):
@@ -77,7 +89,6 @@ def cmd_simulate(args) -> int:
         return EXIT_INVALID_SCENARIO
 
     trace = run(cfg, dt=args.dt, t_max=args.t_max)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
     with open(out / "trace.csv", "w") as fh:
@@ -106,13 +117,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    out = _out_dir(args.out)
     cfg, manifest = _load(args.scenario)
     if not 0 <= args.obstacle < len(cfg.obstacles):
         raise ConfigError(f"obstacle index {args.obstacle} out of range "
                           f"(scenario has {len(cfg.obstacles)})")
     report = singularity_sweep(cfg.obstacles[args.obstacle],
                                resolution=args.resolution, margin=args.margin)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(report.to_csv())
     summary = report.summary()

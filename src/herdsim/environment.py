@@ -576,10 +576,13 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     records = doc("obstacles", read=_list_of(_Record))
     doc.done()
     obstacles = []
-    for rec in records:
+    for i, rec in enumerate(records):
         c, w, h = rec("center_m", read=_vec), rec("width_m"), rec("height_m")
         rec.done()
-        obstacles.append(derive_obstacle(c, w, h, derivation))
+        try:
+            obstacles.append(derive_obstacle(c, w, h, derivation))
+        except (ConfigError, SolverError) as exc:
+            raise type(exc)(f"{_at('obstacles', i)}: {exc}") from exc
 
     return ScenarioConfig(
         protected=protected, safe=safe, obstacles=tuple(obstacles),
@@ -738,6 +741,19 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             v.append(f"arc-magnitude: {mag:.6f} must exceed the worst simultaneous "
                      f"obstacle repulsion {reachable:.1f} or the heading command "
                      f"becomes unsolvable")
+
+    # attacker_field and obstacle_push drop every source beyond the sensing
+    # radius, so a radius below a band's hi cuts off part of the circle model
+    # that the arc-magnitude bound assumes
+    bands = [(ob.attacker_band.hi, f"obstacle {i}'s attacker band")
+             for i, ob in enumerate(cfg.obstacles)]
+    if cfg.defenders.count > 0:
+        bands.append((cfg.attacker.standoff_band[2], "the standoff band"))
+    if bands:
+        need, what = max(bands)
+        if cfg.attacker.sensing_radius < need:
+            v.append(f"sensing-radius: attacker sensing radius {cfg.attacker.sensing_radius} "
+                     f"m is below {need:.4f} m, the hi of {what}")
 
     if not (0.0 < cfg.control.terminal_exponent < 1.0):
         v.append(f"terminal-exponent: must lie in (0, 1), got "

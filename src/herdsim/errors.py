@@ -22,6 +22,11 @@ class ScenarioFileError(HerdsimError):
     exit_code = 2
 
 
+class OutputDirError(HerdsimError):
+    """An --out path cannot be made a directory."""
+    exit_code = 2
+
+
 class SolverError(HerdsimError):
     """A numerical solver failed to converge or bracket a root."""
     exit_code = 6

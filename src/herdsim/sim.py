@@ -62,11 +62,7 @@ class SimState:
     defenders: list[DefenderState]
     desired: float = 0.0             # desired herd heading of the last plan
     command: Optional[float] = None  # arc command of the last plan; None before any
-    sensed: bool = False
-    t_sense: Optional[float] = None
-    t_formed: Optional[float] = None
     t_capture: Optional[float] = None  # last entry into the safe area, None once out
-    t_breach: Optional[float] = None
 
 
 class SafetySnapshot(NamedTuple):
@@ -103,7 +99,6 @@ class SimTrace:
     events: dict = field(default_factory=dict)
     maxima: dict = field(default_factory=dict)
     termination: str = ""
-    captured: bool = False          # a capture clock runs at the end of the run
 
     @property
     def t_end(self) -> float:
@@ -129,10 +124,8 @@ class SimTrace:
             "events": self.events,
             "maxima": self.maxima,
             "termination": self.termination,
-            "captured": self.captured,
-            # an exit from the safe area stops the capture clock, so a clock
-            # that runs at the end has held since its entry
-            "capture_held": self.captured,
+            # every exit stops the capture clock, so one running at the end has held
+            "captured": self.events["t_capture_s"] is not None,
             "t_end": self.t_end,
             "steps": len(self.rows) - 1 if self.rows else 0,
             "dt_s": self.dt,
@@ -314,13 +307,10 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> None:
     """Guidance for this step: desired heading, arc command, slot targets.
 
     push is the attacker's obstacle push at its position; the guidance field
-    still scans every obstacle.  Starts the capture clock on entry to the
-    safe area.
+    still scans every obstacle.
     """
     r_a = state.attacker.position
     field_angle = angle_of(combined_field(r_a, cfg.obstacles, cfg.safe.center))
-    if state.t_capture is None and cfg.safe.contains(r_a):
-        state.t_capture = state.t
     state.desired = schedule_heading(field_angle, state.t, state.t_capture,
                                      cfg.capture.transition_time,
                                      cfg.capture.tangent_margin)
@@ -336,21 +326,16 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> None:
 
 
 def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
-                     lists) -> AttackerState:
+                     lists, planning: bool) -> AttackerState:
     """Fill every command for the current step from the step-start snapshot.
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
-    agent's step-start position.  Returns the attacker's next state (not yet
-    applied); defender velocities, goals, headings and the capture clock's
-    start are written into `state` directly.
+    agent's step-start position; the defenders plan only if planning.  Returns
+    the attacker's next state (not yet applied); defender velocities, goals
+    and headings are written into `state` directly.
     """
     r_a = state.attacker.position
-    state.sensed = dist(r_a, cfg.protected.center) <= cfg.defenders.sensing_zone_radius
-    if state.sensed and state.t_sense is None:
-        state.t_sense = state.t
-
     push = obstacle_push(r_a, lists[0].near, cfg.attacker.sensing_radius)
-    planning = state.sensed and ctx.spec is not None
     if planning:
         _plan(state, cfg, ctx, push)
     else:
@@ -398,6 +383,10 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     """Run the closed loop until capture holds through the dwell window, the
     protected area is breached, or the time budget runs out.
 
+    Milestones are decided here alone, from step-start positions; sensing and
+    safe-area entry count on non-terminal steps only, so a run stopped at step
+    0 records no t_sense_s.  t_capture_s is the capture clock at the end.
+
     dt and t_max, where given, replace the scenario's (IntegratorConfig checks
     them).  Deterministic: identical configurations produce identical traces.
     """
@@ -409,45 +398,52 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     ctx = build_context(cfg)
     state = new_state(cfg)
     n = cfg.defenders.count
-    trace = SimTrace(dt=cfg.integrator.dt, defender_count=n,
-                     columns=_trace_columns(n))
+    trace = SimTrace(dt=cfg.integrator.dt, defender_count=n, columns=_trace_columns(n))
+    events = trace.events = dict.fromkeys(
+        ["t_sense_s", "t_formed_s", "t_capture_s", "t_breach_s"])
     n_steps = round(cfg.integrator.t_max / cfg.integrator.dt)
     dwell = cfg.capture.dwell_factor * cfg.capture.transition_time
 
     lists = [None] * (1 + n)
     goal_tol = cfg.formation.goal_tolerance
+    planning = False
 
     for i in range(n_steps + 1):
-        state.t = i * cfg.integrator.dt
+        state.t = t = i * cfg.integrator.dt
         r_a = state.attacker.position
+        in_safe = cfg.safe.contains(r_a)
 
-        if state.t_capture is not None and not cfg.safe.contains(r_a):
+        if state.t_capture is not None and not in_safe:
             # the capture clock stops; the next entry restarts the transition
             state.t_capture = None
-            log.warning("attacker left the safe area at t=%.3f", state.t)
-        if state.t_breach is None and cfg.protected.contains(r_a):
-            state.t_breach = state.t
+            log.warning("attacker left the safe area at t=%.3f", t)
 
         positions = [d.position for d in state.defenders]
         refresh_lists(lists, [r_a, *positions], cfg)
 
-        terminal = None
-        if state.t_breach is not None:
+        if cfg.protected.contains(r_a):
+            events["t_breach_s"] = t
             terminal = TERM_BREACHED
-        elif state.t_capture is not None and state.t - state.t_capture >= dwell:
+        elif state.t_capture is not None and t - state.t_capture >= dwell:
             terminal = TERM_CAPTURED
-        elif i == n_steps:
-            terminal = TERM_TIMEOUT
+        else:
+            terminal = TERM_TIMEOUT if i == n_steps else None
 
         if terminal is None:
-            next_attacker = compute_commands(state, cfg, ctx, lists)
+            sensed = dist(r_a, cfg.protected.center) <= cfg.defenders.sensing_zone_radius
+            if sensed and events["t_sense_s"] is None:
+                events["t_sense_s"] = t
+            planning = sensed and ctx.spec is not None
+            if planning and state.t_capture is None and in_safe:
+                state.t_capture = t
+            next_attacker = compute_commands(state, cfg, ctx, lists, planning)
         else:
             state.attacker_velocity = Vec2(0.0, 0.0)
             for d in state.defenders:
                 d.velocity = Vec2(0.0, 0.0)
 
         snap = safety_snapshot(r_a, positions, cfg, lists)
-        row = [state.t, r_a.x, r_a.y,
+        row = [t, r_a.x, r_a.y,
                state.attacker_velocity.x, state.attacker_velocity.y,
                state.desired, 0.0 if state.command is None else state.command]
         for d in state.defenders:
@@ -456,22 +452,16 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         row += snap
         trace.rows.append(tuple(row))
 
-        if (state.t_formed is None and state.sensed and ctx.spec is not None
+        if (events["t_formed_s"] is None and planning
                 and all(dist(d.position, d.goal) <= goal_tol for d in state.defenders)):
-            state.t_formed = state.t
+            events["t_formed_s"] = t
 
         if terminal is not None:
             trace.termination = terminal
             break
         apply_commands(state, next_attacker, cfg.integrator.dt)
 
-    trace.captured = state.t_capture is not None
-    trace.events = {
-        "t_sense_s": state.t_sense,
-        "t_formed_s": state.t_formed,
-        "t_capture_s": state.t_capture,
-        "t_breach_s": state.t_breach,
-    }
+    events["t_capture_s"] = state.t_capture
     trace.maxima = {name: max(trace.column(name)) for name in RATIO_COLUMNS}
     trace.maxima["attacker_speed_mps"] = _max_speed(trace, "attacker")
     trace.maxima["defender_speed_mps"] = [_max_speed(trace, f"d{j}") for j in range(n)]

@@ -72,6 +72,12 @@ EXTRA_KEY_OBSTACLE = {"center_m": [50.0, 50.0], "width_m": 2.0, "height_m": 2.0,
                       "color": "red"}
 
 
+def obstacles_then(width):
+    """A sound obstacle, then one of the given width."""
+    return [{"center_m": [50.0, 50.0], "width_m": 2.0, "height_m": 2.0},
+            {"center_m": [-50.0, 50.0], "width_m": width, "height_m": 2.0}]
+
+
 @pytest.mark.parametrize("key, value", [
     ("solver", 3),
     ("obstacle_model", [1]),
@@ -118,8 +124,13 @@ def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
     ("obstacles", [EXTRA_KEY_OBSTACLE], "unknown key(s) obstacles[0].color"),
     ("formation.goal_tolerance_mm", 9.0, "unknown key(s) formation.goal_tolerance_mm"),
     ("solver", {"tolerance": 1e-12}, "unknown key(s) solver"),
+    # a side so small that the derived bands come out infinite
+    ("obstacles", obstacles_then(5e-324),
+     "obstacles[1]: blend thresholds must be finite: BlendTriplet(lo=inf, mid=inf, hi=inf)"),
+    ("obstacles", obstacles_then(0), "obstacles[1]: obstacle sides must be positive, got 0.0x2.0"),
 ], ids=["circle-factor", "speed-list-bool", "speed-list-inf", "standoff-band", "defender-start",
-        "obstacle-center", "obstacle-extra-key", "formation-extra-key", "solver-section"])
+        "obstacle-center", "obstacle-extra-key", "formation-extra-key", "solver-section",
+        "obstacle-bands-infinite", "obstacle-side-0"])
 @pytest.mark.parametrize("command", ["check", "simulate", "sweep"])
 def test_bad_scenario_error_names_the_path(tmp_path, capsys, command, key, value, named):
     if "." in key:
@@ -251,7 +262,14 @@ def test_attacker_start_inside_a_shell_is_a_violation(tmp_path, capsys, bundle_d
     ("defenders", "sensing_zone_radius_m", 55.0,
      "sensing-zone: the safe area reaches 65.2080 m from the protected center, "
      "beyond the 55.0 m sensing zone"),
-], ids=["standoff-lo-0", "sensing-zone-55"])
+] + [
+    # the attacker would ignore obstacle 5's circle model beyond its sensing radius
+    ("attacker", "sensing_radius_m", radius,
+     f"sensing-radius: attacker sensing radius {float(radius)} m is below 8.8654 m, "
+     f"the hi of obstacle 5's attacker band")
+    for radius in (0, -1, 2.0, 7.0)
+], ids=["standoff-lo-0", "sensing-zone-55", "sensing-radius-0", "sensing-radius--1",
+        "sensing-radius-2", "sensing-radius-7"])
 def test_bundled_world_violation(tmp_path, capsys, bundle_doc, section, key, value,
                                  violation):
     doc = json.loads(json.dumps(bundle_doc))
@@ -262,6 +280,16 @@ def test_bundled_world_violation(tmp_path, capsys, bundle_doc, section, key, val
     assert f"violation: {violation}" in capsys.readouterr().out
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
     assert f"violation: {violation}" in capsys.readouterr().err
+
+
+def test_sensing_radius_at_the_widest_band_is_clean(tmp_path, bundle_doc, reference_cfg):
+    widest = max(ob.attacker_band.hi for ob in reference_cfg.obstacles)
+    assert widest == 8.865393392286661
+    doc = json.loads(json.dumps(bundle_doc))
+    doc["attacker"]["sensing_radius_m"] = widest
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 0
 
 
 def type_checking_namespace(module) -> dict:
@@ -441,6 +469,22 @@ def test_scenario_step_count_above_max_steps_exits_3(tmp_path, capsys, command, 
     assert main([command, "--scenario", str(path), *extra]) == 3
     assert "error: bad scenario: t_max / dt asks for" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, below):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked with an unusable --out")
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "singularity_sweep", no_work)
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    extra = ["--obstacle", "0"] if command == "sweep" else []
+    assert main([command, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write to --out {out}: {blocker} is not a directory\n"
 
 
 def exit_code_table() -> dict:

@@ -18,7 +18,9 @@ from conftest import small_scenario_doc
 GOLDEN_TRACE_SHA256 = "fb2507b0a5192badb68e321148f3ac080a3bf8be92c1a1695baa7edba68d81a4"
 # sha256 of the other `simulate` artifacts of the bundled run
 GOLDEN_ARTIFACT_SHA256 = {
-    "summary.json": "f6c3cf9ee069c30a36ec2e6c9b7a3a206d5a84d8430ccf28bd00199816422aee",
+    # re-baselined when summary.json dropped the line `"capture_held": true,`,
+    # a copy of `captured` (was f6c3cf9e…422aee); nothing else moved
+    "summary.json": "c9f67424fd3fc1760e05b6f761e0cf9b92c17cfb14a3a2e9ed91a03e5702dc62",
     "trajectories.svg": "a5ba9460afc7051070e64d4474c4d6fddfc3ea0bc464e403bf1de9c601119318",
     "ratios.svg": "8ec64aa710f9e86c5e87993dc4e175b24391467538b4094f2e7e281041c5a38d",
 }
@@ -127,9 +129,39 @@ def test_attacker_starting_inside_safe_is_captured_immediately():
     trace = run(cfg)
     assert trace.events["t_capture_s"] == 0.0
     assert trace.termination == "captured-stable"
-    assert trace.captured
+    assert trace.summary()["captured"]
     assert trace.t_end == pytest.approx(
         cfg.capture.dwell_factor * cfg.capture.transition_time, abs=0.011)
+
+
+# the bundled world with one value changed: (section, key, value) ->
+# (events, termination, t_end, steps)
+RUN_RECORD_PINS = {
+    # step 0 is terminal, so the attacker, inside the sensing zone, is never sensed
+    "step-0": (("integrator", "t_max_s", 0.004),
+               ({"t_sense_s": None, "t_formed_s": None, "t_capture_s": None,
+                 "t_breach_s": None}, "t-max", 0.0, 0)),
+    # capture holds one step after the entry
+    "dwell-0": (("capture", "dwell_factor", 0),
+                ({"t_sense_s": 0.0, "t_formed_s": 43.65, "t_capture_s": 73.66,
+                  "t_breach_s": None}, "captured-stable", 73.67, 7367)),
+    # starts 20 m outside the 80 m sensing zone
+    "start-0-100": (("attacker", "start_m", [0.0, 100.0]),
+                    ({"t_sense_s": 20.0, "t_formed_s": 80.58,
+                      "t_capture_s": 89.57000000000001, "t_breach_s": None},
+                     "captured-stable", 98.78, 9878)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_RECORD_PINS))
+def test_run_record_at_its_edges(bundle_doc, case):
+    (section, key, value), expected = RUN_RECORD_PINS[case]
+    doc = copy.deepcopy(bundle_doc)
+    doc[section][key] = value
+    trace = run(scenario_from_dict(doc))
+    summary = trace.summary()
+    assert (trace.events, trace.termination, trace.t_end, summary["steps"]) == expected
+    assert list(trace.events) == ["t_sense_s", "t_formed_s", "t_capture_s", "t_breach_s"]
 
 
 def snapshot(attacker, defenders, cfg):
@@ -299,7 +331,7 @@ def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc):
     assert inside[0] and not all(inside)
     assert trace.termination == "captured-stable"
     assert trace.events["t_capture_s"] > 1.65
-    assert trace.captured and trace.summary()["capture_held"]
+    assert trace.summary()["captured"]
     assert all(trace.maxima[name] < 1.0 for name in sim.RATIO_COLUMNS)
 
 
