@@ -5,7 +5,8 @@ other nonzero code is the `exit_code` of the HerdsimError a command raised:
   0  success
   1  unexpected internal error
   2  scenario file missing or unreadable, or an --out path that cannot be a
-     directory (argparse usage errors also exit 2)
+     directory or holds a non-file under an artifact's name (argparse usage
+     errors also exit 2)
   3  scenario malformed (not JSON text, schema mismatch, unusable values, bad
      index/resolution/margin, a non-finite or non-positive dt or t_max, or
      more than MAX_STEPS steps), in the file or in an override
@@ -63,13 +64,17 @@ def _load(scenario_arg):
                  "scenario_sha256": digest, "tool_version": __version__}
 
 
-def _out_dir(arg) -> Path:
+def _out_dir(arg, names) -> Path:
     """The --out directory, checked before any work and without creating
-    anything: the path, or its nearest existing ancestor, must be a directory."""
+    anything: the path, or its nearest existing ancestor, must be a directory,
+    and each artifact name the command writes there must be free or a file."""
     out = Path(arg)
     found = next(p for p in (out, *out.parents) if p.exists())
     if not found.is_dir():
         raise OutputDirError(f"cannot write to --out {arg}: {found} is not a directory")
+    for path in (out / name for name in names):
+        if path.exists() and not path.is_file():
+            raise OutputDirError(f"cannot write to --out {arg}: {path} is not a regular file")
     return out
 
 
@@ -78,7 +83,11 @@ def _json_dump(obj) -> str:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args.out)
+    outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
+    if args.svg == "on":
+        outputs["trajectories_svg"] = "trajectories.svg"
+        outputs["ratios_svg"] = "ratios.svg"
+    out = _out_dir(args.out, outputs.values())
     cfg, manifest = _load(args.scenario)
     violations = validate_scenario(cfg)
     for w in scenario_warnings(cfg):
@@ -90,12 +99,9 @@ def cmd_simulate(args) -> int:
 
     trace = run(cfg, dt=args.dt, t_max=args.t_max)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
     with open(out / "trace.csv", "w") as fh:
         trace.to_csv(fh)
     if args.svg == "on":
-        outputs["trajectories_svg"] = "trajectories.svg"
-        outputs["ratios_svg"] = "ratios.svg"
         (out / "trajectories.svg").write_text(trajectory_svg(trace, cfg))
         (out / "ratios.svg").write_text(ratio_curves_svg(trace))
     manifest["outputs"] = outputs
@@ -117,7 +123,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args.out)
+    svg = ["sweep.svg"] if args.svg == "on" else []
+    out = _out_dir(args.out, ["sweep.csv", "sweep_summary.json", *svg])
     cfg, manifest = _load(args.scenario)
     if not 0 <= args.obstacle < len(cfg.obstacles):
         raise ConfigError(f"obstacle index {args.obstacle} out of range "
@@ -146,8 +153,8 @@ def cmd_check(args) -> int:
     print(f"scenario: {manifest['scenario']} (sha256 {manifest['scenario_sha256'][:12]})")
     print(f"defenders: {cfg.defenders.count}, obstacles: {len(cfg.obstacles)}")
     if cfg.defenders.count >= 2:
-        needed = min_spread(cfg.defenders.count, cfg.attacker.standoff_band[0],
-                            cfg.defenders.peer_band[0])
+        needed = min_spread(cfg.defenders.count, cfg.attacker.standoff_band.lo,
+                            cfg.defenders.peer_band.lo)
         mag = arc_magnitude(cfg.defenders.count, cfg.formation.spread)
         print(f"spread: {cfg.formation.spread:.6f} rad (minimum {needed:.6f})")
         print(f"arc repulsion magnitude: {mag:.6f}")

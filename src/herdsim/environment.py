@@ -310,10 +310,7 @@ class AttackerConfig:
     speed_max: float
     sensing_radius: float
     deadlock_turn: float                       # rad added to the stale heading
-    standoff_band: tuple[float, float, float]  # euclidean radii around defenders
-
-    def standoff_triplet(self) -> BlendTriplet:
-        return BlendTriplet(*self.standoff_band)
+    standoff_band: BlendTriplet                # euclidean radii around defenders
 
 
 @dataclass(frozen=True)
@@ -322,14 +319,11 @@ class DefenderTeamConfig:
     body_radius: float
     speed_max: tuple[float, ...]
     sensing_zone_radius: float
-    peer_band: tuple[float, float, float]      # euclidean radii between defenders
+    peer_band: BlendTriplet                    # euclidean radii between defenders
 
     @property
     def count(self) -> int:
         return len(self.starts)
-
-    def peer_triplet(self) -> BlendTriplet:
-        return BlendTriplet(*self.peer_band)
 
 
 @dataclass(frozen=True)
@@ -415,19 +409,37 @@ def _num(v, where: str, i=None) -> float:
     return out
 
 
-def _band(v, where: str) -> tuple[float, float, float]:
+def _num_in(ok, rule: str):
+    """A reader like _num of a number x that must satisfy ok(x), as `rule` says."""
+    def read(v, where: str, i=None) -> float:
+        x = _num(v, where, i)
+        if not ok(x):
+            raise ConfigError(f"{_at(where, i)} must be {rule}, got {x}")
+        return x
+    return read
+
+
+_positive = _num_in(lambda x: x > 0.0, "positive")
+_nonnegative = _num_in(lambda x: x >= 0.0, "non-negative")
+
+
+def _band(v, where: str) -> BlendTriplet:
     if not (isinstance(v, (list, tuple)) and len(v) == 3):
         raise SchemaError(f"{where} must be a 3-element [lo, mid, hi] list")
-    return (_num(v[0], where, 0), _num(v[1], where, 1), _num(v[2], where, 2))
+    lo, mid, hi = (_num(x, where, k) for k, x in enumerate(v))
+    try:
+        return BlendTriplet(lo, mid, hi)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _speeds(v, where: str, count: int) -> tuple[float, ...]:
-    """One number for all `count` defenders, or a list of `count` numbers."""
+    """One positive number for all `count` defenders, or a list of `count`."""
     if not isinstance(v, list):
-        return (_num(v, where),) * count
+        return (_positive(v, where),) * count
     if len(v) != count:
         raise SchemaError(f"{where} list must match start_m length")
-    return tuple(_num(s, where, k) for k, s in enumerate(v))
+    return tuple(_positive(s, where, k) for k, s in enumerate(v))
 
 
 def _circle_factors(v, where: str) -> tuple[float, float]:
@@ -435,7 +447,7 @@ def _circle_factors(v, where: str) -> tuple[float, float]:
         raise SchemaError(f"{where} must be [mid, hi]")
     mid, hi = _num(v[0], where, 0), _num(v[1], where, 1)
     if not 1.0 < mid < hi:
-        raise ConfigError(f"attacker circle factors must satisfy 1 < mid < hi, got {v}")
+        raise ConfigError(f"{where} must satisfy 1 < mid < hi, got {v}")
     return mid, hi
 
 
@@ -485,24 +497,25 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed scenario document.
 
     Structural problems raise SchemaError, an unknown key in any section or
-    obstacle record among them; unusable values raise ConfigError.
-    Consistency conditions that merely make the scenario unsound are left to
-    validate_scenario, which reports them as data.
+    obstacle record among them.  A rule on one value (a number's range, a
+    band's order) is checked here, where the value is read, and breaking it
+    raises ConfigError naming the value's path.  Rules that relate two or more
+    values are left to validate_scenario, which reports them as data.
     """
     doc = _Record(doc, "")
 
     pa = doc.section("protected_area")
-    protected = Disc(pa("center_m", read=_vec), pa("radius_m"))
+    protected = Disc(pa("center_m", read=_vec), pa("radius_m", read=_positive))
     pa.done()
     sa = doc.section("safe_area")
-    safe = Disc(sa("center_m", read=_vec), sa("radius_m"))
+    safe = Disc(sa("center_m", read=_vec), sa("radius_m", read=_positive))
     sa.done()
 
     at = doc.section("attacker")
     attacker = AttackerConfig(
         start=at("start_m", read=_vec),
-        body_radius=at("body_radius_m"),
-        speed_max=at("speed_max_mps"),
+        body_radius=at("body_radius_m", read=_positive),
+        speed_max=at("speed_max_mps", read=_nonnegative),
         sensing_radius=at("sensing_radius_m"),
         deadlock_turn=at("deadlock_turn_rad", default=0.05),
         standoff_band=at("defender_standoff_band_m", read=_band),
@@ -514,46 +527,38 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     defenders = DefenderTeamConfig(
         starts=starts,
         speed_max=de("speed_max_mps", read=lambda v, path: _speeds(v, path, len(starts))),
-        body_radius=de("body_radius_m"),
+        body_radius=de("body_radius_m", read=_positive),
         sensing_zone_radius=de("sensing_zone_radius_m"),
         peer_band=de("peer_separation_band_m", read=_band),
     )
     de.done()
 
-    if attacker.body_radius <= 0.0 or defenders.body_radius <= 0.0:
-        raise ConfigError("agent body radii must be positive")
-    if attacker.speed_max < 0.0 or any(v <= 0.0 for v in defenders.speed_max):
-        raise ConfigError("speeds must be positive (attacker may be 0)")
-
     fo = doc.section("formation")
     clearance = fo("clearance_m")
     formation = FormationConfig(
-        arc_radius=fo("arc_radius_m"),
+        arc_radius=fo("arc_radius_m", read=_positive),
         spread=fo("spread_rad"),
         clearance=clearance,
         defender_clearance=fo("defender_clearance_m", default=0.5 * clearance),
         goal_tolerance=fo("goal_tolerance_m", default=0.05),
     )
     fo.done()
-    if formation.arc_radius <= 0.0:
-        raise ConfigError(f"arc radius must be positive, got {formation.arc_radius}")
 
     co = doc.section("control")
-    control = ControlConfig(terminal_exponent=co("terminal_exponent"),
-                            heading_rate_max=co("heading_rate_max_radps"))
+    control = ControlConfig(co("terminal_exponent", read=_num_in(lambda x: 0 < x < 1, "in (0, 1)")),
+                            co("heading_rate_max_radps", read=_nonnegative))
     co.done()
 
     ca = doc.section("capture")
     default_transition = transition_heuristic(min(defenders.speed_max, default=attacker.speed_max),
                                               attacker.speed_max, formation.arc_radius)
     capture = CaptureConfig(
-        transition_time=ca("transition_time_s", default=default_transition),
-        tangent_margin=ca("tangent_margin_rad", default=0.1),
+        transition_time=ca("transition_time_s", read=_positive, default=default_transition),
+        tangent_margin=ca("tangent_margin_rad", default=0.1,
+                          read=_num_in(lambda x: 0 < x < math.pi / 2, "in (0, pi/2)")),
         dwell_factor=ca("dwell_factor", default=2.0),
     )
     ca.done()
-    if capture.transition_time <= 0.0:
-        raise ConfigError(f"capture transition time must be positive, got {capture.transition_time}")
 
     it = doc.section("integrator")
     integrator = IntegratorConfig(dt=it("dt_s"), t_max=it("t_max_s"))
@@ -658,7 +663,7 @@ def safety_ratio(threshold: float, actual: float) -> float:
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Check every structural assumption the guarantees rest on.
+    """Check every assumption of the guarantees that ties two or more values.
 
     Returns a list of violation strings (empty iff the scenario is sound).
     Each entry starts with a stable code so callers can match on categories.
@@ -669,6 +674,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     if cfg.protected.contains(cfg.attacker.start):
         v.append(f"attacker-start: attacker starts at ({cfg.attacker.start.x:g}, "
                  f"{cfg.attacker.start.y:g}), inside the protected area")
+    # an attacker held in a safe area that meets the protected disc can still
+    # breach; both containment tests use <=, so even touching discs share a point
+    apart = dist(cfg.protected.center, cfg.safe.center)
+    radii = cfg.protected.radius + cfg.safe.radius
+    if not apart > radii:
+        v.append(f"safe-area-overlap: the safe and protected areas' centers are {apart:.4f} m "
+                 f"apart, not more than their summed radii {radii:.4f} m")
     # No safety_snapshot ratio may start at or above 1: each actual distance
     # must exceed its threshold.  Beyond a band's reach the level exceeds the
     # band's hi, so only nearer obstacles are evaluated.
@@ -686,12 +698,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 if e <= lo:
                     v.append(f"start-clearance: defender_obstacle ratio "
                              f"{safety_ratio(lo, e):.4g} (defender {k}, obstacle {i})")
-    lo = cfg.defenders.peer_band[0]
+    lo = cfg.defenders.peer_band.lo
     for (j, p), (k, q) in itertools.combinations(enumerate(starts), 2):
         if dist(p, q) <= lo:
             v.append(f"start-clearance: defender_defender ratio "
                      f"{safety_ratio(lo, dist(p, q)):.4g} (defenders {j} and {k})")
-    lo = cfg.attacker.standoff_band[0]
+    lo = cfg.attacker.standoff_band.lo
     for k, p in enumerate(starts):
         if dist(a0, p) <= lo:
             v.append(f"start-clearance: attacker_defender ratio "
@@ -710,24 +722,17 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         v.append(f"clearance: formation clearance {cfg.formation.clearance} must be "
                  f">= twice the defender radius {2.0 * cfg.defenders.body_radius}")
 
-    lo, mid, hi = cfg.attacker.standoff_band
-    if not (0.0 <= lo < mid < hi):
-        v.append(f"standoff-triplet: attacker-defender radii must increase "
-                 f"strictly, got ({lo}, {mid}, {hi})")
-    else:
-        if not (lo <= cfg.formation.arc_radius <= mid):
-            v.append(f"arc-radius: {cfg.formation.arc_radius} must lie in "
-                     f"[{lo}, {mid}] so the arc repulsion saturates")
-    plo, pmid, phi = cfg.defenders.peer_band
-    if not (0.0 <= plo < pmid < phi):
-        v.append(f"peer-triplet: defender separation radii must increase "
-                 f"strictly, got ({plo}, {pmid}, {phi})")
+    standoff = cfg.attacker.standoff_band
+    if not (standoff.lo <= cfg.formation.arc_radius <= standoff.mid):
+        v.append(f"arc-radius: {cfg.formation.arc_radius} must lie in "
+                 f"[{standoff.lo}, {standoff.mid}] so the arc repulsion saturates")
+    plo = cfg.defenders.peer_band.lo
     if plo <= cfg.defenders.body_radius:
         v.append(f"peer-separation: minimum defender separation {plo} must exceed "
                  f"the defender radius {cfg.defenders.body_radius}")
 
     if cfg.defenders.count >= 2:
-        needed = min_spread(cfg.defenders.count, lo, plo)
+        needed = min_spread(cfg.defenders.count, standoff.lo, plo)
         if cfg.formation.spread < needed:
             v.append(f"spread: {cfg.formation.spread} rad is below the minimum "
                      f"{needed:.6f} rad for {cfg.defenders.count} defenders")
@@ -748,16 +753,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     bands = [(ob.attacker_band.hi, f"obstacle {i}'s attacker band")
              for i, ob in enumerate(cfg.obstacles)]
     if cfg.defenders.count > 0:
-        bands.append((cfg.attacker.standoff_band[2], "the standoff band"))
+        bands.append((cfg.attacker.standoff_band.hi, "the standoff band"))
     if bands:
         need, what = max(bands)
         if cfg.attacker.sensing_radius < need:
             v.append(f"sensing-radius: attacker sensing radius {cfg.attacker.sensing_radius} "
                      f"m is below {need:.4f} m, the hi of {what}")
 
-    if not (0.0 < cfg.control.terminal_exponent < 1.0):
-        v.append(f"terminal-exponent: must lie in (0, 1), got "
-                 f"{cfg.control.terminal_exponent}")
     if cfg.defenders.count > 0:
         k0 = (min(cfg.defenders.speed_max) - cfg.attacker.speed_max
               - cfg.formation.arc_radius * cfg.control.heading_rate_max)
@@ -827,8 +829,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 v.append(f"safe-radius: {cfg.safe.radius} m is below the "
                          f"{rho_needed:.4f} m needed to hold the attacker through "
                          f"the heading transition")
-    if not (0.0 < cfg.capture.tangent_margin < math.pi / 2.0):
-        v.append(f"tangent-margin: must lie in (0, pi/2), got {cfg.capture.tangent_margin}")
 
     return v
 
@@ -836,12 +836,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 def scenario_warnings(cfg: ScenarioConfig) -> list[str]:
     """Non-fatal consistency notes (the run may still be sound)."""
     w: list[str] = []
-    lo, mid, _ = cfg.attacker.standoff_band
-    if lo < mid:
-        midpoint = 0.5 * (lo + mid)
-        if abs(cfg.formation.arc_radius - midpoint) > 1e-9:
-            w.append(f"arc-radius-midpoint: arc radius {cfg.formation.arc_radius} is not "
-                     f"the midpoint {midpoint} of the saturated standoff band")
+    band = cfg.attacker.standoff_band
+    midpoint = 0.5 * (band.lo + band.mid)
+    if abs(cfg.formation.arc_radius - midpoint) > 1e-9:
+        w.append(f"arc-radius-midpoint: arc radius {cfg.formation.arc_radius} is not "
+                 f"the midpoint {midpoint} of the saturated standoff band")
     if cfg.defenders.count > 0:
         heuristic = transition_heuristic(min(cfg.defenders.speed_max),
                                          cfg.attacker.speed_max, cfg.formation.arc_radius)

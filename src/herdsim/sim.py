@@ -28,7 +28,7 @@ from .environment import (CULL_SLACK, Obstacle, ScenarioConfig, level_floor,
                           safety_ratio, superelliptic_distance)
 from .errors import IntegrityError
 from .formation_field import combined_field
-from .geom import BlendTriplet, Vec2, angle_of, dist
+from .geom import Vec2, angle_of, dist
 from .herding import (FormationSpec, formation_goals, formation_spec, heading_rate,
                       obstacle_resultant, schedule_heading, solve_command_heading)
 
@@ -84,8 +84,6 @@ class RunContext:
 
     spec: Optional[FormationSpec]
     gains: tuple[TrackingGains, ...]
-    standoff: Optional[BlendTriplet]
-    peers: Optional[BlendTriplet]
 
 
 @dataclass
@@ -143,20 +141,16 @@ def _trace_columns(n_defenders: int) -> tuple[str, ...]:
 
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
-    n = cfg.defenders.count
-    spec = None
-    gains = ()
-    if n:
-        spec = formation_spec(n, cfg.formation.spread, cfg.formation.arc_radius,
-                              cfg.attacker.standoff_band[0], cfg.defenders.peer_band[0])
-        gains = tuple(
-            solve_tracking_gains(cfg.control.terminal_exponent, vmax,
-                                 cfg.attacker.speed_max, cfg.formation.arc_radius,
-                                 cfg.control.heading_rate_max)
-            for vmax in cfg.defenders.speed_max)
-    return RunContext(spec=spec, gains=gains,
-                      standoff=cfg.attacker.standoff_triplet() if n else None,
-                      peers=cfg.defenders.peer_triplet() if n else None)
+    if not cfg.defenders.count:
+        return RunContext(spec=None, gains=())
+    spec = formation_spec(cfg.defenders.count, cfg.formation.spread, cfg.formation.arc_radius,
+                          cfg.attacker.standoff_band.lo, cfg.defenders.peer_band.lo)
+    gains = tuple(
+        solve_tracking_gains(cfg.control.terminal_exponent, vmax,
+                             cfg.attacker.speed_max, cfg.formation.arc_radius,
+                             cfg.control.heading_rate_max)
+        for vmax in cfg.defenders.speed_max)
+    return RunContext(spec=spec, gains=gains)
 
 
 def new_state(cfg: ScenarioConfig) -> SimState:
@@ -288,7 +282,7 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
         r_do = _max_obstacle_ratio(p, ob_list, r_do)
 
     r_dd = 0.0
-    peer_min = cfg.defenders.peer_band[0]
+    peer_min = cfg.defenders.peer_band.lo
     n = len(defender_positions)
     for j in range(n):
         for l in range(j + 1, n):
@@ -296,7 +290,7 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
                                                          defender_positions[l])))
 
     r_ad = 0.0
-    standoff_min = cfg.attacker.standoff_band[0]
+    standoff_min = cfg.attacker.standoff_band.lo
     for p in defender_positions:
         r_ad = max(r_ad, safety_ratio(standoff_min, dist(attacker_pos, p)))
 
@@ -345,7 +339,7 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
 
     positions = [d.position for d in state.defenders]
     a_field = attacker_field(r_a, positions, push, cfg.protected.center,
-                             cfg.attacker.sensing_radius, ctx.standoff)
+                             cfg.attacker.sensing_radius, cfg.attacker.standoff_band)
     next_attacker = attacker_step(state.attacker, a_field,
                                   cfg.attacker.deadlock_turn, cfg.integrator.dt)
     state.attacker_velocity = Vec2(state.attacker.speed * math.cos(next_attacker.heading),
@@ -354,7 +348,7 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     if planning:
         for j, d in enumerate(state.defenders):
             f, conflict = defender_field(j, positions, d.goal, lists[j + 1].near,
-                                         ctx.peers)
+                                         cfg.defenders.peer_band)
             d.velocity = defender_velocity(d.position, d.goal, d.goal_velocity,
                                            f, conflict, ctx.gains[j])
     else:

@@ -128,9 +128,34 @@ def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
     ("obstacles", obstacles_then(5e-324),
      "obstacles[1]: blend thresholds must be finite: BlendTriplet(lo=inf, mid=inf, hi=inf)"),
     ("obstacles", obstacles_then(0), "obstacles[1]: obstacle sides must be positive, got 0.0x2.0"),
+    # a rule on one value is checked where the value is read
+    ("attacker.defender_standoff_band_m", [0.3, 0.8, 0.65],
+     "attacker.defender_standoff_band_m: blend thresholds must satisfy 0 <= lo < mid < hi, "
+     "got (0.3, 0.8, 0.65)"),
+    ("defenders.peer_separation_band_m", [0.25, 0.42, 0.32],
+     "defenders.peer_separation_band_m: blend thresholds must satisfy 0 <= lo < mid < hi, "
+     "got (0.25, 0.42, 0.32)"),
+    ("control.terminal_exponent", 1.5, "control.terminal_exponent must be in (0, 1), got 1.5"),
+    ("capture.tangent_margin_rad", 2.0,
+     "capture.tangent_margin_rad must be in (0, pi/2), got 2.0"),
+    ("protected_area.radius_m", -1, "protected_area.radius_m must be positive, got -1.0"),
+    ("attacker.body_radius_m", 0, "attacker.body_radius_m must be positive, got 0.0"),
+    ("defenders.speed_max_mps", -2.6, "defenders.speed_max_mps must be positive, got -2.6"),
+    ("defenders.speed_max_mps", [2.6, -1, 2.6],
+     "defenders.speed_max_mps[1] must be positive, got -1.0"),
+    ("formation.arc_radius_m", 0, "formation.arc_radius_m must be positive, got 0.0"),
+    ("capture.transition_time_s", 0, "capture.transition_time_s must be positive, got 0.0"),
+    ("attacker.speed_max_mps", -1, "attacker.speed_max_mps must be non-negative, got -1.0"),
+    ("obstacle_model.attacker_circle_factors", [1.3, 1.2],
+     "obstacle_model.attacker_circle_factors must satisfy 1 < mid < hi, got [1.3, 1.2]"),
+    ("control.heading_rate_max_radps", -0.3,
+     "control.heading_rate_max_radps must be non-negative, got -0.3"),
 ], ids=["circle-factor", "speed-list-bool", "speed-list-inf", "standoff-band", "defender-start",
         "obstacle-center", "obstacle-extra-key", "formation-extra-key", "solver-section",
-        "obstacle-bands-infinite", "obstacle-side-0"])
+        "obstacle-bands-infinite", "obstacle-side-0", "standoff-band-order", "peer-band-order",
+        "terminal-exponent", "tangent-margin", "protected-radius", "attacker-body-radius",
+        "defender-speed", "defender-speed-list", "arc-radius", "transition-time",
+        "attacker-speed", "circle-factor-order", "heading-rate"])
 @pytest.mark.parametrize("command", ["check", "simulate", "sweep"])
 def test_bad_scenario_error_names_the_path(tmp_path, capsys, command, key, value, named):
     if "." in key:
@@ -263,13 +288,21 @@ def test_attacker_start_inside_a_shell_is_a_violation(tmp_path, capsys, bundle_d
      "sensing-zone: the safe area reaches 65.2080 m from the protected center, "
      "beyond the 55.0 m sensing zone"),
 ] + [
+    # an attacker held in a safe area that meets the protected area can still
+    # breach: the concentric run ends breached; the one at (0, 4) captures,
+    # but in an area that meets the protected one
+    ("safe_area", "center_m", [0.0, y],
+     f"safe-area-overlap: the safe and protected areas' centers are {y:.4f} m apart, "
+     f"not more than their summed radii 7.0000 m")
+    for y in (0.0, 4.0)
+] + [
     # the attacker would ignore obstacle 5's circle model beyond its sensing radius
     ("attacker", "sensing_radius_m", radius,
      f"sensing-radius: attacker sensing radius {float(radius)} m is below 8.8654 m, "
      f"the hi of obstacle 5's attacker band")
     for radius in (0, -1, 2.0, 7.0)
-], ids=["standoff-lo-0", "sensing-zone-55", "sensing-radius-0", "sensing-radius--1",
-        "sensing-radius-2", "sensing-radius-7"])
+], ids=["standoff-lo-0", "sensing-zone-55", "safe-area-at-0-0", "safe-area-at-0-4",
+        "sensing-radius-0", "sensing-radius--1", "sensing-radius-2", "sensing-radius-7"])
 def test_bundled_world_violation(tmp_path, capsys, bundle_doc, section, key, value,
                                  violation):
     doc = json.loads(json.dumps(bundle_doc))
@@ -280,6 +313,23 @@ def test_bundled_world_violation(tmp_path, capsys, bundle_doc, section, key, val
     assert f"violation: {violation}" in capsys.readouterr().out
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
     assert f"violation: {violation}" in capsys.readouterr().err
+
+
+def test_zero_heading_rate_limit_keeps_the_defenders_under_their_cap(tmp_path, bundle_doc):
+    # a negative limit is refused where it is read: heading_rate's clamp
+    # turns it into +|limit|, and the gains then budget an approach speed
+    # above the cap; 0 is the least limit, and it stays sound
+    doc = json.loads(json.dumps(bundle_doc))
+    doc["control"]["heading_rate_max_radps"] = 0.0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["check", "--scenario", str(path)]) == 0
+    assert main(["simulate", "--scenario", str(path), "--svg", "off", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "captured-stable"
+    caps = doc["defenders"]["speed_max_mps"]
+    assert all(v <= cap for v, cap in zip(summary["maxima"]["defender_speed_mps"], caps, strict=True))
 
 
 def test_sensing_radius_at_the_widest_band_is_clean(tmp_path, bundle_doc, reference_cfg):
@@ -405,15 +455,12 @@ def test_check_inconsistent_reference_parameters_flagged(tmp_path, capsys):
     doc["obstacles"] = [{"center_m": [x, y], "width_m": w, "height_m": h}
                         for x, y, w, h in REFERENCE_OBSTACLES]
     doc["attacker"]["start_m"] = [20.0, 48.0]
-    doc["attacker"]["defender_standoff_band_m"] = [0.3, 0.8, 0.65]
     doc["safe_area"] = {"center_m": [-5.0, 60.0], "radius_m": 5.0}
     del doc["obstacle_model"]["attacker_circle_factors"]
     path = tmp_path / "raw.json"
     path.write_text(json.dumps(doc))
     assert main(["check", "--scenario", str(path)]) == 4
-    out = capsys.readouterr().out
-    assert "standoff-triplet" in out
-    assert "obstacle-spacing" in out
+    assert "obstacle-spacing" in capsys.readouterr().out
 
 
 def test_dt_override_doubles_rows(tmp_path):
@@ -485,6 +532,30 @@ def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, com
     assert main([command, *extra, "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
         f"error: cannot write to --out {out}: {blocker} is not a directory\n"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "trace.csv"), ("simulate", "ratios.svg"),
+    ("sweep", "sweep.csv"), ("sweep", "sweep.svg")])
+def test_artifact_name_taken_by_a_directory_exits_2_before_any_work(tmp_path, capsys,
+                                                                     monkeypatch, command, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked with {name} taken by a directory")
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "singularity_sweep", no_work)
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    extra = ["--obstacle", "0"] if command == "sweep" else []
+    assert main([command, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write to --out {out}: {out / name} is not a regular file\n"
+
+
+def test_svg_off_leaves_the_svg_names_unchecked(tmp_path):
+    out = tmp_path / "o"
+    (out / "sweep.svg").mkdir(parents=True)
+    assert main(["sweep", "--obstacle", "0", "--svg", "off", "--out", str(out)]) == 0
+    assert (out / "sweep.csv").is_file()
 
 
 def exit_code_table() -> dict:

@@ -46,7 +46,7 @@ def full_scan_snapshot(attacker_pos, defender_positions, cfg):
             r_do = max(r_do, ratio(ob.defender_band.lo, superelliptic_distance(p, ob)))
 
     r_dd = 0.0
-    peer_min = cfg.defenders.peer_band[0]
+    peer_min = cfg.defenders.peer_band.lo
     n = len(defender_positions)
     for j in range(n):
         for l in range(j + 1, n):
@@ -54,7 +54,7 @@ def full_scan_snapshot(attacker_pos, defender_positions, cfg):
                                                   defender_positions[l])))
 
     r_ad = 0.0
-    standoff_min = cfg.attacker.standoff_band[0]
+    standoff_min = cfg.attacker.standoff_band.lo
     for p in defender_positions:
         r_ad = max(r_ad, ratio(standoff_min, dist(attacker_pos, p)))
 

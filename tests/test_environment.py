@@ -341,23 +341,19 @@ def test_validate_clearance_violation():
 
 
 def test_validate_inconsistent_reference_parameters():
-    """A deliberately inconsistent parameter set: the saturated standoff
-    radius implied by the arc geometry exceeds the given outer radius, and
-    with default circle factors three obstacle pairs sit too close for their
-    circular stand-ins.  Expected set frozen from an independent pre-build
-    check."""
+    """A deliberately inconsistent parameter set: with default circle
+    factors three obstacle pairs sit too close for their circular stand-ins.
+    Expected set frozen from an independent pre-build check."""
     doc = small_scenario_doc()
     doc["obstacles"] = [{"center_m": [x, y], "width_m": w, "height_m": h}
                         for x, y, w, h in REFERENCE_OBSTACLES]
     doc["attacker"]["start_m"] = [20.0, 48.0]
-    doc["attacker"]["defender_standoff_band_m"] = [0.3, 0.8, 0.65]
     doc["safe_area"] = {"center_m": [-5.0, 60.0], "radius_m": 5.0}
     doc["defenders"]["start_m"] = [[-10.0, 16.0], [6.0, 2.0], [-5.0, -1.0]]
     del doc["obstacle_model"]["attacker_circle_factors"]
     doc["capture"]["transition_time_s"] = 4.6
     cfg = scenario_from_dict(doc)
     v = validate_scenario(cfg)
-    assert any(s.startswith("standoff-triplet") for s in v)
     spacing = sorted(s.split(":")[1].split("but")[0] for s in v
                      if s.startswith("obstacle-spacing"))
     assert len(spacing) == 3
@@ -398,6 +394,20 @@ def test_start_clearance(key, value, violation):
     found = [s for s in validate_scenario(scenario_from_dict(doc))
              if s.startswith("start-clearance")]
     assert found == ([f"start-clearance: {violation}"] if violation else [])
+
+
+def test_bands_are_read_as_blend_triplets():
+    cfg = scenario_from_dict(small_scenario_doc())
+    assert cfg.attacker.standoff_band == BlendTriplet(0.3, 0.8, 0.9)
+    assert cfg.defenders.peer_band == BlendTriplet(0.25, 0.32, 0.42)
+
+
+def test_defender_speed_is_range_checked_with_no_defenders():
+    # the scalar is read, and refused, even when no defender takes it
+    doc = small_scenario_doc(**{"defenders.start_m": [], "defenders.speed_max_mps": -1})
+    with pytest.raises(ConfigError,
+                       match=r"^defenders\.speed_max_mps must be positive, got -1\.0$"):
+        scenario_from_dict(doc)
 
 
 def test_readme_scenario_block_parses():

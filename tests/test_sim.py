@@ -180,7 +180,7 @@ def test_snapshot_far_from_everything(reference_cfg):
 
 
 def test_snapshot_boundary_and_violation(reference_cfg):
-    peer_min = reference_cfg.defenders.peer_band[0]
+    peer_min = reference_cfg.defenders.peer_band.lo
     snap = snapshot(Vec2(500.0, 500.0),
                     [Vec2(400.0, 400.0), Vec2(400.0 + peer_min, 400.0)], reference_cfg)
     assert snap.defender_defender == pytest.approx(1.0)
@@ -197,7 +197,7 @@ def test_maxima_include_the_first_row():
                                 "defenders.sensing_zone_radius_m": 5.0})
     cfg = scenario_from_dict(doc)
     trace = run(cfg, t_max=cfg.integrator.dt)
-    assert trace.maxima["ratio_attacker_defender"] == cfg.attacker.standoff_band[0] / 1.0
+    assert trace.maxima["ratio_attacker_defender"] == cfg.attacker.standoff_band.lo / 1.0
     assert trace.maxima["attacker_speed_mps"] == pytest.approx(cfg.attacker.speed_max)
     assert trace.maxima["defender_speed_mps"] == [0.0, 0.0, 0.0]
 
