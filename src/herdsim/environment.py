@@ -462,9 +462,10 @@ def _list_of(read, what: str = ""):
 
 class _Record:
     """A JSON object of a scenario (the document itself has path ""): rec(key,
-    read, default) is read(value, full path) of the value at key, or of the
-    default if given; rec.section(key) is the object at key; rec.done()
-    refuses the keys that nothing read."""
+    read, default) is read(value, full path) of the value at key, or the
+    default as given (the program's own value, so no reader checks it);
+    rec.section(key) is the object at key; rec.done() refuses the keys that
+    nothing read."""
 
     def __init__(self, v, where: str):
         if not isinstance(v, dict):
@@ -474,12 +475,15 @@ class _Record:
         self._prefix = f"{where}." if where else ""
 
     def __call__(self, key: str, read=_num, default=None):
-        if default is None and key not in self._left:
+        if key in self._left:
+            return read(self._left.pop(key), self._prefix + key)
+        if default is None:
             raise SchemaError(f"missing key '{key}' in {self._where or 'scenario'}")
-        return read(self._left.pop(key, default), self._prefix + key)
+        return default
 
-    def section(self, key: str, default=None) -> _Record:
-        return self(key, read=_Record, default=default)
+    def section(self, key: str, optional: bool = False) -> _Record:
+        empty = _Record({}, self._prefix + key) if optional else None
+        return self(key, read=_Record, default=empty)
 
     def done(self) -> None:
         if self._left:
@@ -500,7 +504,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     obstacle record among them.  A rule on one value (a number's range, a
     band's order) is checked here, where the value is read, and breaking it
     raises ConfigError naming the value's path.  Rules that relate two or more
-    values are left to validate_scenario, which reports them as data.
+    values are left to validate_scenario, which reports them as data; so is a
+    default derived from other values, such as the transition time, when it
+    comes out unusable.
     """
     doc = _Record(doc, "")
 
@@ -539,8 +545,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         arc_radius=fo("arc_radius_m", read=_positive),
         spread=fo("spread_rad"),
         clearance=clearance,
-        defender_clearance=fo("defender_clearance_m", default=0.5 * clearance),
-        goal_tolerance=fo("goal_tolerance_m", default=0.05),
+        defender_clearance=fo("defender_clearance_m", read=_nonnegative,
+                              default=0.5 * clearance),
+        goal_tolerance=fo("goal_tolerance_m", read=_nonnegative, default=0.05),
     )
     fo.done()
 
@@ -556,7 +563,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         transition_time=ca("transition_time_s", read=_positive, default=default_transition),
         tangent_margin=ca("tangent_margin_rad", default=0.1,
                           read=_num_in(lambda x: 0 < x < math.pi / 2, "in (0, pi/2)")),
-        dwell_factor=ca("dwell_factor", default=2.0),
+        dwell_factor=ca("dwell_factor", read=_nonnegative, default=2.0),
     )
     ca.done()
 
@@ -564,10 +571,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     integrator = IntegratorConfig(dt=it("dt_s"), t_max=it("t_max_s"))
     it.done()
 
-    om = doc.section("obstacle_model", default={})
+    om = doc.section("obstacle_model", optional=True)
     mid_f, hi_f = om("attacker_circle_factors", read=_circle_factors,
-                     default=[ObstacleDerivation.attacker_mid_factor,
-                              ObstacleDerivation.attacker_hi_factor])
+                     default=(ObstacleDerivation.attacker_mid_factor,
+                              ObstacleDerivation.attacker_hi_factor))
     om.done()
 
     derivation = ObstacleDerivation(

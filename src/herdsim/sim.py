@@ -80,10 +80,13 @@ RATIO_COLUMNS = tuple("ratio_" + name for name in SafetySnapshot._fields)
 
 @dataclass
 class RunContext:
-    """Quantities derived once per run."""
+    """Quantities derived once per run.  guidance holds every obstacle that
+    can act on the guidance field within the defenders' sensing zone, the
+    only place where run() lets _plan evaluate it."""
 
     spec: Optional[FormationSpec]
     gains: tuple[TrackingGains, ...]
+    guidance: tuple[Obstacle, ...]
 
 
 @dataclass
@@ -142,7 +145,7 @@ def _trace_columns(n_defenders: int) -> tuple[str, ...]:
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
     if not cfg.defenders.count:
-        return RunContext(spec=None, gains=())
+        return RunContext(spec=None, gains=(), guidance=())
     spec = formation_spec(cfg.defenders.count, cfg.formation.spread, cfg.formation.arc_radius,
                           cfg.attacker.standoff_band.lo, cfg.defenders.peer_band.lo)
     gains = tuple(
@@ -150,7 +153,9 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
                              cfg.attacker.speed_max, cfg.formation.arc_radius,
                              cfg.control.heading_rate_max)
         for vmax in cfg.defenders.speed_max)
-    return RunContext(spec=spec, gains=gains)
+    guidance = near_obstacles(cfg.protected.center, cfg.obstacles,
+                              lambda ob: ob.formation_reach, cfg.defenders.sensing_zone_radius)
+    return RunContext(spec=spec, gains=gains, guidance=guidance)
 
 
 def new_state(cfg: ScenarioConfig) -> SimState:
@@ -170,9 +175,8 @@ class ObstacleList:
     """What one agent needs of the obstacles while it stays near `anchor`.
 
     `near` holds, in obstacle index order, every obstacle that can act on the
-    agent anywhere within `skin` of the anchor; a kernel given `near` in place
-    of every obstacle sums the same terms in the same order, so its result is
-    bit-identical.  `bounds` holds (ratio bound, threshold, obstacle) for
+    agent anywhere within `skin` of the anchor (see near_obstacles).
+    `bounds` holds (ratio bound, threshold, obstacle) for
     every obstacle, by descending bound: the bound is at or above the pair's
     safety ratio anywhere within `skin` of the anchor.
     """
@@ -183,22 +187,37 @@ class ObstacleList:
     bounds: tuple[tuple[float, float, Obstacle], ...]
 
 
+def near_obstacles(anchor: Vec2, obstacles, radius, skin: float) -> tuple[Obstacle, ...]:
+    """Every obstacle, in index order, that can act anywhere within skin of
+    anchor, where ob acts on a point only within radius(ob) of its center.
+
+    A kernel given these in place of every obstacle sums the same terms in
+    the same order, so its result is bit-identical.  Exactness, with u the
+    unit roundoff: a caller admits a point only if its computed distance (or
+    squared distance) from the anchor is within skin, so the true distance
+    is below skin * (1 + 3u).  Every center that can act on it lies within
+    radius + skin of the anchor (triangle inequality); widening that by
+    CULL_SLACK relative absorbs the rounding of both distance tests.  A
+    center that coincides with the point is listed, so a kernel still raises.
+    """
+    ax, ay = anchor
+    near = []
+    for ob in obstacles:
+        dx = ax - ob.center.x
+        dy = ay - ob.center.y
+        reach = (radius(ob) + skin) * (1.0 + CULL_SLACK)
+        if dx * dx + dy * dy <= reach * reach:
+            near.append(ob)
+    return tuple(near)
+
+
 def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> ObstacleList:
     """Build the attacker's (defender=False) or a defender's list at anchor.
 
-    Exactness, with u the unit roundoff.  The list is kept only while the
-    computed squared displacement from the anchor is below skin^2 (see
-    refresh_lists), so the true displacement is below skin * (1 + 3u).
-    Differences of floats round once, so computed distances carry a relative
-    error of a few u, never one relative to the coordinates.
-
     - near: an obstacle acts on the attacker only within min(sensing radius,
       attacker_band.hi) of the agent (beyond hi its weight is 0), and on a
-      defender only within defender_reach; every such center lies within
-      radius + skin of the anchor by the triangle inequality.  Widening that
-      by CULL_SLACK relative absorbs the rounding of both distance tests.
-      An obstacle whose center coincides with the agent is within skin of the
-      anchor, so it is always listed and obstacle_push still raises.
+      defender only within defender_reach; refresh_lists keeps the list only
+      while the agent is within the skin, as near_obstacles requires.
     - bounds: every point within the skin lies at least d - skin from the
       center, d the anchor's distance.  t = d (1 - CULL_SLACK) - skin
       (1 + CULL_SLACK) rounds d - skin outward (down) by far more than the
@@ -210,30 +229,22 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
       the floor is <= 0 (as it is for t <= 0) the bound is inf.
     """
     skin = SKIN_M
-    ax, ay = anchor
     sensing = cfg.attacker.sensing_radius
-    near = []
+    near = near_obstacles(anchor, cfg.obstacles,
+                          (lambda ob: ob.defender_reach) if defender
+                          else (lambda ob: min(sensing, ob.attacker_band.hi)), skin)
+    ax, ay = anchor
     bounds = []
     for ob in cfg.obstacles:
-        cx, cy = ob.center
-        dx = ax - cx
-        dy = ay - cy
-        d2 = dx * dx + dy * dy
-        if defender:
-            radius = ob.defender_reach
-            lo = ob.defender_band.lo
-        else:
-            radius = min(sensing, ob.attacker_band.hi)
-            lo = ob.formation_band.lo
-        reach = (radius + skin) * (1.0 + CULL_SLACK)
-        if d2 <= reach * reach:
-            near.append(ob)
-        t = math.sqrt(d2) * (1.0 - CULL_SLACK) - skin * (1.0 + CULL_SLACK)
+        dx = ax - ob.center.x
+        dy = ay - ob.center.y
+        lo = ob.defender_band.lo if defender else ob.formation_band.lo
+        t = math.sqrt(dx * dx + dy * dy) * (1.0 - CULL_SLACK) - skin * (1.0 + CULL_SLACK)
         floor = level_floor(ob, max(t, 0.0))
         bound = math.nextafter(lo / floor, math.inf) if floor > 0.0 else math.inf
         bounds.append((bound, lo, ob))
     bounds.sort(key=lambda entry: entry[0], reverse=True)
-    return ObstacleList(anchor=anchor, skin=skin, near=tuple(near), bounds=tuple(bounds))
+    return ObstacleList(anchor=anchor, skin=skin, near=near, bounds=tuple(bounds))
 
 
 def refresh_lists(lists: list, agents, cfg: ScenarioConfig) -> None:
@@ -301,10 +312,10 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> None:
     """Guidance for this step: desired heading, arc command, slot targets.
 
     push is the attacker's obstacle push at its position; the guidance field
-    still scans every obstacle.
+    scans ctx.guidance, which holds every obstacle that can act on it here.
     """
     r_a = state.attacker.position
-    field_angle = angle_of(combined_field(r_a, cfg.obstacles, cfg.safe.center))
+    field_angle = angle_of(combined_field(r_a, ctx.guidance, cfg.safe.center))
     state.desired = schedule_heading(field_angle, state.t, state.t_capture,
                                      cfg.capture.transition_time,
                                      cfg.capture.tangent_margin)

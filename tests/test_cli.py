@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import inspect
 import json
@@ -150,12 +151,18 @@ def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
      "obstacle_model.attacker_circle_factors must satisfy 1 < mid < hi, got [1.3, 1.2]"),
     ("control.heading_rate_max_radps", -0.3,
      "control.heading_rate_max_radps must be non-negative, got -0.3"),
+    ("formation.goal_tolerance_m", -1,
+     "formation.goal_tolerance_m must be non-negative, got -1.0"),
+    ("capture.dwell_factor", -1, "capture.dwell_factor must be non-negative, got -1.0"),
+    ("formation.defender_clearance_m", -0.15,
+     "formation.defender_clearance_m must be non-negative, got -0.15"),
 ], ids=["circle-factor", "speed-list-bool", "speed-list-inf", "standoff-band", "defender-start",
         "obstacle-center", "obstacle-extra-key", "formation-extra-key", "solver-section",
         "obstacle-bands-infinite", "obstacle-side-0", "standoff-band-order", "peer-band-order",
         "terminal-exponent", "tangent-margin", "protected-radius", "attacker-body-radius",
         "defender-speed", "defender-speed-list", "arc-radius", "transition-time",
-        "attacker-speed", "circle-factor-order", "heading-rate"])
+        "attacker-speed", "circle-factor-order", "heading-rate", "goal-tolerance",
+        "dwell-factor", "defender-clearance"])
 @pytest.mark.parametrize("command", ["check", "simulate", "sweep"])
 def test_bad_scenario_error_names_the_path(tmp_path, capsys, command, key, value, named):
     if "." in key:
@@ -187,6 +194,27 @@ def test_invalid_scenario_exit_code(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "violation: clearance" in err
+
+
+@pytest.mark.parametrize("section, absent, key, value, violation", [
+    # the default transition time (pi/2)(v_min - v_a)/R is -1.14 s here
+    ("capture", "transition_time_s", "attacker.speed_max_mps", 3.0, "speed-order"),
+    # the default defender clearance, half the formation's, is -0.075 m here
+    ("formation", "defender_clearance_m", "formation.clearance_m", -0.15, "clearance"),
+], ids=["transition-time", "defender-clearance"])
+def test_unusable_derived_default_is_reported_under_its_rule(tmp_path, capsys, bundle_doc,
+                                                             section, absent, key, value,
+                                                             violation):
+    doc = copy.deepcopy(bundle_doc)
+    del doc[section][absent]
+    where, name = key.split(".")
+    doc[where][name] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert f"violation: {violation}:" in captured.out
+    assert absent not in captured.out + captured.err
 
 
 def test_spread_below_minimum_exit_code(tmp_path, capsys):

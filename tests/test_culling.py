@@ -1,27 +1,29 @@
 """Exactness of obstacle culling.
 
 In a run every agent's kernels see only its obstacle list, built from the
-obstacles' reach radii, and the safety snapshot walks the lists' ratio
-bounds.  Both come from one inequality, level_floor.  These properties check
-those constants against superelliptic_distance, and the list-driven kernels
-against the full-scan loops they replaced, copied below as the reference.
+obstacles' reach radii, the guidance field sees only the obstacles that
+can reach the defenders' sensing zone, and the safety snapshot walks the
+lists' ratio bounds.  All come from one inequality, level_floor.  These
+properties check those constants against superelliptic_distance, and the
+list-driven kernels against the full-scan loops they replaced, copied below
+as the reference.
 """
 
 import dataclasses
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from herdsim import sim
 from herdsim.attacker import attacker_field, obstacle_push
 from herdsim.defender_control import defender_field
-from herdsim.environment import (CULL_SLACK, ObstacleDerivation, derive_obstacle,
-                                 level_floor, superelliptic_distance)
+from herdsim.environment import (CULL_SLACK, ObstacleDerivation, contour_offsets,
+                                 derive_obstacle, level_floor, superelliptic_distance)
 from herdsim.errors import DomainError
-from herdsim.formation_field import repulsive_angle
+from herdsim.formation_field import combined_field, repulsive_angle
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, dist
 from herdsim.herding import obstacle_resultant
-from herdsim.sim import (SafetySnapshot, obstacle_list, refresh_lists,
+from herdsim.sim import (SafetySnapshot, build_context, obstacle_list, refresh_lists,
                          safety_snapshot)
 
 PEERS = BlendTriplet(0.25, 0.32, 0.42)
@@ -360,3 +362,95 @@ def test_list_rebuilt_once_moved_the_skin(reference_cfg):
     on_skin = Vec2(skin, anchor.y)
     refresh_lists(lists, [on_skin], reference_cfg)
     assert lists[0].anchor == on_skin
+
+
+# ---------------------------------------------------------------------------
+# the guidance list
+# ---------------------------------------------------------------------------
+
+def zone_world(reference_cfg, center, zone, obs):
+    """The bundled scenario with the protected area at center, a sensing
+    zone of radius zone around it, and the obstacles obs."""
+    return dataclasses.replace(
+        reference_cfg, obstacles=tuple(obs),
+        protected=dataclasses.replace(reference_cfg.protected, center=center),
+        defenders=dataclasses.replace(reference_cfg.defenders, sensing_zone_radius=zone))
+
+
+@st.composite
+def zone_worlds(draw, reference_cfg):
+    """A point that run()'s zone test admits, anywhere in a sensing zone or
+    on its rim within 1e-9 relative, and 1-6 obstacles: centered anywhere up
+    to twice their formation reach beyond the rim, within 1e-9 relative of
+    the zone radius plus that reach, or placed so that the point lies on one
+    of their formation contours between lo and hi (just below hi included).
+    Such an obstacle may sit straight out from the point along an axis, where
+    the contour of an elongated shell comes closest to its reach."""
+    params = draw(derivations)
+    center = Vec2(draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)))
+    zone = draw(st.floats(0.5, 60.0))
+    r = draw(st.one_of(st.floats(0.0, zone),
+                       st.floats(-1e-9, 1e-9).map(lambda u: zone * (1.0 + u))))
+    theta = draw(st.one_of(st.floats(-math.pi, math.pi),
+                           st.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi])))
+    p = Vec2(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
+    assume(dist(p, center) <= zone)
+    obs = []
+    for _ in range(draw(st.integers(1, 6))):
+        ob = derive_obstacle(center, draw(st.floats(0.2, 6.0)), draw(st.floats(0.2, 6.0)),
+                             params)
+        beta = draw(st.one_of(st.floats(-math.pi, math.pi), st.just(theta + math.pi)))
+        if draw(st.booleans()):
+            band = ob.formation_band
+            level = draw(st.one_of(st.floats(band.lo, band.hi), st.floats(0.0, 1e-9).map(
+                lambda u: band.hi * (1.0 - u))))
+            dx, dy = contour_offsets(ob, math.cos(beta), math.sin(beta), level)
+            c = Vec2(p.x - dx, p.y - dy)
+        else:
+            reach = ob.formation_reach
+            d = draw(st.one_of(
+                st.floats(0.0, zone + 2.0 * reach),
+                st.floats(-1e-9, 1e-9).map(lambda u: (zone + reach) * (1.0 + u))))
+            c = Vec2(center.x + d * math.cos(beta), center.y + d * math.sin(beta))
+        obs.append(dataclasses.replace(ob, center=c))
+    cfg = zone_world(reference_cfg, center, zone, obs)
+    safe = Vec2(draw(st.floats(-40.0, 40.0)), draw(st.floats(-40.0, 40.0)))
+    return cfg, p, safe
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_guidance_list_field_matches_full_scan(reference_cfg, data):
+    cfg, p, safe = data.draw(zone_worlds(reference_cfg))
+    guidance = build_context(cfg).guidance
+    assert (outcome(combined_field, p, guidance, safe)
+            == outcome(combined_field, p, cfg.obstacles, safe))
+
+
+def test_guidance_list_holds_the_obstacles_that_reach_the_zone(reference_cfg, derivation):
+    """On a 20 m zone: one obstacle inside, one whose center lies outside
+    but whose formation shell reaches in, and two out of reach.  Each
+    listed obstacle weighs in somewhere in the zone, and no other does."""
+    zone = 20.0
+    ob = derive_obstacle(Vec2(0.0, 0.0), 2.0, 3.0, derivation)
+    reach = ob.formation_reach
+    obs = [dataclasses.replace(ob, center=c) for c in (
+        Vec2(10.0, 0.0), Vec2(0.0, zone + 0.5 * reach),
+        Vec2(0.0, -(zone + 2.0 * reach)), Vec2(-(zone + 1.5 * reach), 0.0))]
+    cfg = zone_world(reference_cfg, Vec2(0.0, 0.0), zone, obs)
+    assert build_context(cfg).guidance == tuple(obs[:2])
+    assert math.hypot(*obs[1].center) > zone
+    # the zone's rim, and each obstacle center's nearest point in the zone
+    points = [Vec2(zone * math.cos(2.0 * math.pi * k / 720),
+                   zone * math.sin(2.0 * math.pi * k / 720)) for k in range(720)]
+    for o in obs:
+        scale = min(1.0, zone / math.hypot(*o.center))
+        points.append(Vec2(scale * o.center.x, scale * o.center.y))
+    for k, o in enumerate(obs):
+        weighs = any(blend_weight(superelliptic_distance(q, o), o.formation_band) > 0.0
+                     for q in points)
+        assert weighs == (k < 2)
+
+
+def test_bundled_guidance_list_is_every_obstacle(reference_cfg):
+    assert build_context(reference_cfg).guidance == reference_cfg.obstacles

@@ -1,14 +1,18 @@
 import copy
+import dataclasses
 import hashlib
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
 from herdsim.environment import scenario_from_dict, validate_scenario
 from herdsim.errors import ConfigError
-from herdsim import attacker, sim
-from herdsim.geom import Vec2
+from herdsim import attacker, formation_field, sim
+from herdsim.environment import superelliptic_distance
+from herdsim.geom import Vec2, blend_weight
 from herdsim.sim import build_context, new_state, run, safety_snapshot
 from herdsim.svg import ratio_curves_svg
 
@@ -393,3 +397,78 @@ def test_obstacle_reached_midway_enters_lists(monkeypatch):
     assert trace.rows != run(scenario_from_dict(small_scenario_doc())).rows
     monkeypatch.setattr(sim, "SKIN_M", 1e9)
     assert run(cfg).rows == trace.rows
+
+
+def test_guidance_list_leaves_run_unchanged(monkeypatch):
+    """An obstacle whose center lies just outside the 50 m sensing zone, but
+    whose formation shell reaches into it, steers the guidance field; two
+    far ones stay off the list.  The attacker senses obstacles only within
+    3 m (validate_scenario flags that), so it cuts through the shell."""
+    doc = small_scenario_doc(**{"defenders.sensing_zone_radius_m": 50.0,
+                                "attacker.start_m": [0.0, 58.0],
+                                "attacker.sensing_radius_m": 3.0,
+                                "defenders.start_m": [[-4.0, 40.0], [0.0, 39.0], [4.0, 40.0]]})
+    doc["obstacles"] = [{"center_m": [3.0, 50.5], "width_m": 2.0, "height_m": 2.0},
+                        {"center_m": [0.0, 75.0], "width_m": 2.0, "height_m": 2.0},
+                        {"center_m": [60.0, 0.0], "width_m": 3.0, "height_m": 2.0}]
+    cfg = scenario_from_dict(doc)
+    ob = cfg.obstacles[0]
+    assert math.hypot(*ob.center) > 50.0
+    assert build_context(cfg).guidance == (ob,)
+    trace = run(cfg)
+    assert any(math.hypot(x, y) <= 50.0 and blend_weight(
+        superelliptic_distance(Vec2(x, y), ob), ob.formation_band) > 0.0
+        for x, y in zip(trace.column("attacker_x_m"), trace.column("attacker_y_m")))
+
+    original = sim.build_context
+
+    def forced(guidance):
+        monkeypatch.setattr(sim, "build_context", lambda cfg: dataclasses.replace(
+            original(cfg), guidance=guidance))
+        return run(cfg).rows
+
+    assert forced(cfg.obstacles) == trace.rows
+    assert forced(()) != trace.rows
+
+
+def load_bench_workloads():
+    """bench/workloads.py, imported from its file without touching sys.path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed, listed", [(1, 10), (2, 9)])
+def test_cluttered_world_scans_only_the_guidance_list(monkeypatch, seed, listed):
+    """The benchmark's cluttered world adds 42 inert obstacles to the bundled
+    one: the trace is the golden one, and the guidance field evaluates one
+    level per listed obstacle per planning step."""
+    cfg = scenario_from_dict(load_bench_workloads().cluttered_doc(seed))
+    guidance = build_context(cfg).guidance
+    assert len(cfg.obstacles) == 48 and len(guidance) == listed
+
+    counts = {"fields": 0, "levels": 0}
+    in_field = [False]
+    original_field = sim.combined_field
+    original_level = formation_field.superelliptic_distance
+
+    def field(*args):
+        counts["fields"] += 1
+        in_field[0] = True
+        try:
+            return original_field(*args)
+        finally:
+            in_field[0] = False
+
+    def level(*args):
+        counts["levels"] += in_field[0]
+        return original_level(*args)
+
+    monkeypatch.setattr(sim, "combined_field", field)
+    monkeypatch.setattr(formation_field, "superelliptic_distance", level)
+    trace = run(cfg)
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == GOLDEN_TRACE_SHA256
+    assert counts["fields"] > 0
+    assert counts["levels"] == listed * counts["fields"]
