@@ -22,7 +22,7 @@ print(f"validation: {'clean' if not violations else violations}")
 t0 = time.perf_counter()
 trace = run(cfg)
 print(f"\nsimulated {trace.t_end:.2f} s of world time in "
-      f"{time.perf_counter() - t0:.2f} s wall time ({len(trace.rows)} steps)")
+      f"{time.perf_counter() - t0:.2f} s wall time ({trace.summary()['steps']} steps)")
 
 ev = trace.events
 print(f"attacker sensed at t = {ev['t_sense_s']} s")

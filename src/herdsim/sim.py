@@ -18,6 +18,7 @@ import dataclasses
 import io
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
 
@@ -91,24 +92,38 @@ class RunContext:
 
 @dataclass
 class SimTrace:
-    """Time-indexed log of one closed-loop run."""
+    """Time-indexed log of one closed-loop run.
+
+    values holds the samples row-major in one array('d'), len(columns) to a
+    row and one row per step: 8 bytes a sample, where a tuple of floats takes
+    about four times that.  column() returns one column as an array('d');
+    rows builds the list of row tuples each time it is read.
+    """
 
     dt: float
     defender_count: int
     columns: tuple[str, ...]
-    rows: list = field(default_factory=list)
+    values: array = field(default_factory=lambda: array("d"))
     events: dict = field(default_factory=dict)
     maxima: dict = field(default_factory=dict)
     termination: str = ""
 
+    def _row_slices(self):
+        w = len(self.columns)
+        return (self.values[i:i + w] for i in range(0, len(self.values), w))
+
+    @property
+    def rows(self) -> list:
+        return [tuple(row) for row in self._row_slices()]
+
     @property
     def t_end(self) -> float:
-        return self.rows[-1][0] if self.rows else 0.0
+        # t_s is the first column
+        return self.values[-len(self.columns)] if self.values else 0.0
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> array:
         """Every row's value of the named column, in time order."""
-        k = self.columns.index(name)
-        return [row[k] for row in self.rows]
+        return self.values[self.columns.index(name)::len(self.columns)]
 
     def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
         """Write the trace as CSV to the text stream out, one row at a time;
@@ -118,7 +133,7 @@ class SimTrace:
             self.to_csv(buf)
             return buf.getvalue()
         out.write(",".join(self.columns) + "\n")
-        out.writelines(",".join(map(repr, row)) + "\n" for row in self.rows)
+        out.writelines(",".join(map(repr, row)) + "\n" for row in self._row_slices())
 
     def summary(self) -> dict:
         return {
@@ -128,7 +143,7 @@ class SimTrace:
             # every exit stops the capture clock, so one running at the end has held
             "captured": self.events["t_capture_s"] is not None,
             "t_end": self.t_end,
-            "steps": len(self.rows) - 1 if self.rows else 0,
+            "steps": max(len(self.values) // len(self.columns) - 1, 0),
             "dt_s": self.dt,
             "defenders": self.defender_count,
         }
@@ -455,7 +470,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             row += [d.position.x, d.position.y, d.velocity.x, d.velocity.y,
                     d.goal.x, d.goal.y]
         row += snap
-        trace.rows.append(tuple(row))
+        trace.values.fromlist(row)
 
         if (events["t_formed_s"] is None and planning
                 and all(dist(d.position, d.goal) <= goal_tol for d in state.defenders)):

@@ -8,6 +8,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import math
+from array import array
 
 from .environment import shell_points
 from .sim import RATIO_COLUMNS
@@ -94,8 +95,9 @@ def trajectory_svg(trace, cfg) -> str:
     """World-frame overview: areas, obstacles with their shells, agent paths."""
     paths = [(trace.column(f"{agent}_x_m"), trace.column(f"{agent}_y_m"))
              for agent in ["attacker"] + [f"d{j}" for j in range(trace.defender_count)]]
-    xs = [x for path_x, _ in paths for x in path_x]
-    ys = [y for _, path_y in paths for y in path_y]
+    # each path's extremes, then the areas' and the shells' extents
+    xs = [f(path_x) for path_x, _ in paths for f in (min, max)]
+    ys = [f(path_y) for _, path_y in paths for f in (min, max)]
     xs += [cfg.safe.center.x - cfg.safe.radius, cfg.safe.center.x + cfg.safe.radius,
            cfg.protected.center.x - cfg.protected.radius]
     ys += [cfg.safe.center.y - cfg.safe.radius, cfg.safe.center.y + cfg.safe.radius,
@@ -119,7 +121,7 @@ def trajectory_svg(trace, cfg) -> str:
 
     for k, (path_x, path_y) in enumerate(paths):
         color, width = ("red", 1.5) if k == 0 else ("royalblue", 1.0)
-        canvas.polyline(list(zip(path_x, path_y)), stroke=color, width=width)
+        canvas.polyline(zip(path_x, path_y), stroke=color, width=width)
         canvas.marker(path_x[0], path_y[0], fill=color)
     return canvas.render()
 
@@ -131,8 +133,8 @@ def ratio_curves_svg(trace) -> str:
     t_end = trace.t_end if trace.t_end > 0.0 else 1.0
     colors = ["darkorange", "seagreen", "royalblue", "crimson"]
 
-    speeds = [list(map(math.hypot, trace.column(f"d{j}_vx_mps"),
-                       trace.column(f"d{j}_vy_mps")))
+    speeds = [array("d", map(math.hypot, trace.column(f"d{j}_vx_mps"),
+                             trace.column(f"d{j}_vy_mps")))
               for j in range(trace.defender_count)]
     s_max = max((s for data in speeds for s in data), default=1.0)
     s_max = max(s_max, 1e-9)
@@ -143,7 +145,7 @@ def ratio_curves_svg(trace) -> str:
     canvas.text(0.02 * t_end, 2.55, "critical relative distances (1 = violation)")
     canvas.polyline([(0.0, 0.5 + 1.0), (t_end, 0.5 + 1.0)], stroke="black", dash="4,4")
     for k, (column, color) in enumerate(zip(RATIO_COLUMNS, colors)):
-        canvas.series(ts, [0.5 + min(v, 2.0) for v in trace.column(column)],
+        canvas.series(ts, (0.5 + min(v, 2.0) for v in trace.column(column)),
                       stroke=color, width=1.2)
         label = column.removeprefix("ratio_").replace("_", "/")
         canvas.text(0.65 * t_end, 2.45 - 0.16 * k, label, size=11, fill=color)
@@ -151,7 +153,7 @@ def ratio_curves_svg(trace) -> str:
     canvas.text(0.02 * t_end, -0.25, f"defender speeds (max {s_max:.3f} m/s)")
     canvas.polyline([(0.0, -2.4), (t_end, -2.4)], stroke="gray", width=0.5)
     for j, data in enumerate(speeds):
-        canvas.series(ts, [-2.4 + 2.0 * s / s_max for s in data],
+        canvas.series(ts, (-2.4 + 2.0 * s / s_max for s in data),
                       stroke=["royalblue", "seagreen", "darkorange",
                               "purple", "teal"][j % 5], width=1.2)
     return canvas.render()

@@ -452,5 +452,30 @@ def test_guidance_list_holds_the_obstacles_that_reach_the_zone(reference_cfg, de
         assert weighs == (k < 2)
 
 
+def test_guidance_list_keeps_an_elongated_shell_that_touches_the_rim(reference_cfg,
+                                                                     derivation):
+    """A 12 x 0.2 m rectangle derives an elliptic shell whose farthest
+    formation hi contour point, on its long axis, lies within 2e-4 of
+    formation_reach.  Placed with that point on a 20 m zone's rim, the
+    obstacle is listed.  Placed with its contour 1% of (hi - mid) inside hi
+    on the rim, at 0.998 formation_reach from its center, it weighs in at
+    that rim point, so a list radius below that drops a term of the field."""
+    zone = 20.0
+    ob = derive_obstacle(Vec2(0.0, 0.0), 12.0, 0.2, derivation)
+    band = ob.formation_band
+    hi_radii = [math.hypot(*contour_offsets(ob, math.cos(beta), math.sin(beta), band.hi))
+                for beta in (0.5 * math.pi * k / 90 for k in range(91))]
+    assert max(hi_radii) == hi_radii[0] > (1.0 - 2e-4) * ob.formation_reach
+    rim = Vec2(zone, 0.0)
+    safe = Vec2(0.0, -10.0)
+    for level, weighs in ((band.hi, False), (band.hi - 0.01 * (band.hi - band.mid), True)):
+        far, _ = contour_offsets(ob, 1.0, 0.0, level)
+        o = dataclasses.replace(ob, center=Vec2(zone + far, 0.0))
+        cfg = zone_world(reference_cfg, Vec2(0.0, 0.0), zone, [o])
+        assert build_context(cfg).guidance == (o,)
+        assert (blend_weight(superelliptic_distance(rim, o), band) > 0.0) == weighs
+        assert (combined_field(rim, (o,), safe) != combined_field(rim, (), safe)) == weighs
+
+
 def test_bundled_guidance_list_is_every_obstacle(reference_cfg):
     assert build_context(reference_cfg).guidance == reference_cfg.obstacles

@@ -34,3 +34,6 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    if demo.stem == "05_full_herding_run":
+        # 8,287 trace rows: the one at t = 0 and one per step
+        assert "(8286 steps)" in proc.stdout

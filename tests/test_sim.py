@@ -1,9 +1,12 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import math
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -238,6 +241,36 @@ def test_csv_round_trip_shape(reference_run):
     assert len(lines) == len(trace.rows) + 1
     assert len(lines[0].split(",")) == len(trace.columns)
     assert len(lines[1].split(",")) == len(trace.columns)
+
+
+def test_trace_views_agree(reference_run):
+    """column() and rows are two views of the one sample array."""
+    trace, _ = reference_run
+    rows = trace.rows
+    assert rows is not trace.rows and rows == trace.rows
+    assert len(rows) == trace.summary()["steps"] + 1 == 8287
+    assert trace.t_end == rows[-1][0]
+    for k, name in enumerate(trace.columns):
+        column = trace.column(name)
+        assert isinstance(column, array) and column.typecode == "d"
+        assert list(column) == [row[k] for row in rows]
+
+
+def test_trace_row_retains_at_most_300_bytes(reference_cfg):
+    """A row of the bundled run's 29 samples takes 232 B as doubles; a tuple
+    of floats per row retained 976 B."""
+    run(reference_cfg, t_max=1.0)   # lazy set-up is not the trace's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(reference_cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.columns) == 29
+    assert retained / (trace.summary()["steps"] + 1) <= 300
 
 
 def test_lone_defender_rejected():
