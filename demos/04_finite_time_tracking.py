@@ -7,9 +7,7 @@ speed profile is C1 across the switch.  The closed-form time bounds printed
 here are what the acceptance suite checks the integration against.
 """
 
-import math
-
-from herdsim import Vec2, solve_tracking_gains, terminal_phase_time, unit
+from herdsim import Vec2, convergence_bounds, solve_tracking_gains, terminal_phase_time, unit
 from herdsim.defender_control import defender_velocity
 
 gains = solve_tracking_gains(terminal_exponent=0.5, speed_max=2.6,
@@ -20,7 +18,7 @@ print(f"handoff error: {gains.handoff_error:.6f} m, "
       f"terminal gain: {gains.terminal_gain:.6f}")
 
 e0 = 2.0
-reach_bound = (e0 / math.tanh(e0)) * math.log(e0 ** 2 / gains.handoff_error ** 2)
+reach_bound = convergence_bounds(e0, gains)
 power_time = terminal_phase_time(gains, gains.handoff_error)
 print(f"\nbounds from {e0} m out: handoff within {reach_bound:.3f} s, "
       f"then zero within {power_time:.3f} s")

@@ -25,7 +25,6 @@ DEADLOCK_TOL = 1e-6
 class AttackerState:
     position: Vec2
     heading: float      # last motion direction, reused to escape deadlocks
-    speed: float        # commanded speed magnitude (m/s)
 
 
 def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
@@ -52,9 +51,10 @@ def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
     return close_blend(position, protected_center, blend)
 
 
-def attacker_step(state: AttackerState, field: Vec2, turn: float,
+def attacker_step(state: AttackerState, field: Vec2, speed: float, turn: float,
                   dt: float) -> AttackerState:
-    """Advance the attacker one step along the field (or the deadlock escape).
+    """Advance the attacker one step at speed along the field (or the
+    deadlock escape).
 
     The heading always tracks the realized motion direction, so consecutive
     deadlock steps keep turning by the same increment.
@@ -66,10 +66,9 @@ def attacker_step(state: AttackerState, field: Vec2, turn: float,
         heading = math.atan2(field.y, field.x)
     else:
         heading = wrap_angle(state.heading + turn)
-    step = state.speed * dt
+    step = speed * dt
     return AttackerState(
         position=Vec2(state.position.x + step * math.cos(heading),
                       state.position.y + step * math.sin(heading)),
         heading=heading,
-        speed=state.speed,
     )

@@ -15,8 +15,11 @@ other nonzero code is the `exit_code` of the HerdsimError a command raised:
      ratio at or above 1, or the protected area was breached)
   6  numerical solver failure
 
-Verbosity is controlled by the HERDSIM_LOG environment variable (DEBUG, INFO,
-WARNING, ...).  The dynamics are deterministic, so no command takes a seed.
+The HERDSIM_LOG environment variable names the logging level (default and
+any unknown name: WARNING).  The package logs only two WARNING records, the
+attacker leaving the safe area and a defender holding on a degenerate field:
+a level above WARNING silences them and a lower one adds nothing.  The
+dynamics are deterministic, so no command takes a seed.
 """
 
 from __future__ import annotations
@@ -30,19 +33,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .defender_control import convergence_bounds, solve_tracking_gains, terminal_phase_time
+from .defender_control import solve_tracking_gains, terminal_phase_time
 from .environment import (arc_magnitude, load_scenario, min_spread, reference_scenario_path,
                           scenario_warnings, validate_scenario)
 from .errors import ConfigError, HerdsimError, OutputDirError, SchemaError
 from .formation_field import singularity_sweep
+from .geom import dist
 from .sim import RATIO_COLUMNS, TERM_CAPTURED, run
 from .svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
 
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 4
 EXIT_UNACCEPTABLE = 5
-
-log = logging.getLogger("herdsim.cli")
 
 
 def _setup_logging():
@@ -171,8 +173,7 @@ def cmd_check(args) -> int:
                   f"handoff error {gains.handoff_error:.6f} m")
             print(f"terminal phase: {terminal_phase_time(gains, gains.handoff_error):.3f} s")
             if cfg.attacker.speed_max > 0.0:
-                _, arrival = convergence_bounds(1.0, gains, cfg.attacker.start,
-                                                cfg.protected.center, cfg.attacker.speed_max)
+                arrival = dist(cfg.attacker.start, cfg.protected.center) / cfg.attacker.speed_max
                 print(f"attacker straight-line arrival bound: {arrival:.3f} s")
     print("obstacle shells (exponent, formation level lo/mid/hi, defender lo, circle radii):")
     for i, ob in enumerate(cfg.obstacles):

@@ -122,27 +122,16 @@ def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,
     return Vec2(goal_velocity.x + speed * ux, goal_velocity.y + speed * uy)
 
 
-def convergence_bounds(initial_error: float, gains: TrackingGains,
-                       attacker_start: Vec2, protected_center: Vec2,
-                       attacker_speed_max: float) -> tuple[float, float]:
-    """Conservative timing pair (slot-reach bound, attacker-arrival bound).
-
-    The first bounds the time for the tracking error to fall inside the
-    handoff basin from the given start (zero if already inside, using the
-    quadratic certificate half'err^2); the second is the straight-line time
-    for the attacker to reach the protected center unopposed.  The defense is
-    viable when every defender's bound beats the attacker's.
+def convergence_bounds(initial_error: float, gains: TrackingGains) -> float:
+    """Conservative bound on the time for the tracking error to fall inside
+    the handoff basin from initial_error: zero if already inside, else the
+    bound from the quadratic certificate half'err^2.  The defense is viable
+    when every defender's bound beats the attacker's straight-line arrival.
     """
-    if attacker_speed_max <= 0.0:
-        raise ConfigError("attacker speed must be positive")
     if initial_error <= gains.handoff_error:
-        reach = 0.0
-    else:
-        reach = (-initial_error / math.tanh(initial_error)) * math.log(
-            gains.handoff_error ** 2 / initial_error ** 2)
-    arrival = math.hypot(attacker_start.x - protected_center.x,
-                         attacker_start.y - protected_center.y) / attacker_speed_max
-    return reach, arrival
+        return 0.0
+    return (-initial_error / math.tanh(initial_error)) * math.log(
+        gains.handoff_error ** 2 / initial_error ** 2)
 
 
 def terminal_phase_time(gains: TrackingGains, start_error: float) -> float:

@@ -52,7 +52,6 @@ class DefenderState:
     position: Vec2
     velocity: Vec2
     goal: Vec2
-    goal_velocity: Vec2
 
 
 @dataclass
@@ -96,8 +95,9 @@ class SimTrace:
 
     values holds the samples row-major in one array('d'), len(columns) to a
     row and one row per step: 8 bytes a sample, where a tuple of floats takes
-    about four times that.  column() returns one column as an array('d');
-    rows builds the list of row tuples each time it is read.
+    about four times that.  column() returns one column as an array('d'),
+    speed() one agent's speed; rows builds the list of row tuples each time
+    it is read.
     """
 
     dt: float
@@ -124,6 +124,11 @@ class SimTrace:
     def column(self, name: str) -> array:
         """Every row's value of the named column, in time order."""
         return self.values[self.columns.index(name)::len(self.columns)]
+
+    def speed(self, agent: str) -> array:
+        """Every row's speed of agent ("attacker" or "d<j>"), in time order."""
+        return array("d", map(math.hypot, self.column(f"{agent}_vx_mps"),
+                              self.column(f"{agent}_vy_mps")))
 
     def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
         """Write the trace as CSV to the text stream out, one row at a time;
@@ -176,11 +181,9 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
 def new_state(cfg: ScenarioConfig) -> SimState:
     return SimState(
         t=0.0,
-        attacker=AttackerState(position=cfg.attacker.start, heading=0.0,
-                               speed=cfg.attacker.speed_max),
+        attacker=AttackerState(position=cfg.attacker.start, heading=0.0),
         attacker_velocity=Vec2(0.0, 0.0),
-        defenders=[DefenderState(position=p, velocity=Vec2(0.0, 0.0),
-                                 goal=p, goal_velocity=Vec2(0.0, 0.0))
+        defenders=[DefenderState(position=p, velocity=Vec2(0.0, 0.0), goal=p)
                    for p in cfg.defenders.starts],
     )
 
@@ -190,14 +193,13 @@ class ObstacleList:
     """What one agent needs of the obstacles while it stays near `anchor`.
 
     `near` holds, in obstacle index order, every obstacle that can act on the
-    agent anywhere within `skin` of the anchor (see near_obstacles).
+    agent anywhere within SKIN_M of the anchor (see near_obstacles).
     `bounds` holds (ratio bound, threshold, obstacle) for
     every obstacle, by descending bound: the bound is at or above the pair's
-    safety ratio anywhere within `skin` of the anchor.
+    safety ratio anywhere within SKIN_M of the anchor.
     """
 
     anchor: Vec2
-    skin: float
     near: tuple[Obstacle, ...]
     bounds: tuple[tuple[float, float, Obstacle], ...]
 
@@ -259,22 +261,22 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
         bound = math.nextafter(lo / floor, math.inf) if floor > 0.0 else math.inf
         bounds.append((bound, lo, ob))
     bounds.sort(key=lambda entry: entry[0], reverse=True)
-    return ObstacleList(anchor=anchor, skin=skin, near=near, bounds=tuple(bounds))
+    return ObstacleList(anchor=anchor, near=near, bounds=tuple(bounds))
 
 
 def refresh_lists(lists: list, agents, cfg: ScenarioConfig) -> None:
-    """Rebuild each agent's list once it has moved its list's skin or more.
+    """Rebuild each agent's list once it has moved SKIN_M or more from the
+    list's anchor.
 
     agents are the attacker's position, then each defender's; lists holds
-    one ObstacleList per agent, or None where none is built yet.
+    one ObstacleList per agent.
     """
     for k, p in enumerate(agents):
-        old = lists[k]
-        if old is not None:
-            dx = p.x - old.anchor.x
-            dy = p.y - old.anchor.y
-            if dx * dx + dy * dy < old.skin * old.skin:
-                continue
+        anchor = lists[k].anchor
+        dx = p.x - anchor.x
+        dy = p.y - anchor.y
+        if dx * dx + dy * dy < SKIN_M * SKIN_M:
+            continue
         lists[k] = obstacle_list(p, cfg, k > 0)
 
 
@@ -323,8 +325,9 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     return SafetySnapshot(r_ao, r_do, r_dd, r_ad)
 
 
-def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> None:
+def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[Vec2]:
     """Guidance for this step: desired heading, arc command, slot targets.
+    Returns the slots' velocities, the defenders' feedforward, in order.
 
     push is the attacker's obstacle push at its position; the guidance field
     scans ctx.guidance, which holds every obstacle that can act on it here.
@@ -340,9 +343,9 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> None:
         state.command, command, cfg.integrator.dt, cfg.control.heading_rate_max)
     state.command = command
     goals = formation_goals(r_a, state.attacker_velocity, command, rate, ctx.spec)
-    for d, (gp, gv) in zip(state.defenders, goals):
+    for d, (gp, _) in zip(state.defenders, goals):
         d.goal = gp
-        d.goal_velocity = gv
+    return [gv for _, gv in goals]
 
 
 def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
@@ -357,26 +360,25 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     r_a = state.attacker.position
     push = obstacle_push(r_a, lists[0].near, cfg.attacker.sensing_radius)
     if planning:
-        _plan(state, cfg, ctx, push)
+        goal_velocities = _plan(state, cfg, ctx, push)
     else:
         for d in state.defenders:
             d.goal = d.position
-            d.goal_velocity = Vec2(0.0, 0.0)
 
     positions = [d.position for d in state.defenders]
     a_field = attacker_field(r_a, positions, push, cfg.protected.center,
                              cfg.attacker.sensing_radius, cfg.attacker.standoff_band)
-    next_attacker = attacker_step(state.attacker, a_field,
+    speed = cfg.attacker.speed_max
+    next_attacker = attacker_step(state.attacker, a_field, speed,
                                   cfg.attacker.deadlock_turn, cfg.integrator.dt)
-    state.attacker_velocity = Vec2(state.attacker.speed * math.cos(next_attacker.heading),
-                                   state.attacker.speed * math.sin(next_attacker.heading))
+    state.attacker_velocity = Vec2(speed * math.cos(next_attacker.heading),
+                                   speed * math.sin(next_attacker.heading))
 
     if planning:
-        for j, d in enumerate(state.defenders):
+        for j, (d, gv) in enumerate(zip(state.defenders, goal_velocities)):
             f, conflict = defender_field(j, positions, d.goal, lists[j + 1].near,
                                          cfg.defenders.peer_band)
-            d.velocity = defender_velocity(d.position, d.goal, d.goal_velocity,
-                                           f, conflict, ctx.gains[j])
+            d.velocity = defender_velocity(d.position, d.goal, gv, f, conflict, ctx.gains[j])
     else:
         for d in state.defenders:
             d.velocity = Vec2(0.0, 0.0)
@@ -424,7 +426,8 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     n_steps = round(cfg.integrator.t_max / cfg.integrator.dt)
     dwell = cfg.capture.dwell_factor * cfg.capture.transition_time
 
-    lists = [None] * (1 + n)
+    lists = [obstacle_list(p, cfg, k > 0)
+             for k, p in enumerate([cfg.attacker.start, *cfg.defenders.starts])]
     goal_tol = cfg.formation.goal_tolerance
     planning = False
 
@@ -483,11 +486,6 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
 
     events["t_capture_s"] = state.t_capture
     trace.maxima = {name: max(trace.column(name)) for name in RATIO_COLUMNS}
-    trace.maxima["attacker_speed_mps"] = _max_speed(trace, "attacker")
-    trace.maxima["defender_speed_mps"] = [_max_speed(trace, f"d{j}") for j in range(n)]
+    trace.maxima["attacker_speed_mps"] = max(trace.speed("attacker"))
+    trace.maxima["defender_speed_mps"] = [max(trace.speed(f"d{j}")) for j in range(n)]
     return trace
-
-
-def _max_speed(trace: SimTrace, agent: str) -> float:
-    return max(map(math.hypot, trace.column(f"{agent}_vx_mps"),
-                   trace.column(f"{agent}_vy_mps")))

@@ -8,7 +8,6 @@ byte-identical documents.
 from __future__ import annotations
 
 import math
-from array import array
 
 from .environment import shell_points
 from .sim import RATIO_COLUMNS
@@ -88,7 +87,7 @@ class Canvas:
         self.parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(r)}" fill="{fill}"/>')
 
     def render(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+        return "\n".join([*self.parts, "</svg>\n"])
 
 
 def trajectory_svg(trace, cfg) -> str:
@@ -133,9 +132,7 @@ def ratio_curves_svg(trace) -> str:
     t_end = trace.t_end if trace.t_end > 0.0 else 1.0
     colors = ["darkorange", "seagreen", "royalblue", "crimson"]
 
-    speeds = [array("d", map(math.hypot, trace.column(f"d{j}_vx_mps"),
-                             trace.column(f"d{j}_vy_mps")))
-              for j in range(trace.defender_count)]
+    speeds = [trace.speed(f"d{j}") for j in range(trace.defender_count)]
     s_max = max((s for data in speeds for s in data), default=1.0)
     s_max = max(s_max, 1e-9)
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -19,6 +20,15 @@ def child_env():
     src = Path(__file__).resolve().parents[1] / "src"
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def load_bench_workloads():
+    """bench/workloads.py, imported from its file without touching sys.path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 REFERENCE_OBSTACLES = [(10.0, 23.0, 2.0, 3.0), (-6.0, 18.0, 3.0, 4.0),

@@ -59,30 +59,30 @@ def test_obstacle_push_rejects_an_obstacle_center(derivation):
 
 
 def test_step_normalizes_field():
-    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.0, speed=1.0)
-    out = attacker_step(s, Vec2(2.0, 0.0), turn=0.05, dt=0.1)
+    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.0)
+    out = attacker_step(s, Vec2(2.0, 0.0), speed=1.0, turn=0.05, dt=0.1)
     assert out.position.x == pytest.approx(0.1)
     assert out.position.y == pytest.approx(0.0)
 
 
 def test_deadlock_turns_by_fixed_increment():
-    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.3, speed=1.0)
+    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.3)
     for k in range(3):
-        s = attacker_step(s, Vec2(0.0, 0.0), turn=0.05, dt=0.01)
+        s = attacker_step(s, Vec2(0.0, 0.0), speed=1.0, turn=0.05, dt=0.01)
         assert s.heading == pytest.approx(0.3 + 0.05 * (k + 1))
 
 
 def test_step_displacement_bounded():
-    s = AttackerState(position=Vec2(2.0, -1.0), heading=1.0, speed=1.0)
-    out = attacker_step(s, Vec2(0.3, -0.9), turn=0.05, dt=0.01)
+    s = AttackerState(position=Vec2(2.0, -1.0), heading=1.0)
+    out = attacker_step(s, Vec2(0.3, -0.9), speed=1.0, turn=0.05, dt=0.01)
     moved = math.hypot(out.position.x - 2.0, out.position.y + 1.0)
     assert moved <= 1.0 * 0.01 + 1e-12
 
 
 def test_step_rejects_bad_dt():
-    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.0, speed=1.0)
+    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.0)
     with pytest.raises(ValueError):
-        attacker_step(s, Vec2(1.0, 0.0), turn=0.05, dt=0.0)
+        attacker_step(s, Vec2(1.0, 0.0), speed=1.0, turn=0.05, dt=0.0)
 
 
 @given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))

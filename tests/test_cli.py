@@ -1,5 +1,6 @@
 import ast
 import copy
+import hashlib
 import importlib
 import inspect
 import json
@@ -18,7 +19,38 @@ from herdsim import cli, defender_control, environment, errors, reference_scenar
 from herdsim.cli import main
 from herdsim.geom import dist
 
-from conftest import REFERENCE_OBSTACLES, child_env, small_scenario_doc
+from conftest import REFERENCE_OBSTACLES, child_env, load_bench_workloads, small_scenario_doc
+
+
+# `check` stdout after its first line, which names the scenario and its digest
+CHECK_BUNDLED_STDOUT = """\
+defenders: 3, obstacles: 6
+spread: 2.000000 rad (minimum 1.719102)
+arc repulsion magnitude: 2.080605
+tracking gains: approach 1.435000 m/s, terminal gain 1.095294, handoff error 1.088659 m
+terminal phase: 1.905 s
+attacker straight-line arrival bound: 52.000 s
+obstacle shells (exponent, formation level lo/mid/hi, defender lo, circle radii):
+  [0] 2x3 @ (10, 23): n=1.109810 levels=(2.3132, 3.1348, 4.0586) defender_lo=0.4095 circle=(5.982, 6.580, 7.178)
+  [1] 3x4 @ (-6, 18): n=1.225324 levels=(1.6934, 2.2780, 2.9323) defender_lo=0.3110 circle=(7.388, 8.127, 8.865)
+  [2] 2x2 @ (11, 5): n=1.069810 levels=(2.7295, 3.7063, 4.8050) defender_lo=0.4771 circle=(5.233, 5.756, 6.279)
+  [3] 3x3 @ (15, 43): n=1.179360 levels=(1.8833, 2.5365, 3.2676) defender_lo=0.3434 circle=(6.647, 7.311, 7.976)
+  [4] 3x4 @ (-2, 45): n=1.225324 levels=(1.6934, 2.2780, 2.9323) defender_lo=0.3110 circle=(7.388, 8.127, 8.865)
+  [5] 4x3 @ (12, 60): n=1.225324 levels=(1.6934, 2.2780, 2.9323) defender_lo=0.3110 circle=(7.388, 8.127, 8.865)
+scenario is clean
+"""
+# sha256 of the same lines for the benchmark's cluttered world, seed 1
+CHECK_CLUTTERED_1_SHA256 = "b3297070a497e9c96d0959886023bda53044952007b76c85776a0f7159fb8ede"
+
+
+def test_check_stdout_is_pinned(tmp_path, capsys):
+    assert main(["check"]) == 0
+    assert capsys.readouterr().out.split("\n", 1)[1] == CHECK_BUNDLED_STDOUT
+    path = tmp_path / "cluttered.json"
+    path.write_text(json.dumps(load_bench_workloads().cluttered_doc(1)))
+    assert main(["check", "--scenario", str(path)]) == 0
+    rest = capsys.readouterr().out.split("\n", 1)[1]
+    assert hashlib.sha256(rest.encode()).hexdigest() == CHECK_CLUTTERED_1_SHA256
 
 
 def test_check_bundle_clean(capsys):

@@ -2,12 +2,10 @@ import copy
 import dataclasses
 import gc
 import hashlib
-import importlib.util
 import math
 import sys
 import tracemalloc
 from array import array
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +17,7 @@ from herdsim.geom import Vec2, blend_weight
 from herdsim.sim import build_context, new_state, run, safety_snapshot
 from herdsim.svg import ratio_curves_svg
 
-from conftest import small_scenario_doc
+from conftest import load_bench_workloads, small_scenario_doc
 
 # sha256 of the bundled scenario's trace.csv; bench/run.py gates on the same value
 GOLDEN_TRACE_SHA256 = "fb2507b0a5192badb68e321148f3ac080a3bf8be92c1a1695baa7edba68d81a4"
@@ -310,7 +308,7 @@ def test_non_finite_state_raises():
     from herdsim.sim import apply_commands
     cfg = scenario_from_dict(small_scenario_doc())
     state = new_state(cfg)
-    bad = AttackerState(position=Vec2(math.nan, 0.0), heading=0.0, speed=1.0)
+    bad = AttackerState(position=Vec2(math.nan, 0.0), heading=0.0)
     with pytest.raises(IntegrityError) as exc:
         apply_commands(state, bad, cfg.integrator.dt)
     assert "t=" in str(exc.value)
@@ -462,15 +460,6 @@ def test_guidance_list_leaves_run_unchanged(monkeypatch):
 
     assert forced(cfg.obstacles) == trace.rows
     assert forced(()) != trace.rows
-
-
-def load_bench_workloads():
-    """bench/workloads.py, imported from its file without touching sys.path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed, listed", [(1, 10), (2, 9)])
