@@ -172,9 +172,9 @@ def cmd_check(args) -> int:
                   f"terminal gain {gains.terminal_gain:.6f}, "
                   f"handoff error {gains.handoff_error:.6f} m")
             print(f"terminal phase: {terminal_phase_time(gains, gains.handoff_error):.3f} s")
-            if cfg.attacker.speed_max > 0.0:
-                arrival = dist(cfg.attacker.start, cfg.protected.center) / cfg.attacker.speed_max
-                print(f"attacker straight-line arrival bound: {arrival:.3f} s")
+    if cfg.attacker.speed_max > 0.0:
+        arrival = dist(cfg.attacker.start, cfg.protected.center) / cfg.attacker.speed_max
+        print(f"attacker straight-line arrival bound: {arrival:.3f} s")
     print("obstacle shells (exponent, formation level lo/mid/hi, defender lo, circle radii):")
     for i, ob in enumerate(cfg.obstacles):
         fb, db, ab = ob.formation_band, ob.defender_band, ob.attacker_band

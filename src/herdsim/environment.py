@@ -29,11 +29,12 @@ from .geom import BlendTriplet, Vec2, dist
 # Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
 # by at most about (2n + 10) ulps: the division by a semi-axis is magnified
 # 2n-fold by the power, and pow and the sum add a few more; level_floor
-# rounds about as much.  So the reach radii are widened by this relative
-# amount, and level_floor is lowered by this fraction of E + 1; for any
-# exponent below ~1e6 either margin dominates every rounding error on both
-# sides of the comparison.  The floor needs the margin in E + 1, not in E:
-# E is a difference, so its rounding error stays of order ulp(E + 1).
+# rounds about as much.  So distance_floor is rounded down, and
+# formation_reach widened, by this relative amount, and level_floor lowered
+# by this fraction of E + 1; for any exponent below ~1e6 either margin
+# dominates every rounding error on both sides of the comparison.  The floor
+# needs the margin in E + 1, not in E: E is a difference, so its rounding
+# error stays of order ulp(E + 1).
 CULL_SLACK = 1e-9
 
 # the root finders stop below this step (the handoff bisection below a
@@ -86,10 +87,10 @@ class Obstacle:
     (semi_x, semi_y, exponent).  attacker_band holds Euclidean radii for the
     circular obstacle model the adversary navigates by.
 
-    formation_reach and defender_reach bound the band-hi contours: from any
-    point at least that far from the center, superelliptic_distance returns
-    a level >= the band's hi, so its blend weight is exactly 0.  They are
-    level_floor's bound solved for the distance.
+    formation_reach bounds the formation band's hi contour: from any point
+    at least that far from the center, superelliptic_distance returns a
+    level >= hi, so the blend weight is exactly 0.  It is level_floor's bound
+    solved for the distance; only the validator's shell-pair test reads it.
     """
 
     center: Vec2
@@ -104,7 +105,6 @@ class Obstacle:
     defender_band: BlendTriplet
     attacker_band: BlendTriplet
     formation_reach: float
-    defender_reach: float
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,23 @@ def level_floor(ob: Obstacle, d: float) -> float:
     """Lower bound on the evaluated level at any point d or more from the
     center: with u = |dx| / semi_x, v = |dy| / semi_y and h = hypot(semi_x,
     semi_y), d^2 <= max(u, v)^2 h^2, so E + 1 >= max(u, v)^(2n) >= (d/h)^(2n).
-    Every culling constant comes from it: the reach radii are its inverse."""
+    Every obstacle cull compares it, at a distance_floor, against a band
+    level: a floor at or above a band's hi means the blend weight is 0."""
     h = math.hypot(ob.semi_x, ob.semi_y)
-    return (1.0 - CULL_SLACK) * (d / h) ** (2.0 * ob.exponent) - 1.0
+    try:
+        return (1.0 - CULL_SLACK) * (d / h) ** (2.0 * ob.exponent) - 1.0
+    except OverflowError:           # far beyond every contour of a large exponent
+        return math.inf
+
+
+def distance_floor(p: Vec2, ob: Obstacle, r: float) -> float:
+    """Lower bound on the center distance of any point within r of p: d (1 -
+    CULL_SLACK) - r (1 + CULL_SLACK), d that of p, or 0.  The slack outweighs
+    the rounding of d, of the bound and of a caller's distance test against r."""
+    dx = p.x - ob.center.x
+    dy = p.y - ob.center.y
+    t = math.sqrt(dx * dx + dy * dy) * (1.0 - CULL_SLACK) - r * (1.0 + CULL_SLACK)
+    return max(t, 0.0)
 
 
 def contour_offsets(ob: Obstacle, c, s, level: float):
@@ -295,7 +309,7 @@ def derive_obstacle(center: Vec2, width: float, height: float,
         exponent=exponent, semi_x=semi_x, semi_y=semi_y,
         formation_band=formation_band, defender_band=defender_band,
         attacker_band=attacker_band,
-        formation_reach=reach(formation_band.hi), defender_reach=reach(defender_band.hi),
+        formation_reach=reach(formation_band.hi),
     )
 
 
@@ -690,22 +704,19 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         v.append(f"safe-area-overlap: the safe and protected areas' centers are {apart:.4f} m "
                  f"apart, not more than their summed radii {radii:.4f} m")
     # No safety_snapshot ratio may start at or above 1: each actual distance
-    # must exceed its threshold.  Beyond a band's reach the level exceeds the
-    # band's hi, so only nearer obstacles are evaluated.
+    # must exceed its threshold.  A level floor above the band's lo bounds
+    # the level above it too, so only the other pairs are evaluated.
     a0, starts = cfg.attacker.start, cfg.defenders.starts
     for i, ob in enumerate(cfg.obstacles):
-        cx, cy = ob.center
-        if math.hypot(a0.x - cx, a0.y - cy) < ob.formation_reach:
-            e, lo = superelliptic_distance(a0, ob), ob.formation_band.lo
+        for k, p in enumerate([a0, *starts]):
+            lo = (ob.defender_band if k else ob.formation_band).lo
+            if level_floor(ob, distance_floor(p, ob, 0.0)) > lo:
+                continue
+            e = superelliptic_distance(p, ob)
             if e <= lo:
-                v.append(f"start-clearance: attacker_obstacle ratio "
-                         f"{safety_ratio(lo, e):.4g} (obstacle {i})")
-        for k, p in enumerate(starts):
-            if math.hypot(p.x - cx, p.y - cy) < ob.defender_reach:
-                e, lo = superelliptic_distance(p, ob), ob.defender_band.lo
-                if e <= lo:
-                    v.append(f"start-clearance: defender_obstacle ratio "
-                             f"{safety_ratio(lo, e):.4g} (defender {k}, obstacle {i})")
+                pair, who = ("defender", f"defender {k - 1}, ") if k else ("attacker", "")
+                v.append(f"start-clearance: {pair}_obstacle ratio "
+                         f"{safety_ratio(lo, e):.4g} ({who}obstacle {i})")
     lo = cfg.defenders.peer_band.lo
     for (j, p), (k, q) in itertools.combinations(enumerate(starts), 2):
         if dist(p, q) <= lo:
@@ -804,10 +815,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if overlap:
             v.append(f"shell-overlap: outer shells of obstacles {i} and {j} intersect")
 
-    # the safe area must be clear of every outer shell; a shell reaching no
-    # closer to the safe center than its radius cannot touch it
+    # the safe area must be clear of every outer shell; a level floor above
+    # hi over the whole safe disc means the shell cannot touch it
     near_safe = [(i, ob) for i, ob in enumerate(cfg.obstacles)
-                 if dist(ob.center, cfg.safe.center) < cfg.safe.radius + ob.formation_reach]
+                 if level_floor(ob, distance_floor(cfg.safe.center, ob, cfg.safe.radius))
+                 <= ob.formation_band.hi]
     if near_safe:
         cx, cy = cfg.safe.center
         angles = (2.0 * math.pi * k / BOUNDARY_SAMPLES for k in range(BOUNDARY_SAMPLES))

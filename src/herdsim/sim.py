@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, TextIO
 from .attacker import AttackerState, attacker_field, attacker_step, obstacle_push
 from .defender_control import (TrackingGains, defender_field, defender_velocity,
                                solve_tracking_gains)
-from .environment import (CULL_SLACK, Obstacle, ScenarioConfig, level_floor,
+from .environment import (Obstacle, ScenarioConfig, distance_floor, level_floor,
                           safety_ratio, superelliptic_distance)
 from .errors import IntegrityError
 from .formation_field import combined_field
@@ -173,8 +173,10 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
                              cfg.attacker.speed_max, cfg.formation.arc_radius,
                              cfg.control.heading_rate_max)
         for vmax in cfg.defenders.speed_max)
-    guidance = near_obstacles(cfg.protected.center, cfg.obstacles,
-                              lambda ob: ob.formation_reach, cfg.defenders.sensing_zone_radius)
+    zone = cfg.defenders.sensing_zone_radius
+    guidance = tuple(ob for ob in cfg.obstacles
+                     if level_floor(ob, distance_floor(cfg.protected.center, ob, zone))
+                     < ob.formation_band.hi)
     return RunContext(spec=spec, gains=gains, guidance=guidance)
 
 
@@ -193,8 +195,9 @@ class ObstacleList:
     """What one agent needs of the obstacles while it stays near `anchor`.
 
     `near` holds, in obstacle index order, every obstacle that can act on the
-    agent anywhere within SKIN_M of the anchor (see near_obstacles).
-    `bounds` holds (ratio bound, threshold, obstacle) for
+    agent anywhere within SKIN_M of the anchor, so a kernel given it in place
+    of every obstacle sums the same terms in the same order and its result is
+    bit-identical.  `bounds` holds (ratio bound, threshold, obstacle) for
     every obstacle, by descending bound: the bound is at or above the pair's
     safety ratio anywhere within SKIN_M of the anchor.
     """
@@ -204,64 +207,33 @@ class ObstacleList:
     bounds: tuple[tuple[float, float, Obstacle], ...]
 
 
-def near_obstacles(anchor: Vec2, obstacles, radius, skin: float) -> tuple[Obstacle, ...]:
-    """Every obstacle, in index order, that can act anywhere within skin of
-    anchor, where ob acts on a point only within radius(ob) of its center.
-
-    A kernel given these in place of every obstacle sums the same terms in
-    the same order, so its result is bit-identical.  Exactness, with u the
-    unit roundoff: a caller admits a point only if its computed distance (or
-    squared distance) from the anchor is within skin, so the true distance
-    is below skin * (1 + 3u).  Every center that can act on it lies within
-    radius + skin of the anchor (triangle inequality); widening that by
-    CULL_SLACK relative absorbs the rounding of both distance tests.  A
-    center that coincides with the point is listed, so a kernel still raises.
-    """
-    ax, ay = anchor
-    near = []
-    for ob in obstacles:
-        dx = ax - ob.center.x
-        dy = ay - ob.center.y
-        reach = (radius(ob) + skin) * (1.0 + CULL_SLACK)
-        if dx * dx + dy * dy <= reach * reach:
-            near.append(ob)
-    return tuple(near)
-
-
 def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> ObstacleList:
     """Build the attacker's (defender=False) or a defender's list at anchor.
 
-    - near: an obstacle acts on the attacker only within min(sensing radius,
-      attacker_band.hi) of the agent (beyond hi its weight is 0), and on a
-      defender only within defender_reach; refresh_lists keeps the list only
-      while the agent is within the skin, as near_obstacles requires.
-    - bounds: every point within the skin lies at least d - skin from the
-      center, d the anchor's distance.  t = d (1 - CULL_SLACK) - skin
-      (1 + CULL_SLACK) rounds d - skin outward (down) by far more than the
-      rounding of d, the displacement and t itself.  With t > 0, the level
-      floor at t is then below the floor at any such point, and the floor's
-      own margin (see CULL_SLACK) keeps it below the evaluated level.  So
-      threshold / floor bounds the ratio (division rounds monotonically),
-      and one step up (nextafter) rounds the bound outward as well.  Where
-      the floor is <= 0 (as it is for t <= 0) the bound is inf.
+    Every point within the skin (refresh_lists keeps the list only that long)
+    lies at least t = distance_floor(anchor, ob, SKIN_M) from an obstacle's
+    center, and its level is at least the floor there.
+    - near: a defender's field weighs in an obstacle only below its
+      defender_band.hi, so a floor at or above that drops it.  The attacker's
+      push takes one only within min(sensing radius, attacker_band.hi), so t
+      beyond that drops it; t <= keeps a center the agent may reach, so a
+      kernel still raises.
+    - bounds: threshold / floor bounds the ratio (division rounds
+      monotonically), and nextafter rounds it outward; inf where floor <= 0.
     """
-    skin = SKIN_M
     sensing = cfg.attacker.sensing_radius
-    near = near_obstacles(anchor, cfg.obstacles,
-                          (lambda ob: ob.defender_reach) if defender
-                          else (lambda ob: min(sensing, ob.attacker_band.hi)), skin)
-    ax, ay = anchor
+    near = []
     bounds = []
     for ob in cfg.obstacles:
-        dx = ax - ob.center.x
-        dy = ay - ob.center.y
+        t = distance_floor(anchor, ob, SKIN_M)
+        floor = level_floor(ob, t)
+        if (floor < ob.defender_band.hi) if defender else (t <= min(sensing, ob.attacker_band.hi)):
+            near.append(ob)
         lo = ob.defender_band.lo if defender else ob.formation_band.lo
-        t = math.sqrt(dx * dx + dy * dy) * (1.0 - CULL_SLACK) - skin * (1.0 + CULL_SLACK)
-        floor = level_floor(ob, max(t, 0.0))
         bound = math.nextafter(lo / floor, math.inf) if floor > 0.0 else math.inf
         bounds.append((bound, lo, ob))
     bounds.sort(key=lambda entry: entry[0], reverse=True)
-    return ObstacleList(anchor=anchor, near=near, bounds=tuple(bounds))
+    return ObstacleList(anchor=anchor, near=tuple(near), bounds=tuple(bounds))
 
 
 def refresh_lists(lists: list, agents, cfg: ScenarioConfig) -> None:
@@ -407,7 +379,8 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
 
     Milestones are decided here alone, from step-start positions; sensing and
     safe-area entry count on non-terminal steps only, so a run stopped at step
-    0 records no t_sense_s.  t_capture_s is the capture clock at the end.
+    0 records no t_sense_s.  The capture clock starts in the safe area only
+    once the arc has formed; t_capture_s is the clock at the end.
 
     dt and t_max, where given, replace the scenario's (IntegratorConfig checks
     them).  Deterministic: identical configurations produce identical traces.
@@ -457,7 +430,8 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             if sensed and events["t_sense_s"] is None:
                 events["t_sense_s"] = t
             planning = sensed and ctx.spec is not None
-            if planning and state.t_capture is None and in_safe:
+            if (planning and state.t_capture is None and in_safe
+                    and events["t_formed_s"] is not None):
                 state.t_capture = t
             next_attacker = compute_commands(state, cfg, ctx, lists, planning)
         else:

@@ -311,6 +311,17 @@ def test_check_attacker_at_rest(tmp_path, capsys):
     assert "arrival bound" not in out
 
 
+def test_check_prints_the_arrival_bound_when_the_gains_are_unsolvable(tmp_path, capsys):
+    # the arrival bound needs only the attacker's start and speed
+    doc = small_scenario_doc(**{"control.heading_rate_max_radps": 50})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert "tracking gains unsolvable" in out
+    assert "attacker straight-line arrival bound: 20.000 s" in out
+
+
 def test_attacker_start_in_protected_area_is_a_violation(tmp_path, capsys):
     doc = small_scenario_doc(**{"attacker.start_m": [0.0, 1.0]})
     path = tmp_path / "scenario.json"

@@ -1,14 +1,15 @@
 """Exactness of obstacle culling.
 
-In a run every agent's kernels see only its obstacle list, built from the
-obstacles' reach radii, the guidance field sees only the obstacles that
-can reach the defenders' sensing zone, and the safety snapshot walks the
-lists' ratio bounds.  All come from one inequality, level_floor.  These
-properties check those constants against superelliptic_distance, and the
+In a run every agent's kernels see only its obstacle list, the guidance
+field sees only the obstacles that can reach the defenders' sensing zone,
+and the safety snapshot walks the lists' ratio bounds.  Each list and bound
+comes from one test: level_floor at a distance_floor, against a band level.
+These properties check that floor against superelliptic_distance, and the
 list-driven kernels against the full-scan loops they replaced, copied below
 as the reference.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -18,12 +19,14 @@ from herdsim import sim
 from herdsim.attacker import attacker_field, obstacle_push
 from herdsim.defender_control import defender_field
 from herdsim.environment import (CULL_SLACK, ObstacleDerivation, contour_offsets,
-                                 derive_obstacle, level_floor, superelliptic_distance)
+                                 derive_obstacle, distance_floor, level_floor,
+                                 scenario_from_dict, superelliptic_distance,
+                                 validate_scenario)
 from herdsim.errors import DomainError
 from herdsim.formation_field import combined_field, repulsive_angle
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, dist
 from herdsim.herding import obstacle_resultant
-from herdsim.sim import (SafetySnapshot, build_context, obstacle_list, refresh_lists,
+from herdsim.sim import (SafetySnapshot, build_context, obstacle_list, refresh_lists, run,
                          safety_snapshot)
 
 PEERS = BlendTriplet(0.25, 0.32, 0.42)
@@ -129,21 +132,26 @@ def obstacles(draw, params=None):
                            draw(st.floats(0.2, 12.0)), params)
 
 
+def floor_reach(ob, level):
+    """The distance from ob's center at which level_floor reaches level."""
+    return (math.hypot(ob.semi_x, ob.semi_y)
+            * ((1.0 + level) / (1.0 - CULL_SLACK)) ** (1.0 / (2.0 * ob.exponent)))
+
+
 @st.composite
 def points_near(draw, ob):
     """A point around ob: anywhere within a few reaches, within 1e-9 relative
-    of either reach radius, or where the level floor is barely positive."""
+    of formation_reach or of where the level floor reaches the defender
+    band's hi, or where the level floor is barely positive."""
     corner = math.atan2(ob.semi_y, ob.semi_x)
     theta = draw(st.one_of(
         st.floats(-math.pi, math.pi),
         st.sampled_from([corner, math.pi - corner, corner - math.pi, -corner])))
-    floor_zero = (math.hypot(ob.semi_x, ob.semi_y)
-                  * (1.0 - CULL_SLACK) ** (-1.0 / (2.0 * ob.exponent)))
     r = draw(st.one_of(
         st.floats(0.0, 3.0 * ob.formation_reach),
-        st.sampled_from([ob.formation_reach, ob.defender_reach]).flatmap(
+        st.sampled_from([ob.formation_reach, floor_reach(ob, ob.defender_band.hi)]).flatmap(
             lambda reach: st.floats(-1e-9, 1e-9).map(lambda u: reach * (1.0 + u))),
-        st.floats(0.0, 1e-12).map(lambda u: floor_zero * (1.0 + u)),
+        st.floats(0.0, 1e-12).map(lambda u: floor_reach(ob, 0.0) * (1.0 + u)),
     ))
     return Vec2(ob.center.x + r * math.cos(theta), ob.center.y + r * math.sin(theta))
 
@@ -181,14 +189,17 @@ def outcome(fn, *args):
 @settings(max_examples=300)
 @given(obstacle_and_point())
 def test_weight_is_zero_beyond_reach(case):
+    """Beyond formation_reach, or where the level floor at the point's
+    distance floor is at or above a band's hi, the band's weight is 0."""
     ob, p = case
     dx = p.x - ob.center.x
     dy = p.y - ob.center.y
-    d2 = dx * dx + dy * dy
     level = superelliptic_distance(p, ob)
-    for reach, band in ((ob.formation_reach, ob.formation_band),
-                        (ob.defender_reach, ob.defender_band)):
-        if d2 >= reach * reach:
+    beyond = [(dx * dx + dy * dy >= ob.formation_reach ** 2, ob.formation_band)]
+    floor = level_floor(ob, distance_floor(p, ob, 0.0))
+    beyond += [(floor >= band.hi, band) for band in (ob.formation_band, ob.defender_band)]
+    for out_of_reach, band in beyond:
+        if out_of_reach:
             assert level >= band.hi
             assert blend_weight(level, band) == 0.0
 
@@ -221,11 +232,9 @@ STANDOFF = BlendTriplet(0.3, 0.8, 0.9)
 def acts_on(ob, p, cfg, defender):
     """Whether ob can contribute to the agent's field at p, as the full-scan
     kernels decide it."""
-    dx = p.x - ob.center.x
-    dy = p.y - ob.center.y
     if defender:
-        return dx * dx + dy * dy < ob.defender_reach * ob.defender_reach
-    d = math.hypot(dx, dy)
+        return superelliptic_distance(p, ob) < ob.defender_band.hi
+    d = math.hypot(p.x - ob.center.x, p.y - ob.center.y)
     return d <= cfg.attacker.sensing_radius and d < ob.attacker_band.hi
 
 
@@ -234,8 +243,10 @@ def list_worlds(draw, reference_cfg):
     """0-8 obstacles packed close enough for shells and circles to overlap,
     a random sensing radius, and agents each displaced from its own list
     anchor by at most the skin: anywhere within it, within 1e-9 relative of
-    it, or exactly on it.  An agent sits anywhere, near an obstacle's reach
-    radii, or on an obstacle's center."""
+    it, or exactly on it.  An agent sits anywhere, on an obstacle's center,
+    or near one of its culling edges: the attacker circle's hi, the sensing
+    radius, formation_reach, the defender band's hi contour, or where the
+    level floor reaches that hi."""
     params = draw(derivations)
     obs = tuple(derive_obstacle(
         Vec2(draw(st.floats(-15.0, 15.0)), draw(st.floats(-15.0, 15.0))),
@@ -256,12 +267,13 @@ def list_worlds(draw, reference_cfg):
             if kind == "center":
                 p = ob.center
             else:
-                radius = draw(st.sampled_from([ob.attacker_band.hi, sensing,
-                                               ob.defender_reach, ob.formation_reach]))
-                r = radius * (1.0 + draw(st.floats(-1e-9, 1e-9)))
                 theta = draw(st.floats(-math.pi, math.pi))
-                p = Vec2(ob.center.x + r * math.cos(theta),
-                         ob.center.y + r * math.sin(theta))
+                c, s = math.cos(theta), math.sin(theta)
+                hi_contour = math.hypot(*contour_offsets(ob, c, s, ob.defender_band.hi))
+                radius = draw(st.sampled_from([ob.attacker_band.hi, sensing, ob.formation_reach,
+                                               hi_contour, floor_reach(ob, ob.defender_band.hi)]))
+                r = radius * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+                p = Vec2(ob.center.x + r * c, ob.center.y + r * s)
         if obs and draw(st.booleans()):
             # the anchor straight away from an obstacle: p is nearer to it
             ob = draw(st.sampled_from(obs))
@@ -479,3 +491,19 @@ def test_guidance_list_keeps_an_elongated_shell_that_touches_the_rim(reference_c
 
 def test_bundled_guidance_list_is_every_obstacle(reference_cfg):
     assert build_context(reference_cfg).guidance == reference_cfg.obstacles
+
+
+def test_far_obstacle_whose_floor_overflows_is_culled(bundle_doc):
+    """A 1000 m square derives exponent 17.2, so 1e13 m away (d / h)^(2n)
+    overflows a float.  Its level floor is then inf, and validation, every
+    list and the run go on exactly as without it."""
+    doc = copy.deepcopy(bundle_doc)
+    doc["attacker"]["sensing_radius_m"] = 2000.0
+    near_cfg = scenario_from_dict(doc)
+    doc["obstacles"].append({"center_m": [1e13, 0.0], "width_m": 1000.0, "height_m": 1000.0})
+    cfg = scenario_from_dict(doc)
+    far = cfg.obstacles[-1]
+    assert level_floor(far, 1e13) == math.inf
+    assert validate_scenario(cfg) == []
+    assert far not in build_context(cfg).guidance
+    assert run(cfg, t_max=1.0).values == run(near_cfg, t_max=1.0).values

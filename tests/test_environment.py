@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from herdsim.environment import (CULL_SLACK, EXPONENT_RESIDUAL_MAX, MAX_STEPS,
                                  OUTER_PAD_FACTORS, SOLVER_TOL, IntegratorConfig,
                                  ObstacleDerivation, ScenarioConfig,
-                                 arc_magnitude, corner_level, derive_obstacle,
-                                 min_spread, scenario_from_dict,
+                                 arc_magnitude, contour_offsets, corner_level,
+                                 derive_obstacle, min_spread, scenario_from_dict,
                                  scenario_warnings, shell_points, solve_shape_exponent,
                                  superelliptic_distance, validate_scenario)
 from herdsim.errors import ConfigError, SolverError
@@ -205,7 +206,7 @@ def derive_obstacle_by_hand(center, width, height, params):
 
     return (center, width, height, fw, fh, exponent, semi_x, semi_y,
             BlendTriplet(lvl_lo, lvl_mid, lvl_hi), BlendTriplet(d_lo, d_mid, d_hi),
-            attacker_band, reach(lvl_hi), reach(d_hi))
+            attacker_band, reach(lvl_hi))
 
 
 def test_derive_obstacle_bands_match_the_hand_formulas():
@@ -334,6 +335,26 @@ def test_validate_coincident_obstacles():
     assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
 
+def test_safe_area_prefilter_keeps_a_thin_shell_on_the_rim():
+    """A 12 x 0.2 m rectangle on the safe area's x axis, its long axis
+    toward the safe center, with its formation hi contour just inside and
+    just outside the rim: along that axis the level floor is within 0.03% of
+    the level, so a prefilter tighter than hi would drop the touching shell."""
+    doc = small_scenario_doc()
+    rect = {"width_m": 12.0, "height_m": 0.2}
+    doc["obstacles"] = [{"center_m": [100.0, 0.0], **rect}]
+    cfg = scenario_from_dict(doc)
+    ob = cfg.obstacles[0]
+    far, _ = contour_offsets(ob, 1.0, 0.0, ob.formation_band.hi)
+    safe = cfg.safe
+    for scale, touching in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        x = safe.center.x + safe.radius + scale * far
+        doc["obstacles"] = [{"center_m": [x, safe.center.y], **rect}]
+        placed = scenario_from_dict(doc)
+        assert shell_violations(placed) == sampled_shell_violations(placed)
+        assert bool(shell_violations(placed)) == touching
+
+
 def test_validate_clearance_violation():
     cfg = scenario_from_dict(small_scenario_doc(**{"formation.clearance_m": 0.1}))
     v = validate_scenario(cfg)
@@ -394,6 +415,72 @@ def test_start_clearance(key, value, violation):
     found = [s for s in validate_scenario(scenario_from_dict(doc))
              if s.startswith("start-clearance")]
     assert found == ([f"start-clearance: {violation}"] if violation else [])
+
+
+def full_scan_start_clearance(cfg):
+    """validate_scenario's start-clearance lines with no level-floor
+    prefilter: every obstacle-start pair is evaluated."""
+    ratio = lambda lo, actual: math.inf if actual <= 0.0 else lo / actual
+    v = []
+    a0, starts = cfg.attacker.start, cfg.defenders.starts
+    for i, ob in enumerate(cfg.obstacles):
+        e, lo = superelliptic_distance(a0, ob), ob.formation_band.lo
+        if e <= lo:
+            v.append(f"start-clearance: attacker_obstacle ratio {ratio(lo, e):.4g} "
+                     f"(obstacle {i})")
+        for k, p in enumerate(starts):
+            e, lo = superelliptic_distance(p, ob), ob.defender_band.lo
+            if e <= lo:
+                v.append(f"start-clearance: defender_obstacle ratio {ratio(lo, e):.4g} "
+                         f"(defender {k}, obstacle {i})")
+    lo = cfg.defenders.peer_band.lo
+    for (j, p), (k, q) in itertools.combinations(enumerate(starts), 2):
+        if math.dist(p, q) <= lo:
+            v.append(f"start-clearance: defender_defender ratio "
+                     f"{ratio(lo, math.dist(p, q)):.4g} (defenders {j} and {k})")
+    lo = cfg.attacker.standoff_band.lo
+    for k, p in enumerate(starts):
+        if math.dist(a0, p) <= lo:
+            v.append(f"start-clearance: attacker_defender ratio "
+                     f"{ratio(lo, math.dist(a0, p)):.4g} (defender {k})")
+    return v
+
+
+def test_start_clearance_prefilter_matches_full_scan(reference_cfg, derivation):
+    """Starts on the lo contour of their band scaled by 1 -+ 1e-9 (just
+    inside and just outside), on the hi contour and at the center, along an
+    axis, a shell corner and two more rays, around each bundled obstacle and
+    a 12 x 0.2 m one, whose level floor along its long axis is within 0.03%
+    of the level."""
+    thin = derive_obstacle(Vec2(60.0, -40.0), 12.0, 0.2, derivation)
+    obstacles = (*reference_cfg.obstacles, thin)
+    cfg = dataclasses.replace(reference_cfg, obstacles=obstacles)
+
+    def place(ob, band, where, beta):
+        if where == "center":
+            return ob.center
+        scale, level = {"lo-in": (1.0 - 1e-9, band.lo), "lo-out": (1.0 + 1e-9, band.lo),
+                        "hi": (1.0, band.hi)}[where]
+        dx, dy = contour_offsets(ob, math.cos(beta), math.sin(beta), level)
+        return Vec2(ob.center.x + scale * dx, ob.center.y + scale * dy)
+
+    seen = set()
+    for ob in obstacles:
+        corner = math.atan2(ob.semi_y, ob.semi_x)
+        for where in ("lo-in", "lo-out", "hi", "center"):
+            for beta in (0.0, corner, 2.0, -2.5):
+                starts = tuple(place(ob, ob.defender_band, where, beta + 0.5 * math.pi * k)
+                               for k in range(3))
+                placed = dataclasses.replace(
+                    cfg, attacker=dataclasses.replace(
+                        cfg.attacker, start=place(ob, ob.formation_band, where, beta)),
+                    defenders=dataclasses.replace(cfg.defenders, starts=starts))
+                found = [s for s in validate_scenario(placed) if s.startswith("start-clearance")]
+                expected = full_scan_start_clearance(placed)
+                assert found == expected
+                seen.update((where, s.split()[1]) for s in expected)
+    assert {w for w, _ in seen} == {"lo-in", "center"}
+    assert {"attacker_obstacle", "defender_obstacle"} <= {pair for _, pair in seen}
 
 
 def test_bands_are_read_as_blend_triplets():

@@ -128,15 +128,81 @@ def test_unopposed_attacker_breaches():
     assert 52.0 - 2.0 - 0.1 <= trace.events["t_breach_s"] <= 52.0
 
 
-def test_attacker_starting_inside_safe_is_captured_immediately():
+def test_attacker_starting_inside_safe_is_captured_once_the_arc_forms():
+    # the capture clock waits for the arc: a clock started at t = 0 ended the
+    # run at the 6 s dwell, with no arc formed, and the attacker was free to
+    # walk out of the safe area
     doc = small_scenario_doc(**{"attacker.start_m": [0.0, 41.0]})
     cfg = scenario_from_dict(doc)
     trace = run(cfg)
-    assert trace.events["t_capture_s"] == 0.0
+    assert trace.events["t_formed_s"] == 22.75
+    assert trace.events["t_capture_s"] == 37.230000000000004
     assert trace.termination == "captured-stable"
     assert trace.summary()["captured"]
-    assert trace.t_end == pytest.approx(
+    assert trace.t_end == 43.230000000000004
+    assert trace.t_end - trace.events["t_capture_s"] == pytest.approx(
         cfg.capture.dwell_factor * cfg.capture.transition_time, abs=0.011)
+
+
+# ROADMAP 1(g): the straight path from these starts crosses the safe area
+# for longer than the dwell before any arc forms, which once passed for a
+# capture (at 25.66 and 35.4 s, with no t_formed_s).  start -> (events,
+# t_end, worst safety ratio to 3 places)
+FORMED_CAPTURE_PINS = {
+    (-10.0, 90.0): ({"t_sense_s": 10.56, "t_formed_s": 69.34, "t_capture_s": 85.15,
+                     "t_breach_s": None}, 94.35000000000001, 0.706),
+    (-10.0, 100.0): ({"t_sense_s": 20.5, "t_formed_s": 79.47, "t_capture_s": 95.17,
+                      "t_breach_s": None}, 104.37, 0.696),
+}
+
+
+@pytest.mark.parametrize("start", sorted(FORMED_CAPTURE_PINS))
+def test_capture_clock_waits_for_the_formed_arc(bundle_doc, start):
+    events, t_end, worst = FORMED_CAPTURE_PINS[start]
+    doc = copy.deepcopy(bundle_doc)
+    doc["attacker"]["start_m"] = list(start)
+    cfg = scenario_from_dict(doc)
+    assert validate_scenario(cfg) == []
+    trace = run(cfg)
+    assert (trace.events, trace.termination, trace.t_end) == (events, "captured-stable", t_end)
+    assert round(max(trace.maxima[name] for name in sim.RATIO_COLUMNS), 3) == worst
+
+
+# the seed-1155 world of the random-world search in ROADMAP 1(h): the
+# bundled world with its start, safe center and obstacles moved and resized
+WORLD_1155 = {
+    ("attacker", "start_m"): [21.2, 94.27],
+    ("safe_area", "center_m"): [29.34, 62.59],
+    ("obstacles",): [{"center_m": list(c), "width_m": w, "height_m": h} for c, w, h in (
+        ((6.89, 25.4), 2.59, 3.39), ((-8.84, 22.49), 1.53, 2.91), ((8.04, 9.68), 1.86, 2.9),
+        ((17.62, 39.8), 3.04, 1.89), ((-5.58, 42.95), 3.29, 2.03),
+        ((15.21, 62.64), 2.19, 3.09))],
+}
+
+
+# Accepted scenarios that break a guarantee today, each named by its open
+# ROADMAP item.  Mending one makes its test pass, which xfail_strict turns
+# into a failure until the mark is removed.
+@pytest.mark.parametrize("changes", [
+    pytest.param({("attacker", "start_m"): [0.0, 25.0]}, id="start-0-25",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                                                "1.038 before the arc forms")),
+    pytest.param({("attacker", "start_m"): [5.0, 30.0]}, id="start-5-30",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                                                "1.101 before the arc forms")),
+    pytest.param(WORLD_1155, id="world-1155",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(h): attacker_obstacle ratio 1.094 "
+                                                "at 76.87 s, after the arc formed at 74.95 s")),
+])
+def test_accepted_scenario_keeps_every_ratio_below_1(bundle_doc, changes):
+    doc = copy.deepcopy(bundle_doc)
+    for path, value in changes.items():
+        record = doc[path[0]] if len(path) == 2 else doc
+        record[path[-1]] = value
+    cfg = scenario_from_dict(doc)
+    assert validate_scenario(cfg) == []
+    trace = run(cfg)
+    assert all(trace.maxima[name] < 1.0 for name in sim.RATIO_COLUMNS)
 
 
 # the bundled world with one value changed: (section, key, value) ->
@@ -352,10 +418,23 @@ def test_streamed_trace_csv_equals_to_csv(cli_artifacts, reference_run):
     assert cli_artifacts["first"]["trace.csv"] == trace.to_csv().encode()
 
 
-def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc):
-    # (-10, 60) lies on the safe area's rim: the capture clock starts at
-    # t = 0 and the attacker leaves at 1.65 s.  A capture that latched on the
-    # first exit ran this start out to t-max; the next entry restarts it.
+def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc, caplog):
+    # On the small world from (0, 30) with a 2 m safe area (below the
+    # safe-radius rule) the formed arc lets the attacker out at 40.99 and
+    # 50.64 s.  Each exit stops the capture clock and the next entry
+    # restarts it; a capture that latched on the first exit would have ended
+    # the run there.
+    cfg = scenario_from_dict(small_scenario_doc(**{"safe_area.radius_m": 2.0,
+                                                   "attacker.start_m": [0.0, 30.0]}))
+    with caplog.at_level("WARNING", logger="herdsim.sim"):
+        trace = run(cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        "attacker left the safe area at t=40.990", "attacker left the safe area at t=50.640"]
+    assert trace.events["t_formed_s"] < 40.99
+    assert trace.events["t_capture_s"] == 55.410000000000004
+    assert trace.termination == "t-max"
+    # (-10, 60) lies on the safe area's rim and the attacker leaves at
+    # 1.65 s, before the arc forms, so that stay starts no clock at all
     doc = copy.deepcopy(bundle_doc)
     doc["attacker"]["start_m"] = [-10.0, 60.0]
     cfg = scenario_from_dict(doc)
