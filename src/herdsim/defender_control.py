@@ -76,19 +76,20 @@ def solve_tracking_gains(terminal_exponent: float, speed_max: float,
 
 
 def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
-                   obstacles: Sequence[Obstacle],
-                   peer_band: BlendTriplet) -> tuple[Vec2, bool]:
+                   obstacles: Sequence[Obstacle], peer_band: BlendTriplet,
+                   attacker: Vec2, avoid: BlendTriplet) -> tuple[Vec2, bool]:
     """Blended steering field for one defender plus its conflict flag.
 
-    Conflict means any obstacle or peer blending weight is nonzero; in that
-    regime the tracking law drops the slot-velocity feedforward and just
-    follows the field.  In a run, obstacles is the defender's obstacle
-    list: every obstacle within its defender reach, beyond which the weight
-    is exactly 0.
+    Conflict means any obstacle, peer (on peer_band) or attacker (on avoid)
+    blending weight is nonzero; in that regime the tracking law drops the
+    slot-velocity feedforward and just follows the field.  In a run,
+    obstacles is the defender's obstacle list: every obstacle within its
+    defender reach, beyond which the weight is exactly 0.
     """
     p = positions[index]
-    peers = zip(positions[:index] + positions[index + 1:], repeat(peer_band))
-    blend = repel(p, peers, math.inf, follow_obstacles(p, obstacles, goal, True))
+    sources = [*zip(positions[:index] + positions[index + 1:], repeat(peer_band)),
+               (attacker, avoid)]
+    blend = repel(p, sources, math.inf, follow_obstacles(p, obstacles, goal, True))
     return close_blend(p, goal, blend), blend[3]
 
 

@@ -203,12 +203,16 @@ def superelliptic_distance(p: Vec2, ob: Obstacle) -> float:
     """Level-set coordinate of p in the obstacle's super-ellipse family.
 
     -1 at the center, 0 on the contour through the raw rectangle corners,
-    strictly increasing along rays from the center.
+    strictly increasing along rays from the center; +inf where a power
+    overflows, far beyond every contour of a large exponent.
     """
     ex = abs((p.x - ob.center.x) / ob.semi_x)
     ey = abs((p.y - ob.center.y) / ob.semi_y)
     two_n = 2.0 * ob.exponent
-    return ex ** two_n + ey ** two_n - 1.0
+    try:
+        return ex ** two_n + ey ** two_n - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def level_floor(ob: Obstacle, d: float) -> float:
@@ -704,14 +708,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         v.append(f"safe-area-overlap: the safe and protected areas' centers are {apart:.4f} m "
                  f"apart, not more than their summed radii {radii:.4f} m")
     # No safety_snapshot ratio may start at or above 1: each actual distance
-    # must exceed its threshold.  A level floor above the band's lo bounds
-    # the level above it too, so only the other pairs are evaluated.
+    # must exceed its threshold.
     a0, starts = cfg.attacker.start, cfg.defenders.starts
     for i, ob in enumerate(cfg.obstacles):
         for k, p in enumerate([a0, *starts]):
             lo = (ob.defender_band if k else ob.formation_band).lo
-            if level_floor(ob, distance_floor(p, ob, 0.0)) > lo:
-                continue
             e = superelliptic_distance(p, ob)
             if e <= lo:
                 pair, who = ("defender", f"defender {k - 1}, ") if k else ("attacker", "")
@@ -741,10 +742,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         v.append(f"clearance: formation clearance {cfg.formation.clearance} must be "
                  f">= twice the defender radius {2.0 * cfg.defenders.body_radius}")
 
-    standoff = cfg.attacker.standoff_band
-    if not (standoff.lo <= cfg.formation.arc_radius <= standoff.mid):
-        v.append(f"arc-radius: {cfg.formation.arc_radius} must lie in "
-                 f"[{standoff.lo}, {standoff.mid}] so the arc repulsion saturates")
+    # BlendTriplet's test on the defenders' attacker band (sim.build_context)
+    standoff, tol = cfg.attacker.standoff_band, cfg.formation.goal_tolerance
+    lo, hi = standoff.lo, cfg.formation.arc_radius - tol
+    if not (lo < (lo + hi) / 2 < hi and cfg.formation.arc_radius <= standoff.mid):
+        v.append(f"arc-radius: {cfg.formation.arc_radius} must lie in ({lo} + {tol}, "
+                 f"{standoff.mid}] so the arc repulsion saturates and the avoid band is not empty")
     plo = cfg.defenders.peer_band.lo
     if plo <= cfg.defenders.body_radius:
         v.append(f"peer-separation: minimum defender separation {plo} must exceed "
@@ -789,16 +792,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     # Each obstacle pair, once.  The attacker's circular influence discs must
     # be disjoint, and so must the outer super-elliptic shells; only shells
     # whose centers are closer than their summed reach can meet, so only
-    # those pairs are sampled, and boundaries are built for their obstacles
-    # alone.
-    boundaries = {}
-
-    def boundary(k):
-        if k not in boundaries:
-            ob = cfg.obstacles[k]
-            boundaries[k] = shell_points(ob, ob.formation_band.hi, BOUNDARY_SAMPLES)
-        return boundaries[k]
-
+    # those pairs are sampled.
     for (i, a), (j, b) in itertools.combinations(enumerate(cfg.obstacles), 2):
         d = dist(a.center, b.center)
         needed = a.attacker_band.hi + b.attacker_band.hi
@@ -807,11 +801,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                      f"but their circular influence radii need {needed:.4f} m")
         if d >= a.formation_reach + b.formation_reach:
             continue
-        overlap = any(superelliptic_distance(p, b) <= b.formation_band.hi
-                      for p in boundary(i))
-        overlap = overlap or any(superelliptic_distance(p, a) <= a.formation_band.hi
-                                 for p in boundary(j))
-        overlap = overlap or superelliptic_distance(a.center, b) <= b.formation_band.hi
+        hi_a, hi_b = a.formation_band.hi, b.formation_band.hi
+        overlap = (any(superelliptic_distance(p, b) <= hi_b
+                       for p in shell_points(a, hi_a, BOUNDARY_SAMPLES))
+                   or any(superelliptic_distance(p, a) <= hi_a
+                          for p in shell_points(b, hi_b, BOUNDARY_SAMPLES))
+                   or superelliptic_distance(a.center, b) <= hi_b)
         if overlap:
             v.append(f"shell-overlap: outer shells of obstacles {i} and {j} intersect")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import logging
 import math
 from array import array
@@ -29,7 +30,7 @@ from .environment import (Obstacle, ScenarioConfig, distance_floor, level_floor,
                           safety_ratio, superelliptic_distance)
 from .errors import IntegrityError
 from .formation_field import combined_field
-from .geom import Vec2, angle_of, dist
+from .geom import BlendTriplet, Vec2, angle_of, dist
 from .herding import (FormationSpec, formation_goals, formation_spec, heading_rate,
                       obstacle_resultant, schedule_heading, solve_command_heading)
 
@@ -82,11 +83,14 @@ RATIO_COLUMNS = tuple("ratio_" + name for name in SafetySnapshot._fields)
 class RunContext:
     """Quantities derived once per run.  guidance holds every obstacle that
     can act on the guidance field within the defenders' sensing zone, the
-    only place where run() lets _plan evaluate it."""
+    only place where run() lets _plan evaluate it.  avoid, the defenders'
+    attacker band, runs from the standoff lo to the arc radius less the goal
+    tolerance: a defender within tolerance of its slot never feels it."""
 
     spec: Optional[FormationSpec]
     gains: tuple[TrackingGains, ...]
     guidance: tuple[Obstacle, ...]
+    avoid: Optional[BlendTriplet]
 
 
 @dataclass
@@ -165,7 +169,7 @@ def _trace_columns(n_defenders: int) -> tuple[str, ...]:
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
     if not cfg.defenders.count:
-        return RunContext(spec=None, gains=(), guidance=())
+        return RunContext(spec=None, gains=(), guidance=(), avoid=None)
     spec = formation_spec(cfg.defenders.count, cfg.formation.spread, cfg.formation.arc_radius,
                           cfg.attacker.standoff_band.lo, cfg.defenders.peer_band.lo)
     gains = tuple(
@@ -177,7 +181,9 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
     guidance = tuple(ob for ob in cfg.obstacles
                      if level_floor(ob, distance_floor(cfg.protected.center, ob, zone))
                      < ob.formation_band.hi)
-    return RunContext(spec=spec, gains=gains, guidance=guidance)
+    lo, hi = cfg.attacker.standoff_band.lo, cfg.formation.arc_radius - cfg.formation.goal_tolerance
+    return RunContext(spec=spec, gains=gains, guidance=guidance,
+                      avoid=BlendTriplet(lo, (lo + hi) / 2, hi))
 
 
 def new_state(cfg: ScenarioConfig) -> SimState:
@@ -218,8 +224,9 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
       push takes one only within min(sensing radius, attacker_band.hi), so t
       beyond that drops it; t <= keeps a center the agent may reach, so a
       kernel still raises.
-    - bounds: threshold / floor bounds the ratio (division rounds
-      monotonically), and nextafter rounds it outward; inf where floor <= 0.
+    - bounds: threshold / floor, inf where floor <= 0.  The slack keeps the
+      floor at or below the evaluated level E and rounded division is
+      monotone, so this is at or above the evaluated ratio threshold / E.
     """
     sensing = cfg.attacker.sensing_radius
     near = []
@@ -230,7 +237,7 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
         if (floor < ob.defender_band.hi) if defender else (t <= min(sensing, ob.attacker_band.hi)):
             near.append(ob)
         lo = ob.defender_band.lo if defender else ob.formation_band.lo
-        bound = math.nextafter(lo / floor, math.inf) if floor > 0.0 else math.inf
+        bound = lo / floor if floor > 0.0 else math.inf
         bounds.append((bound, lo, ob))
     bounds.sort(key=lambda entry: entry[0], reverse=True)
     return ObstacleList(anchor=anchor, near=tuple(near), bounds=tuple(bounds))
@@ -274,26 +281,18 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
     agent's position; their ratio bounds cut the obstacle scan short, and the
-    result is still the exact maximum over every pair.
+    result is still the exact maximum over every pair.  An agent-agent ratio
+    is taken at its pairs' minimum distance: rounded lo / d never increases
+    with d, so that is the largest ratio of any pair.
     """
     r_ao = _max_obstacle_ratio(attacker_pos, lists[0], 0.0)
     r_do = 0.0
     for p, ob_list in zip(defender_positions, lists[1:]):
         r_do = _max_obstacle_ratio(p, ob_list, r_do)
-
-    r_dd = 0.0
-    peer_min = cfg.defenders.peer_band.lo
-    n = len(defender_positions)
-    for j in range(n):
-        for l in range(j + 1, n):
-            r_dd = max(r_dd, safety_ratio(peer_min, dist(defender_positions[j],
-                                                         defender_positions[l])))
-
-    r_ad = 0.0
-    standoff_min = cfg.attacker.standoff_band.lo
-    for p in defender_positions:
-        r_ad = max(r_ad, safety_ratio(standoff_min, dist(attacker_pos, p)))
-
+    r_dd = safety_ratio(cfg.defenders.peer_band.lo, min(
+        itertools.starmap(dist, itertools.combinations(defender_positions, 2)), default=math.inf))
+    r_ad = safety_ratio(cfg.attacker.standoff_band.lo, min(
+        (dist(attacker_pos, p) for p in defender_positions), default=math.inf))
     return SafetySnapshot(r_ao, r_do, r_dd, r_ad)
 
 
@@ -349,7 +348,7 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     if planning:
         for j, (d, gv) in enumerate(zip(state.defenders, goal_velocities)):
             f, conflict = defender_field(j, positions, d.goal, lists[j + 1].near,
-                                         cfg.defenders.peer_band)
+                                         cfg.defenders.peer_band, r_a, ctx.avoid)
             d.velocity = defender_velocity(d.position, d.goal, gv, f, conflict, ctx.gains[j])
     else:
         for d in state.defenders:

@@ -3,8 +3,9 @@ hand-written loops they replaced.
 
 The attacker's obstacle push, the attacker field and the defender field each
 had their own radial push loop and attraction step; those loops are copied
-below as the reference, and the kernels built on the blend must return equal
-results, raising where they raised.  Positions and band thresholds are
+below as the reference (the defender's radial loop now also takes the
+attacker, on its own band, after the peers), and the kernels built on the
+blend must return equal results, raising where they raised.  Positions and band thresholds are
 multiples of 1/32 and small, so a source placed a band threshold (or the
 sensing radius) away along an axis sits at exactly that distance.
 """
@@ -100,20 +101,19 @@ def ref_follow_obstacles(p, obstacles, target, defender):
     return prod, fx, fy, sigma_max, active
 
 
-def ref_defender_field(index, positions, goal, obstacles, peer_band):
+def ref_defender_field(index, positions, goal, obstacles, peer_band, attacker, avoid):
     p = positions[index]
     prod, rx, ry, sigma_max, _ = ref_follow_obstacles(p, obstacles, goal, True)
     conflict = sigma_max > 0.0
 
-    for l, other in enumerate(positions):
-        if l == index:
-            continue
+    others = [(q, peer_band) for l, q in enumerate(positions) if l != index]
+    for other, band in others + [(attacker, avoid)]:
         dx = p.x - other.x
         dy = p.y - other.y
         d = math.hypot(dx, dy)
         if d == 0.0:
-            raise DomainError(f"defenders {index} and {l} coincide")
-        sigma = blend_weight(d, peer_band)
+            raise DomainError(f"defender {index} coincides with {other}")
+        sigma = blend_weight(d, band)
         if sigma <= 0.0:
             continue
         conflict = True
@@ -208,9 +208,10 @@ def test_defender_field_matches_the_loops(reference_cfg, data):
     index = data.draw(st.integers(0, len(peers)))
     positions = peers[:index] + [p] + peers[index:]
     goal = data.draw(st.one_of(st.just(p), sources(p, peer_band, peer_band.hi)))
-    obs = reference_cfg.obstacles
-    assert (outcome(defender_field, index, positions, goal, obs, peer_band)
-            == outcome(ref_defender_field, index, positions, goal, obs, peer_band))
+    avoid = data.draw(bands())
+    args = (index, positions, goal, reference_cfg.obstacles, peer_band,
+            data.draw(sources(p, avoid, avoid.hi)), avoid)
+    assert outcome(defender_field, *args) == outcome(ref_defender_field, *args)
 
 
 def test_band_edges_and_coincidence():

@@ -249,6 +249,19 @@ def test_unusable_derived_default_is_reported_under_its_rule(tmp_path, capsys, b
     assert absent not in captured.out + captured.err
 
 
+def test_arc_radius_that_collapses_the_attacker_band_is_a_violation(tmp_path, capsys):
+    # R = standoff lo + goal tolerance: the defenders' attacker band would run
+    # from lo 0.3 to R - tolerance = 0.3, so the validator refuses it (exit 4)
+    # before build_context could raise on the collapsed band (exit 3)
+    doc = small_scenario_doc(**{"formation.arc_radius_m": 0.3 + 0.05})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 4
+    assert "violation: arc-radius: 0.35 must lie in (0.3 + 0.05, 0.8]" in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "violation: arc-radius" in capsys.readouterr().err
+
+
 def test_spread_below_minimum_exit_code(tmp_path, capsys):
     doc = small_scenario_doc(**{"formation.spread_rad": 0.5})
     path = tmp_path / "scenario.json"

@@ -11,12 +11,15 @@ as the reference.
 
 import copy
 import dataclasses
+import json
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from herdsim import sim
 from herdsim.attacker import attacker_field, obstacle_push
+from herdsim.cli import main
 from herdsim.defender_control import defender_field
 from herdsim.environment import (CULL_SLACK, ObstacleDerivation, contour_offsets,
                                  derive_obstacle, distance_floor, level_floor,
@@ -30,6 +33,7 @@ from herdsim.sim import (SafetySnapshot, build_context, obstacle_list, refresh_l
                          safety_snapshot)
 
 PEERS = BlendTriplet(0.25, 0.32, 0.42)
+AVOID = BlendTriplet(0.3, 0.4, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +71,7 @@ def full_scan_snapshot(attacker_pos, defender_positions, cfg):
                           defender_defender=r_dd, attacker_defender=r_ad)
 
 
-def full_scan_defender_field(index, positions, goal, obstacles, peer_band):
+def full_scan_defender_field(index, positions, goal, obstacles, peer_band, attacker, avoid):
     p = positions[index]
     prod = 1.0
     rx = 0.0
@@ -84,15 +88,14 @@ def full_scan_defender_field(index, positions, goal, obstacles, peer_band):
         rx += sigma * math.cos(phi)
         ry += sigma * math.sin(phi)
 
-    for l, other in enumerate(positions):
-        if l == index:
-            continue
+    others = [(q, peer_band) for l, q in enumerate(positions) if l != index]
+    for other, band in others + [(attacker, avoid)]:
         dx = p.x - other.x
         dy = p.y - other.y
         d = math.hypot(dx, dy)
         if d == 0.0:
-            raise DomainError(f"defenders {index} and {l} coincide")
-        sigma = blend_weight(d, peer_band)
+            raise DomainError(f"defender {index} coincides with {other}")
+        sigma = blend_weight(d, band)
         if sigma <= 0.0:
             continue
         conflict = True
@@ -319,8 +322,10 @@ def test_list_driven_kernels_match_full_scan(reference_cfg, data):
     assert outcome(field_over, lists[0].near) == outcome(field_over, obs)
     assert outcome(resultant_over, lists[0].near) == outcome(resultant_over, obs)
     for j in range(len(positions)):
-        assert (outcome(defender_field, j, positions, target, lists[j + 1].near, PEERS)
-                == outcome(full_scan_defender_field, j, positions, target, obs, PEERS))
+        assert (outcome(defender_field, j, positions, target, lists[j + 1].near, PEERS,
+                        p_a, AVOID)
+                == outcome(full_scan_defender_field, j, positions, target, obs, PEERS,
+                           p_a, AVOID))
     assert (safety_snapshot(p_a, positions, cfg, lists)
             == full_scan_snapshot(p_a, positions, cfg))
 
@@ -493,17 +498,56 @@ def test_bundled_guidance_list_is_every_obstacle(reference_cfg):
     assert build_context(reference_cfg).guidance == reference_cfg.obstacles
 
 
-def test_far_obstacle_whose_floor_overflows_is_culled(bundle_doc):
+def test_far_obstacle_whose_floor_overflows_is_culled(bundle_doc, tmp_path):
     """A 1000 m square derives exponent 17.2, so 1e13 m away (d / h)^(2n)
-    overflows a float.  Its level floor is then inf, and validation, every
-    list and the run go on exactly as without it."""
-    doc = copy.deepcopy(bundle_doc)
-    doc["attacker"]["sensing_radius_m"] = 2000.0
-    near_cfg = scenario_from_dict(doc)
-    doc["obstacles"].append({"center_m": [1e13, 0.0], "width_m": 1000.0, "height_m": 1000.0})
-    cfg = scenario_from_dict(doc)
-    far = cfg.obstacles[-1]
-    assert level_floor(far, 1e13) == math.inf
-    assert validate_scenario(cfg) == []
-    assert far not in build_context(cfg).guidance
-    assert run(cfg, t_max=1.0).values == run(near_cfg, t_max=1.0).values
+    overflows a float and its level floor is inf.  5.3e11 m away the floor is
+    still finite (2.1e304) but the level overflows: as the only obstacle,
+    the snapshot's bound walk evaluates it there.  The level is inf at
+    either distance, and validation, every list and the run go on exactly as
+    without the obstacle; `simulate` ends at t_max (exit 5), with both
+    obstacle ratios 0 where the obstacle is alone."""
+    for bundled, x, floor_overflows in ((True, 1e13, True), (False, 1e13, True),
+                                        (False, 5.3e11, False)):
+        doc = copy.deepcopy(bundle_doc)
+        doc["attacker"]["sensing_radius_m"] = 2000.0
+        if not bundled:
+            doc["obstacles"] = []
+        near_cfg = scenario_from_dict(doc)
+        doc["obstacles"].append({"center_m": [x, 0.0], "width_m": 1000.0, "height_m": 1000.0})
+        cfg = scenario_from_dict(doc)
+        far = cfg.obstacles[-1]
+        assert (level_floor(far, distance_floor(cfg.attacker.start, far, 0.0))
+                == math.inf) == floor_overflows
+        assert superelliptic_distance(cfg.attacker.start, far) == math.inf
+        assert validate_scenario(cfg) == []
+        assert far not in build_context(cfg).guidance
+        trace = run(cfg, t_max=1.0)
+        assert trace.values == run(near_cfg, t_max=1.0).values
+        if not bundled:
+            for name in ("ratio_attacker_obstacle", "ratio_defender_obstacle"):
+                assert set(trace.column(name)) == {0.0}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--t-max", "1", "--svg", "off",
+                     "--out", str(tmp_path / "o")]) == 5
+
+
+@pytest.mark.parametrize("attacker, defenders, expected", [
+    # two coincident defenders
+    (Vec2(500.0, 500.0), [Vec2(400.0, 400.0), Vec2(400.0, 400.0)],
+     {"defender_defender": math.inf}),
+    # the attacker on a defender
+    (Vec2(400.0, 400.0), [Vec2(400.0, 400.0), Vec2(430.0, 400.0)],
+     {"attacker_defender": math.inf}),
+    (Vec2(500.0, 500.0), [], {"defender_defender": 0.0, "attacker_defender": 0.0}),
+    (Vec2(500.0, 500.0), [Vec2(400.0, 400.0)], {"defender_defender": 0.0}),
+], ids=["coincident-defenders", "attacker-on-defender", "no-defender", "one-defender"])
+def test_snapshot_agent_ratios_match_full_scan(reference_cfg, attacker, defenders, expected):
+    """Each agent-agent ratio is taken at its pairs' minimum distance: a zero
+    distance gives inf, and no pair at all gives 0, as the pair loops did."""
+    lists = [obstacle_list(p, reference_cfg, k > 0)
+             for k, p in enumerate([attacker, *defenders])]
+    snap = safety_snapshot(attacker, defenders, reference_cfg, lists)
+    assert snap == full_scan_snapshot(attacker, defenders, reference_cfg)
+    for name, value in expected.items():
+        assert getattr(snap, name) == value

@@ -15,6 +15,10 @@ from herdsim.geom import BlendTriplet, Vec2, blend_weight
 from conftest import contour_point
 
 PEERS = BlendTriplet(0.25, 0.32, 0.42)
+# the bundled world's attacker-avoidance band: standoff lo 0.3 to arc radius
+# 0.55 less goal tolerance 0.05; FAR is an attacker beyond it
+AVOID = BlendTriplet(0.3, 0.4, 0.5)
+FAR = Vec2(100.0, 100.0)
 
 # handoff roots frozen from an independent bisection oracle run to 1e-14
 HANDOFF_ORACLE = {0.3: 1.49867022192001, 0.5: 1.08865949248265, 0.7: 0.75722748188702}
@@ -85,7 +89,7 @@ def test_speed_continuous_at_handoff():
 
 def test_field_points_at_goal_when_clear():
     positions = [Vec2(0.0, 0.0), Vec2(10.0, 0.0)]
-    f, conflict = defender_field(0, positions, Vec2(3.0, 4.0), [], PEERS)
+    f, conflict = defender_field(0, positions, Vec2(3.0, 4.0), [], PEERS, FAR, AVOID)
     assert not conflict
     assert f.x == pytest.approx(0.6)
     assert f.y == pytest.approx(0.8)
@@ -93,7 +97,7 @@ def test_field_points_at_goal_when_clear():
 
 def test_field_pure_peer_repulsion_when_saturated():
     positions = [Vec2(0.0, 0.0), Vec2(0.2, 0.0)]
-    f, conflict = defender_field(0, positions, Vec2(5.0, 0.0), [], PEERS)
+    f, conflict = defender_field(0, positions, Vec2(5.0, 0.0), [], PEERS, FAR, AVOID)
     assert conflict
     assert f.x == pytest.approx(-1.0)
     assert f.y == pytest.approx(0.0, abs=1e-12)
@@ -111,7 +115,7 @@ def test_field_obstacle_blend_norm_identity(derivation):
         s = blend_weight(superelliptic_distance(p, ob), ob.defender_band)
         if not (0.0 < s < 1.0):
             continue
-        f, conflict = defender_field(0, [p], goal, [ob], PEERS)
+        f, conflict = defender_field(0, [p], goal, [ob], PEERS, FAR, AVOID)
         assert conflict
         toward = math.atan2(goal.y - p.y, goal.x - p.x)
         gap = toward - repulsive_angle(p, ob, goal)
@@ -122,7 +126,23 @@ def test_field_obstacle_blend_norm_identity(derivation):
 
 def test_field_rejects_coincident_peers():
     with pytest.raises(DomainError):
-        defender_field(0, [Vec2(1.0, 1.0), Vec2(1.0, 1.0)], Vec2(0.0, 0.0), [], PEERS)
+        defender_field(0, [Vec2(1.0, 1.0), Vec2(1.0, 1.0)], Vec2(0.0, 0.0), [], PEERS,
+                       FAR, AVOID)
+    with pytest.raises(DomainError):
+        defender_field(0, [Vec2(1.0, 1.0)], Vec2(0.0, 0.0), [], PEERS, Vec2(1.0, 1.0), AVOID)
+
+
+@pytest.mark.parametrize("gap, weight", [(0.35, 1.0), (0.45, 0.5), (0.5, 0.0)])
+def test_field_avoids_the_attacker_on_its_band(gap, weight):
+    # the attacker straight ahead on the way to the goal: saturated up to
+    # the band's mid, where the field points straight back; the cubic's
+    # midpoint halfway to hi, where push and attraction cancel; nothing from
+    # hi on.  Inside the band the defender is in conflict, as near a peer.
+    f, conflict = defender_field(0, [Vec2(0.0, 0.0)], Vec2(5.0, 0.0), [], PEERS,
+                                 Vec2(gap, 0.0), AVOID)
+    assert conflict == (weight > 0.0)
+    assert f.x == pytest.approx(1.0 - 2.0 * weight)
+    assert f.y == 0.0
 
 
 def test_velocity_tracks_goal_velocity_at_zero_error():

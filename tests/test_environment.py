@@ -308,6 +308,24 @@ def test_validate_coincident_obstacles():
     assert any(s.startswith("obstacle-spacing") for s in v)
     assert shell_violations(cfg) == sampled_shell_violations(cfg)
 
+    # three mutually overlapping shells: each obstacle sits in two sampled
+    # pairs, and each pair is reported
+    doc["obstacles"] = [{"center_m": c, "width_m": 2.0, "height_m": 2.0}
+                        for c in ([0.0, 20.0], [1.0, 20.0], [0.5, 21.0])]
+    cfg = scenario_from_dict(doc)
+    assert shell_violations(cfg) == sampled_shell_violations(cfg) == [
+        f"shell-overlap: outer shells of obstacles {i} and {j} intersect"
+        for i, j in ((0, 1), (0, 2), (1, 2))]
+    # a small shell nested in a large one, off its center: only the small
+    # shell's points lie in the other, whichever obstacle comes first
+    big = {"center_m": [0.0, 20.0], "width_m": 12.0, "height_m": 12.0}
+    small = {"center_m": [4.0, 20.0], "width_m": 0.5, "height_m": 0.5}
+    for pair in ([big, small], [small, big]):
+        doc["obstacles"] = pair
+        cfg = scenario_from_dict(doc)
+        assert shell_violations(cfg) == sampled_shell_violations(cfg) == [
+            "shell-overlap: outer shells of obstacles 0 and 1 intersect"]
+
     # pairs straddling their summed reach, and obstacles straddling the safe
     # area's rim widened by their reach, along an axis, a shell corner and
     # one more ray: the prefilter must report exactly what the unfiltered
@@ -418,8 +436,8 @@ def test_start_clearance(key, value, violation):
 
 
 def full_scan_start_clearance(cfg):
-    """validate_scenario's start-clearance lines with no level-floor
-    prefilter: every obstacle-start pair is evaluated."""
+    """validate_scenario's start-clearance lines, every obstacle-start pair
+    evaluated (as the validator does, with no level-floor prefilter)."""
     ratio = lambda lo, actual: math.inf if actual <= 0.0 else lo / actual
     v = []
     a0, starts = cfg.attacker.start, cfg.defenders.starts

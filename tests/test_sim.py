@@ -149,8 +149,8 @@ def test_attacker_starting_inside_safe_is_captured_once_the_arc_forms():
 # capture (at 25.66 and 35.4 s, with no t_formed_s).  start -> (events,
 # t_end, worst safety ratio to 3 places)
 FORMED_CAPTURE_PINS = {
-    (-10.0, 90.0): ({"t_sense_s": 10.56, "t_formed_s": 69.34, "t_capture_s": 85.15,
-                     "t_breach_s": None}, 94.35000000000001, 0.706),
+    (-10.0, 90.0): ({"t_sense_s": 10.56, "t_formed_s": 69.35000000000001,
+                     "t_capture_s": 85.15, "t_breach_s": None}, 94.35000000000001, 0.706),
     (-10.0, 100.0): ({"t_sense_s": 20.5, "t_formed_s": 79.47, "t_capture_s": 95.17,
                       "t_breach_s": None}, 104.37, 0.696),
 }
@@ -180,10 +180,15 @@ WORLD_1155 = {
 }
 
 
-# Accepted scenarios that break a guarantee today, each named by its open
-# ROADMAP item.  Mending one makes its test pass, which xfail_strict turns
-# into a failure until the mark is removed.
+# Accepted scenarios that must capture with every ratio below 1.  (40, 30)
+# and (40, 100) reached attacker_defender 1.0038 and 1.4818 while the
+# defenders did not avoid the attacker (ROADMAP 1(a)).  The rest break a
+# guarantee today, each named by its open ROADMAP item.  Mending one makes
+# its test pass, which xfail_strict turns into a failure until the mark is
+# removed.
 @pytest.mark.parametrize("changes", [
+    pytest.param({("attacker", "start_m"): [40.0, 30.0]}, id="start-40-30"),
+    pytest.param({("attacker", "start_m"): [40.0, 100.0]}, id="start-40-100"),
     pytest.param({("attacker", "start_m"): [0.0, 25.0]}, id="start-0-25",
                  marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
                                                 "1.038 before the arc forms")),
@@ -191,8 +196,8 @@ WORLD_1155 = {
                  marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
                                                 "1.101 before the arc forms")),
     pytest.param(WORLD_1155, id="world-1155",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(h): attacker_obstacle ratio 1.094 "
-                                                "at 76.87 s, after the arc formed at 74.95 s")),
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(h): attacker_obstacle ratio 1.072 "
+                                                "at 76.76 s, after the arc formed at 74.95 s")),
 ])
 def test_accepted_scenario_keeps_every_ratio_below_1(bundle_doc, changes):
     doc = copy.deepcopy(bundle_doc)
@@ -203,6 +208,7 @@ def test_accepted_scenario_keeps_every_ratio_below_1(bundle_doc, changes):
     assert validate_scenario(cfg) == []
     trace = run(cfg)
     assert all(trace.maxima[name] < 1.0 for name in sim.RATIO_COLUMNS)
+    assert trace.termination == "captured-stable"
 
 
 # the bundled world with one value changed: (section, key, value) ->
@@ -420,8 +426,8 @@ def test_streamed_trace_csv_equals_to_csv(cli_artifacts, reference_run):
 
 def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc, caplog):
     # On the small world from (0, 30) with a 2 m safe area (below the
-    # safe-radius rule) the formed arc lets the attacker out at 40.99 and
-    # 50.64 s.  Each exit stops the capture clock and the next entry
+    # safe-radius rule) the formed arc lets the attacker out at 41.99 and
+    # 51.44 s.  Each exit stops the capture clock and the next entry
     # restarts it; a capture that latched on the first exit would have ended
     # the run there.
     cfg = scenario_from_dict(small_scenario_doc(**{"safe_area.radius_m": 2.0,
@@ -429,9 +435,9 @@ def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc, cap
     with caplog.at_level("WARNING", logger="herdsim.sim"):
         trace = run(cfg)
     assert [r.getMessage() for r in caplog.records] == [
-        "attacker left the safe area at t=40.990", "attacker left the safe area at t=50.640"]
-    assert trace.events["t_formed_s"] < 40.99
-    assert trace.events["t_capture_s"] == 55.410000000000004
+        "attacker left the safe area at t=41.990", "attacker left the safe area at t=51.440"]
+    assert trace.events["t_formed_s"] < 41.99
+    assert trace.events["t_capture_s"] == 59.89
     assert trace.termination == "t-max"
     # (-10, 60) lies on the safe area's rim and the attacker leaves at
     # 1.65 s, before the arc forms, so that stay starts no clock at all
