@@ -34,7 +34,7 @@ def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
     attacker field take the same push, so the command cancels what the
     attacker feels by construction."""
     return repel(position, ((ob.center, ob.attacker_band) for ob in obstacles),
-                 sensing_radius, (1.0, 0.0, 0.0, False))
+                 sensing_radius, (1.0, 0.0, 0.0, False))[0]
 
 
 def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
@@ -47,7 +47,7 @@ def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
     handles that case.  Coincidence with a defender is outside the model and
     raises.
     """
-    blend = repel(position, zip(defenders, repeat(standoff)), sensing_radius, push)
+    blend, _ = repel(position, zip(defenders, repeat(standoff)), sensing_radius, push)
     return close_blend(position, protected_center, blend)
 
 

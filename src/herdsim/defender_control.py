@@ -77,8 +77,9 @@ def solve_tracking_gains(terminal_exponent: float, speed_max: float,
 
 def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
                    obstacles: Sequence[Obstacle], peer_band: BlendTriplet,
-                   attacker: Vec2, avoid: BlendTriplet) -> tuple[Vec2, bool]:
-    """Blended steering field for one defender plus its conflict flag.
+                   attacker: Vec2, avoid: BlendTriplet) -> tuple[Vec2, bool, float, float]:
+    """Blended steering field for one defender, its conflict flag, and its
+    distances to the nearest peer (inf with none) and to the attacker.
 
     Conflict means any obstacle, peer (on peer_band) or attacker (on avoid)
     blending weight is nonzero; in that regime the tracking law drops the
@@ -87,10 +88,11 @@ def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
     defender reach, beyond which the weight is exactly 0.
     """
     p = positions[index]
-    sources = [*zip(positions[:index] + positions[index + 1:], repeat(peer_band)),
-               (attacker, avoid)]
-    blend = repel(p, sources, math.inf, follow_obstacles(p, obstacles, goal, True))
-    return close_blend(p, goal, blend), blend[3]
+    blend = follow_obstacles(p, obstacles, goal, True)
+    blend, peer = repel(p, zip(positions[:index] + positions[index + 1:], repeat(peer_band)),
+                        math.inf, blend)
+    blend, threat = repel(p, ((attacker, avoid),), math.inf, blend)
+    return close_blend(p, goal, blend), blend[3], peer, threat
 
 
 def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,

@@ -101,6 +101,7 @@ class Obstacle:
     exponent: float
     semi_x: float
     semi_y: float
+    semi_diagonal: float             # hypot(semi_x, semi_y), level_floor's h
     formation_band: BlendTriplet
     defender_band: BlendTriplet
     attacker_band: BlendTriplet
@@ -217,13 +218,12 @@ def superelliptic_distance(p: Vec2, ob: Obstacle) -> float:
 
 def level_floor(ob: Obstacle, d: float) -> float:
     """Lower bound on the evaluated level at any point d or more from the
-    center: with u = |dx| / semi_x, v = |dy| / semi_y and h = hypot(semi_x,
-    semi_y), d^2 <= max(u, v)^2 h^2, so E + 1 >= max(u, v)^(2n) >= (d/h)^(2n).
+    center: with u = |dx| / semi_x, v = |dy| / semi_y and h = semi_diagonal,
+    d^2 <= max(u, v)^2 h^2, so E + 1 >= max(u, v)^(2n) >= (d/h)^(2n).
     Every obstacle cull compares it, at a distance_floor, against a band
     level: a floor at or above a band's hi means the blend weight is 0."""
-    h = math.hypot(ob.semi_x, ob.semi_y)
     try:
-        return (1.0 - CULL_SLACK) * (d / h) ** (2.0 * ob.exponent) - 1.0
+        return (1.0 - CULL_SLACK) * (d / ob.semi_diagonal) ** (2.0 * ob.exponent) - 1.0
     except OverflowError:           # far beyond every contour of a large exponent
         return math.inf
 
@@ -285,6 +285,7 @@ def derive_obstacle(center: Vec2, width: float, height: float,
     half_exp = 2.0 ** (1.0 / (2.0 * exponent))
     semi_x = 0.5 * width * half_exp
     semi_y = 0.5 * height * half_exp
+    semi_diagonal = math.hypot(semi_x, semi_y)
 
     def band(pad):
         # the levels through the corners of the rectangle inflated by pad and
@@ -305,12 +306,12 @@ def derive_obstacle(center: Vec2, width: float, height: float,
         # level_floor solved for d: E + 1 >= (d / h)^(2n) >= 1 + level
         # beyond h * (1 + level)^(1/2n), widened by the slack
         scale = (1.0 + level) ** (1.0 / (2.0 * exponent))
-        return math.hypot(semi_x, semi_y) * scale * (1.0 + CULL_SLACK)
+        return semi_diagonal * scale * (1.0 + CULL_SLACK)
 
     return Obstacle(
         center=center, width=width, height=height,
         formation_width=fw, formation_height=fh,
-        exponent=exponent, semi_x=semi_x, semi_y=semi_y,
+        exponent=exponent, semi_x=semi_x, semi_y=semi_y, semi_diagonal=semi_diagonal,
         formation_band=formation_band, defender_band=defender_band,
         attacker_band=attacker_band,
         formation_reach=reach(formation_band.hi),

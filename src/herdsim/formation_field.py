@@ -77,14 +77,18 @@ def follow_obstacles(p: Vec2, obstacles: Sequence[Obstacle], target: Vec2,
                      defender: bool):
     """Obstacle-following terms at p toward target, weighted on each
     obstacle's formation band (defender band if defender is set), as a
-    blend (see `geom.repel`)."""
+    blend (see `geom.repel`); a level at or beyond the band's hi is skipped
+    before its weight is taken."""
     prod = 1.0
     fx = 0.0
     fy = 0.0
     hit = False
     for ob in obstacles:
         band = ob.defender_band if defender else ob.formation_band
-        sigma = blend_weight(superelliptic_distance(p, ob), band)
+        level = superelliptic_distance(p, ob)
+        if level >= band.hi:
+            continue
+        sigma = blend_weight(level, band)
         if sigma <= 0.0:
             continue
         hit = True

@@ -273,7 +273,7 @@ def _max_obstacle_ratio(p: Vec2, ob_list: ObstacleList, r: float) -> float:
 
 
 def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
-                    lists) -> SafetySnapshot:
+                    lists, nearest: Optional[tuple[float, float]] = None) -> SafetySnapshot:
     """Evaluate the four critical relative distances at given positions.
 
     A nonpositive actual distance (already inside a forbidden region) maps to
@@ -283,17 +283,22 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     agent's position; their ratio bounds cut the obstacle scan short, and the
     result is still the exact maximum over every pair.  An agent-agent ratio
     is taken at its pairs' minimum distance: rounded lo / d never increases
-    with d, so that is the largest ratio of any pair.
+    with d, so that is the largest ratio of any pair.  nearest, where given,
+    holds those minima (defender-defender, attacker-defender) as the
+    defender fields measured them at these positions; hypot ignores signs
+    and a minimum ignores order, so they equal the ones measured here.
     """
     r_ao = _max_obstacle_ratio(attacker_pos, lists[0], 0.0)
     r_do = 0.0
     for p, ob_list in zip(defender_positions, lists[1:]):
         r_do = _max_obstacle_ratio(p, ob_list, r_do)
-    r_dd = safety_ratio(cfg.defenders.peer_band.lo, min(
-        itertools.starmap(dist, itertools.combinations(defender_positions, 2)), default=math.inf))
-    r_ad = safety_ratio(cfg.attacker.standoff_band.lo, min(
-        (dist(attacker_pos, p) for p in defender_positions), default=math.inf))
-    return SafetySnapshot(r_ao, r_do, r_dd, r_ad)
+    if nearest is None:
+        nearest = (
+            min(itertools.starmap(dist, itertools.combinations(defender_positions, 2)),
+                default=math.inf),
+            min((dist(attacker_pos, p) for p in defender_positions), default=math.inf))
+    return SafetySnapshot(r_ao, r_do, safety_ratio(cfg.defenders.peer_band.lo, nearest[0]),
+                          safety_ratio(cfg.attacker.standoff_band.lo, nearest[1]))
 
 
 def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[Vec2]:
@@ -320,13 +325,15 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[V
 
 
 def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
-                     lists, planning: bool) -> AttackerState:
+                     lists, planning: bool) -> tuple[AttackerState, Optional[tuple[float, float]]]:
     """Fill every command for the current step from the step-start snapshot.
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
     agent's step-start position; the defenders plan only if planning.  Returns
-    the attacker's next state (not yet applied); defender velocities, goals
-    and headings are written into `state` directly.
+    the attacker's next state (not yet applied) and, if planning, the
+    smallest defender-defender and attacker-defender distances the defender
+    fields measured (safety_snapshot's nearest), else None; defender
+    velocities, goals and headings are written into `state` directly.
     """
     r_a = state.attacker.position
     push = obstacle_push(r_a, lists[0].near, cfg.attacker.sensing_radius)
@@ -345,15 +352,20 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     state.attacker_velocity = Vec2(speed * math.cos(next_attacker.heading),
                                    speed * math.sin(next_attacker.heading))
 
-    if planning:
-        for j, (d, gv) in enumerate(zip(state.defenders, goal_velocities)):
-            f, conflict = defender_field(j, positions, d.goal, lists[j + 1].near,
-                                         cfg.defenders.peer_band, r_a, ctx.avoid)
-            d.velocity = defender_velocity(d.position, d.goal, gv, f, conflict, ctx.gains[j])
-    else:
+    if not planning:
         for d in state.defenders:
             d.velocity = Vec2(0.0, 0.0)
-    return next_attacker
+        return next_attacker, None
+    peer_min = threat_min = math.inf
+    for j, (d, gv) in enumerate(zip(state.defenders, goal_velocities)):
+        f, conflict, peer, threat = defender_field(j, positions, d.goal, lists[j + 1].near,
+                                                   cfg.defenders.peer_band, r_a, ctx.avoid)
+        d.velocity = defender_velocity(d.position, d.goal, gv, f, conflict, ctx.gains[j])
+        if peer < peer_min:
+            peer_min = peer
+        if threat < threat_min:
+            threat_min = threat
+    return next_attacker, (peer_min, threat_min)
 
 
 def apply_commands(state: SimState, next_attacker: AttackerState, dt: float) -> None:
@@ -432,13 +444,14 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             if (planning and state.t_capture is None and in_safe
                     and events["t_formed_s"] is not None):
                 state.t_capture = t
-            next_attacker = compute_commands(state, cfg, ctx, lists, planning)
+            next_attacker, nearest = compute_commands(state, cfg, ctx, lists, planning)
         else:
+            nearest = None
             state.attacker_velocity = Vec2(0.0, 0.0)
             for d in state.defenders:
                 d.velocity = Vec2(0.0, 0.0)
 
-        snap = safety_snapshot(r_a, positions, cfg, lists)
+        snap = safety_snapshot(r_a, positions, cfg, lists, nearest)
         row = [t, r_a.x, r_a.y,
                state.attacker_velocity.x, state.attacker_velocity.y,
                state.desired, 0.0 if state.command is None else state.command]

@@ -4,10 +4,13 @@ hand-written loops they replaced.
 The attacker's obstacle push, the attacker field and the defender field each
 had their own radial push loop and attraction step; those loops are copied
 below as the reference (the defender's radial loop now also takes the
-attacker, on its own band, after the peers), and the kernels built on the
-blend must return equal results, raising where they raised.  Positions and band thresholds are
-multiples of 1/32 and small, so a source placed a band threshold (or the
-sensing radius) away along an axis sits at exactly that distance.
+attacker, on its own band, after the peers, and hands back the nearest
+peer's and the attacker's distances), and the kernels built on the blend
+must return equal results, raising where they raised.  The loops weigh
+every source; the kernels skip one at or beyond its band's hi.  Positions
+and band thresholds are multiples of 1/32 and small, so a source placed a
+band threshold (or the sensing radius) away along an axis sits at exactly
+that distance.
 """
 
 import dataclasses
@@ -16,13 +19,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from herdsim import formation_field, geom
 from herdsim.attacker import attacker_field, obstacle_push
 from herdsim.defender_control import defender_field
 from herdsim.errors import DomainError
-from herdsim.formation_field import repulsive_angle
+from herdsim.formation_field import follow_obstacles, repulsive_angle
 from herdsim.environment import superelliptic_distance
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, close_blend, repel
 from herdsim.herding import obstacle_resultant
+from herdsim.sim import run
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +112,12 @@ def ref_defender_field(index, positions, goal, obstacles, peer_band, attacker, a
     conflict = sigma_max > 0.0
 
     others = [(q, peer_band) for l, q in enumerate(positions) if l != index]
+    distances = []
     for other, band in others + [(attacker, avoid)]:
         dx = p.x - other.x
         dy = p.y - other.y
         d = math.hypot(dx, dy)
+        distances.append(d)
         if d == 0.0:
             raise DomainError(f"defender {index} coincides with {other}")
         sigma = blend_weight(d, band)
@@ -127,7 +134,7 @@ def ref_defender_field(index, positions, goal, obstacles, peer_band, attacker, a
     if g > 0.0:
         rx += prod * gx / g
         ry += prod * gy / g
-    return Vec2(rx, ry), conflict
+    return Vec2(rx, ry), conflict, min(distances[:-1], default=math.inf), distances[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +226,93 @@ def test_band_edges_and_coincidence():
     p = Vec2(3.0, 4.0)
     empty = (1.0, 0.0, 0.0, False)
     # at mid the weight is 1; at hi, and beyond the reach, nothing is added
-    assert repel(p, [(Vec2(2.0, 4.0), band)], 5.0, empty) == (0.0, 1.0, 0.0, True)
-    assert repel(p, [(Vec2(3.0, 2.0), band)], 5.0, empty) == empty
-    assert repel(p, [(Vec2(3.0, 4.5), band)], 0.25, empty) == empty
+    assert repel(p, [(Vec2(2.0, 4.0), band)], 5.0, empty) == ((0.0, 1.0, 0.0, True), 1.0)
+    assert repel(p, [(Vec2(3.0, 2.0), band)], 5.0, empty) == (empty, 2.0)
+    assert repel(p, [(Vec2(3.0, 4.5), band)], 0.25, empty) == (empty, 0.5)
     with pytest.raises(DomainError, match=r"\(3\.0, 4\.0\)"):
         repel(p, [(p, band)], 5.0, empty)
     # the attraction gets the leftover weight, and nothing at the target
     assert close_blend(p, Vec2(3.0, 7.0), (0.5, 0.25, 0.0, True)) == Vec2(0.25, 0.5)
     assert close_blend(p, p, (0.5, 0.25, 0.0, True)) == Vec2(0.25, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the cull: a blend skips a source at or beyond its band's hi before weighing it
+# ---------------------------------------------------------------------------
+
+EDGES = {"below": -1, "at": 0, "above": 1}
+
+
+def nudge(x, sign):
+    """x moved one ulp up (sign 1) or down (sign -1), or x itself (sign 0)."""
+    return math.nextafter(x, sign * math.inf) if sign else x
+
+
+def spy_on_weights(monkeypatch):
+    """Record every weight the kernels take, where geom and formation_field
+    bind blend_weight, as (distance or level, band, weight)."""
+    taken = []
+
+    def spy(delta, band):
+        taken.append((delta, band, blend_weight(delta, band)))
+        return taken[-1][2]
+
+    monkeypatch.setattr(geom, "blend_weight", spy)
+    monkeypatch.setattr(formation_field, "blend_weight", spy)
+    return taken
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_cull_at_the_band_edge_matches_the_loops(reference_cfg, monkeypatch, edge):
+    """A source at hi, or one ulp either side of it, and an obstacle whose
+    level sits there, blend as the loops that weigh every source blend them;
+    the kernels weigh only what lies below hi."""
+    taken = spy_on_weights(monkeypatch)
+    band = BlendTriplet(0.5, 1.0, 2.0)
+    p = Vec2(0.0, 0.0)
+    q = Vec2(nudge(band.hi, EDGES[edge]), 0.0)
+    far = Vec2(0.0, 100.0)
+    template = reference_cfg.obstacles[0]
+    obs = [dataclasses.replace(template, center=q, attacker_band=band)]
+    push = obstacle_push(p, obs, 5.0)
+    assert push[:3] == ref_obstacle_push(p, obs, 5.0)
+    assert (attacker_field(p, [q], push, far, 5.0, band)
+            == ref_attacker_field(p, [q], push[:3], far, 5.0, band))
+    args = (0, [p, q], far, [], band, Vec2(0.0, -q.x), band)
+    assert defender_field(*args) == ref_defender_field(*args)
+
+    # the bands' hi moved the other way puts the level at p on the same side of it
+    p = Vec2(template.center.x + 2.0 * template.semi_x, template.center.y)
+    level = superelliptic_distance(p, template)
+    hi = nudge(level, -EDGES[edge])
+    edge_band = BlendTriplet(0.0, 0.5 * level, hi)
+    ob = dataclasses.replace(template, formation_band=edge_band, defender_band=edge_band)
+    for defender in (False, True):
+        prod, fx, fy, hit = follow_obstacles(p, [ob], far, defender)
+        ref = ref_follow_obstacles(p, [ob], far, defender)
+        assert (prod, fx, fy, hit) == (*ref[:3], ref[3] > 0.0)
+    assert all(delta < b.hi for delta, b, _ in taken)
+    assert bool(taken) == (edge == "below")
+
+
+def test_repel_reports_its_own_nearest_source():
+    band = BlendTriplet(0.5, 1.0, 2.0)
+    p = Vec2(3.0, 4.0)
+    empty = (1.0, 0.0, 0.0, False)
+    assert repel(p, [], 5.0, empty) == (empty, math.inf)
+    # the blend carried in says nothing about the distance handed back
+    blend, nearest = repel(p, [(Vec2(3.0, 4.75), band)], 5.0, empty)
+    assert nearest == 0.75
+    assert repel(p, [(Vec2(3.0, 7.0), band), (Vec2(7.0, 4.0), band)], 5.0, blend) == (blend, 3.0)
+    # a coincident source raises wherever it stands among the sources
+    with pytest.raises(DomainError):
+        repel(p, [(Vec2(30.0, 4.0), band), (p, band)], 5.0, empty)
+
+
+def test_no_weight_taken_on_the_bundled_run_is_zero(reference_cfg, monkeypatch):
+    """Every blend culls at its band's hi, so a short bundled run weighs only
+    sources that get a nonzero weight."""
+    taken = spy_on_weights(monkeypatch)
+    run(reference_cfg, t_max=10.0)
+    assert taken
+    assert all(weight != 0.0 for _, _, weight in taken)

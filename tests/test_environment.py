@@ -204,7 +204,7 @@ def derive_obstacle_by_hand(center, width, height, params):
         scale = (1.0 + level) ** (1.0 / (2.0 * exponent))
         return math.hypot(semi_x, semi_y) * scale * (1.0 + CULL_SLACK)
 
-    return (center, width, height, fw, fh, exponent, semi_x, semi_y,
+    return (center, width, height, fw, fh, exponent, semi_x, semi_y, math.hypot(semi_x, semi_y),
             BlendTriplet(lvl_lo, lvl_mid, lvl_hi), BlendTriplet(d_lo, d_mid, d_hi),
             attacker_band, reach(lvl_hi))
 

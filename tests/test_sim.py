@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from herdsim.environment import scenario_from_dict, validate_scenario
 from herdsim.errors import ConfigError
 from herdsim import attacker, formation_field, sim
-from herdsim.environment import superelliptic_distance
+from herdsim.environment import safety_ratio, superelliptic_distance
 from herdsim.geom import Vec2, blend_weight
 from herdsim.sim import build_context, new_state, run, safety_snapshot
 from herdsim.svg import ratio_curves_svg
@@ -265,6 +266,42 @@ def test_snapshot_boundary_and_violation(reference_cfg):
     inside = reference_cfg.obstacles[0].center
     snap = snapshot(Vec2(500.0, 500.0), [inside, Vec2(400.0, 400.0)], reference_cfg)
     assert snap.defender_obstacle == math.inf
+
+
+def agent_ratio_mismatches(trace, cfg):
+    """Rows whose agent-agent ratios differ from the ratios recomputed from
+    that row's own positions: safety_ratio(lo, min pairwise hypot)."""
+    n = trace.defender_count
+    ax, ay = trace.column("attacker_x_m"), trace.column("attacker_y_m")
+    xs = [trace.column(f"d{j}_x_m") for j in range(n)]
+    ys = [trace.column(f"d{j}_y_m") for j in range(n)]
+    r_dd = trace.column("ratio_defender_defender")
+    r_ad = trace.column("ratio_attacker_defender")
+    bad = []
+    for i in range(len(ax)):
+        ps = [(x[i], y[i]) for x, y in zip(xs, ys)]
+        peer = min((math.hypot(p[0] - q[0], p[1] - q[1])
+                    for p, q in itertools.combinations(ps, 2)), default=math.inf)
+        threat = min((math.hypot(ax[i] - x, ay[i] - y) for x, y in ps), default=math.inf)
+        if (r_dd[i], r_ad[i]) != (safety_ratio(cfg.defenders.peer_band.lo, peer),
+                                  safety_ratio(cfg.attacker.standoff_band.lo, threat)):
+            bad.append(i)
+    return bad
+
+
+def test_handed_back_agent_ratios_are_exact(reference_cfg, reference_run, bundle_doc):
+    """On planning steps the snapshot takes its agent-agent minima from the
+    defender fields; every row must still hold the ratios of its positions.
+    The second run starts 20 m outside the sensing zone, so its first 2,000
+    rows and its terminal row take the snapshot's own measurement."""
+    trace, _ = reference_run
+    assert agent_ratio_mismatches(trace, reference_cfg) == []
+    doc = copy.deepcopy(bundle_doc)
+    doc["attacker"]["start_m"] = [0.0, 100.0]
+    cfg = scenario_from_dict(doc)
+    trace = run(cfg)
+    assert trace.events["t_sense_s"] == 20.0
+    assert agent_ratio_mismatches(trace, cfg) == []
 
 
 def test_maxima_include_the_first_row():
