@@ -709,26 +709,24 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         v.append(f"safe-area-overlap: the safe and protected areas' centers are {apart:.4f} m "
                  f"apart, not more than their summed radii {radii:.4f} m")
     # No safety_snapshot ratio may start at or above 1: each actual distance
-    # must exceed its threshold.
+    # must exceed its threshold.  who names the pair, formatted on a violation.
+    def clearance(ratio: str, lo: float, d: float, who: str, *ids) -> None:
+        if d <= lo:
+            v.append(f"start-clearance: {ratio} ratio {safety_ratio(lo, d):.4g} "
+                     f"({who.format(*ids)})")
     a0, starts = cfg.attacker.start, cfg.defenders.starts
     for i, ob in enumerate(cfg.obstacles):
-        for k, p in enumerate([a0, *starts]):
-            lo = (ob.defender_band if k else ob.formation_band).lo
-            e = superelliptic_distance(p, ob)
-            if e <= lo:
-                pair, who = ("defender", f"defender {k - 1}, ") if k else ("attacker", "")
-                v.append(f"start-clearance: {pair}_obstacle ratio "
-                         f"{safety_ratio(lo, e):.4g} ({who}obstacle {i})")
+        clearance("attacker_obstacle", ob.formation_band.lo, superelliptic_distance(a0, ob),
+                  "obstacle {}", i)
+        for k, p in enumerate(starts):
+            clearance("defender_obstacle", ob.defender_band.lo, superelliptic_distance(p, ob),
+                      "defender {}, obstacle {}", k, i)
     lo = cfg.defenders.peer_band.lo
     for (j, p), (k, q) in itertools.combinations(enumerate(starts), 2):
-        if dist(p, q) <= lo:
-            v.append(f"start-clearance: defender_defender ratio "
-                     f"{safety_ratio(lo, dist(p, q)):.4g} (defenders {j} and {k})")
+        clearance("defender_defender", lo, dist(p, q), "defenders {} and {}", j, k)
     lo = cfg.attacker.standoff_band.lo
     for k, p in enumerate(starts):
-        if dist(a0, p) <= lo:
-            v.append(f"start-clearance: attacker_defender ratio "
-                     f"{safety_ratio(lo, dist(a0, p)):.4g} (defender {k})")
+        clearance("attacker_defender", lo, dist(a0, p), "defender {}", k)
     if cfg.defenders.count == 1:
         v.append("defender-count: a lone defender cannot form an arc; use 0 or >= 2")
     if cfg.defenders.count > 0:

@@ -49,18 +49,18 @@ SKIN_M = 1.0
 
 
 @dataclass
-class DefenderState:
-    position: Vec2
-    velocity: Vec2
-    goal: Vec2
-
-
-@dataclass
 class SimState:
+    """The defenders are three lists in defender order.  A step replaces
+    each list whole and never mutates one in place, so the positions list
+    run() reads at step start stays the step-start snapshot for the safety
+    snapshot, the trace row and the formed test."""
+
     t: float
     attacker: AttackerState
     attacker_velocity: Vec2          # velocity commanded for the current step
-    defenders: list[DefenderState]
+    positions: list[Vec2]
+    velocities: list[Vec2]           # velocities commanded for the current step
+    goals: list[Vec2]                # slots of the last plan; positions on a hold step
     desired: float = 0.0             # desired herd heading of the last plan
     command: Optional[float] = None  # arc command of the last plan; None before any
     t_capture: Optional[float] = None  # last entry into the safe area, None once out
@@ -187,13 +187,10 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
 
 
 def new_state(cfg: ScenarioConfig) -> SimState:
-    return SimState(
-        t=0.0,
-        attacker=AttackerState(position=cfg.attacker.start, heading=0.0),
-        attacker_velocity=Vec2(0.0, 0.0),
-        defenders=[DefenderState(position=p, velocity=Vec2(0.0, 0.0), goal=p)
-                   for p in cfg.defenders.starts],
-    )
+    starts = list(cfg.defenders.starts)
+    return SimState(t=0.0, attacker=AttackerState(position=cfg.attacker.start, heading=0.0),
+                    attacker_velocity=Vec2(0.0, 0.0), positions=starts,
+                    velocities=[Vec2(0.0, 0.0)] * len(starts), goals=starts)
 
 
 @dataclass(frozen=True)
@@ -224,9 +221,9 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
       push takes one only within min(sensing radius, attacker_band.hi), so t
       beyond that drops it; t <= keeps a center the agent may reach, so a
       kernel still raises.
-    - bounds: threshold / floor, inf where floor <= 0.  The slack keeps the
-      floor at or below the evaluated level E and rounded division is
-      monotone, so this is at or above the evaluated ratio threshold / E.
+    - bounds: safety_ratio(threshold, floor).  The slack keeps the floor at
+      or below the evaluated level E and rounded division is monotone, so
+      this is at or above the evaluated ratio threshold / E.
     """
     sensing = cfg.attacker.sensing_radius
     near = []
@@ -237,8 +234,7 @@ def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> Obstacle
         if (floor < ob.defender_band.hi) if defender else (t <= min(sensing, ob.attacker_band.hi)):
             near.append(ob)
         lo = ob.defender_band.lo if defender else ob.formation_band.lo
-        bound = lo / floor if floor > 0.0 else math.inf
-        bounds.append((bound, lo, ob))
+        bounds.append((safety_ratio(lo, floor), lo, ob))
     bounds.sort(key=lambda entry: entry[0], reverse=True)
     return ObstacleList(anchor=anchor, near=tuple(near), bounds=tuple(bounds))
 
@@ -319,8 +315,7 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[V
         state.command, command, cfg.integrator.dt, cfg.control.heading_rate_max)
     state.command = command
     goals = formation_goals(r_a, state.attacker_velocity, command, rate, ctx.spec)
-    for d, (gp, _) in zip(state.defenders, goals):
-        d.goal = gp
+    state.goals = [gp for gp, _ in goals]
     return [gv for _, gv in goals]
 
 
@@ -332,18 +327,19 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     agent's step-start position; the defenders plan only if planning.  Returns
     the attacker's next state (not yet applied) and, if planning, the
     smallest defender-defender and attacker-defender distances the defender
-    fields measured (safety_snapshot's nearest), else None; defender
-    velocities, goals and headings are written into `state` directly.
+    fields measured (safety_snapshot's nearest), else None.  The defenders'
+    velocities and goals, each a new list, and the plan's headings are set
+    in `state`.
     """
     r_a = state.attacker.position
     push = obstacle_push(r_a, lists[0].near, cfg.attacker.sensing_radius)
+    positions = state.positions
     if planning:
         goal_velocities = _plan(state, cfg, ctx, push)
     else:
-        for d in state.defenders:
-            d.goal = d.position
+        state.goals = positions
+        state.velocities = [Vec2(0.0, 0.0)] * len(positions)
 
-    positions = [d.position for d in state.defenders]
     a_field = attacker_field(r_a, positions, push, cfg.protected.center,
                              cfg.attacker.sensing_radius, cfg.attacker.standoff_band)
     speed = cfg.attacker.speed_max
@@ -353,34 +349,33 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
                                    speed * math.sin(next_attacker.heading))
 
     if not planning:
-        for d in state.defenders:
-            d.velocity = Vec2(0.0, 0.0)
         return next_attacker, None
     peer_min = threat_min = math.inf
-    for j, (d, gv) in enumerate(zip(state.defenders, goal_velocities)):
-        f, conflict, peer, threat = defender_field(j, positions, d.goal, lists[j + 1].near,
+    velocities = []
+    for j, (p, goal, gv) in enumerate(zip(positions, state.goals, goal_velocities)):
+        f, conflict, peer, threat = defender_field(j, positions, goal, lists[j + 1].near,
                                                    cfg.defenders.peer_band, r_a, ctx.avoid)
-        d.velocity = defender_velocity(d.position, d.goal, gv, f, conflict, ctx.gains[j])
+        velocities.append(defender_velocity(p, goal, gv, f, conflict, ctx.gains[j]))
         if peer < peer_min:
             peer_min = peer
         if threat < threat_min:
             threat_min = threat
+    state.velocities = velocities
     return next_attacker, (peer_min, threat_min)
 
 
 def apply_commands(state: SimState, next_attacker: AttackerState, dt: float) -> None:
     """Synchronous Euler update of every agent, with an integrity check."""
     state.attacker = next_attacker
-    for d in state.defenders:
-        d.position = Vec2(d.position.x + d.velocity.x * dt,
-                          d.position.y + d.velocity.y * dt)
+    state.positions = [Vec2(p.x + v.x * dt, p.y + v.y * dt)
+                       for p, v in zip(state.positions, state.velocities)]
     if not state.attacker.position.is_finite() or \
-            any(not d.position.is_finite() for d in state.defenders):
+            any(not p.is_finite() for p in state.positions):
         raise IntegrityError(
             f"non-finite state at t={state.t}",
             dump={"t": state.t,
                   "attacker": tuple(state.attacker.position),
-                  "defenders": [tuple(d.position) for d in state.defenders]})
+                  "defenders": [tuple(p) for p in state.positions]})
 
 
 def run(cfg: ScenarioConfig, dt: Optional[float] = None,
@@ -425,7 +420,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             state.t_capture = None
             log.warning("attacker left the safe area at t=%.3f", t)
 
-        positions = [d.position for d in state.defenders]
+        positions = state.positions
         refresh_lists(lists, [r_a, *positions], cfg)
 
         if cfg.protected.contains(r_a):
@@ -448,21 +443,19 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         else:
             nearest = None
             state.attacker_velocity = Vec2(0.0, 0.0)
-            for d in state.defenders:
-                d.velocity = Vec2(0.0, 0.0)
+            state.velocities = [Vec2(0.0, 0.0)] * n
 
         snap = safety_snapshot(r_a, positions, cfg, lists, nearest)
         row = [t, r_a.x, r_a.y,
                state.attacker_velocity.x, state.attacker_velocity.y,
                state.desired, 0.0 if state.command is None else state.command]
-        for d in state.defenders:
-            row += [d.position.x, d.position.y, d.velocity.x, d.velocity.y,
-                    d.goal.x, d.goal.y]
+        for p, v, g in zip(positions, state.velocities, state.goals):
+            row += [p.x, p.y, v.x, v.y, g.x, g.y]
         row += snap
         trace.values.fromlist(row)
 
         if (events["t_formed_s"] is None and planning
-                and all(dist(d.position, d.goal) <= goal_tol for d in state.defenders)):
+                and all(dist(p, g) <= goal_tol for p, g in zip(positions, state.goals))):
             events["t_formed_s"] = t
 
         if terminal is not None:

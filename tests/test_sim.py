@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import gc
@@ -7,6 +8,7 @@ import math
 import sys
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -422,6 +424,33 @@ def test_non_finite_state_raises():
         apply_commands(state, bad, cfg.integrator.dt)
     assert "t=" in str(exc.value)
     assert exc.value.dump["defenders"]
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_non_finite_defender_raises_and_dumps_positions(bad):
+    from herdsim.errors import IntegrityError
+    from herdsim.sim import apply_commands
+    cfg = scenario_from_dict(small_scenario_doc())
+    state = new_state(cfg)
+    dt = cfg.integrator.dt
+    velocities = [Vec2(0.5 * j, -0.25 * j) for j in range(cfg.defenders.count)]
+    velocities[bad] = Vec2(math.inf, 1.0)
+    state.velocities = velocities
+    with pytest.raises(IntegrityError) as exc:
+        apply_commands(state, state.attacker, dt)
+    assert exc.value.dump["defenders"] == [
+        (p.x + v.x * dt, p.y + v.y * dt) for p, v in zip(cfg.defenders.starts, velocities)]
+    assert exc.value.dump["attacker"] == tuple(cfg.attacker.start)
+
+
+def test_bench_gates_on_the_same_golden_trace():
+    # bench/run.py keeps its own copy of the pin; read it without importing bench
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    pins = [ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "GOLDEN_TRACE_SHA256"
+                    for target in node.targets)]
+    assert pins == [GOLDEN_TRACE_SHA256]
 
 
 def test_reference_trace_matches_golden_hash(cli_artifacts):
