@@ -4,7 +4,7 @@ finite-time formation tracking."""
 
 __version__ = "0.1.0"
 
-from .attacker import AttackerState, attacker_field, attacker_step
+from .attacker import attacker_field, attacker_step
 from .defender_control import (TrackingGains, convergence_bounds, defender_field,
                                defender_velocity, solve_tracking_gains,
                                terminal_phase_time)

@@ -11,7 +11,6 @@ nudging its previous heading by a small fixed angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
@@ -19,12 +18,6 @@ from .environment import Obstacle
 from .geom import BlendTriplet, Vec2, close_blend, repel, wrap_angle
 
 DEADLOCK_TOL = 1e-6
-
-
-@dataclass
-class AttackerState:
-    position: Vec2
-    heading: float      # last motion direction, reused to escape deadlocks
 
 
 def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
@@ -51,24 +44,14 @@ def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
     return close_blend(position, protected_center, blend)
 
 
-def attacker_step(state: AttackerState, field: Vec2, speed: float, turn: float,
-                  dt: float) -> AttackerState:
-    """Advance the attacker one step at speed along the field (or the
-    deadlock escape).
+def attacker_step(heading: float, field: Vec2, turn: float) -> float:
+    """The attacker's heading for this step: along the field, or, where the
+    field cancels out, the last heading turned by `turn` (the deadlock
+    escape).
 
-    The heading always tracks the realized motion direction, so consecutive
-    deadlock steps keep turning by the same increment.
+    The attacker moves along the returned heading, so consecutive deadlock
+    steps keep turning by the same increment.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    norm = field.norm()
-    if norm > DEADLOCK_TOL:
-        heading = math.atan2(field.y, field.x)
-    else:
-        heading = wrap_angle(state.heading + turn)
-    step = speed * dt
-    return AttackerState(
-        position=Vec2(state.position.x + step * math.cos(heading),
-                      state.position.y + step * math.sin(heading)),
-        heading=heading,
-    )
+    if field.norm() > DEADLOCK_TOL:
+        return math.atan2(field.y, field.x)
+    return wrap_angle(heading + turn)

@@ -97,21 +97,21 @@ def schedule_heading(field_angle: float, t: float, t_capture: Optional[float],
 
 
 def formation_goals(attacker_pos: Vec2, attacker_vel: Vec2, command: float,
-                    command_rate: float, spec: FormationSpec):
-    """Slot positions and feedforward velocities on the arc.
+                    command_rate: float, spec: FormationSpec) -> tuple[list[Vec2], list[Vec2]]:
+    """Slot positions and feedforward velocities on the arc, as two lists in
+    defender order.
 
     Slots ride the circle of the arc radius around the attacker, centered on
     the direction opposite the command heading; their velocities combine the
     attacker's motion with the arc rotation.
     """
     goals = []
+    velocities = []
     r = spec.arc_radius
     for off in spec.offsets:
         a = command + math.pi + off
         c, s = math.cos(a), math.sin(a)
-        goals.append((
-            Vec2(attacker_pos.x + r * c, attacker_pos.y + r * s),
-            Vec2(attacker_vel.x - r * command_rate * s,
-                 attacker_vel.y + r * command_rate * c),
-        ))
-    return goals
+        goals.append(Vec2(attacker_pos.x + r * c, attacker_pos.y + r * s))
+        velocities.append(Vec2(attacker_vel.x - r * command_rate * s,
+                               attacker_vel.y + r * command_rate * c))
+    return goals, velocities

@@ -8,8 +8,8 @@ position updates are applied together at the end of the step.
 
 Step order: sense -> obstacle push on the attacker (once) -> plan (guidance
 field, heading schedule, arc command against that push, slots) -> attacker
-policy (the same push) -> defender tracking -> synchronous Euler update ->
-safety snapshot.
+heading (the same push) -> defender tracking -> synchronous Euler update of
+every agent by its commanded velocity -> safety snapshot.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
 
-from .attacker import AttackerState, attacker_field, attacker_step, obstacle_push
+from .attacker import attacker_field, attacker_step, obstacle_push
 from .defender_control import (TrackingGains, defender_field, defender_velocity,
                                solve_tracking_gains)
 from .environment import (Obstacle, ScenarioConfig, distance_floor, level_floor,
@@ -50,13 +50,15 @@ SKIN_M = 1.0
 
 @dataclass
 class SimState:
-    """The defenders are three lists in defender order.  A step replaces
-    each list whole and never mutates one in place, so the positions list
-    run() reads at step start stays the step-start snapshot for the safety
-    snapshot, the trace row and the formed test."""
+    """The attacker is a position, heading and velocity; the defenders are
+    three lists in defender order.  A step replaces each list whole and
+    never mutates one in place, so the positions list run() reads at step
+    start stays the step-start snapshot for the safety snapshot, the trace
+    row and the formed test."""
 
     t: float
-    attacker: AttackerState
+    attacker: Vec2                   # the attacker's position
+    heading: float                   # the attacker's last heading
     attacker_velocity: Vec2          # velocity commanded for the current step
     positions: list[Vec2]
     velocities: list[Vec2]           # velocities commanded for the current step
@@ -188,7 +190,7 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
 
 def new_state(cfg: ScenarioConfig) -> SimState:
     starts = list(cfg.defenders.starts)
-    return SimState(t=0.0, attacker=AttackerState(position=cfg.attacker.start, heading=0.0),
+    return SimState(t=0.0, attacker=cfg.attacker.start, heading=0.0,
                     attacker_velocity=Vec2(0.0, 0.0), positions=starts,
                     velocities=[Vec2(0.0, 0.0)] * len(starts), goals=starts)
 
@@ -304,7 +306,7 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[V
     push is the attacker's obstacle push at its position; the guidance field
     scans ctx.guidance, which holds every obstacle that can act on it here.
     """
-    r_a = state.attacker.position
+    r_a = state.attacker
     field_angle = angle_of(combined_field(r_a, ctx.guidance, cfg.safe.center))
     state.desired = schedule_heading(field_angle, state.t, state.t_capture,
                                      cfg.capture.transition_time,
@@ -314,24 +316,23 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[V
     rate = 0.0 if state.command is None else heading_rate(
         state.command, command, cfg.integrator.dt, cfg.control.heading_rate_max)
     state.command = command
-    goals = formation_goals(r_a, state.attacker_velocity, command, rate, ctx.spec)
-    state.goals = [gp for gp, _ in goals]
-    return [gv for _, gv in goals]
+    state.goals, velocities = formation_goals(r_a, state.attacker_velocity, command, rate,
+                                              ctx.spec)
+    return velocities
 
 
 def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
-                     lists, planning: bool) -> tuple[AttackerState, Optional[tuple[float, float]]]:
+                     lists, planning: bool) -> Optional[tuple[float, float]]:
     """Fill every command for the current step from the step-start snapshot.
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
-    agent's step-start position; the defenders plan only if planning.  Returns
-    the attacker's next state (not yet applied) and, if planning, the
-    smallest defender-defender and attacker-defender distances the defender
-    fields measured (safety_snapshot's nearest), else None.  The defenders'
-    velocities and goals, each a new list, and the plan's headings are set
-    in `state`.
+    agent's step-start position; the defenders plan only if planning.  Sets
+    in `state` the attacker's heading and velocity, the defenders' velocities
+    and goals (each a new list) and the plan's headings.  Returns, if
+    planning, the smallest defender-defender and attacker-defender distances
+    the defender fields measured (safety_snapshot's nearest), else None.
     """
-    r_a = state.attacker.position
+    r_a = state.attacker
     push = obstacle_push(r_a, lists[0].near, cfg.attacker.sensing_radius)
     positions = state.positions
     if planning:
@@ -343,13 +344,11 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     a_field = attacker_field(r_a, positions, push, cfg.protected.center,
                              cfg.attacker.sensing_radius, cfg.attacker.standoff_band)
     speed = cfg.attacker.speed_max
-    next_attacker = attacker_step(state.attacker, a_field, speed,
-                                  cfg.attacker.deadlock_turn, cfg.integrator.dt)
-    state.attacker_velocity = Vec2(speed * math.cos(next_attacker.heading),
-                                   speed * math.sin(next_attacker.heading))
+    state.heading = heading = attacker_step(state.heading, a_field, cfg.attacker.deadlock_turn)
+    state.attacker_velocity = Vec2(speed * math.cos(heading), speed * math.sin(heading))
 
     if not planning:
-        return next_attacker, None
+        return None
     peer_min = threat_min = math.inf
     velocities = []
     for j, (p, goal, gv) in enumerate(zip(positions, state.goals, goal_velocities)):
@@ -361,20 +360,21 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
         if threat < threat_min:
             threat_min = threat
     state.velocities = velocities
-    return next_attacker, (peer_min, threat_min)
+    return peer_min, threat_min
 
 
-def apply_commands(state: SimState, next_attacker: AttackerState, dt: float) -> None:
-    """Synchronous Euler update of every agent, with an integrity check."""
-    state.attacker = next_attacker
+def apply_commands(state: SimState, dt: float) -> None:
+    """Synchronous Euler update of every agent by its commanded velocity,
+    p + v * dt, with an integrity check.  The only place an agent moves."""
+    a, v = state.attacker, state.attacker_velocity
+    state.attacker = Vec2(a.x + v.x * dt, a.y + v.y * dt)
     state.positions = [Vec2(p.x + v.x * dt, p.y + v.y * dt)
                        for p, v in zip(state.positions, state.velocities)]
-    if not state.attacker.position.is_finite() or \
-            any(not p.is_finite() for p in state.positions):
+    if not state.attacker.is_finite() or any(not p.is_finite() for p in state.positions):
         raise IntegrityError(
             f"non-finite state at t={state.t}",
             dump={"t": state.t,
-                  "attacker": tuple(state.attacker.position),
+                  "attacker": tuple(state.attacker),
                   "defenders": [tuple(p) for p in state.positions]})
 
 
@@ -412,7 +412,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
 
     for i in range(n_steps + 1):
         state.t = t = i * cfg.integrator.dt
-        r_a = state.attacker.position
+        r_a = state.attacker
         in_safe = cfg.safe.contains(r_a)
 
         if state.t_capture is not None and not in_safe:
@@ -439,7 +439,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             if (planning and state.t_capture is None and in_safe
                     and events["t_formed_s"] is not None):
                 state.t_capture = t
-            next_attacker, nearest = compute_commands(state, cfg, ctx, lists, planning)
+            nearest = compute_commands(state, cfg, ctx, lists, planning)
         else:
             nearest = None
             state.attacker_velocity = Vec2(0.0, 0.0)
@@ -461,7 +461,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         if terminal is not None:
             trace.termination = terminal
             break
-        apply_commands(state, next_attacker, cfg.integrator.dt)
+        apply_commands(state, cfg.integrator.dt)
 
     events["t_capture_s"] = state.t_capture
     trace.maxima = {name: max(trace.column(name)) for name in RATIO_COLUMNS}

@@ -9,9 +9,11 @@ import pytest
 
 from herdsim.cli import main as cli_main
 from herdsim.environment import (ObstacleDerivation, contour_offsets, load_scenario,
-                                 reference_scenario_path, tangent_angle_at)
+                                 reference_scenario_path, superelliptic_distance,
+                                 tangent_angle_at)
+from herdsim.errors import DomainError
 from herdsim.formation_field import repulsive_angle
-from herdsim.geom import Vec2, wrap_angle
+from herdsim.geom import Vec2, blend_weight, wrap_angle
 from herdsim.sim import run
 
 def child_env():
@@ -56,6 +58,69 @@ def component_angle_gap(p, ob, target):
         return 0.0
     toward = math.atan2(target.y - p.y, target.x - p.x)
     return wrap_angle(toward - repulsive_angle(p, ob, target))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the DomainError it raises."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+# The loops the obstacle-following and defender kernels replaced, weighing
+# every source: tests/test_blend.py and tests/test_culling.py compare the
+# kernels against them.
+def ref_follow_obstacles(p, obstacles, target, defender):
+    prod = 1.0
+    fx = 0.0
+    fy = 0.0
+    active = None
+    sigma_max = 0.0
+    for k, ob in enumerate(obstacles):
+        band = ob.defender_band if defender else ob.formation_band
+        sigma = blend_weight(superelliptic_distance(p, ob), band)
+        if sigma <= 0.0:
+            continue
+        prod *= 1.0 - sigma
+        phi = repulsive_angle(p, ob, target)
+        fx += sigma * math.cos(phi)
+        fy += sigma * math.sin(phi)
+        if sigma > sigma_max:
+            sigma_max = sigma
+            active = k
+    return prod, fx, fy, sigma_max, active
+
+
+def ref_defender_field(index, positions, goal, obstacles, peer_band, attacker, avoid):
+    p = positions[index]
+    prod, rx, ry, sigma_max, _ = ref_follow_obstacles(p, obstacles, goal, True)
+    conflict = sigma_max > 0.0
+
+    others = [(q, peer_band) for l, q in enumerate(positions) if l != index]
+    distances = []
+    for other, band in others + [(attacker, avoid)]:
+        dx = p.x - other.x
+        dy = p.y - other.y
+        d = math.hypot(dx, dy)
+        distances.append(d)
+        if d == 0.0:
+            raise DomainError(f"defender {index} coincides with {other}")
+        sigma = blend_weight(d, band)
+        if sigma <= 0.0:
+            continue
+        conflict = True
+        prod *= 1.0 - sigma
+        rx += sigma * dx / d
+        ry += sigma * dy / d
+
+    gx = goal.x - p.x
+    gy = goal.y - p.y
+    g = math.hypot(gx, gy)
+    if g > 0.0:
+        rx += prod * gx / g
+        ry += prod * gy / g
+    return Vec2(rx, ry), conflict, min(distances[:-1], default=math.inf), distances[-1]
 
 
 @pytest.fixture(scope="session")

@@ -143,8 +143,7 @@ def test_c06_command_heading_correctness(derivation):
         # sits at that bearing from the obstacle center
         r_a = Vec2(ob.center.x + d * math.cos(bearing),
                    ob.center.y + d * math.sin(bearing))
-        defenders = [g for g, _ in formation_goals(r_a, Vec2(0.0, 0.0), command,
-                                                   0.0, spec)]
+        defenders, _ = formation_goals(r_a, Vec2(0.0, 0.0), command, 0.0, spec)
         field = attacker_field(r_a, defenders, obstacle_push(r_a, [ob], 1e6),
                                Vec2(800.0, 0.0), 1e6, standoff)
         worst_align = max(worst_align, abs(wrap_angle(angle_of(field) - desired)))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from herdsim.attacker import AttackerState, attacker_field, attacker_step, obstacle_push
+from herdsim.attacker import attacker_field, attacker_step, obstacle_push
 from herdsim.environment import derive_obstacle
 from herdsim.errors import DomainError
 from herdsim.geom import BlendTriplet, Vec2
@@ -59,30 +59,21 @@ def test_obstacle_push_rejects_an_obstacle_center(derivation):
 
 
 def test_step_normalizes_field():
-    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.0)
-    out = attacker_step(s, Vec2(2.0, 0.0), speed=1.0, turn=0.05, dt=0.1)
-    assert out.position.x == pytest.approx(0.1)
-    assert out.position.y == pytest.approx(0.0)
+    assert attacker_step(0.7, Vec2(2.0, 0.0), turn=0.05) == 0.0
 
 
 def test_deadlock_turns_by_fixed_increment():
-    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.3)
+    heading = 0.3
     for k in range(3):
-        s = attacker_step(s, Vec2(0.0, 0.0), speed=1.0, turn=0.05, dt=0.01)
-        assert s.heading == pytest.approx(0.3 + 0.05 * (k + 1))
+        heading = attacker_step(heading, Vec2(0.0, 0.0), turn=0.05)
+        assert heading == pytest.approx(0.3 + 0.05 * (k + 1))
 
 
 def test_step_displacement_bounded():
-    s = AttackerState(position=Vec2(2.0, -1.0), heading=1.0)
-    out = attacker_step(s, Vec2(0.3, -0.9), speed=1.0, turn=0.05, dt=0.01)
-    moved = math.hypot(out.position.x - 2.0, out.position.y + 1.0)
-    assert moved <= 1.0 * 0.01 + 1e-12
-
-
-def test_step_rejects_bad_dt():
-    s = AttackerState(position=Vec2(0.0, 0.0), heading=0.0)
-    with pytest.raises(ValueError):
-        attacker_step(s, Vec2(1.0, 0.0), speed=1.0, turn=0.05, dt=0.0)
+    # the heading follows the field, not the last heading; the run moves the
+    # attacker by at most its speed (tests/test_sim.py)
+    heading = attacker_step(1.0, Vec2(0.3, -0.9), turn=0.05)
+    assert heading == math.atan2(-0.9, 0.3)
 
 
 @given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))

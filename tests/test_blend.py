@@ -2,15 +2,15 @@
 hand-written loops they replaced.
 
 The attacker's obstacle push, the attacker field and the defender field each
-had their own radial push loop and attraction step; those loops are copied
-below as the reference (the defender's radial loop now also takes the
-attacker, on its own band, after the peers, and hands back the nearest
-peer's and the attacker's distances), and the kernels built on the blend
-must return equal results, raising where they raised.  The loops weigh
-every source; the kernels skip one at or beyond its band's hi.  Positions
-and band thresholds are multiples of 1/32 and small, so a source placed a
-band threshold (or the sensing radius) away along an axis sits at exactly
-that distance.
+had their own radial push loop and attraction step; those loops are the
+reference, the attacker's copied below and the defender's in conftest.py
+(its radial loop now also takes the attacker, on its own band, after the
+peers, and hands back the nearest peer's and the attacker's distances), and
+the kernels built on the blend must return equal results, raising where
+they raised.  The loops weigh every source; the kernels skip one at or
+beyond its band's hi.  Positions and band thresholds are multiples of 1/32
+and small, so a source placed a band threshold (or the sensing radius)
+away along an axis sits at exactly that distance.
 """
 
 import dataclasses
@@ -23,11 +23,13 @@ from herdsim import formation_field, geom
 from herdsim.attacker import attacker_field, obstacle_push
 from herdsim.defender_control import defender_field
 from herdsim.errors import DomainError
-from herdsim.formation_field import follow_obstacles, repulsive_angle
+from herdsim.formation_field import follow_obstacles
 from herdsim.environment import superelliptic_distance
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, close_blend, repel
 from herdsim.herding import obstacle_resultant
 from herdsim.sim import run
+
+from conftest import outcome, ref_defender_field, ref_follow_obstacles
 
 
 # ---------------------------------------------------------------------------
@@ -85,58 +87,6 @@ def ref_attacker_field(position, defenders, push, protected_center,
     return Vec2(rx, ry)
 
 
-def ref_follow_obstacles(p, obstacles, target, defender):
-    prod = 1.0
-    fx = 0.0
-    fy = 0.0
-    active = None
-    sigma_max = 0.0
-    for k, ob in enumerate(obstacles):
-        band = ob.defender_band if defender else ob.formation_band
-        sigma = blend_weight(superelliptic_distance(p, ob), band)
-        if sigma <= 0.0:
-            continue
-        prod *= 1.0 - sigma
-        phi = repulsive_angle(p, ob, target)
-        fx += sigma * math.cos(phi)
-        fy += sigma * math.sin(phi)
-        if sigma > sigma_max:
-            sigma_max = sigma
-            active = k
-    return prod, fx, fy, sigma_max, active
-
-
-def ref_defender_field(index, positions, goal, obstacles, peer_band, attacker, avoid):
-    p = positions[index]
-    prod, rx, ry, sigma_max, _ = ref_follow_obstacles(p, obstacles, goal, True)
-    conflict = sigma_max > 0.0
-
-    others = [(q, peer_band) for l, q in enumerate(positions) if l != index]
-    distances = []
-    for other, band in others + [(attacker, avoid)]:
-        dx = p.x - other.x
-        dy = p.y - other.y
-        d = math.hypot(dx, dy)
-        distances.append(d)
-        if d == 0.0:
-            raise DomainError(f"defender {index} coincides with {other}")
-        sigma = blend_weight(d, band)
-        if sigma <= 0.0:
-            continue
-        conflict = True
-        prod *= 1.0 - sigma
-        rx += sigma * dx / d
-        ry += sigma * dy / d
-
-    gx = goal.x - p.x
-    gy = goal.y - p.y
-    g = math.hypot(gx, gy)
-    if g > 0.0:
-        rx += prod * gx / g
-        ry += prod * gy / g
-    return Vec2(rx, ry), conflict, min(distances[:-1], default=math.inf), distances[-1]
-
-
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -163,13 +113,6 @@ def sources(draw, p, band, reach):
     r = {"mid": band.mid, "hi": band.hi, "reach": reach, "on": 0.0}[kind]
     ux, uy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
     return Vec2(p.x + ux * r, p.y + uy * r)
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        return type(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ field sees only the obstacles that can reach the defenders' sensing zone,
 and the safety snapshot walks the lists' ratio bounds.  Each list and bound
 comes from one test: level_floor at a distance_floor, against a band level.
 These properties check that floor against superelliptic_distance, and the
-list-driven kernels against the full-scan loops they replaced, copied below
-as the reference.
+list-driven kernels against the full-scan loops they replaced, the
+reference: the snapshot's below, the defender field's in conftest.py.
 """
 
 import copy
@@ -25,12 +25,13 @@ from herdsim.environment import (CULL_SLACK, ObstacleDerivation, contour_offsets
                                  derive_obstacle, distance_floor, level_floor,
                                  scenario_from_dict, superelliptic_distance,
                                  validate_scenario)
-from herdsim.errors import DomainError
-from herdsim.formation_field import combined_field, repulsive_angle
+from herdsim.formation_field import combined_field
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, dist
 from herdsim.herding import obstacle_resultant
 from herdsim.sim import (SafetySnapshot, build_context, obstacle_list, refresh_lists, run,
                          safety_snapshot)
+
+from conftest import outcome, ref_defender_field
 
 PEERS = BlendTriplet(0.25, 0.32, 0.42)
 AVOID = BlendTriplet(0.3, 0.4, 0.5)
@@ -69,49 +70,6 @@ def full_scan_snapshot(attacker_pos, defender_positions, cfg):
 
     return SafetySnapshot(attacker_obstacle=r_ao, defender_obstacle=r_do,
                           defender_defender=r_dd, attacker_defender=r_ad)
-
-
-def full_scan_defender_field(index, positions, goal, obstacles, peer_band, attacker, avoid):
-    p = positions[index]
-    prod = 1.0
-    rx = 0.0
-    ry = 0.0
-    conflict = False
-
-    for ob in obstacles:
-        sigma = blend_weight(superelliptic_distance(p, ob), ob.defender_band)
-        if sigma <= 0.0:
-            continue
-        conflict = True
-        prod *= 1.0 - sigma
-        phi = repulsive_angle(p, ob, goal)
-        rx += sigma * math.cos(phi)
-        ry += sigma * math.sin(phi)
-
-    others = [(q, peer_band) for l, q in enumerate(positions) if l != index]
-    distances = []
-    for other, band in others + [(attacker, avoid)]:
-        dx = p.x - other.x
-        dy = p.y - other.y
-        d = math.hypot(dx, dy)
-        distances.append(d)
-        if d == 0.0:
-            raise DomainError(f"defender {index} coincides with {other}")
-        sigma = blend_weight(d, band)
-        if sigma <= 0.0:
-            continue
-        conflict = True
-        prod *= 1.0 - sigma
-        rx += sigma * dx / d
-        ry += sigma * dy / d
-
-    gx = goal.x - p.x
-    gy = goal.y - p.y
-    g = math.hypot(gx, gy)
-    if g > 0.0:
-        rx += prod * gx / g
-        ry += prod * gy / g
-    return Vec2(rx, ry), conflict, min(distances[:-1], default=math.inf), distances[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +136,6 @@ def worlds(draw):
         return draw(st.sampled_from(obs).flatmap(points_near))
 
     return obs, point(), [point() for _ in range(draw(st.integers(0, 4)))]
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        return type(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +277,7 @@ def test_list_driven_kernels_match_full_scan(reference_cfg, data):
     for j in range(len(positions)):
         assert (outcome(defender_field, j, positions, target, lists[j + 1].near, PEERS,
                         p_a, AVOID)
-                == outcome(full_scan_defender_field, j, positions, target, obs, PEERS,
+                == outcome(ref_defender_field, j, positions, target, obs, PEERS,
                            p_a, AVOID))
     assert (safety_snapshot(p_a, positions, cfg, lists)
             == full_scan_snapshot(p_a, positions, cfg))

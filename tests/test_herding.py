@@ -109,7 +109,7 @@ def test_saturated_arc_field_aligns_with_desired(derivation):
                    ob.center.y + d * math.sin(bearing))
         fo = blend_weight(d, ob.attacker_band)
         cmd = solve_command_heading(desired, fo, bearing, spec.arc_magnitude)
-        defenders = [g for g, _ in formation_goals(r_a, Vec2(0.0, 0.0), cmd, 0.0, spec)]
+        defenders, _ = formation_goals(r_a, Vec2(0.0, 0.0), cmd, 0.0, spec)
         field = attacker_field(r_a, defenders, obstacle_push(r_a, [ob], 1e6),
                                Vec2(500.0, 0.0), 1e6, standoff)
         assert abs(wrap_angle(angle_of(field) - desired)) < 1e-6
@@ -188,25 +188,26 @@ def test_schedule_phases():
 
 def test_goals_geometry():
     spec = formation_spec(3, 2.0, 0.55, 0.3, 0.25)
-    goals = formation_goals(Vec2(1.0, 2.0), Vec2(0.3, -0.1), 0.0, 0.0, spec)
+    goals, velocities = formation_goals(Vec2(1.0, 2.0), Vec2(0.3, -0.1), 0.0, 0.0, spec)
     # middle slot sits directly behind the commanded direction
-    mid_goal, mid_vel = goals[1]
+    mid_goal = goals[1]
     assert mid_goal.x == pytest.approx(1.0 - 0.55)
     assert mid_goal.y == pytest.approx(2.0)
     # zero arc rotation: every slot just rides the attacker velocity
-    for _, vel in goals:
+    for vel in velocities:
         assert vel.x == pytest.approx(0.3)
         assert vel.y == pytest.approx(-0.1)
     # all slots on the arc circle
-    for goal, _ in goals:
+    for goal in goals:
         assert dist(goal, Vec2(1.0, 2.0)) == pytest.approx(0.55)
 
 
 def test_goal_rotation_feedforward():
     spec = formation_spec(2, 1.0, 0.5, 0.3, 0.25)
     rate = 0.4
-    goals = formation_goals(Vec2(0.0, 0.0), Vec2(0.0, 0.0), 0.0, rate, spec)
-    for goal, vel in goals:
+    goals, velocities = formation_goals(Vec2(0.0, 0.0), Vec2(0.0, 0.0), 0.0, rate, spec)
+    assert len(goals) == len(velocities) == 2
+    for goal, vel in zip(goals, velocities):
         # velocity perpendicular to the spoke, magnitude radius*rate
         spoke = Vec2(goal.x, goal.y)
         assert abs(vel.x * spoke.x + vel.y * spoke.y) < 1e-12
@@ -226,6 +227,6 @@ def test_goal_separation_respects_peer_minimum():
             continue
         spread = rng.uniform(needed, min(needed * 1.5 + 0.1, 2.0 * math.pi))
         spec = formation_spec(count, spread, arc_radius, standoff_min, peer_min)
-        goals = formation_goals(Vec2(0.0, 0.0), Vec2(0.0, 0.0), 0.3, 0.0, spec)
-        for (a, _), (b, _) in zip(goals, goals[1:]):
+        goals, _ = formation_goals(Vec2(0.0, 0.0), Vec2(0.0, 0.0), 0.3, 0.0, spec)
+        for a, b in zip(goals, goals[1:]):
             assert dist(a, b) >= peer_min - 1e-9

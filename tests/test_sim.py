@@ -201,6 +201,9 @@ WORLD_1155 = {
     pytest.param(WORLD_1155, id="world-1155",
                  marks=pytest.mark.xfail(reason="ROADMAP 1(h): attacker_obstacle ratio 1.072 "
                                                 "at 76.76 s, after the arc formed at 74.95 s")),
+    pytest.param({("attacker", "speed_max_mps"): 0.5}, id="attacker-0.5",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.75, but the arc "
+                                                "never forms and the run ends t-max")),
 ])
 def test_accepted_scenario_keeps_every_ratio_below_1(bundle_doc, changes):
     doc = copy.deepcopy(bundle_doc)
@@ -335,6 +338,10 @@ def test_reference_run_speed_bounds_every_step(reference_cfg, reference_run):
     for agent, vmax in limits.items():
         speeds = map(math.hypot, trace.column(f"{agent}_vx_mps"), trace.column(f"{agent}_vy_mps"))
         assert all(speed <= vmax + 1e-12 for speed in speeds)
+        # so no step moves the agent farther than vmax * dt
+        x, y = trace.column(f"{agent}_x_m"), trace.column(f"{agent}_y_m")
+        moved = map(math.hypot, map(float.__sub__, x[1:], x), map(float.__sub__, y[1:], y))
+        assert all(d <= vmax * trace.dt + 1e-12 for d in moved)
 
 
 def test_reference_run_time_monotone(reference_run):
@@ -391,16 +398,33 @@ def test_lone_defender_rejected():
         build_context(cfg)
 
 
-def test_positions_move_only_through_velocity(reference_run):
-    # no hidden state: every logged displacement is exactly velocity * dt
-    trace, _ = reference_run
+def assert_moves_only_through_velocity(trace):
+    """No hidden state: each agent's next position is exactly its position
+    plus its logged velocity times dt, in every row."""
     dt = trace.dt
     for agent in ["attacker"] + [f"d{j}" for j in range(trace.defender_count)]:
         for axis in "xy":
             pos = trace.column(f"{agent}_{axis}_m")
             vel = trace.column(f"{agent}_v{axis}_mps")
-            for k in range(1, len(pos)):
-                assert pos[k] == pytest.approx(pos[k - 1] + vel[k - 1] * dt, abs=1e-12)
+            moved = array("d", map(lambda p, v: p + v * dt, pos[:-1], vel))
+            assert pos[1:] == moved, (
+                f"{agent}_{axis}: {sum(a != b for a, b in zip(pos[1:], moved))} steps off")
+
+
+def test_positions_move_only_through_velocity(reference_run):
+    assert_moves_only_through_velocity(reference_run[0])
+
+
+def test_attacker_at_an_inexact_speed_moves_only_through_velocity(bundle_doc):
+    # 0.7 m/s is not a power of two, so (speed * dt) * cos(h) rounds
+    # differently from the logged velocity speed * cos(h) times dt
+    doc = copy.deepcopy(bundle_doc)
+    doc["attacker"]["speed_max_mps"] = 0.7
+    cfg = scenario_from_dict(doc)
+    assert validate_scenario(cfg) == []
+    trace = run(cfg)
+    assert (trace.termination, trace.events["t_formed_s"]) == ("captured-stable", 38.65)
+    assert_moves_only_through_velocity(trace)
 
 
 def test_desired_heading_mostly_continuous(reference_run):
@@ -414,14 +438,13 @@ def test_desired_heading_mostly_continuous(reference_run):
 
 
 def test_non_finite_state_raises():
-    from herdsim.attacker import AttackerState
     from herdsim.errors import IntegrityError
     from herdsim.sim import apply_commands
     cfg = scenario_from_dict(small_scenario_doc())
     state = new_state(cfg)
-    bad = AttackerState(position=Vec2(math.nan, 0.0), heading=0.0)
+    state.attacker_velocity = Vec2(math.nan, 0.0)
     with pytest.raises(IntegrityError) as exc:
-        apply_commands(state, bad, cfg.integrator.dt)
+        apply_commands(state, cfg.integrator.dt)
     assert "t=" in str(exc.value)
     assert exc.value.dump["defenders"]
 
@@ -437,7 +460,7 @@ def test_non_finite_defender_raises_and_dumps_positions(bad):
     velocities[bad] = Vec2(math.inf, 1.0)
     state.velocities = velocities
     with pytest.raises(IntegrityError) as exc:
-        apply_commands(state, state.attacker, dt)
+        apply_commands(state, dt)
     assert exc.value.dump["defenders"] == [
         (p.x + v.x * dt, p.y + v.y * dt) for p, v in zip(cfg.defenders.starts, velocities)]
     assert exc.value.dump["attacker"] == tuple(cfg.attacker.start)
