@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
 from .environment import SOLVER_TOL, Obstacle, bisect
 from .errors import ConfigError, SolverError
 from .formation_field import follow_obstacles
-from .geom import BlendTriplet, Vec2, close_blend, repel
+from .geom import BlendTriplet, Frozen, Vec2, close_blend, repel
 
 log = logging.getLogger("herdsim.defender")
 
@@ -31,12 +30,17 @@ FIELD_TOL = 1e-12
 HANDOFF_RESIDUAL_MAX = 1e-11
 
 
-@dataclass(frozen=True)
-class TrackingGains:
-    approach_speed: float      # far-field speed scale (m/s)
-    terminal_gain: float       # near-goal power-law gain
-    terminal_exponent: float   # power-law exponent, in (0, 1)
-    handoff_error: float       # error magnitude where the two regimes join (m)
+class TrackingGains(Frozen):
+    __slots__ = ("approach_speed", "terminal_gain", "terminal_exponent", "handoff_error")
+
+    def __init__(self, approach_speed: float,  # far-field speed scale (m/s)
+                 terminal_gain: float,         # near-goal power-law gain
+                 terminal_exponent: float,     # power-law exponent, in (0, 1)
+                 handoff_error: float):        # error magnitude where the two regimes join (m)
+        object.__setattr__(self, "approach_speed", approach_speed)
+        object.__setattr__(self, "terminal_gain", terminal_gain)
+        object.__setattr__(self, "terminal_exponent", terminal_exponent)
+        object.__setattr__(self, "handoff_error", handoff_error)
 
 
 def solve_tracking_gains(terminal_exponent: float, speed_max: float,

@@ -19,12 +19,11 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, ScenarioFileError, SchemaError, SolverError
-from .geom import BlendTriplet, Vec2, dist
+from .geom import BlendTriplet, Frozen, Vec2, dist
 
 # Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
 # by at most about (2n + 10) ulps: the division by a semi-axis is magnified
@@ -59,25 +58,24 @@ def reference_scenario_path() -> Path:
     return Path(resources.files("herdsim").joinpath("data/reference_scenario.json"))
 
 
-@dataclass(frozen=True)
-class Disc:
+class Disc(Frozen):
     """A disc-shaped area (protected or safe)."""
 
-    center: Vec2
-    radius: float
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        if not (self.center.is_finite() and math.isfinite(self.radius)):
+    def __init__(self, center: Vec2, radius: float):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        if not (center.is_finite() and math.isfinite(radius)):
             raise ConfigError(f"disc must be finite: {self}")
-        if self.radius <= 0.0:
-            raise ConfigError(f"disc radius must be positive, got {self.radius}")
+        if radius <= 0.0:
+            raise ConfigError(f"disc radius must be positive, got {radius}")
 
     def contains(self, p: Vec2) -> bool:
         return math.hypot(p.x - self.center.x, p.y - self.center.y) <= self.radius
 
 
-@dataclass(frozen=True)
-class Obstacle:
+class Obstacle(Frozen):
     """Axis-aligned rectangle plus its derived super-elliptic shells.
 
     formation_* is the rectangle inflated by the whole formation footprint
@@ -91,33 +89,56 @@ class Obstacle:
     at least that far from the center, superelliptic_distance returns a
     level >= hi, so the blend weight is exactly 0.  It is level_floor's bound
     solved for the distance; only the validator's shell-pair test reads it.
+    semi_diagonal is hypot(semi_x, semi_y), level_floor's h.
     """
 
-    center: Vec2
-    width: float
-    height: float
-    formation_width: float
-    formation_height: float
-    exponent: float
-    semi_x: float
-    semi_y: float
-    semi_diagonal: float             # hypot(semi_x, semi_y), level_floor's h
-    formation_band: BlendTriplet
-    defender_band: BlendTriplet
-    attacker_band: BlendTriplet
-    formation_reach: float
+    __slots__ = ("center", "width", "height", "formation_width", "formation_height",
+                 "exponent", "semi_x", "semi_y", "semi_diagonal", "formation_band",
+                 "defender_band", "attacker_band", "formation_reach")
+
+    def __init__(self, center: Vec2, width: float, height: float, formation_width: float,
+                 formation_height: float, exponent: float, semi_x: float, semi_y: float,
+                 semi_diagonal: float, formation_band: BlendTriplet,
+                 defender_band: BlendTriplet, attacker_band: BlendTriplet,
+                 formation_reach: float):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "formation_width", formation_width)
+        object.__setattr__(self, "formation_height", formation_height)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "semi_x", semi_x)
+        object.__setattr__(self, "semi_y", semi_y)
+        object.__setattr__(self, "semi_diagonal", semi_diagonal)
+        object.__setattr__(self, "formation_band", formation_band)
+        object.__setattr__(self, "defender_band", defender_band)
+        object.__setattr__(self, "attacker_band", attacker_band)
+        object.__setattr__(self, "formation_reach", formation_reach)
 
 
-@dataclass(frozen=True)
-class ObstacleDerivation:
+# the attacker circle's mid and hi radii as multiples of its lo, unless a
+# scenario's obstacle_model.attacker_circle_factors gives them
+ATTACKER_CIRCLE_FACTORS = (1.15, 1.3)
+
+
+class ObstacleDerivation(Frozen):
     """Parameters driving the rectangle -> Obstacle derivation."""
 
-    formation_radius: float          # arc radius + defender body radius
-    clearance: float                 # standoff added around the formation
-    defender_clearance: float        # standoff added around a single defender
-    defender_radius: float
-    attacker_mid_factor: float = 1.15
-    attacker_hi_factor: float = 1.3
+    __slots__ = ("formation_radius", "clearance", "defender_clearance", "defender_radius",
+                 "attacker_mid_factor", "attacker_hi_factor")
+
+    def __init__(self, formation_radius: float,  # arc radius + defender body radius
+                 clearance: float,               # standoff added around the formation
+                 defender_clearance: float,      # standoff added around a single defender
+                 defender_radius: float,
+                 attacker_mid_factor: float = ATTACKER_CIRCLE_FACTORS[0],
+                 attacker_hi_factor: float = ATTACKER_CIRCLE_FACTORS[1]):
+        object.__setattr__(self, "formation_radius", formation_radius)
+        object.__setattr__(self, "clearance", clearance)
+        object.__setattr__(self, "defender_clearance", defender_clearance)
+        object.__setattr__(self, "defender_radius", defender_radius)
+        object.__setattr__(self, "attacker_mid_factor", attacker_mid_factor)
+        object.__setattr__(self, "attacker_hi_factor", attacker_hi_factor)
 
 
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
@@ -322,49 +343,74 @@ def derive_obstacle(center: Vec2, width: float, height: float,
 # scenario configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AttackerConfig:
-    start: Vec2
-    body_radius: float
-    speed_max: float
-    sensing_radius: float
-    deadlock_turn: float                       # rad added to the stale heading
-    standoff_band: BlendTriplet                # euclidean radii around defenders
+class AttackerConfig(Frozen):
+    __slots__ = ("start", "body_radius", "speed_max", "sensing_radius", "deadlock_turn",
+                 "standoff_band")
+
+    def __init__(self, start: Vec2, body_radius: float, speed_max: float,
+                 sensing_radius: float,
+                 deadlock_turn: float,                # rad added to the stale heading
+                 standoff_band: BlendTriplet):        # euclidean radii around defenders
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "body_radius", body_radius)
+        object.__setattr__(self, "speed_max", speed_max)
+        object.__setattr__(self, "sensing_radius", sensing_radius)
+        object.__setattr__(self, "deadlock_turn", deadlock_turn)
+        object.__setattr__(self, "standoff_band", standoff_band)
 
 
-@dataclass(frozen=True)
-class DefenderTeamConfig:
-    starts: tuple[Vec2, ...]
-    body_radius: float
-    speed_max: tuple[float, ...]
-    sensing_zone_radius: float
-    peer_band: BlendTriplet                    # euclidean radii between defenders
+class DefenderTeamConfig(Frozen):
+    __slots__ = ("starts", "body_radius", "speed_max", "sensing_zone_radius", "peer_band")
+
+    def __init__(self, starts: tuple[Vec2, ...], body_radius: float,
+                 speed_max: tuple[float, ...], sensing_zone_radius: float,
+                 peer_band: BlendTriplet):            # euclidean radii between defenders
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "body_radius", body_radius)
+        object.__setattr__(self, "speed_max", speed_max)
+        object.__setattr__(self, "sensing_zone_radius", sensing_zone_radius)
+        object.__setattr__(self, "peer_band", peer_band)
 
     @property
     def count(self) -> int:
         return len(self.starts)
 
 
-@dataclass(frozen=True)
-class FormationConfig:
-    arc_radius: float
-    spread: float               # rad
-    clearance: float            # standoff added around the formation footprint
-    defender_clearance: float
-    goal_tolerance: float       # error below which a goal counts as reached
+class FormationConfig(Frozen):
+    __slots__ = ("arc_radius", "spread", "clearance", "defender_clearance", "goal_tolerance")
+
+    def __init__(self, arc_radius: float,
+                 spread: float,               # rad
+                 clearance: float,            # standoff added around the formation footprint
+                 defender_clearance: float,
+                 goal_tolerance: float):      # error below which a goal counts as reached
+        object.__setattr__(self, "arc_radius", arc_radius)
+        object.__setattr__(self, "spread", spread)
+        object.__setattr__(self, "clearance", clearance)
+        object.__setattr__(self, "defender_clearance", defender_clearance)
+        object.__setattr__(self, "goal_tolerance", goal_tolerance)
 
 
-@dataclass(frozen=True)
-class ControlConfig:
-    terminal_exponent: float    # exponent of the near-goal power law, in (0, 1)
-    heading_rate_max: float     # rad/s clamp on the commanded-heading rate
+class ControlConfig(Frozen):
+    __slots__ = ("terminal_exponent", "heading_rate_max")
+
+    def __init__(self,
+                 terminal_exponent: float,    # exponent of the near-goal power law, in (0, 1)
+                 heading_rate_max: float):    # rad/s clamp on the commanded-heading rate
+        object.__setattr__(self, "terminal_exponent", terminal_exponent)
+        object.__setattr__(self, "heading_rate_max", heading_rate_max)
 
 
-@dataclass(frozen=True)
-class CaptureConfig:
-    transition_time: float      # s, ramp duration after the safe area is entered
-    tangent_margin: float       # rad short of perpendicular in the captured phase
-    dwell_factor: float         # termination dwell as a multiple of transition_time
+class CaptureConfig(Frozen):
+    __slots__ = ("transition_time", "tangent_margin", "dwell_factor")
+
+    def __init__(self,
+                 transition_time: float,      # s, ramp duration after the safe area is entered
+                 tangent_margin: float,       # rad short of perpendicular in the captured phase
+                 dwell_factor: float):        # termination dwell as a multiple of transition_time
+        object.__setattr__(self, "transition_time", transition_time)
+        object.__setattr__(self, "tangent_margin", tangent_margin)
+        object.__setattr__(self, "dwell_factor", dwell_factor)
 
 
 # A run records one trace row per step, 8 B a sample: 29 samples with 3
@@ -373,36 +419,44 @@ class CaptureConfig:
 MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Frozen):
     """Both finite and positive, with t_max / dt at most MAX_STEPS."""
 
-    dt: float
-    t_max: float
+    __slots__ = ("dt", "t_max")
 
-    def __post_init__(self):
-        if not (0.0 < self.dt < math.inf and 0.0 < self.t_max < math.inf):
+    def __init__(self, dt: float, t_max: float):
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t_max", t_max)
+        if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
             raise ConfigError(f"dt and t_max must be finite and positive, "
-                              f"got dt={self.dt}, t_max={self.t_max}")
-        steps = self.t_max / self.dt
+                              f"got dt={dt}, t_max={t_max}")
+        steps = t_max / dt
         if steps > MAX_STEPS:
             raise ConfigError(f"t_max / dt asks for {steps:.4g} steps, "
                               f"more than MAX_STEPS = {MAX_STEPS}")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Full world description; immutable after construction."""
+class ScenarioConfig(Frozen):
+    """Full world description, immutable like every record it holds.
+    cfg._replace(integrator=cfg.integrator._replace(dt=...)) builds a
+    changed copy through each constructor, so their checks run again."""
 
-    protected: Disc
-    safe: Disc
-    obstacles: tuple[Obstacle, ...]
-    attacker: AttackerConfig
-    defenders: DefenderTeamConfig
-    formation: FormationConfig
-    control: ControlConfig
-    capture: CaptureConfig
-    integrator: IntegratorConfig
+    __slots__ = ("protected", "safe", "obstacles", "attacker", "defenders", "formation",
+                 "control", "capture", "integrator")
+
+    def __init__(self, protected: Disc, safe: Disc, obstacles: tuple[Obstacle, ...],
+                 attacker: AttackerConfig, defenders: DefenderTeamConfig,
+                 formation: FormationConfig, control: ControlConfig,
+                 capture: CaptureConfig, integrator: IntegratorConfig):
+        object.__setattr__(self, "protected", protected)
+        object.__setattr__(self, "safe", safe)
+        object.__setattr__(self, "obstacles", obstacles)
+        object.__setattr__(self, "attacker", attacker)
+        object.__setattr__(self, "defenders", defenders)
+        object.__setattr__(self, "formation", formation)
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "capture", capture)
+        object.__setattr__(self, "integrator", integrator)
 
 
 def _at(where: str, i) -> str:
@@ -593,8 +647,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     om = doc.section("obstacle_model", optional=True)
     mid_f, hi_f = om("attacker_circle_factors", read=_circle_factors,
-                     default=(ObstacleDerivation.attacker_mid_factor,
-                              ObstacleDerivation.attacker_hi_factor))
+                     default=ATTACKER_CIRCLE_FACTORS)
     om.done()
 
     derivation = ObstacleDerivation(

@@ -18,13 +18,12 @@ vanishing anywhere except the safe center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .environment import (Obstacle, contour_offsets, superelliptic_distance,
                           tangent_angle_at)
 from .errors import ConfigError, DomainError
-from .geom import TWO_PI, Vec2, blend_weight, unit, wrap_angle, wrap_sector
+from .geom import TWO_PI, Frozen, Vec2, blend_weight, unit, wrap_angle, wrap_sector
 
 if TYPE_CHECKING:
     # for annotations only: `check` and `simulate` never load numpy
@@ -152,19 +151,24 @@ def _field_angle_np(beta_f, tangent_f, beta_s, ob: Obstacle):
     return np.where(span < math.pi, inner, outer)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Frozen):
     """Per-cell extrema of the component angle gap on the worst-case contour.
 
     Rows index the target sector angle over [0, pi/2]; columns index the
     sector span between the sample point and the target over [0, 2*pi).
     """
 
-    target_angles: np.ndarray      # cell edges, shape (cells+1,)
-    span_angles: np.ndarray        # cell edges, shape (cells+1,)
-    cell_min: np.ndarray           # shape (cells, cells)
-    cell_max: np.ndarray
-    margin: float
+    __slots__ = ("target_angles", "span_angles", "cell_min", "cell_max", "margin")
+
+    def __init__(self, target_angles: np.ndarray,    # cell edges, shape (cells+1,)
+                 span_angles: np.ndarray,            # cell edges, shape (cells+1,)
+                 cell_min: np.ndarray,               # shape (cells, cells)
+                 cell_max: np.ndarray, margin: float):
+        object.__setattr__(self, "target_angles", target_angles)
+        object.__setattr__(self, "span_angles", span_angles)
+        object.__setattr__(self, "cell_min", cell_min)
+        object.__setattr__(self, "cell_max", cell_max)
+        object.__setattr__(self, "margin", margin)
 
     @property
     def min_value(self) -> float:

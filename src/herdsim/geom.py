@@ -5,7 +5,6 @@ built from."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
@@ -56,8 +55,42 @@ def dist(a: Vec2, b: Vec2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-@dataclass(frozen=True)
-class BlendTriplet:
+class Frozen:
+    """Base of the immutable records.  A subclass names its fields in
+    __slots__; its own __init__ sets each with object.__setattr__ and then
+    runs the record's checks.  Records of one class are equal, and hash
+    alike, when their field values are; a record never equals a tuple.
+    Fields refuse assignment, and _replace builds the changed copy through
+    the constructor, so the checks run on the new values."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        return type(self)(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
+
+
+class BlendTriplet(Frozen):
     """Distance thresholds (lo, mid, hi) of the smooth on/off ramp.
 
     The weight is 1 from lo up to mid, decays along a cubic on [mid, hi]
@@ -65,18 +98,17 @@ class BlendTriplet:
     any pair would destroy the cubic ramp.
     """
 
-    lo: float
-    mid: float
-    hi: float
+    __slots__ = ("lo", "mid", "hi")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.mid) and math.isfinite(self.hi)):
+    def __init__(self, lo: float, mid: float, hi: float):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "mid", mid)
+        object.__setattr__(self, "hi", hi)
+        if not (math.isfinite(lo) and math.isfinite(mid) and math.isfinite(hi)):
             raise ConfigError(f"blend thresholds must be finite: {self}")
-        if not (0.0 <= self.lo < self.mid < self.hi):
+        if not (0.0 <= lo < mid < hi):
             raise ConfigError(
-                f"blend thresholds must satisfy 0 <= lo < mid < hi, got "
-                f"({self.lo}, {self.mid}, {self.hi})"
-            )
+                f"blend thresholds must satisfy 0 <= lo < mid < hi, got ({lo}, {mid}, {hi})")
 
 
 def blend_weight(delta: float, band: BlendTriplet) -> float:

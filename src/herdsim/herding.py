@@ -13,21 +13,24 @@ the attacker orbits instead of escaping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .environment import arc_magnitude, min_spread
 from .errors import ConfigError, InfeasibleHeadingError
-from .geom import Vec2, wrap_angle
+from .geom import Frozen, Vec2, wrap_angle
 
 
-@dataclass(frozen=True)
-class FormationSpec:
+class FormationSpec(Frozen):
     """Static geometry of the defender arc."""
 
-    arc_radius: float                # distance of each slot from the attacker
-    offsets: tuple[float, ...]       # symmetric slot offsets along the arc
-    arc_magnitude: float             # norm of the summed unit repulsions
+    __slots__ = ("arc_radius", "offsets", "arc_magnitude")
+
+    def __init__(self, arc_radius: float,             # distance of each slot from the attacker
+                 offsets: tuple[float, ...],          # symmetric slot offsets along the arc
+                 arc_magnitude: float):               # norm of the summed unit repulsions
+        object.__setattr__(self, "arc_radius", arc_radius)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "arc_magnitude", arc_magnitude)
 
 
 def formation_spec(count: int, spread: float, arc_radius: float,

@@ -14,13 +14,11 @@ every agent by its commanded velocity -> safety snapshot.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import itertools
 import logging
 import math
 from array import array
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
 
 from .attacker import attacker_field, attacker_step, obstacle_push
@@ -30,7 +28,7 @@ from .environment import (Obstacle, ScenarioConfig, distance_floor, level_floor,
                           safety_ratio, superelliptic_distance)
 from .errors import IntegrityError
 from .formation_field import combined_field
-from .geom import BlendTriplet, Vec2, angle_of, dist
+from .geom import BlendTriplet, Frozen, Vec2, angle_of, dist
 from .herding import (FormationSpec, formation_goals, formation_spec, heading_rate,
                       obstacle_resultant, schedule_heading, solve_command_heading)
 
@@ -48,7 +46,6 @@ TERM_BREACHED = "breached"
 SKIN_M = 1.0
 
 
-@dataclass
 class SimState:
     """The attacker is a position, heading and velocity; the defenders are
     three lists in defender order.  A step replaces each list whole and
@@ -56,16 +53,26 @@ class SimState:
     start stays the step-start snapshot for the safety snapshot, the trace
     row and the formed test."""
 
-    t: float
-    attacker: Vec2                   # the attacker's position
-    heading: float                   # the attacker's last heading
-    attacker_velocity: Vec2          # velocity commanded for the current step
-    positions: list[Vec2]
-    velocities: list[Vec2]           # velocities commanded for the current step
-    goals: list[Vec2]                # slots of the last plan; positions on a hold step
-    desired: float = 0.0             # desired herd heading of the last plan
-    command: Optional[float] = None  # arc command of the last plan; None before any
-    t_capture: Optional[float] = None  # last entry into the safe area, None once out
+    __slots__ = ("t", "attacker", "heading", "attacker_velocity", "positions", "velocities",
+                 "goals", "desired", "command", "t_capture")
+
+    def __init__(self, t: float,
+                 attacker: Vec2,               # the attacker's position
+                 heading: float,               # the attacker's last heading
+                 attacker_velocity: Vec2,      # velocity commanded for the current step
+                 positions: list[Vec2],
+                 velocities: list[Vec2],       # velocities commanded for the current step
+                 goals: list[Vec2]):           # slots of the last plan; positions on a hold step
+        self.t = t
+        self.attacker = attacker
+        self.heading = heading
+        self.attacker_velocity = attacker_velocity
+        self.positions = positions
+        self.velocities = velocities
+        self.goals = goals
+        self.desired = 0.0                        # desired herd heading of the last plan
+        self.command: Optional[float] = None      # arc command of the last plan; None before any
+        self.t_capture: Optional[float] = None    # last entry into the safe area, None once out
 
 
 class SafetySnapshot(NamedTuple):
@@ -81,21 +88,23 @@ class SafetySnapshot(NamedTuple):
 RATIO_COLUMNS = tuple("ratio_" + name for name in SafetySnapshot._fields)
 
 
-@dataclass
-class RunContext:
+class RunContext(Frozen):
     """Quantities derived once per run.  guidance holds every obstacle that
     can act on the guidance field within the defenders' sensing zone, the
     only place where run() lets _plan evaluate it.  avoid, the defenders'
     attacker band, runs from the standoff lo to the arc radius less the goal
     tolerance: a defender within tolerance of its slot never feels it."""
 
-    spec: Optional[FormationSpec]
-    gains: tuple[TrackingGains, ...]
-    guidance: tuple[Obstacle, ...]
-    avoid: Optional[BlendTriplet]
+    __slots__ = ("spec", "gains", "guidance", "avoid")
+
+    def __init__(self, spec: Optional[FormationSpec], gains: tuple[TrackingGains, ...],
+                 guidance: tuple[Obstacle, ...], avoid: Optional[BlendTriplet]):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "guidance", guidance)
+        object.__setattr__(self, "avoid", avoid)
 
 
-@dataclass
 class SimTrace:
     """Time-indexed log of one closed-loop run.
 
@@ -106,13 +115,17 @@ class SimTrace:
     it is read.
     """
 
-    dt: float
-    defender_count: int
-    columns: tuple[str, ...]
-    values: array = field(default_factory=lambda: array("d"))
-    events: dict = field(default_factory=dict)
-    maxima: dict = field(default_factory=dict)
-    termination: str = ""
+    __slots__ = ("dt", "defender_count", "columns", "values", "events", "maxima",
+                 "termination")
+
+    def __init__(self, dt: float, defender_count: int, columns: tuple[str, ...]):
+        self.dt = dt
+        self.defender_count = defender_count
+        self.columns = columns
+        self.values = array("d")
+        self.events: dict = {}
+        self.maxima: dict = {}
+        self.termination = ""
 
     def _row_slices(self):
         w = len(self.columns)
@@ -195,8 +208,7 @@ def new_state(cfg: ScenarioConfig) -> SimState:
                     velocities=[Vec2(0.0, 0.0)] * len(starts), goals=starts)
 
 
-@dataclass(frozen=True)
-class ObstacleList:
+class ObstacleList(Frozen):
     """What one agent needs of the obstacles while it stays near `anchor`.
 
     `near` holds, in obstacle index order, every obstacle that can act on the
@@ -207,9 +219,13 @@ class ObstacleList:
     safety ratio anywhere within SKIN_M of the anchor.
     """
 
-    anchor: Vec2
-    near: tuple[Obstacle, ...]
-    bounds: tuple[tuple[float, float, Obstacle], ...]
+    __slots__ = ("anchor", "near", "bounds")
+
+    def __init__(self, anchor: Vec2, near: tuple[Obstacle, ...],
+                 bounds: tuple[tuple[float, float, Obstacle], ...]):
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "near", near)
+        object.__setattr__(self, "bounds", bounds)
 
 
 def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> ObstacleList:
@@ -393,8 +409,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     """
     overrides = {k: v for k, v in (("dt", dt), ("t_max", t_max)) if v is not None}
     if overrides:
-        cfg = dataclasses.replace(
-            cfg, integrator=dataclasses.replace(cfg.integrator, **overrides))
+        cfg = cfg._replace(integrator=cfg.integrator._replace(**overrides))
 
     ctx = build_context(cfg)
     state = new_state(cfg)

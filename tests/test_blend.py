@@ -13,7 +13,6 @@ and small, so a source placed a band threshold (or the sensing radius)
 away along an axis sits at exactly that distance.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -130,8 +129,8 @@ def test_attacker_kernels_match_the_loops(reference_cfg, data):
     for _ in range(data.draw(st.integers(0, 4))):
         band = data.draw(bands())
         # obstacle_push reads only the center and the attacker band
-        obs.append(dataclasses.replace(template, center=data.draw(sources(p, band, sensing)),
-                                       attacker_band=band))
+        obs.append(template._replace(center=data.draw(sources(p, band, sensing)),
+                                     attacker_band=band))
     defenders = data.draw(st.lists(sources(p, standoff, sensing), max_size=4))
     target = data.draw(st.one_of(st.just(p), sources(p, standoff, sensing)))
 
@@ -216,7 +215,7 @@ def test_cull_at_the_band_edge_matches_the_loops(reference_cfg, monkeypatch, edg
     q = Vec2(nudge(band.hi, EDGES[edge]), 0.0)
     far = Vec2(0.0, 100.0)
     template = reference_cfg.obstacles[0]
-    obs = [dataclasses.replace(template, center=q, attacker_band=band)]
+    obs = [template._replace(center=q, attacker_band=band)]
     push = obstacle_push(p, obs, 5.0)
     assert push[:3] == ref_obstacle_push(p, obs, 5.0)
     assert (attacker_field(p, [q], push, far, 5.0, band)
@@ -229,7 +228,7 @@ def test_cull_at_the_band_edge_matches_the_loops(reference_cfg, monkeypatch, edg
     level = superelliptic_distance(p, template)
     hi = nudge(level, -EDGES[edge])
     edge_band = BlendTriplet(0.0, 0.5 * level, hi)
-    ob = dataclasses.replace(template, formation_band=edge_band, defender_band=edge_band)
+    ob = template._replace(formation_band=edge_band, defender_band=edge_band)
     for defender in (False, True):
         prod, fx, fy, hit = follow_obstacles(p, [ob], far, defender)
         ref = ref_follow_obstacles(p, [ob], far, defender)

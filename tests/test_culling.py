@@ -10,7 +10,6 @@ reference: the snapshot's below, the defender field's in conftest.py.
 """
 
 import copy
-import dataclasses
 import json
 import math
 
@@ -21,7 +20,8 @@ from herdsim import sim
 from herdsim.attacker import attacker_field, obstacle_push
 from herdsim.cli import main
 from herdsim.defender_control import defender_field
-from herdsim.environment import (CULL_SLACK, ObstacleDerivation, contour_offsets,
+from herdsim.environment import (ATTACKER_CIRCLE_FACTORS, CULL_SLACK, ObstacleDerivation,
+                                 contour_offsets,
                                  derive_obstacle, distance_floor, level_floor,
                                  scenario_from_dict, superelliptic_distance,
                                  validate_scenario)
@@ -83,6 +83,12 @@ derivations = st.builds(
     defender_clearance=st.floats(0.01, 0.5),
     defender_radius=st.floats(0.01, 0.5),
 )
+
+
+@given(derivations)
+def test_drawn_derivations_keep_the_default_circle_factors(params):
+    # builds() draws only the arguments it is given; the rest keep their defaults
+    assert (params.attacker_mid_factor, params.attacker_hi_factor) == ATTACKER_CIRCLE_FACTORS
 
 
 @st.composite
@@ -172,7 +178,7 @@ def test_level_floor_bounds_level(case):
 @given(worlds())
 def test_culled_kernels_match_full_scan(reference_cfg, world):
     obs, attacker, defenders = world
-    cfg = dataclasses.replace(reference_cfg, obstacles=tuple(obs))
+    cfg = reference_cfg._replace(obstacles=tuple(obs))
     lists = [obstacle_list(p, cfg, k > 0) for k, p in enumerate([attacker, *defenders])]
     assert (outcome(safety_snapshot, attacker, defenders, cfg, lists)
             == outcome(full_scan_snapshot, attacker, defenders, cfg))
@@ -209,9 +215,8 @@ def list_worlds(draw, reference_cfg):
         draw(st.floats(0.2, 6.0)), draw(st.floats(0.2, 6.0)), params)
         for _ in range(draw(st.integers(0, 8))))
     sensing = draw(st.floats(0.0, 40.0))
-    cfg = dataclasses.replace(
-        reference_cfg, obstacles=obs,
-        attacker=dataclasses.replace(reference_cfg.attacker, sensing_radius=sensing))
+    cfg = reference_cfg._replace(
+        obstacles=obs, attacker=reference_cfg.attacker._replace(sensing_radius=sensing))
     skin = sim.SKIN_M
 
     def agent():
@@ -312,7 +317,7 @@ def test_ratio_bound_on_the_long_axis_of_a_thin_obstacle(reference_cfg, derivati
     0.03% of the level, so a bound that undercounted the skin would fall
     below the exact ratio here."""
     ob = derive_obstacle(Vec2(0.0, 0.0), 12.0, 0.2, derivation)
-    cfg = dataclasses.replace(reference_cfg, obstacles=(ob,))
+    cfg = reference_cfg._replace(obstacles=(ob,))
     for k in range(1, 400):
         p = Vec2(ob.semi_x * (1.0 + 0.01 * k), 0.0)
         for defender in (False, True):
@@ -341,10 +346,10 @@ def test_list_rebuilt_once_moved_the_skin(reference_cfg):
 def zone_world(reference_cfg, center, zone, obs):
     """The bundled scenario with the protected area at center, a sensing
     zone of radius zone around it, and the obstacles obs."""
-    return dataclasses.replace(
-        reference_cfg, obstacles=tuple(obs),
-        protected=dataclasses.replace(reference_cfg.protected, center=center),
-        defenders=dataclasses.replace(reference_cfg.defenders, sensing_zone_radius=zone))
+    return reference_cfg._replace(
+        obstacles=tuple(obs),
+        protected=reference_cfg.protected._replace(center=center),
+        defenders=reference_cfg.defenders._replace(sensing_zone_radius=zone))
 
 
 @st.composite
@@ -382,7 +387,7 @@ def zone_worlds(draw, reference_cfg):
                 st.floats(0.0, zone + 2.0 * reach),
                 st.floats(-1e-9, 1e-9).map(lambda u: (zone + reach) * (1.0 + u))))
             c = Vec2(center.x + d * math.cos(beta), center.y + d * math.sin(beta))
-        obs.append(dataclasses.replace(ob, center=c))
+        obs.append(ob._replace(center=c))
     cfg = zone_world(reference_cfg, center, zone, obs)
     safe = Vec2(draw(st.floats(-40.0, 40.0)), draw(st.floats(-40.0, 40.0)))
     return cfg, p, safe
@@ -404,7 +409,7 @@ def test_guidance_list_holds_the_obstacles_that_reach_the_zone(reference_cfg, de
     zone = 20.0
     ob = derive_obstacle(Vec2(0.0, 0.0), 2.0, 3.0, derivation)
     reach = ob.formation_reach
-    obs = [dataclasses.replace(ob, center=c) for c in (
+    obs = [ob._replace(center=c) for c in (
         Vec2(10.0, 0.0), Vec2(0.0, zone + 0.5 * reach),
         Vec2(0.0, -(zone + 2.0 * reach)), Vec2(-(zone + 1.5 * reach), 0.0))]
     cfg = zone_world(reference_cfg, Vec2(0.0, 0.0), zone, obs)
@@ -440,7 +445,7 @@ def test_guidance_list_keeps_an_elongated_shell_that_touches_the_rim(reference_c
     safe = Vec2(0.0, -10.0)
     for level, weighs in ((band.hi, False), (band.hi - 0.01 * (band.hi - band.mid), True)):
         far, _ = contour_offsets(ob, 1.0, 0.0, level)
-        o = dataclasses.replace(ob, center=Vec2(zone + far, 0.0))
+        o = ob._replace(center=Vec2(zone + far, 0.0))
         cfg = zone_world(reference_cfg, Vec2(0.0, 0.0), zone, [o])
         assert build_context(cfg).guidance == (o,)
         assert (blend_weight(superelliptic_distance(rim, o), band) > 0.0) == weighs

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -14,7 +13,8 @@ from herdsim.environment import (CULL_SLACK, EXPONENT_RESIDUAL_MAX, MAX_STEPS,
                                  OUTER_PAD_FACTORS, SOLVER_TOL, IntegratorConfig,
                                  ObstacleDerivation, ScenarioConfig,
                                  arc_magnitude, contour_offsets, corner_level,
-                                 derive_obstacle, min_spread, scenario_from_dict,
+                                 derive_obstacle, load_scenario, min_spread,
+                                 reference_scenario_path, scenario_from_dict,
                                  scenario_warnings, shell_points, solve_shape_exponent,
                                  superelliptic_distance, validate_scenario)
 from herdsim.errors import ConfigError, SolverError
@@ -219,9 +219,27 @@ def test_derive_obstacle_bands_match_the_hand_formulas():
         center = Vec2(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
         width, height = rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0)
         ob = derive_obstacle(center, width, height, params)
-        fields = tuple(getattr(ob, f) for f in ob.__dataclass_fields__)
+        fields = tuple(getattr(ob, f) for f in ob.__slots__)
         # repr compares every float to the last bit
         assert repr(fields) == repr(derive_obstacle_by_hand(center, width, height, params))
+
+
+def test_records_are_immutable_values(reference_cfg):
+    """Records of equal field values are equal and hash alike, refuse
+    assignment to every field, and never equal a tuple of their values."""
+    again, _ = load_scenario(reference_scenario_path())
+    ob, twin = reference_cfg.obstacles[0], again.obstacles[0]
+    for rec, other in [(reference_cfg, again), (ob, twin),
+                       (ob.formation_band, twin.formation_band),
+                       (reference_cfg.safe, again.safe)]:
+        assert rec is not other and rec == other and hash(rec) == hash(other)
+        values = tuple(getattr(rec, f) for f in rec.__slots__)
+        assert rec != values and values != rec
+        for name in rec.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(other, name))
+        assert rec == other
+    assert BlendTriplet(0.0, 1.0, 2.0) != BlendTriplet(0.0, 1.0, 3.0)
 
 
 def test_integrator_config_caps_the_step_count():
@@ -472,7 +490,7 @@ def test_start_clearance_prefilter_matches_full_scan(reference_cfg, derivation):
     of the level."""
     thin = derive_obstacle(Vec2(60.0, -40.0), 12.0, 0.2, derivation)
     obstacles = (*reference_cfg.obstacles, thin)
-    cfg = dataclasses.replace(reference_cfg, obstacles=obstacles)
+    cfg = reference_cfg._replace(obstacles=obstacles)
 
     def place(ob, band, where, beta):
         if where == "center":
@@ -489,10 +507,9 @@ def test_start_clearance_prefilter_matches_full_scan(reference_cfg, derivation):
             for beta in (0.0, corner, 2.0, -2.5):
                 starts = tuple(place(ob, ob.defender_band, where, beta + 0.5 * math.pi * k)
                                for k in range(3))
-                placed = dataclasses.replace(
-                    cfg, attacker=dataclasses.replace(
-                        cfg.attacker, start=place(ob, ob.formation_band, where, beta)),
-                    defenders=dataclasses.replace(cfg.defenders, starts=starts))
+                placed = cfg._replace(
+                    attacker=cfg.attacker._replace(start=place(ob, ob.formation_band, where, beta)),
+                    defenders=cfg.defenders._replace(starts=starts))
                 found = [s for s in validate_scenario(placed) if s.startswith("start-clearance")]
                 expected = full_scan_start_clearance(placed)
                 assert found == expected

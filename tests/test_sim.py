@@ -1,6 +1,5 @@
 import ast
 import copy
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -51,9 +50,21 @@ GOLDEN_START_TRACE_SHA256 = {
 def test_zero_dt_rejected():
     with pytest.raises(ConfigError):
         scenario_from_dict(small_scenario_doc(**{"integrator.dt_s": 0.0}))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"dt": -0.01}, "dt and t_max must be finite and positive, got dt=-0.01, t_max=60.0"),
+    ({"dt": math.nan}, "dt and t_max must be finite and positive, got dt=nan, t_max=60.0"),
+    ({"dt": 0.0}, "dt and t_max must be finite and positive, got dt=0.0, t_max=60.0"),
+    # dt 0.01 from the scenario: twice MAX_STEPS
+    ({"t_max": 20_000.0}, "t_max / dt asks for 2e+06 steps, more than MAX_STEPS = 1000000"),
+], ids=["negative-dt", "nan-dt", "zero-dt", "too-many-steps"])
+def test_run_overrides_pass_the_integrator_check(overrides, message):
+    # run() builds the changed config through IntegratorConfig's constructor
     cfg = scenario_from_dict(small_scenario_doc())
-    with pytest.raises(ConfigError):
-        run(cfg, dt=-0.01)
+    with pytest.raises(ConfigError) as exc:
+        run(cfg, **overrides)
+    assert str(exc.value) == message
 
 
 def one_step(cfg):
@@ -628,8 +639,8 @@ def test_guidance_list_leaves_run_unchanged(monkeypatch):
     original = sim.build_context
 
     def forced(guidance):
-        monkeypatch.setattr(sim, "build_context", lambda cfg: dataclasses.replace(
-            original(cfg), guidance=guidance))
+        monkeypatch.setattr(sim, "build_context",
+                            lambda cfg: original(cfg)._replace(guidance=guidance))
         return run(cfg).rows
 
     assert forced(cfg.obstacles) == trace.rows

@@ -64,3 +64,15 @@ def test_git_tracks_no_build_or_run_output():
     if proc.returncode != 0:
         pytest.skip(f"git ls-files failed: {proc.stderr.strip()}")
     assert [p for p in proc.stdout.split("\0") if p and is_output(p)] == []
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # importing either costs every command about 4 ms before it starts
+    probe = ("import sys; from herdsim import cli; "
+             "loaded = lambda: [m for m in ('dataclasses', 'inspect') if m in sys.modules]; "
+             "imported = loaded(); code = cli.main(['check']); "
+             "print(imported, code, loaded())")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] 0 []"
