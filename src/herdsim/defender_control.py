@@ -31,16 +31,10 @@ HANDOFF_RESIDUAL_MAX = 1e-11
 
 
 class TrackingGains(Frozen):
-    __slots__ = ("approach_speed", "terminal_gain", "terminal_exponent", "handoff_error")
-
-    def __init__(self, approach_speed: float,  # far-field speed scale (m/s)
-                 terminal_gain: float,         # near-goal power-law gain
-                 terminal_exponent: float,     # power-law exponent, in (0, 1)
-                 handoff_error: float):        # error magnitude where the two regimes join (m)
-        object.__setattr__(self, "approach_speed", approach_speed)
-        object.__setattr__(self, "terminal_gain", terminal_gain)
-        object.__setattr__(self, "terminal_exponent", terminal_exponent)
-        object.__setattr__(self, "handoff_error", handoff_error)
+    __slots__ = ("approach_speed",        # far-field speed scale (m/s)
+                 "terminal_gain",         # near-goal power-law gain
+                 "terminal_exponent",     # power-law exponent, in (0, 1)
+                 "handoff_error")         # error magnitude where the two regimes join (m)
 
 
 def solve_tracking_gains(terminal_exponent: float, speed_max: float,

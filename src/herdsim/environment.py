@@ -19,7 +19,6 @@ import hashlib
 import itertools
 import json
 import math
-from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, ScenarioFileError, SchemaError, SolverError
@@ -55,7 +54,7 @@ BOUNDARY_SAMPLES = 720
 
 def reference_scenario_path() -> Path:
     """Filesystem path of the bundled reference scenario."""
-    return Path(resources.files("herdsim").joinpath("data/reference_scenario.json"))
+    return Path(__file__).parent / "data" / "reference_scenario.json"
 
 
 class Disc(Frozen):
@@ -63,13 +62,11 @@ class Disc(Frozen):
 
     __slots__ = ("center", "radius")
 
-    def __init__(self, center: Vec2, radius: float):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
-        if not (center.is_finite() and math.isfinite(radius)):
+    def _check(self):
+        if not (self.center.is_finite() and math.isfinite(self.radius)):
             raise ConfigError(f"disc must be finite: {self}")
-        if radius <= 0.0:
-            raise ConfigError(f"disc radius must be positive, got {radius}")
+        if self.radius <= 0.0:
+            raise ConfigError(f"disc radius must be positive, got {self.radius}")
 
     def contains(self, p: Vec2) -> bool:
         return math.hypot(p.x - self.center.x, p.y - self.center.y) <= self.radius
@@ -96,25 +93,6 @@ class Obstacle(Frozen):
                  "exponent", "semi_x", "semi_y", "semi_diagonal", "formation_band",
                  "defender_band", "attacker_band", "formation_reach")
 
-    def __init__(self, center: Vec2, width: float, height: float, formation_width: float,
-                 formation_height: float, exponent: float, semi_x: float, semi_y: float,
-                 semi_diagonal: float, formation_band: BlendTriplet,
-                 defender_band: BlendTriplet, attacker_band: BlendTriplet,
-                 formation_reach: float):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "formation_width", formation_width)
-        object.__setattr__(self, "formation_height", formation_height)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "semi_x", semi_x)
-        object.__setattr__(self, "semi_y", semi_y)
-        object.__setattr__(self, "semi_diagonal", semi_diagonal)
-        object.__setattr__(self, "formation_band", formation_band)
-        object.__setattr__(self, "defender_band", defender_band)
-        object.__setattr__(self, "attacker_band", attacker_band)
-        object.__setattr__(self, "formation_reach", formation_reach)
-
 
 # the attacker circle's mid and hi radii as multiples of its lo, unless a
 # scenario's obstacle_model.attacker_circle_factors gives them
@@ -124,21 +102,11 @@ ATTACKER_CIRCLE_FACTORS = (1.15, 1.3)
 class ObstacleDerivation(Frozen):
     """Parameters driving the rectangle -> Obstacle derivation."""
 
-    __slots__ = ("formation_radius", "clearance", "defender_clearance", "defender_radius",
-                 "attacker_mid_factor", "attacker_hi_factor")
-
-    def __init__(self, formation_radius: float,  # arc radius + defender body radius
-                 clearance: float,               # standoff added around the formation
-                 defender_clearance: float,      # standoff added around a single defender
-                 defender_radius: float,
-                 attacker_mid_factor: float = ATTACKER_CIRCLE_FACTORS[0],
-                 attacker_hi_factor: float = ATTACKER_CIRCLE_FACTORS[1]):
-        object.__setattr__(self, "formation_radius", formation_radius)
-        object.__setattr__(self, "clearance", clearance)
-        object.__setattr__(self, "defender_clearance", defender_clearance)
-        object.__setattr__(self, "defender_radius", defender_radius)
-        object.__setattr__(self, "attacker_mid_factor", attacker_mid_factor)
-        object.__setattr__(self, "attacker_hi_factor", attacker_hi_factor)
+    __slots__ = ("formation_radius",      # arc radius + defender body radius
+                 "clearance",             # standoff added around the formation
+                 "defender_clearance",    # standoff added around a single defender
+                 "defender_radius", "attacker_mid_factor", "attacker_hi_factor")
+    _defaults = dict(zip(__slots__[-2:], ATTACKER_CIRCLE_FACTORS))
 
 
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
@@ -344,32 +312,14 @@ def derive_obstacle(center: Vec2, width: float, height: float,
 # ---------------------------------------------------------------------------
 
 class AttackerConfig(Frozen):
-    __slots__ = ("start", "body_radius", "speed_max", "sensing_radius", "deadlock_turn",
-                 "standoff_band")
-
-    def __init__(self, start: Vec2, body_radius: float, speed_max: float,
-                 sensing_radius: float,
-                 deadlock_turn: float,                # rad added to the stale heading
-                 standoff_band: BlendTriplet):        # euclidean radii around defenders
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "body_radius", body_radius)
-        object.__setattr__(self, "speed_max", speed_max)
-        object.__setattr__(self, "sensing_radius", sensing_radius)
-        object.__setattr__(self, "deadlock_turn", deadlock_turn)
-        object.__setattr__(self, "standoff_band", standoff_band)
+    __slots__ = ("start", "body_radius", "speed_max", "sensing_radius",
+                 "deadlock_turn",         # rad added to the stale heading
+                 "standoff_band")         # euclidean radii around defenders
 
 
 class DefenderTeamConfig(Frozen):
-    __slots__ = ("starts", "body_radius", "speed_max", "sensing_zone_radius", "peer_band")
-
-    def __init__(self, starts: tuple[Vec2, ...], body_radius: float,
-                 speed_max: tuple[float, ...], sensing_zone_radius: float,
-                 peer_band: BlendTriplet):            # euclidean radii between defenders
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "body_radius", body_radius)
-        object.__setattr__(self, "speed_max", speed_max)
-        object.__setattr__(self, "sensing_zone_radius", sensing_zone_radius)
-        object.__setattr__(self, "peer_band", peer_band)
+    __slots__ = ("starts", "body_radius", "speed_max", "sensing_zone_radius",
+                 "peer_band")             # euclidean radii between defenders
 
     @property
     def count(self) -> int:
@@ -377,40 +327,22 @@ class DefenderTeamConfig(Frozen):
 
 
 class FormationConfig(Frozen):
-    __slots__ = ("arc_radius", "spread", "clearance", "defender_clearance", "goal_tolerance")
-
-    def __init__(self, arc_radius: float,
-                 spread: float,               # rad
-                 clearance: float,            # standoff added around the formation footprint
-                 defender_clearance: float,
-                 goal_tolerance: float):      # error below which a goal counts as reached
-        object.__setattr__(self, "arc_radius", arc_radius)
-        object.__setattr__(self, "spread", spread)
-        object.__setattr__(self, "clearance", clearance)
-        object.__setattr__(self, "defender_clearance", defender_clearance)
-        object.__setattr__(self, "goal_tolerance", goal_tolerance)
+    __slots__ = ("arc_radius",
+                 "spread",                # rad
+                 "clearance",             # standoff added around the formation footprint
+                 "defender_clearance",
+                 "goal_tolerance")        # error below which a goal counts as reached
 
 
 class ControlConfig(Frozen):
-    __slots__ = ("terminal_exponent", "heading_rate_max")
-
-    def __init__(self,
-                 terminal_exponent: float,    # exponent of the near-goal power law, in (0, 1)
-                 heading_rate_max: float):    # rad/s clamp on the commanded-heading rate
-        object.__setattr__(self, "terminal_exponent", terminal_exponent)
-        object.__setattr__(self, "heading_rate_max", heading_rate_max)
+    __slots__ = ("terminal_exponent",     # exponent of the near-goal power law, in (0, 1)
+                 "heading_rate_max")      # rad/s clamp on the commanded-heading rate
 
 
 class CaptureConfig(Frozen):
-    __slots__ = ("transition_time", "tangent_margin", "dwell_factor")
-
-    def __init__(self,
-                 transition_time: float,      # s, ramp duration after the safe area is entered
-                 tangent_margin: float,       # rad short of perpendicular in the captured phase
-                 dwell_factor: float):        # termination dwell as a multiple of transition_time
-        object.__setattr__(self, "transition_time", transition_time)
-        object.__setattr__(self, "tangent_margin", tangent_margin)
-        object.__setattr__(self, "dwell_factor", dwell_factor)
+    __slots__ = ("transition_time",       # s, ramp duration after the safe area is entered
+                 "tangent_margin",        # rad short of perpendicular in the captured phase
+                 "dwell_factor")          # termination dwell as a multiple of transition_time
 
 
 # A run records one trace row per step, 8 B a sample: 29 samples with 3
@@ -424,9 +356,8 @@ class IntegratorConfig(Frozen):
 
     __slots__ = ("dt", "t_max")
 
-    def __init__(self, dt: float, t_max: float):
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t_max", t_max)
+    def _check(self):
+        dt, t_max = self.dt, self.t_max
         if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
             raise ConfigError(f"dt and t_max must be finite and positive, "
                               f"got dt={dt}, t_max={t_max}")
@@ -437,26 +368,13 @@ class IntegratorConfig(Frozen):
 
 
 class ScenarioConfig(Frozen):
-    """Full world description, immutable like every record it holds.
+    """Full world description, immutable like every record it holds; each
+    names its fields once, in __slots__, and geom.Frozen writes its __init__.
     cfg._replace(integrator=cfg.integrator._replace(dt=...)) builds a
     changed copy through each constructor, so their checks run again."""
 
     __slots__ = ("protected", "safe", "obstacles", "attacker", "defenders", "formation",
                  "control", "capture", "integrator")
-
-    def __init__(self, protected: Disc, safe: Disc, obstacles: tuple[Obstacle, ...],
-                 attacker: AttackerConfig, defenders: DefenderTeamConfig,
-                 formation: FormationConfig, control: ControlConfig,
-                 capture: CaptureConfig, integrator: IntegratorConfig):
-        object.__setattr__(self, "protected", protected)
-        object.__setattr__(self, "safe", safe)
-        object.__setattr__(self, "obstacles", obstacles)
-        object.__setattr__(self, "attacker", attacker)
-        object.__setattr__(self, "defenders", defenders)
-        object.__setattr__(self, "formation", formation)
-        object.__setattr__(self, "control", control)
-        object.__setattr__(self, "capture", capture)
-        object.__setattr__(self, "integrator", integrator)
 
 
 def _at(where: str, i) -> str:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 from .environment import (Obstacle, contour_offsets, superelliptic_distance,
                           tangent_angle_at)
 from .errors import ConfigError, DomainError
-from .geom import TWO_PI, Frozen, Vec2, blend_weight, unit, wrap_angle, wrap_sector
+from .geom import TWO_PI, Vec2, blend_weight, unit, wrap_angle, wrap_sector
 
 if TYPE_CHECKING:
     # for annotations only: `check` and `simulate` never load numpy
@@ -151,11 +151,12 @@ def _field_angle_np(beta_f, tangent_f, beta_s, ob: Obstacle):
     return np.where(span < math.pi, inner, outer)
 
 
-class SweepReport(Frozen):
+class SweepReport:
     """Per-cell extrema of the component angle gap on the worst-case contour.
 
     Rows index the target sector angle over [0, pi/2]; columns index the
     sector span between the sample point and the target over [0, 2*pi).
+    A result that holds arrays, so it compares by identity.
     """
 
     __slots__ = ("target_angles", "span_angles", "cell_min", "cell_max", "margin")
@@ -164,11 +165,11 @@ class SweepReport(Frozen):
                  span_angles: np.ndarray,            # cell edges, shape (cells+1,)
                  cell_min: np.ndarray,               # shape (cells, cells)
                  cell_max: np.ndarray, margin: float):
-        object.__setattr__(self, "target_angles", target_angles)
-        object.__setattr__(self, "span_angles", span_angles)
-        object.__setattr__(self, "cell_min", cell_min)
-        object.__setattr__(self, "cell_max", cell_max)
-        object.__setattr__(self, "margin", margin)
+        self.target_angles = target_angles
+        self.span_angles = span_angles
+        self.cell_min = cell_min
+        self.cell_max = cell_max
+        self.margin = margin
 
     @property
     def min_value(self) -> float:

@@ -56,14 +56,34 @@ def dist(a: Vec2, b: Vec2) -> float:
 
 
 class Frozen:
-    """Base of the immutable records.  A subclass names its fields in
-    __slots__; its own __init__ sets each with object.__setattr__ and then
-    runs the record's checks.  Records of one class are equal, and hash
-    alike, when their field values are; a record never equals a tuple.
-    Fields refuse assignment, and _replace builds the changed copy through
-    the constructor, so the checks run on the new values."""
+    """Base of the immutable records.  A subclass names its fields once, in
+    __slots__, and Frozen writes its __init__: one parameter per slot in slot
+    order, each field set in turn, then the record's _check(self), if it has
+    one, on the finished record.  A subclass's _defaults dict gives the
+    defaults of its trailing fields; a subclass that defines __init__ is
+    refused.  Records of one class are equal, and hash alike, when their
+    field values are; a record never equals a tuple.  Fields refuse
+    assignment, and _replace builds the changed copy through the
+    constructor, so the checks run on the new values."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} defines __init__; "
+                            f"Frozen writes it from __slots__")
+        # spelled out like a hand-written one, so it runs as fast; slot names
+        # are identifiers, so only they and literals reach the code
+        defaults = getattr(cls, "_defaults", {})
+        params = [f"{f}=_defaults[{f!r}]" if f in defaults else f for f in cls.__slots__]
+        body = [f"_set(self, {f!r}, {f})" for f in cls.__slots__]
+        if hasattr(cls, "_check"):
+            body.append("self._check()")
+        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        exec(f"def __init__(self, {', '.join(params)}):\n    {'; '.join(body)}\n", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
@@ -100,10 +120,8 @@ class BlendTriplet(Frozen):
 
     __slots__ = ("lo", "mid", "hi")
 
-    def __init__(self, lo: float, mid: float, hi: float):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "mid", mid)
-        object.__setattr__(self, "hi", hi)
+    def _check(self):
+        lo, mid, hi = self.lo, self.mid, self.hi
         if not (math.isfinite(lo) and math.isfinite(mid) and math.isfinite(hi)):
             raise ConfigError(f"blend thresholds must be finite: {self}")
         if not (0.0 <= lo < mid < hi):

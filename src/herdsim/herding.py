@@ -23,14 +23,9 @@ from .geom import Frozen, Vec2, wrap_angle
 class FormationSpec(Frozen):
     """Static geometry of the defender arc."""
 
-    __slots__ = ("arc_radius", "offsets", "arc_magnitude")
-
-    def __init__(self, arc_radius: float,             # distance of each slot from the attacker
-                 offsets: tuple[float, ...],          # symmetric slot offsets along the arc
-                 arc_magnitude: float):               # norm of the summed unit repulsions
-        object.__setattr__(self, "arc_radius", arc_radius)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "arc_magnitude", arc_magnitude)
+    __slots__ = ("arc_radius",            # distance of each slot from the attacker
+                 "offsets",               # symmetric slot offsets along the arc, a tuple
+                 "arc_magnitude")         # norm of the summed unit repulsions
 
 
 def formation_spec(count: int, spread: float, arc_radius: float,

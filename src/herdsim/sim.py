@@ -22,15 +22,14 @@ from array import array
 from typing import NamedTuple, Optional, TextIO
 
 from .attacker import attacker_field, attacker_step, obstacle_push
-from .defender_control import (TrackingGains, defender_field, defender_velocity,
-                               solve_tracking_gains)
-from .environment import (Obstacle, ScenarioConfig, distance_floor, level_floor,
-                          safety_ratio, superelliptic_distance)
+from .defender_control import defender_field, defender_velocity, solve_tracking_gains
+from .environment import (ScenarioConfig, distance_floor, level_floor, safety_ratio,
+                          superelliptic_distance)
 from .errors import IntegrityError
 from .formation_field import combined_field
 from .geom import BlendTriplet, Frozen, Vec2, angle_of, dist
-from .herding import (FormationSpec, formation_goals, formation_spec, heading_rate,
-                      obstacle_resultant, schedule_heading, solve_command_heading)
+from .herding import (formation_goals, formation_spec, heading_rate, obstacle_resultant,
+                      schedule_heading, solve_command_heading)
 
 log = logging.getLogger("herdsim.sim")
 
@@ -96,13 +95,6 @@ class RunContext(Frozen):
     tolerance: a defender within tolerance of its slot never feels it."""
 
     __slots__ = ("spec", "gains", "guidance", "avoid")
-
-    def __init__(self, spec: Optional[FormationSpec], gains: tuple[TrackingGains, ...],
-                 guidance: tuple[Obstacle, ...], avoid: Optional[BlendTriplet]):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "guidance", guidance)
-        object.__setattr__(self, "avoid", avoid)
 
 
 class SimTrace:
@@ -220,12 +212,6 @@ class ObstacleList(Frozen):
     """
 
     __slots__ = ("anchor", "near", "bounds")
-
-    def __init__(self, anchor: Vec2, near: tuple[Obstacle, ...],
-                 bounds: tuple[tuple[float, float, Obstacle], ...]):
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "near", near)
-        object.__setattr__(self, "bounds", bounds)
 
 
 def obstacle_list(anchor: Vec2, cfg: ScenarioConfig, defender: bool) -> ObstacleList:

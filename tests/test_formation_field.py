@@ -177,6 +177,16 @@ def test_sweep_reference_obstacle_passes(derivation):
     assert len(csv.splitlines()) == 128 * 128 + 1
 
 
+def test_sweep_report_compares_by_identity(square):
+    # a report holds arrays: value equality would ask numpy for the truth
+    # value of an array, so two equal sweeps are two distinct reports
+    a = singularity_sweep(square, resolution=64)
+    b = singularity_sweep(square, resolution=64)
+    assert hash(a) == hash(a)
+    assert a == a and a != b
+    assert a.to_csv() == b.to_csv()
+
+
 def test_sweep_rejects_resolution_above_the_limit(square, monkeypatch):
     # refused before the lattice (the (3r + 1)^2 arrays) is built
     def no_lattice(*args):

@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from herdsim.environment import ATTACKER_CIRCLE_FACTORS, ObstacleDerivation
 from herdsim.errors import ConfigError
-from herdsim.geom import (BlendTriplet, Vec2, blend_weight, unit, wrap_angle,
+from herdsim.geom import (BlendTriplet, Frozen, Vec2, blend_weight, unit, wrap_angle,
                           wrap_sector)
 
 BAND = BlendTriplet(1.0, 2.0, 3.0)
@@ -38,6 +39,45 @@ def test_blend_saturates_below_lo():
 def test_invalid_band_rejected(bad):
     with pytest.raises(ConfigError):
         BlendTriplet(*bad)
+
+
+def test_positional_and_keyword_construction_agree():
+    assert BlendTriplet(1.0, 2.0, 3.0) == BlendTriplet(hi=3.0, lo=1.0, mid=2.0)
+    assert ObstacleDerivation(0.65, 0.2, 0.1, 0.1, 1.2, 1.4) == ObstacleDerivation(
+        formation_radius=0.65, clearance=0.2, defender_clearance=0.1, defender_radius=0.1,
+        attacker_mid_factor=1.2, attacker_hi_factor=1.4)
+
+
+def test_trailing_defaults_are_the_attacker_circle_factors():
+    d = ObstacleDerivation(0.65, 0.2, 0.1, 0.1)
+    assert (d.attacker_mid_factor, d.attacker_hi_factor) == ATTACKER_CIRCLE_FACTORS
+
+
+@pytest.mark.parametrize("args, kwargs", [((1.0, 2.0), {}),
+                                          ((1.0, 2.0, 3.0), {"top": 4.0}),
+                                          ((1.0, 2.0, 3.0, 4.0), {})])
+def test_constructor_refuses_missing_and_unknown_fields(args, kwargs):
+    with pytest.raises(TypeError):
+        BlendTriplet(*args, **kwargs)
+
+
+def test_checks_run_on_construction_and_replace():
+    with pytest.raises(ConfigError, match=r"^blend thresholds must satisfy "
+                                          r"0 <= lo < mid < hi, got \(1, 1, 2\)$"):
+        BlendTriplet(1, 1, 2)
+    with pytest.raises(ConfigError, match=r"^blend thresholds must satisfy "
+                                          r"0 <= lo < mid < hi, got \(1, 2, 0.5\)$"):
+        BlendTriplet(1, 2, 3)._replace(hi=0.5)
+
+
+def test_record_defining_init_is_refused():
+    # Frozen writes every record's constructor; one of its own would bypass it
+    with pytest.raises(TypeError, match="defines __init__"):
+        class Pair(Frozen):
+            __slots__ = ("a", "b")
+
+            def __init__(self, a, b):
+                pass
 
 
 @given(st.floats(0.0, 4.0), st.floats(0.05, 3.0), st.floats(0.05, 3.0),

@@ -76,3 +76,12 @@ def test_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] 0 []"
+
+
+def test_only_geom_sets_record_fields_directly():
+    # geom.Frozen writes every record's __init__ from its __slots__, so a
+    # record's fields are named in one place
+    setters = {p.name: "object.__setattr__" in p.read_text()
+               for p in (REPO / "src" / "herdsim").glob("*.py")}
+    assert setters.pop("geom.py")
+    assert [name for name, sets in setters.items() if sets] == []
