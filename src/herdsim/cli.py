@@ -15,20 +15,16 @@ other nonzero code is the `exit_code` of the HerdsimError a command raised:
      ratio at or above 1, or the protected area was breached)
   6  numerical solver failure
 
-The HERDSIM_LOG environment variable names the logging level (default and
-any unknown name: WARNING).  The package logs only two WARNING records, the
-attacker leaving the safe area and a defender holding on a degenerate field:
-a level above WARNING silences them and a lower one adds nothing.  The
-dynamics are deterministic, so no command takes a seed.
+`simulate` prints each notice of the run (trace.notices) to stderr as a
+`warning:` line with its time.  The dynamics are deterministic, so no
+command takes a seed; no command reads the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -45,14 +41,6 @@ from .svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 4
 EXIT_UNACCEPTABLE = 5
-
-
-def _setup_logging():
-    # getLevelName maps a level name to its number and anything else (even
-    # another logging attribute, such as BASIC_FORMAT) to a string
-    level = logging.getLevelName(os.environ.get("HERDSIM_LOG", "WARNING").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load(scenario_arg):
@@ -100,6 +88,8 @@ def cmd_simulate(args) -> int:
         return EXIT_INVALID_SCENARIO
 
     trace = run(cfg, dt=args.dt, t_max=args.t_max)
+    for t, text in trace.notices:
+        print(f"warning: {text} at t={t:.3f}", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trace.csv", "w") as fh:
         trace.to_csv(fh)
@@ -230,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -12,17 +12,14 @@ continuous at the switch.
 
 from __future__ import annotations
 
-import logging
 import math
 from itertools import repeat
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .environment import SOLVER_TOL, Obstacle, bisect
 from .errors import ConfigError, SolverError
 from .formation_field import follow_obstacles
 from .geom import BlendTriplet, Frozen, Vec2, close_blend, repel
-
-log = logging.getLogger("herdsim.defender")
 
 FIELD_TOL = 1e-12
 
@@ -94,14 +91,14 @@ def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
 
 
 def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,
-                      field: Vec2, conflict: bool, gains: TrackingGains) -> Vec2:
+                      field: Vec2, conflict: bool, gains: TrackingGains) -> Optional[Vec2]:
     """Commanded velocity for one defender.
 
     Conflict-free motion tracks the slot velocity plus the error-shaping term
     along the field; in conflict only the field term survives, so the speed
     never exceeds the reserved budget.  A vanishing field with nonzero error
-    (opposing terms cancelling exactly) is logged and the defender holds for
-    one step.
+    (opposing terms cancelling exactly) has no direction: the result is None,
+    and the caller holds the defender for one step.
     """
     ex = position.x - goal.x
     ey = position.y - goal.y
@@ -110,8 +107,7 @@ def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,
         return goal_velocity if not conflict else Vec2(0.0, 0.0)
     fnorm = field.norm()
     if fnorm < FIELD_TOL:
-        log.warning("degenerate field with error %.3g m; holding one step", err)
-        return Vec2(0.0, 0.0)
+        return None
     if err > gains.handoff_error:
         speed = gains.approach_speed * math.tanh(err)
     else:

@@ -698,8 +698,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     lo = cfg.attacker.standoff_band.lo
     for k, p in enumerate(starts):
         clearance("attacker_defender", lo, dist(a0, p), "defender {}", k)
-    if cfg.defenders.count == 1:
-        v.append("defender-count: a lone defender cannot form an arc; use 0 or >= 2")
+    if cfg.defenders.count < 2:
+        v.append(f"defender-count: an arc needs at least 2 defenders, not {cfg.defenders.count}")
     if cfg.defenders.count > 0:
         v_d_min = min(cfg.defenders.speed_max)
         if not cfg.attacker.speed_max < v_d_min:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import logging
 import math
 from array import array
 from typing import NamedTuple, Optional, TextIO
@@ -30,8 +29,6 @@ from .formation_field import combined_field
 from .geom import BlendTriplet, Frozen, Vec2, angle_of, dist
 from .herding import (formation_goals, formation_spec, heading_rate, obstacle_resultant,
                       schedule_heading, solve_command_heading)
-
-log = logging.getLogger("herdsim.sim")
 
 TERM_CAPTURED = "captured-stable"
 TERM_TIMEOUT = "t-max"
@@ -104,11 +101,12 @@ class SimTrace:
     row and one row per step: 8 bytes a sample, where a tuple of floats takes
     about four times that.  column() returns one column as an array('d'),
     speed() one agent's speed; rows builds the list of row tuples each time
-    it is read.
+    it is read.  notices holds (t, text) of each safe-area exit and each
+    degenerate-field hold, in time order; to_csv and summary leave them out.
     """
 
     __slots__ = ("dt", "defender_count", "columns", "values", "events", "maxima",
-                 "termination")
+                 "termination", "notices")
 
     def __init__(self, dt: float, defender_count: int, columns: tuple[str, ...]):
         self.dt = dt
@@ -118,6 +116,7 @@ class SimTrace:
         self.events: dict = {}
         self.maxima: dict = {}
         self.termination = ""
+        self.notices: list[tuple[float, str]] = []
 
     def _row_slices(self):
         w = len(self.columns)
@@ -323,16 +322,17 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[V
     return velocities
 
 
-def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
-                     lists, planning: bool) -> Optional[tuple[float, float]]:
+def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, lists,
+                     planning: bool) -> tuple[Optional[tuple[float, float]], tuple[int, ...]]:
     """Fill every command for the current step from the step-start snapshot.
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
     agent's step-start position; the defenders plan only if planning.  Sets
     in `state` the attacker's heading and velocity, the defenders' velocities
-    and goals (each a new list) and the plan's headings.  Returns, if
-    planning, the smallest defender-defender and attacker-defender distances
-    the defender fields measured (safety_snapshot's nearest), else None.
+    and goals (each a new list) and the plan's headings.  Returns the
+    smallest defender-defender and attacker-defender distances the defender
+    fields measured (safety_snapshot's nearest), None if not planning, and
+    the indices of the defenders held still on a degenerate field.
     """
     r_a = state.attacker
     push = obstacle_push(r_a, lists[0].near, cfg.attacker.sensing_radius)
@@ -350,19 +350,24 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext,
     state.attacker_velocity = Vec2(speed * math.cos(heading), speed * math.sin(heading))
 
     if not planning:
-        return None
+        return None, ()
     peer_min = threat_min = math.inf
     velocities = []
+    held = ()
     for j, (p, goal, gv) in enumerate(zip(positions, state.goals, goal_velocities)):
         f, conflict, peer, threat = defender_field(j, positions, goal, lists[j + 1].near,
                                                    cfg.defenders.peer_band, r_a, ctx.avoid)
-        velocities.append(defender_velocity(p, goal, gv, f, conflict, ctx.gains[j]))
+        v = defender_velocity(p, goal, gv, f, conflict, ctx.gains[j])
+        if v is None:
+            held += (j,)
+            v = Vec2(0.0, 0.0)
+        velocities.append(v)
         if peer < peer_min:
             peer_min = peer
         if threat < threat_min:
             threat_min = threat
     state.velocities = velocities
-    return peer_min, threat_min
+    return (peer_min, threat_min), held
 
 
 def apply_commands(state: SimState, dt: float) -> None:
@@ -419,7 +424,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         if state.t_capture is not None and not in_safe:
             # the capture clock stops; the next entry restarts the transition
             state.t_capture = None
-            log.warning("attacker left the safe area at t=%.3f", t)
+            trace.notices.append((t, "attacker left the safe area"))
 
         positions = state.positions
         refresh_lists(lists, [r_a, *positions], cfg)
@@ -440,7 +445,9 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             if (planning and state.t_capture is None and in_safe
                     and events["t_formed_s"] is not None):
                 state.t_capture = t
-            nearest = compute_commands(state, cfg, ctx, lists, planning)
+            nearest, held = compute_commands(state, cfg, ctx, lists, planning)
+            if held:
+                trace.notices += [(t, f"defender {j} held on a degenerate field") for j in held]
         else:
             nearest = None
             state.attacker_velocity = Vec2(0.0, 0.0)

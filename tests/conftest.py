@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import time
 from pathlib import Path
 
@@ -158,6 +159,20 @@ def derivation():
 @pytest.fixture(scope="session")
 def bundle_doc():
     return json.loads(reference_scenario_path().read_text())
+
+def random_world(seed):
+    """The bundled scenario document with every obstacle moved by up to 5 m
+    and resized, a new attacker start and a new safe center, drawn from
+    seed: the generator of the world census (ROADMAP item 7)."""
+    doc = json.loads(reference_scenario_path().read_text())
+    rng = random.Random(seed)
+    for ob in doc["obstacles"]:                        # bundled order
+        ob["center_m"] = [round(c + rng.uniform(-5, 5), 2) for c in ob["center_m"]]
+        ob["width_m"] = round(rng.uniform(1.5, 3.5), 2)
+        ob["height_m"] = round(rng.uniform(1.5, 3.5), 2)
+    doc["attacker"]["start_m"] = [round(rng.uniform(-40, 60), 2), round(rng.uniform(20, 100), 2)]
+    doc["safe_area"]["center_m"] = [round(rng.uniform(-30, 30), 2), round(rng.uniform(40, 70), 2)]
+    return doc
 
 def small_scenario_doc(**overrides):
     """A minimal open-field scenario the tests can bend per case."""

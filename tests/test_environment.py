@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -20,7 +21,8 @@ from herdsim.environment import (CULL_SLACK, EXPONENT_RESIDUAL_MAX, MAX_STEPS,
 from herdsim.errors import ConfigError, SolverError
 from herdsim.geom import BlendTriplet, Vec2
 
-from conftest import REFERENCE_OBSTACLES, contour_tangent_angle, small_scenario_doc
+from conftest import (REFERENCE_OBSTACLES, contour_tangent_angle, random_world,
+                      small_scenario_doc)
 
 
 def bisect_exponent_oracle(w, h, iw, ih):
@@ -626,3 +628,13 @@ def test_spacing_check_bounds_overlap_count(obstacles):
     cfg = scenario_from_dict(two_defender_doc(2.0, obstacles))
     spaced = not any(s.startswith("obstacle-spacing") for s in validate_scenario(cfg))
     assert spaced == (_max_overlap_count(cfg) <= 1)
+
+
+def test_world_census_counts():
+    # ROADMAP item 7's census: seeds 0-1,499 by first violation, validation only
+    first = collections.Counter()
+    for seed in range(1500):
+        violations = validate_scenario(scenario_from_dict(random_world(seed)))
+        first[violations[0].split(":")[0] if violations else "accepted"] += 1
+    assert first == {"accepted": 260, "obstacle-spacing": 848, "start-clearance": 264,
+                     "safe-area-shell": 126, "sensing-zone": 2}

@@ -19,7 +19,7 @@ from herdsim.geom import Vec2, blend_weight
 from herdsim.sim import build_context, new_state, run, safety_snapshot
 from herdsim.svg import ratio_curves_svg
 
-from conftest import load_bench_workloads, small_scenario_doc
+from conftest import load_bench_workloads, random_world, small_scenario_doc
 
 # sha256 of the bundled scenario's trace.csv; bench/run.py gates on the same value
 GOLDEN_TRACE_SHA256 = "fb2507b0a5192badb68e321148f3ac080a3bf8be92c1a1695baa7edba68d81a4"
@@ -182,23 +182,17 @@ def test_capture_clock_waits_for_the_formed_arc(bundle_doc, start):
     assert round(max(trace.maxima[name] for name in sim.RATIO_COLUMNS), 3) == worst
 
 
-# the seed-1155 world of the random-world search in ROADMAP 1(h): the
-# bundled world with its start, safe center and obstacles moved and resized
-WORLD_1155 = {
-    ("attacker", "start_m"): [21.2, 94.27],
-    ("safe_area", "center_m"): [29.34, 62.59],
-    ("obstacles",): [{"center_m": list(c), "width_m": w, "height_m": h} for c, w, h in (
-        ((6.89, 25.4), 2.59, 3.39), ((-8.84, 22.49), 1.53, 2.91), ((8.04, 9.68), 1.86, 2.9),
-        ((17.62, 39.8), 3.04, 1.89), ((-5.58, 42.95), 3.29, 2.03),
-        ((15.21, 62.64), 2.19, 3.09))],
-}
+def world(seed):
+    """The changes that turn the bundled document into random_world(seed)."""
+    return {(section,): value for section, value in random_world(seed).items()}
 
 
 # Accepted scenarios that must capture with every ratio below 1.  (40, 30)
 # and (40, 100) reached attacker_defender 1.0038 and 1.4818 while the
 # defenders did not avoid the attacker (ROADMAP 1(a)).  The rest break a
-# guarantee today, each named by its open ROADMAP item.  Mending one makes
-# its test pass, which xfail_strict turns into a failure until the mark is
+# guarantee today, each named by its open ROADMAP item; the worlds are the
+# six of the census's 260 accepted worlds that do.  Mending one makes its
+# test pass, which xfail_strict turns into a failure until the mark is
 # removed.
 @pytest.mark.parametrize("changes", [
     pytest.param({("attacker", "start_m"): [40.0, 30.0]}, id="start-40-30"),
@@ -209,9 +203,24 @@ WORLD_1155 = {
     pytest.param({("attacker", "start_m"): [5.0, 30.0]}, id="start-5-30",
                  marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
                                                 "1.101 before the arc forms")),
-    pytest.param(WORLD_1155, id="world-1155",
+    pytest.param(world(198), id="world-198",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                                                "2.010 before the arc forms")),
+    pytest.param(world(869), id="world-869",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                                                "1.229 before the arc forms")),
+    pytest.param(world(1006), id="world-1006",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                                                "1.739 before the arc forms")),
+    pytest.param(world(1155), id="world-1155",
                  marks=pytest.mark.xfail(reason="ROADMAP 1(h): attacker_obstacle ratio 1.072 "
                                                 "at 76.76 s, after the arc formed at 74.95 s")),
+    pytest.param(world(558), id="world-558",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.76, but the arc "
+                                                "forms only at 187.42 s and the run ends t-max")),
+    pytest.param(world(1200), id="world-1200",
+                 marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.76, but the arc "
+                                                "forms only at 183.72 s and the run ends t-max")),
     pytest.param({("attacker", "speed_max_mps"): 0.5}, id="attacker-0.5",
                  marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.75, but the arc "
                                                 "never forms and the run ends t-max")),
@@ -524,7 +533,7 @@ def test_streamed_trace_csv_equals_to_csv(cli_artifacts, reference_run):
     assert cli_artifacts["first"]["trace.csv"] == trace.to_csv().encode()
 
 
-def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc, caplog):
+def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc):
     # On the small world from (0, 30) with a 2 m safe area (below the
     # safe-radius rule) the formed arc lets the attacker out at 41.99 and
     # 51.44 s.  Each exit stops the capture clock and the next entry
@@ -532,10 +541,9 @@ def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc, cap
     # the run there.
     cfg = scenario_from_dict(small_scenario_doc(**{"safe_area.radius_m": 2.0,
                                                    "attacker.start_m": [0.0, 30.0]}))
-    with caplog.at_level("WARNING", logger="herdsim.sim"):
-        trace = run(cfg)
-    assert [r.getMessage() for r in caplog.records] == [
-        "attacker left the safe area at t=41.990", "attacker left the safe area at t=51.440"]
+    trace = run(cfg)
+    assert [(round(t, 2), text) for t, text in trace.notices] == [
+        (41.99, "attacker left the safe area"), (51.44, "attacker left the safe area")]
     assert trace.events["t_formed_s"] < 41.99
     assert trace.events["t_capture_s"] == 59.89
     assert trace.termination == "t-max"
@@ -570,6 +578,26 @@ def test_one_obstacle_push_per_step(reference_cfg, monkeypatch):
     trace = run(reference_cfg, t_max=1.0)
     assert trace.events["t_sense_s"] == 0.0   # every step plans
     assert len(calls) == len(trace.rows) - 1  # the last row is terminal
+
+
+def test_degenerate_field_holds_the_defender_for_one_step(reference_cfg, monkeypatch):
+    # defender 1's field vanishes at its 51st planning step (t = 0.5 s)
+    original = sim.defender_field
+    calls = itertools.count()
+
+    def vanishing(index, *args):
+        f, conflict, peer, threat = original(index, *args)
+        if index == 1 and next(calls) == 50:
+            f = Vec2(0.0, 0.0)
+        return f, conflict, peer, threat
+
+    monkeypatch.setattr(sim, "defender_field", vanishing)
+    trace = run(reference_cfg, t_max=1.0)
+    assert trace.events["t_sense_s"] == 0.0   # every step plans
+    speed = trace.speed("d1")
+    # the last row is terminal, where every agent stands still
+    assert [i for i, v in enumerate(speed[:-1]) if v == 0.0] == [50]
+    assert trace.notices == [(0.5, "defender 1 held on a degenerate field")]
 
 
 def test_far_inert_obstacles_leave_run_unchanged(bundle_doc, reference_run):

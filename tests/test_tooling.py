@@ -66,16 +66,25 @@ def test_git_tracks_no_build_or_run_output():
     assert [p for p in proc.stdout.split("\0") if p and is_output(p)] == []
 
 
-def test_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
-    # importing either costs every command about 4 ms before it starts
+# each command's exit code and the listed modules loaded after it ran;
+# sweep builds arrays, and numpy imports inspect itself
+@pytest.mark.parametrize("argv, after", [
+    (["check"], "0 []"),
+    (["simulate", "--t-max", "1", "--svg", "off", "--out", "o"], "5 []"),
+    (["sweep", "--obstacle", "0", "--resolution", "64", "--svg", "off", "--out", "o"],
+     "0 ['inspect']"),
+], ids=["check", "simulate", "sweep"])
+def test_cli_loads_no_dataclasses_inspect_or_logging(tmp_path, argv, after):
+    # importing any of them costs every command 3 to 4 ms before it starts
     probe = ("import sys; from herdsim import cli; "
-             "loaded = lambda: [m for m in ('dataclasses', 'inspect') if m in sys.modules]; "
-             "imported = loaded(); code = cli.main(['check']); "
+             "loaded = lambda: [m for m in ('dataclasses', 'inspect', 'logging') "
+             "if m in sys.modules]; "
+             f"imported = loaded(); code = cli.main({argv!r}); "
              "print(imported, code, loaded())")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] 0 []"
+    assert proc.stdout.splitlines()[-1] == f"[] {after}"
 
 
 def test_only_geom_sets_record_fields_directly():
@@ -85,3 +94,10 @@ def test_only_geom_sets_record_fields_directly():
                for p in (REPO / "src" / "herdsim").glob("*.py")}
     assert setters.pop("geom.py")
     assert [name for name, sets in setters.items() if sets] == []
+
+
+def test_no_module_reads_the_environment():
+    # every command is configured by its arguments and its scenario alone
+    readers = [p.name for p in (REPO / "src" / "herdsim").glob("*.py")
+               if "os.environ" in p.read_text() or "getenv" in p.read_text()]
+    assert readers == []
