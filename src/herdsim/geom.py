@@ -5,54 +5,10 @@ built from."""
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
 
 TWO_PI = 2.0 * math.pi
-
-
-class Vec2(NamedTuple):
-    """Planar vector; meters for positions, meters/second for velocities."""
-
-    x: float
-    y: float
-
-    def __add__(self, other):
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s):
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Vec2(-self.x, -self.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
-
-
-def unit(v: Vec2) -> Vec2:
-    """Normalize a vector; the zero vector maps to itself."""
-    n = math.hypot(v.x, v.y)
-    if n == 0.0:
-        return Vec2(0.0, 0.0)
-    return Vec2(v.x / n, v.y / n)
-
-
-def angle_of(v: Vec2) -> float:
-    return math.atan2(v.y, v.x)
-
-
-def dist(a: Vec2, b: Vec2) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 class Frozen:
@@ -63,8 +19,8 @@ class Frozen:
     defaults of its trailing fields; a subclass that defines __init__ is
     refused.  Records of one class are equal, and hash alike, when their
     field values are; a record never equals a tuple.  Fields refuse
-    assignment, and _replace builds the changed copy through the
-    constructor, so the checks run on the new values."""
+    assignment, and _replace, copy and pickle build the changed or copied
+    record through the constructor, so the checks run on its values."""
 
     __slots__ = ()
 
@@ -76,10 +32,13 @@ class Frozen:
         # are identifiers, so only they and literals reach the code
         defaults = getattr(cls, "_defaults", {})
         params = [f"{f}=_defaults[{f!r}]" if f in defaults else f for f in cls.__slots__]
-        body = [f"_set(self, {f!r}, {f})" for f in cls.__slots__]
+        # each field is set through its slot descriptor, which __setattr__
+        # below does not stop
+        body = [f"_set_{f}(self, {f})" for f in cls.__slots__]
         if hasattr(cls, "_check"):
             body.append("self._check()")
-        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        namespace = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.__slots__}
+        namespace["_defaults"] = defaults
         exec(f"def __init__(self, {', '.join(params)}):\n    {'; '.join(body)}\n", namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -108,6 +67,55 @@ class Frozen:
 
     def _replace(self, **changes):
         return type(self)(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Vec2(Frozen):
+    """Planar vector; meters for positions, meters/second for velocities.
+    It unpacks like a pair (x, y = v), but never equals one."""
+
+    __slots__ = ("x", "y")
+
+    def __add__(self, other):
+        return Vec2(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other):
+        return Vec2(self.x - other.x, self.y - other.y)
+
+    def __mul__(self, s):
+        return Vec2(self.x * s, self.y * s)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Vec2(-self.x, -self.y)
+
+    def norm(self) -> float:
+        return math.hypot(self.x, self.y)
+
+    def is_finite(self) -> bool:
+        return math.isfinite(self.x) and math.isfinite(self.y)
+
+    def __iter__(self):
+        return iter((self.x, self.y))
+
+
+def unit(v: Vec2) -> Vec2:
+    """Normalize a vector; the zero vector maps to itself."""
+    n = math.hypot(v.x, v.y)
+    if n == 0.0:
+        return Vec2(0.0, 0.0)
+    return Vec2(v.x / n, v.y / n)
+
+
+def angle_of(v: Vec2) -> float:
+    return math.atan2(v.y, v.x)
+
+
+def dist(a: Vec2, b: Vec2) -> float:
+    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 class BlendTriplet(Frozen):

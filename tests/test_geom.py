@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,3 +135,29 @@ def test_vec2_ops():
     assert unit(a) == Vec2(0.6, 0.8)
     assert unit(Vec2(0.0, 0.0)) == Vec2(0.0, 0.0)
     assert not Vec2(math.nan, 0.0).is_finite()
+
+
+def test_vec2_is_an_immutable_pair_but_not_a_tuple():
+    v = Vec2(1.0, 2.0)
+    with pytest.raises(AttributeError):
+        v.x = 3.0
+    # a slots record: no per-instance dict, and no tuple underneath
+    assert not hasattr(v, "__dict__") and not issubclass(Vec2, tuple)
+    x, y = v
+    assert (x, y) == tuple(v) == (1.0, 2.0)
+    assert v == Vec2(1.0, 2.0) and hash(v) == hash(Vec2(1.0, 2.0))
+    assert v != Vec2(2.0, 1.0)
+    assert v != (1.0, 2.0)
+    assert repr(v) == "Vec2(x=1.0, y=2.0)"
+    assert v._replace(y=5.0) == Vec2(1.0, 5.0) and v == Vec2(1.0, 2.0)
+
+
+@pytest.mark.parametrize("round_trip", [lambda r: pickle.loads(pickle.dumps(r)),
+                                        copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("which", ["ScenarioConfig", "Obstacle", "BlendTriplet", "Vec2"])
+def test_records_pickle_and_copy(reference_cfg, round_trip, which):
+    record = {"ScenarioConfig": reference_cfg, "Obstacle": reference_cfg.obstacles[0],
+              "BlendTriplet": BAND, "Vec2": Vec2(1.0, -2.5)}[which]
+    again = round_trip(record)
+    assert type(again) is type(record) and again == record

@@ -1,3 +1,4 @@
+import re
 import shutil
 import subprocess
 import sys
@@ -87,10 +88,14 @@ def test_cli_loads_no_dataclasses_inspect_or_logging(tmp_path, argv, after):
     assert proc.stdout.splitlines()[-1] == f"[] {after}"
 
 
+# the two ways round Frozen.__setattr__: object's own, or a slot descriptor's
+DIRECT_SET = re.compile(r"object\.__setattr__|\.__set__\b")
+
+
 def test_only_geom_sets_record_fields_directly():
     # geom.Frozen writes every record's __init__ from its __slots__, so a
     # record's fields are named in one place
-    setters = {p.name: "object.__setattr__" in p.read_text()
+    setters = {p.name: DIRECT_SET.search(p.read_text()) is not None
                for p in (REPO / "src" / "herdsim").glob("*.py")}
     assert setters.pop("geom.py")
     assert [name for name, sets in setters.items() if sets] == []
