@@ -7,6 +7,7 @@ the solved exponent balances tightness against the width of the blending
 band.  Writes obstacle_shells.svg next to this script.
 """
 
+import io
 from pathlib import Path
 
 from herdsim import (ObstacleDerivation, Vec2, derive_obstacle, shell_points,
@@ -33,7 +34,8 @@ print("\nlevel coordinate along the +x ray:")
 for r in [0.0, 1.0, 2.0, ob.semi_x, 3.0, 4.0, 5.0]:
     print(f"  r = {r:5.3f}  E = {superelliptic_distance(Vec2(r, 0.0), ob):8.4f}")
 
-canvas = Canvas(-6.0, 6.0, -6.0, 6.0, width=560, height=560)
+svg = io.StringIO()
+canvas = Canvas(svg, -6.0, 6.0, -6.0, 6.0, width=560, height=560)
 canvas.rect(0.0, 0.0, ob.width, ob.height, stroke="dimgray", fill="lightgray")
 for level, color in [(0.0, "black"), (ob.defender_band.lo, "seagreen"),
                      (ob.formation_band.lo, "slateblue"),
@@ -42,6 +44,7 @@ for level, color in [(0.0, "black"), (ob.defender_band.lo, "seagreen"),
     pts = shell_points(ob, level, 240)
     canvas.polyline(pts + pts[:1], stroke=color, width=1.2)
 canvas.text(-5.8, 5.6, "shells: base (black), defender (green), formation lo/mid/hi")
+canvas.close()
 out = Path(__file__).with_name("obstacle_shells.svg")
-out.write_text(canvas.render())
+out.write_text(svg.getvalue())
 print(f"\nwrote {out}")

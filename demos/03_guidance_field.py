@@ -10,6 +10,7 @@ anywhere except the safe center itself.
 Writes guidance_field.svg (quiver plus a few streamlines) next to this script.
 """
 
+import io
 import math
 from pathlib import Path
 
@@ -25,7 +26,8 @@ params = ObstacleDerivation(formation_radius=0.65, clearance=0.2,
 obstacle = derive_obstacle(Vec2(0.0, 0.0), 4.0, 3.0, params)
 safe = Disc(Vec2(3.0, 7.0), 1.0)
 
-canvas = Canvas(-9.0, 9.0, -9.0, 10.5, width=640, height=640)
+svg = io.StringIO()
+canvas = Canvas(svg, -9.0, 9.0, -9.0, 10.5, width=640, height=640)
 canvas.rect(0.0, 0.0, 4.0, 3.0, stroke="dimgray", fill="lightgray")
 for level in (obstacle.formation_band.lo, obstacle.formation_band.hi):
     pts = shell_points(obstacle, level, 240)
@@ -51,8 +53,9 @@ for start in [Vec2(-8.0, -8.0), Vec2(8.0, -8.0), Vec2(0.0, -8.5), Vec2(8.0, 2.0)
     print(f"streamline from ({start.x:+.1f}, {start.y:+.1f}): "
           f"converged={converged}, {len(pts)} samples, min field norm {min_norm:.3f}")
 
+canvas.close()
 out = Path(__file__).with_name("guidance_field.svg")
-out.write_text(canvas.render())
+out.write_text(svg.getvalue())
 print(f"wrote {out}")
 
 report = singularity_sweep(obstacle, resolution=128)

@@ -18,6 +18,10 @@ other nonzero code is the `exit_code` of the HerdsimError a command raised:
 `simulate` prints each notice of the run (trace.notices) to stderr as a
 `warning:` line with its time.  The dynamics are deterministic, so no
 command takes a seed; no command reads the environment.
+
+Each command imports, at its top, the modules that only it runs, so `check`
+and `--version` never load the step loop or the SVG writers, and `sweep`
+never loads the step loop.
 """
 
 from __future__ import annotations
@@ -29,14 +33,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .defender_control import solve_tracking_gains, terminal_phase_time
 from .environment import (arc_magnitude, load_scenario, min_spread, reference_scenario_path,
                           scenario_warnings, validate_scenario)
 from .errors import ConfigError, HerdsimError, OutputDirError, SchemaError
-from .formation_field import singularity_sweep
 from .geom import dist
-from .sim import RATIO_COLUMNS, TERM_CAPTURED, run
-from .svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
 
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 4
@@ -73,6 +73,9 @@ def _json_dump(obj) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import RATIO_COLUMNS, TERM_CAPTURED, run
+    from .svg import ratio_curves_svg, trajectory_svg
+
     outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
     if args.svg == "on":
         outputs["trajectories_svg"] = "trajectories.svg"
@@ -94,8 +97,10 @@ def cmd_simulate(args) -> int:
     with open(out / "trace.csv", "w") as fh:
         trace.to_csv(fh)
     if args.svg == "on":
-        (out / "trajectories.svg").write_text(trajectory_svg(trace, cfg))
-        (out / "ratios.svg").write_text(ratio_curves_svg(trace))
+        with open(out / "trajectories.svg", "w") as fh:
+            trajectory_svg(trace, cfg, fh)
+        with open(out / "ratios.svg", "w") as fh:
+            ratio_curves_svg(trace, fh)
     manifest["outputs"] = outputs
     summary = trace.summary()
     summary["manifest"] = manifest
@@ -115,6 +120,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .formation_field import singularity_sweep
+    from .svg import sweep_heatmap_svg
+
     svg = ["sweep.svg"] if args.svg == "on" else []
     out = _out_dir(args.out, ["sweep.csv", "sweep_summary.json", *svg])
     cfg, manifest = _load(args.scenario)
@@ -138,6 +146,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .defender_control import solve_tracking_gains, terminal_phase_time
+
     cfg, manifest = _load(args.scenario)
     violations = validate_scenario(cfg)
     warnings = scenario_warnings(cfg)

@@ -7,10 +7,11 @@ byte-identical documents.
 
 from __future__ import annotations
 
+import io
 import math
+from typing import Optional, TextIO
 
 from .environment import shell_points
-from .sim import RATIO_COLUMNS
 
 
 def _fmt(v: float) -> str:
@@ -18,9 +19,12 @@ def _fmt(v: float) -> str:
 
 
 class Canvas:
-    """Fixed-viewport SVG document with a y-up world frame."""
+    """Fixed-viewport SVG document with a y-up world frame, written to the
+    text stream out one element at a time; close() ends the document."""
 
-    def __init__(self, x_min, x_max, y_min, y_max, width=720, height=720, pad=30):
+    def __init__(self, out: TextIO, x_min, x_max, y_min, y_max, width=720, height=720,
+                 pad=30):
+        self.out = out
         self.width = width
         self.height = height
         sx = (width - 2 * pad) / (x_max - x_min)
@@ -29,11 +33,13 @@ class Canvas:
         self.x_min = x_min
         self.y_max = y_max
         self.pad = pad
-        self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        ]
+        self._element(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                      f'height="{height}" viewBox="0 0 {width} {height}">')
+        self._element(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
+
+    def _element(self, text: str) -> None:
+        self.out.write(text)
+        self.out.write("\n")
 
     def to_px(self, x, y):
         return (self.pad + (x - self.x_min) * self.scale,
@@ -62,36 +68,41 @@ class Canvas:
 
     def _polyline(self, px, stroke, width, dash, fill):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self.parts.append(f'<polyline points="{px}" fill="{fill}" stroke="{stroke}" '
-                          f'stroke-width="{_fmt(width)}"{dash_attr}/>')
+        self._element(f'<polyline points="{px}" fill="{fill}" stroke="{stroke}" '
+                      f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
     def circle(self, cx, cy, r, stroke="black", fill="none", width=1.0, dash=None):
         x, y = self.to_px(cx, cy)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self.parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r * self.scale)}" '
-                          f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
+        self._element(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r * self.scale)}" '
+                      f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
 
     def rect(self, cx, cy, w, h, stroke="black", fill="none", width=1.0):
         x, y = self.to_px(cx - w / 2.0, cy + h / 2.0)
-        self.parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w * self.scale)}" '
-                          f'height="{_fmt(h * self.scale)}" fill="{fill}" stroke="{stroke}" '
-                          f'stroke-width="{_fmt(width)}"/>')
+        self._element(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w * self.scale)}" '
+                      f'height="{_fmt(h * self.scale)}" fill="{fill}" stroke="{stroke}" '
+                      f'stroke-width="{_fmt(width)}"/>')
 
     def text(self, x, y, s, size=12, fill="black"):
         px, py = self.to_px(x, y)
-        self.parts.append(f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-size="{size}" '
-                          f'font-family="sans-serif" fill="{fill}">{s}</text>')
+        self._element(f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-size="{size}" '
+                      f'font-family="sans-serif" fill="{fill}">{s}</text>')
 
     def marker(self, x, y, r=3.0, fill="black"):
         px, py = self.to_px(x, y)
-        self.parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(r)}" fill="{fill}"/>')
+        self._element(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(r)}" fill="{fill}"/>')
 
-    def render(self) -> str:
-        return "\n".join([*self.parts, "</svg>\n"])
+    def close(self) -> None:
+        self.out.write("</svg>\n")
 
 
-def trajectory_svg(trace, cfg) -> str:
-    """World-frame overview: areas, obstacles with their shells, agent paths."""
+def trajectory_svg(trace, cfg, out: Optional[TextIO] = None) -> Optional[str]:
+    """World-frame overview: areas, obstacles with their shells, agent paths.
+    Written to the text stream out; with no stream, returned as a string."""
+    if out is None:
+        buf = io.StringIO()
+        trajectory_svg(trace, cfg, buf)
+        return buf.getvalue()
     paths = [(trace.column(f"{agent}_x_m"), trace.column(f"{agent}_y_m"))
              for agent in ["attacker"] + [f"d{j}" for j in range(trace.defender_count)]]
     # each path's extremes, then the areas' and the shells' extents
@@ -104,7 +115,7 @@ def trajectory_svg(trace, cfg) -> str:
     for ob in cfg.obstacles:
         xs += [ob.center.x - ob.formation_width, ob.center.x + ob.formation_width]
         ys += [ob.center.y - ob.formation_height, ob.center.y + ob.formation_height]
-    canvas = Canvas(min(xs) - 2, max(xs) + 2, min(ys) - 2, max(ys) + 2)
+    canvas = Canvas(out, min(xs) - 2, max(xs) + 2, min(ys) - 2, max(ys) + 2)
 
     canvas.circle(cfg.protected.center.x, cfg.protected.center.y, cfg.protected.radius,
                   stroke="deeppink", dash="6,4", width=1.5)
@@ -122,12 +133,17 @@ def trajectory_svg(trace, cfg) -> str:
         color, width = ("red", 1.5) if k == 0 else ("royalblue", 1.0)
         canvas.polyline(zip(path_x, path_y), stroke=color, width=width)
         canvas.marker(path_x[0], path_y[0], fill=color)
-    return canvas.render()
+    canvas.close()
 
 
-def ratio_curves_svg(trace) -> str:
+def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
     """Critical relative distances (upper band) and defender speeds (lower
-    band) over time, with the ratio-1 violation line marked."""
+    band) over time, with the ratio-1 violation line marked.  Written to the
+    text stream out; with no stream, returned as a string."""
+    if out is None:
+        buf = io.StringIO()
+        ratio_curves_svg(trace, buf)
+        return buf.getvalue()
     # a run stopped at step 0 has one row at t = 0: give the axis a width
     t_end = trace.t_end if trace.t_end > 0.0 else 1.0
     colors = ["darkorange", "seagreen", "royalblue", "crimson"]
@@ -137,11 +153,13 @@ def ratio_curves_svg(trace) -> str:
     s_max = max(s_max, 1e-9)
 
     # upper band: ratios in y [0.5, 2.5]; lower band: speeds scaled into [-2.4, -0.4]
-    canvas = Canvas(0.0, t_end, -2.5, 2.6, height=640)
+    canvas = Canvas(out, 0.0, t_end, -2.5, 2.6, height=640)
     ts = canvas.x_px(trace.column("t_s"))
     canvas.text(0.02 * t_end, 2.55, "critical relative distances (1 = violation)")
     canvas.polyline([(0.0, 0.5 + 1.0), (t_end, 0.5 + 1.0)], stroke="black", dash="4,4")
-    for k, (column, color) in enumerate(zip(RATIO_COLUMNS, colors)):
+    # read off the trace, so that svg never imports the step loop
+    ratio_columns = [c for c in trace.columns if c.startswith("ratio_")]
+    for k, (column, color) in enumerate(zip(ratio_columns, colors)):
         canvas.series(ts, (0.5 + min(v, 2.0) for v in trace.column(column)),
                       stroke=color, width=1.2)
         label = column.removeprefix("ratio_").replace("_", "/")
@@ -153,7 +171,7 @@ def ratio_curves_svg(trace) -> str:
         canvas.series(ts, (-2.4 + 2.0 * s / s_max for s in data),
                       stroke=["royalblue", "seagreen", "darkorange",
                               "purple", "teal"][j % 5], width=1.2)
-    return canvas.render()
+    canvas.close()
 
 
 def sweep_heatmap_svg(report) -> str:

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import herdsim
-from herdsim import cli, defender_control, environment, errors, reference_scenario_path
+from herdsim import (cli, defender_control, environment, errors, formation_field,
+                     reference_scenario_path, sim)
 from herdsim.cli import main
 from herdsim.geom import dist
 
@@ -611,8 +612,8 @@ def test_scenario_step_count_above_max_steps_exits_3(tmp_path, capsys, command, 
 def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, below):
     def no_work(*args, **kwargs):
         raise AssertionError(f"{command} worked with an unusable --out")
-    monkeypatch.setattr(cli, "run", no_work)
-    monkeypatch.setattr(cli, "singularity_sweep", no_work)
+    monkeypatch.setattr(formation_field, "singularity_sweep", no_work)
+    monkeypatch.setattr(sim, "run", no_work)
     blocker = tmp_path / "F"
     blocker.write_text("")
     out = blocker / "sub" if below else blocker
@@ -629,8 +630,8 @@ def test_artifact_name_taken_by_a_directory_exits_2_before_any_work(tmp_path, ca
                                                                      monkeypatch, command, name):
     def no_work(*args, **kwargs):
         raise AssertionError(f"{command} worked with {name} taken by a directory")
-    monkeypatch.setattr(cli, "run", no_work)
-    monkeypatch.setattr(cli, "singularity_sweep", no_work)
+    monkeypatch.setattr(formation_field, "singularity_sweep", no_work)
+    monkeypatch.setattr(sim, "run", no_work)
     out = tmp_path / "o"
     (out / name).mkdir(parents=True)
     extra = ["--obstacle", "0"] if command == "sweep" else []

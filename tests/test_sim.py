@@ -17,7 +17,7 @@ from herdsim import attacker, formation_field, sim
 from herdsim.environment import safety_ratio, superelliptic_distance
 from herdsim.geom import Vec2, blend_weight
 from herdsim.sim import build_context, new_state, run, safety_snapshot
-from herdsim.svg import ratio_curves_svg
+from herdsim.svg import ratio_curves_svg, trajectory_svg
 
 from conftest import load_bench_workloads, random_world, small_scenario_doc
 
@@ -531,6 +531,15 @@ def test_streamed_trace_csv_equals_to_csv(cli_artifacts, reference_run):
     # `simulate` streams trace.csv into the file row by row
     trace, _ = reference_run
     assert cli_artifacts["first"]["trace.csv"] == trace.to_csv().encode()
+
+
+def test_streamed_svgs_equal_the_returned_strings(cli_artifacts, reference_run,
+                                                  reference_cfg):
+    # `simulate` streams both SVGs into their files element by element
+    trace, _ = reference_run
+    written = cli_artifacts["first"]
+    assert written["trajectories.svg"] == trajectory_svg(trace, reference_cfg).encode()
+    assert written["ratios.svg"] == ratio_curves_svg(trace).encode()
 
 
 def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc):

@@ -1,3 +1,5 @@
+import ast
+import json
 import re
 import shutil
 import subprocess
@@ -86,6 +88,80 @@ def test_cli_loads_no_dataclasses_inspect_or_logging(tmp_path, argv, after):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"[] {after}"
+
+
+# Runs cli.main(argv) in a fresh interpreter and prints, as the last line, the
+# herdsim modules it loaded.
+LOADED_PROBE = """
+import sys
+from herdsim import cli
+try:
+    cli.main({argv!r})
+except SystemExit:
+    pass
+print(sorted(m.removeprefix("herdsim.") for m in sys.modules if m.startswith("herdsim.")))
+"""
+
+
+# each command compiles only the modules it runs: check and --version never
+# load the step loop or the SVG writers, and sweep never loads the step loop
+@pytest.mark.parametrize("argv, unused", [
+    (["--version"], {"sim", "svg", "herding", "attacker"}),
+    (["check"], {"sim", "svg", "herding", "attacker"}),
+    (["sweep", "--obstacle", "0", "--resolution", "64", "--out", "o"],
+     {"sim", "herding", "attacker"}),
+], ids=["version", "check", "sweep"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
+    proc = subprocess.run([sys.executable, "-c", LOADED_PROBE.format(argv=argv)],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert {"cli", "environment", "errors", "geom"} <= loaded
+    assert loaded & unused == set()
+
+
+# Checks the lazy package protocol in a fresh interpreter; prints its
+# findings as one JSON object on the last line.
+PACKAGE_PROBE = """
+import json, sys
+import herdsim
+on_import = sorted(m for m in sys.modules if m.startswith("herdsim."))
+exports = {n: getattr(herdsim, n) for n in herdsim.__all__}
+before = dict(vars(herdsim))
+for n in herdsim.__all__:
+    getattr(herdsim, n)
+try:
+    herdsim.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+star = {}
+exec("from herdsim import *", star)
+print(json.dumps({
+    "on_import": on_import, "unknown": unknown,
+    "not_its_module's": [n for n, obj in exports.items()
+                         if not obj.__module__.startswith("herdsim.")
+                         or getattr(sys.modules[obj.__module__], n) is not obj],
+    "missing_from_dir": sorted(set(herdsim.__all__) - set(dir(herdsim))),
+    "stored": sorted(set(herdsim.__all__) & set(vars(herdsim))),
+    "vars_changed": dict(vars(herdsim)) != before,
+    "missing_from_star": sorted(set(herdsim.__all__) - set(star))}))
+"""
+
+
+def test_package_resolves_its_exports_on_first_use(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_PROBE], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert found.pop("on_import") == []   # `import herdsim` alone loads no module
+    assert found.pop("unknown") == "module 'herdsim' has no attribute 'no_such_name'"
+    # every export is the object its defining module holds, dir() and
+    # `import *` list it, and no lookup is stored in the package namespace,
+    # so a rebinding in the module shows through the package
+    assert found == {"not_its_module's": [], "missing_from_dir": [], "stored": [],
+                     "vars_changed": False, "missing_from_star": []}
 
 
 # the two ways round Frozen.__setattr__: object's own, or a slot descriptor's
