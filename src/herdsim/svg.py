@@ -140,6 +140,9 @@ def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
     """Critical relative distances (upper band) and defender speeds (lower
     band) over time, with the ratio-1 violation line marked.  Written to the
     text stream out; with no stream, returned as a string."""
+    # imported here, so that sweep, which loads svg, never loads the step loop
+    from .sim import RATIO_COLUMNS
+
     if out is None:
         buf = io.StringIO()
         ratio_curves_svg(trace, buf)
@@ -157,9 +160,7 @@ def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
     ts = canvas.x_px(trace.column("t_s"))
     canvas.text(0.02 * t_end, 2.55, "critical relative distances (1 = violation)")
     canvas.polyline([(0.0, 0.5 + 1.0), (t_end, 0.5 + 1.0)], stroke="black", dash="4,4")
-    # read off the trace, so that svg never imports the step loop
-    ratio_columns = [c for c in trace.columns if c.startswith("ratio_")]
-    for k, (column, color) in enumerate(zip(ratio_columns, colors)):
+    for k, (column, color) in enumerate(zip(RATIO_COLUMNS, colors)):
         canvas.series(ts, (0.5 + min(v, 2.0) for v in trace.column(column)),
                       stroke=color, width=1.2)
         label = column.removeprefix("ratio_").replace("_", "/")
