@@ -15,7 +15,8 @@ from herdsim import (ObstacleDerivation, Vec2, derive_obstacle, shell_points,
 from herdsim.svg import Canvas
 
 params = ObstacleDerivation(formation_radius=0.65, clearance=0.2,
-                            defender_clearance=0.1, defender_radius=0.1)
+                            defender_clearance=0.1, defender_radius=0.1,
+                            attacker_mid_factor=1.15, attacker_hi_factor=1.3)
 ob = derive_obstacle(Vec2(0.0, 0.0), 4.0, 3.0, params)
 
 print(f"rectangle 4 x 3, inflated to {ob.formation_width:.2f} x {ob.formation_height:.2f}")

@@ -3,8 +3,9 @@
 Far out the speed saturates (tanh profile); inside the handoff error it
 switches to a fractional power law whose integral curves hit zero error in
 finite time, not just asymptotically.  The handoff error is solved so the
-speed profile is C1 across the switch.  The closed-form time bounds printed
-here are what the acceptance suite checks the integration against.
+speed profile is C1 across the switch.  The closed-form times printed here
+hold for a field that points at the goal and no conflict, as in the
+integration below.
 """
 
 from herdsim import Vec2, convergence_bounds, solve_tracking_gains, terminal_phase_time, unit

@@ -31,8 +31,7 @@ _EXPORTS = {
              "repel", "unit", "wrap_angle", "wrap_sector"),
     "herding": ("FormationSpec", "formation_goals", "formation_spec", "heading_rate",
                 "obstacle_resultant", "schedule_heading", "solve_command_heading"),
-    "sim": ("SafetySnapshot", "SimState", "SimTrace", "build_context", "new_state", "run",
-            "safety_snapshot"),
+    "sim": ("SimState", "SimTrace", "build_context", "run", "safety_snapshot"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

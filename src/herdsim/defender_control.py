@@ -120,15 +120,21 @@ def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,
 
 
 def convergence_bounds(initial_error: float, gains: TrackingGains) -> float:
-    """Conservative bound on the time for the tracking error to fall inside
-    the handoff basin from initial_error: zero if already inside, else the
-    bound from the quadratic certificate half'err^2.  The defense is viable
-    when every defender's bound beats the attacker's straight-line arrival.
+    """Time (s) for the tracking error to fall from initial_error to the
+    handoff error, zero if already inside the handoff basin.
+
+    It assumes a field that points at the goal and no conflict: then the
+    slot-velocity feedforward cancels the slot's motion, the error obeys
+    de/dt = -approach * tanh(e), and the time is exactly
+    ln(sinh e0 / sinh h) / approach.  The logarithm is summed as
+    e0 - h + log1p(-exp(-2 e0)) - log1p(-exp(-2 h)), which stays finite where
+    sinh e0 overflows.
     """
-    if initial_error <= gains.handoff_error:
+    e0, h = initial_error, gains.handoff_error
+    if e0 <= h:
         return 0.0
-    return (-initial_error / math.tanh(initial_error)) * math.log(
-        gains.handoff_error ** 2 / initial_error ** 2)
+    return (e0 - h + math.log1p(-math.exp(-2.0 * e0))
+            - math.log1p(-math.exp(-2.0 * h))) / gains.approach_speed
 
 
 def terminal_phase_time(gains: TrackingGains, start_error: float) -> float:

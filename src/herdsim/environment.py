@@ -106,7 +106,6 @@ class ObstacleDerivation(Frozen):
                  "clearance",             # standoff added around the formation
                  "defender_clearance",    # standoff added around a single defender
                  "defender_radius", "attacker_mid_factor", "attacker_hi_factor")
-    _defaults = dict(zip(__slots__[-2:], ATTACKER_CIRCLE_FACTORS))
 
 
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
@@ -650,6 +649,12 @@ def shell_points(ob: Obstacle, level: float, samples: int) -> list[Vec2]:
         dx, dy = contour_offsets(ob, math.cos(beta), math.sin(beta), level)
         points.append(Vec2(ob.center.x + dx, ob.center.y + dy))
     return points
+
+
+# the trace columns of the four safety ratios, in the order safety_snapshot
+# returns them
+RATIO_COLUMNS = ("ratio_attacker_obstacle", "ratio_defender_obstacle",
+                 "ratio_defender_defender", "ratio_attacker_defender")
 
 
 def safety_ratio(threshold: float, actual: float) -> float:

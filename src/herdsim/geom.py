@@ -15,8 +15,7 @@ class Frozen:
     """Base of the immutable records.  A subclass names its fields once, in
     __slots__, and Frozen writes its __init__: one parameter per slot in slot
     order, each field set in turn, then the record's _check(self), if it has
-    one, on the finished record.  A subclass's _defaults dict gives the
-    defaults of its trailing fields; a subclass that defines __init__ is
+    one, on the finished record.  A subclass that defines __init__ is
     refused.  Records of one class are equal, and hash alike, when their
     field values are; a record never equals a tuple.  Fields refuse
     assignment, and _replace, copy and pickle build the changed or copied
@@ -29,17 +28,14 @@ class Frozen:
             raise TypeError(f"{cls.__qualname__} defines __init__; "
                             f"Frozen writes it from __slots__")
         # spelled out like a hand-written one, so it runs as fast; slot names
-        # are identifiers, so only they and literals reach the code
-        defaults = getattr(cls, "_defaults", {})
-        params = [f"{f}=_defaults[{f!r}]" if f in defaults else f for f in cls.__slots__]
-        # each field is set through its slot descriptor, which __setattr__
-        # below does not stop
+        # are identifiers, so only they reach the code.  Each field is set
+        # through its slot descriptor, which __setattr__ below does not stop.
         body = [f"_set_{f}(self, {f})" for f in cls.__slots__]
         if hasattr(cls, "_check"):
             body.append("self._check()")
         namespace = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.__slots__}
-        namespace["_defaults"] = defaults
-        exec(f"def __init__(self, {', '.join(params)}):\n    {'; '.join(body)}\n", namespace)
+        params = ", ".join(cls.__slots__)
+        exec(f"def __init__(self, {params}):\n    {'; '.join(body)}\n", namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init

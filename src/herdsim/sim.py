@@ -18,12 +18,12 @@ import io
 import itertools
 import math
 from array import array
-from typing import NamedTuple, Optional, TextIO
+from typing import Optional, TextIO
 
 from .attacker import attacker_field, attacker_step, obstacle_push
 from .defender_control import defender_field, defender_velocity, solve_tracking_gains
-from .environment import (ScenarioConfig, distance_floor, level_floor, safety_ratio,
-                          superelliptic_distance)
+from .environment import (RATIO_COLUMNS, ScenarioConfig, distance_floor, level_floor,
+                          safety_ratio, superelliptic_distance)
 from .errors import IntegrityError
 from .formation_field import combined_field
 from .geom import BlendTriplet, Frozen, Vec2, angle_of, dist
@@ -47,41 +47,32 @@ class SimState:
     three lists in defender order.  A step replaces each list whole and
     never mutates one in place, so the positions list run() reads at step
     start stays the step-start snapshot for the safety snapshot, the trace
-    row and the formed test."""
+    row and the formed test.  SimState(cfg) is the state at t = 0: every
+    agent still at its start, and the goals the positions list, as on a hold
+    step."""
 
-    __slots__ = ("t", "attacker", "heading", "attacker_velocity", "positions", "velocities",
-                 "goals", "desired", "command", "t_capture")
+    __slots__ = ("t",
+                 "attacker",           # the attacker's position
+                 "heading",            # the attacker's last heading
+                 "attacker_velocity",  # velocity commanded for the current step
+                 "positions",
+                 "velocities",         # velocities commanded for the current step
+                 "goals",              # slots of the last plan; positions on a hold step
+                 "desired",            # desired herd heading of the last plan
+                 "command",            # arc command of the last plan; None before any
+                 "t_capture")          # last entry into the safe area, None once out
 
-    def __init__(self, t: float,
-                 attacker: Vec2,               # the attacker's position
-                 heading: float,               # the attacker's last heading
-                 attacker_velocity: Vec2,      # velocity commanded for the current step
-                 positions: list[Vec2],
-                 velocities: list[Vec2],       # velocities commanded for the current step
-                 goals: list[Vec2]):           # slots of the last plan; positions on a hold step
-        self.t = t
-        self.attacker = attacker
-        self.heading = heading
-        self.attacker_velocity = attacker_velocity
-        self.positions = positions
-        self.velocities = velocities
-        self.goals = goals
-        self.desired = 0.0                        # desired herd heading of the last plan
-        self.command: Optional[float] = None      # arc command of the last plan; None before any
-        self.t_capture: Optional[float] = None    # last entry into the safe area, None once out
-
-
-class SafetySnapshot(NamedTuple):
-    """Threshold-over-actual distance ratios; any value >= 1 is a violation."""
-
-    attacker_obstacle: float
-    defender_obstacle: float
-    defender_defender: float
-    attacker_defender: float
-
-
-# the safety snapshot's trace columns, in field order
-RATIO_COLUMNS = tuple("ratio_" + name for name in SafetySnapshot._fields)
+    def __init__(self, cfg: ScenarioConfig):
+        starts = list(cfg.defenders.starts)
+        self.t = 0.0
+        self.attacker = cfg.attacker.start
+        self.heading = 0.0
+        self.attacker_velocity = Vec2(0.0, 0.0)
+        self.positions = self.goals = starts
+        self.velocities = [Vec2(0.0, 0.0)] * len(starts)
+        self.desired = 0.0
+        self.command: Optional[float] = None
+        self.t_capture: Optional[float] = None
 
 
 class RunContext(Frozen):
@@ -108,10 +99,15 @@ class SimTrace:
     __slots__ = ("dt", "defender_count", "columns", "values", "events", "maxima",
                  "termination", "notices")
 
-    def __init__(self, dt: float, defender_count: int, columns: tuple[str, ...]):
+    def __init__(self, dt: float, defender_count: int):
         self.dt = dt
         self.defender_count = defender_count
-        self.columns = columns
+        cols = ["t_s", "attacker_x_m", "attacker_y_m", "attacker_vx_mps",
+                "attacker_vy_mps", "heading_desired_rad", "heading_cmd_rad"]
+        for j in range(defender_count):
+            cols += [f"d{j}_x_m", f"d{j}_y_m", f"d{j}_vx_mps", f"d{j}_vy_mps",
+                     f"d{j}_goal_x_m", f"d{j}_goal_y_m"]
+        self.columns = tuple(cols) + RATIO_COLUMNS
         self.values = array("d")
         self.events: dict = {}
         self.maxima: dict = {}
@@ -164,15 +160,6 @@ class SimTrace:
         }
 
 
-def _trace_columns(n_defenders: int) -> tuple[str, ...]:
-    cols = ["t_s", "attacker_x_m", "attacker_y_m", "attacker_vx_mps",
-            "attacker_vy_mps", "heading_desired_rad", "heading_cmd_rad"]
-    for j in range(n_defenders):
-        cols += [f"d{j}_x_m", f"d{j}_y_m", f"d{j}_vx_mps", f"d{j}_vy_mps",
-                 f"d{j}_goal_x_m", f"d{j}_goal_y_m"]
-    return tuple(cols) + RATIO_COLUMNS
-
-
 def build_context(cfg: ScenarioConfig) -> RunContext:
     if not cfg.defenders.count:
         return RunContext(spec=None, gains=(), guidance=(), avoid=None)
@@ -190,13 +177,6 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
     lo, hi = cfg.attacker.standoff_band.lo, cfg.formation.arc_radius - cfg.formation.goal_tolerance
     return RunContext(spec=spec, gains=gains, guidance=guidance,
                       avoid=BlendTriplet(lo, (lo + hi) / 2, hi))
-
-
-def new_state(cfg: ScenarioConfig) -> SimState:
-    starts = list(cfg.defenders.starts)
-    return SimState(t=0.0, attacker=cfg.attacker.start, heading=0.0,
-                    attacker_velocity=Vec2(0.0, 0.0), positions=starts,
-                    velocities=[Vec2(0.0, 0.0)] * len(starts), goals=starts)
 
 
 class ObstacleList(Frozen):
@@ -272,11 +252,15 @@ def _max_obstacle_ratio(p: Vec2, ob_list: ObstacleList, r: float) -> float:
 
 
 def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
-                    lists, nearest: Optional[tuple[float, float]] = None) -> SafetySnapshot:
+                    lists, nearest: Optional[tuple[float, float]] = None) -> tuple:
     """Evaluate the four critical relative distances at given positions.
 
-    A nonpositive actual distance (already inside a forbidden region) maps to
-    +inf.  With nothing in the world a ratio is 0 by convention.
+    Returns their threshold-over-actual ratios in RATIO_COLUMNS order: the
+    attacker's and the defenders' largest against an obstacle, then the
+    defenders' against each other and against the attacker; any value >= 1
+    is a violation.  A nonpositive actual distance (already inside a
+    forbidden region) maps to +inf.  With nothing in the world a ratio is 0
+    by convention.
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
     agent's position; their ratio bounds cut the obstacle scan short, and the
@@ -296,8 +280,8 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
             min(itertools.starmap(dist, itertools.combinations(defender_positions, 2)),
                 default=math.inf),
             min((dist(attacker_pos, p) for p in defender_positions), default=math.inf))
-    return SafetySnapshot(r_ao, r_do, safety_ratio(cfg.defenders.peer_band.lo, nearest[0]),
-                          safety_ratio(cfg.attacker.standoff_band.lo, nearest[1]))
+    return (r_ao, r_do, safety_ratio(cfg.defenders.peer_band.lo, nearest[0]),
+            safety_ratio(cfg.attacker.standoff_band.lo, nearest[1]))
 
 
 def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[Vec2]:
@@ -403,9 +387,9 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         cfg = cfg._replace(integrator=cfg.integrator._replace(**overrides))
 
     ctx = build_context(cfg)
-    state = new_state(cfg)
+    state = SimState(cfg)
     n = cfg.defenders.count
-    trace = SimTrace(dt=cfg.integrator.dt, defender_count=n, columns=_trace_columns(n))
+    trace = SimTrace(cfg.integrator.dt, n)
     events = trace.events = dict.fromkeys(
         ["t_sense_s", "t_formed_s", "t_capture_s", "t_breach_s"])
     n_steps = round(cfg.integrator.t_max / cfg.integrator.dt)

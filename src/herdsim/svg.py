@@ -11,7 +11,7 @@ import io
 import math
 from typing import Optional, TextIO
 
-from .environment import shell_points
+from .environment import RATIO_COLUMNS, shell_points
 
 
 def _fmt(v: float) -> str:
@@ -140,9 +140,6 @@ def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
     """Critical relative distances (upper band) and defender speeds (lower
     band) over time, with the ratio-1 violation line marked.  Written to the
     text stream out; with no stream, returned as a string."""
-    # imported here, so that sweep, which loads svg, never loads the step loop
-    from .sim import RATIO_COLUMNS
-
     if out is None:
         buf = io.StringIO()
         ratio_curves_svg(trace, buf)

@@ -154,7 +154,8 @@ def cli_artifacts(tmp_path_factory):
 def derivation():
     """Shell derivation matching the bundled scenario's footprint numbers."""
     return ObstacleDerivation(formation_radius=0.65, clearance=0.2,
-                              defender_clearance=0.1, defender_radius=0.1)
+                              defender_clearance=0.1, defender_radius=0.1,
+                              attacker_mid_factor=1.15, attacker_hi_factor=1.3)
 
 @pytest.fixture(scope="session")
 def bundle_doc():

@@ -99,7 +99,8 @@ def test_c05_corner_identity_and_exponent_relations(derivation):
         pad = rng.uniform(0.2, 1.2)
         params = ObstacleDerivation(formation_radius=pad, clearance=0.0,
                                     defender_clearance=0.05 * pad,
-                                    defender_radius=0.05 * pad)
+                                    defender_radius=0.05 * pad,
+                                    attacker_mid_factor=1.15, attacker_hi_factor=1.3)
         ob = derive_obstacle(Vec2(*rng.uniform(-20.0, 20.0, size=2)), w, h, params)
         corner = Vec2(ob.center.x + ob.formation_width / 2.0,
                       ob.center.y + ob.formation_height / 2.0)

@@ -20,16 +20,15 @@ from herdsim import sim
 from herdsim.attacker import attacker_field, obstacle_push
 from herdsim.cli import main
 from herdsim.defender_control import defender_field
-from herdsim.environment import (ATTACKER_CIRCLE_FACTORS, CULL_SLACK, ObstacleDerivation,
-                                 contour_offsets,
+from herdsim.environment import (ATTACKER_CIRCLE_FACTORS, CULL_SLACK, RATIO_COLUMNS,
+                                 ObstacleDerivation, contour_offsets,
                                  derive_obstacle, distance_floor, level_floor,
                                  scenario_from_dict, superelliptic_distance,
                                  validate_scenario)
 from herdsim.formation_field import combined_field
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, dist
 from herdsim.herding import obstacle_resultant
-from herdsim.sim import (SafetySnapshot, build_context, obstacle_list, refresh_lists, run,
-                         safety_snapshot)
+from herdsim.sim import build_context, obstacle_list, refresh_lists, run, safety_snapshot
 
 from conftest import outcome, ref_defender_field
 
@@ -68,8 +67,7 @@ def full_scan_snapshot(attacker_pos, defender_positions, cfg):
     for p in defender_positions:
         r_ad = max(r_ad, ratio(standoff_min, dist(attacker_pos, p)))
 
-    return SafetySnapshot(attacker_obstacle=r_ao, defender_obstacle=r_do,
-                          defender_defender=r_dd, attacker_defender=r_ad)
+    return r_ao, r_do, r_dd, r_ad
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +80,9 @@ derivations = st.builds(
     clearance=st.floats(0.01, 1.0),
     defender_clearance=st.floats(0.01, 0.5),
     defender_radius=st.floats(0.01, 0.5),
+    attacker_mid_factor=st.just(ATTACKER_CIRCLE_FACTORS[0]),
+    attacker_hi_factor=st.just(ATTACKER_CIRCLE_FACTORS[1]),
 )
-
-
-@given(derivations)
-def test_drawn_derivations_keep_the_default_circle_factors(params):
-    # builds() draws only the arguments it is given; the rest keep their defaults
-    assert (params.attacker_mid_factor, params.attacker_hi_factor) == ATTACKER_CIRCLE_FACTORS
 
 
 @st.composite
@@ -508,4 +502,4 @@ def test_snapshot_agent_ratios_match_full_scan(reference_cfg, attacker, defender
     snap = safety_snapshot(attacker, defenders, reference_cfg, lists)
     assert snap == full_scan_snapshot(attacker, defenders, reference_cfg)
     for name, value in expected.items():
-        assert getattr(snap, name) == value
+        assert snap[RATIO_COLUMNS.index("ratio_" + name)] == value

@@ -200,12 +200,31 @@ def test_velocity_bounded_by_budget():
 def test_convergence_bounds_examples():
     gains = bundle_gains()
     assert convergence_bounds(2.0, gains) > 0.0
-    # frozen closed-form value for the half-error-squared certificate
+    # frozen closed-form value ln(sinh 2 / sinh 0.5) / 1.0 of the far-field time
     gains_half = solve_tracking_gains(0.5, 2.0, 1.0, 0.0, 0.0)
     gains_half = gains_half.__class__(gains_half.approach_speed,
                                       gains_half.terminal_gain,
                                       gains_half.terminal_exponent, 0.5)
-    assert convergence_bounds(2.0, gains_half) == pytest.approx(5.75209419220502, abs=1e-10)
+    assert convergence_bounds(2.0, gains_half) == pytest.approx(1.94018969856120, abs=1e-10)
+    # the summed form stays finite where sinh(e0) overflows
+    assert math.isfinite(convergence_bounds(1000.0, gains))
+
+
+@pytest.mark.parametrize("heading_rate", [0.3, 2.5])
+def test_convergence_bounds_match_the_integrated_tracking_law(heading_rate):
+    """Euler integration (dt = 1e-4) of defender_velocity toward a still goal
+    on a field pointing at it crosses the handoff error within 0.5 percent
+    of convergence_bounds, at a fast and a slow approach speed."""
+    gains = solve_tracking_gains(0.5, 2.6, 1.0, 0.55, heading_rate)
+    goal = Vec2(0.0, 0.0)
+    p = Vec2(2.0, 0.0)
+    t = 0.0
+    dt = 1e-4
+    while p.norm() > gains.handoff_error:
+        v = defender_velocity(p, goal, goal, goal - p, False, gains)
+        p = Vec2(p.x + v.x * dt, p.y + v.y * dt)
+        t += dt
+    assert t == pytest.approx(convergence_bounds(2.0, gains), rel=0.005)
 
 
 def test_convergence_bound_zero_inside_basin():

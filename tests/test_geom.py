@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from herdsim.environment import ATTACKER_CIRCLE_FACTORS, ObstacleDerivation
+from herdsim.environment import ObstacleDerivation
 from herdsim.errors import ConfigError
 from herdsim.geom import (BlendTriplet, Frozen, Vec2, blend_weight, unit, wrap_angle,
                           wrap_sector)
@@ -50,17 +50,18 @@ def test_positional_and_keyword_construction_agree():
         attacker_mid_factor=1.2, attacker_hi_factor=1.4)
 
 
-def test_trailing_defaults_are_the_attacker_circle_factors():
-    d = ObstacleDerivation(0.65, 0.2, 0.1, 0.1)
-    assert (d.attacker_mid_factor, d.attacker_hi_factor) == ATTACKER_CIRCLE_FACTORS
-
-
 @pytest.mark.parametrize("args, kwargs", [((1.0, 2.0), {}),
                                           ((1.0, 2.0, 3.0), {"top": 4.0}),
                                           ((1.0, 2.0, 3.0, 4.0), {})])
 def test_constructor_refuses_missing_and_unknown_fields(args, kwargs):
     with pytest.raises(TypeError):
         BlendTriplet(*args, **kwargs)
+
+
+def test_records_have_no_defaults():
+    # scenario_from_dict passes both attacker circle factors; nothing fills them in
+    with pytest.raises(TypeError):
+        ObstacleDerivation(0.65, 0.2, 0.1, 0.1)
 
 
 def test_checks_run_on_construction_and_replace():

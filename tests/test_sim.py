@@ -16,7 +16,7 @@ from herdsim.errors import ConfigError
 from herdsim import attacker, formation_field, sim
 from herdsim.environment import safety_ratio, superelliptic_distance
 from herdsim.geom import Vec2, blend_weight
-from herdsim.sim import build_context, new_state, run, safety_snapshot
+from herdsim.sim import SimState, SimTrace, build_context, run, safety_snapshot
 from herdsim.svg import ratio_curves_svg, trajectory_svg
 
 from conftest import load_bench_workloads, random_world, small_scenario_doc
@@ -268,29 +268,30 @@ def test_run_record_at_its_edges(bundle_doc, case):
 
 
 def snapshot(attacker, defenders, cfg):
-    """safety_snapshot with each agent's obstacle list built at its position."""
+    """safety_snapshot with each agent's obstacle list built at its position,
+    keyed by its trace columns."""
     lists = [sim.obstacle_list(p, cfg, k > 0) for k, p in enumerate([attacker, *defenders])]
-    return safety_snapshot(attacker, defenders, cfg, lists)
+    return dict(zip(sim.RATIO_COLUMNS, safety_snapshot(attacker, defenders, cfg, lists)))
 
 
 def test_snapshot_far_from_everything(reference_cfg):
     snap = snapshot(Vec2(500.0, 500.0),
                     [Vec2(400.0, 400.0), Vec2(430.0, 400.0)], reference_cfg)
-    assert snap.attacker_obstacle < 0.01
-    assert snap.defender_obstacle < 0.01
-    assert snap.attacker_defender < 0.01
-    assert snap.defender_defender < 0.01
+    assert snap["ratio_attacker_obstacle"] < 0.01
+    assert snap["ratio_defender_obstacle"] < 0.01
+    assert snap["ratio_attacker_defender"] < 0.01
+    assert snap["ratio_defender_defender"] < 0.01
 
 
 def test_snapshot_boundary_and_violation(reference_cfg):
     peer_min = reference_cfg.defenders.peer_band.lo
     snap = snapshot(Vec2(500.0, 500.0),
                     [Vec2(400.0, 400.0), Vec2(400.0 + peer_min, 400.0)], reference_cfg)
-    assert snap.defender_defender == pytest.approx(1.0)
+    assert snap["ratio_defender_defender"] == pytest.approx(1.0)
     # a defender inside an obstacle's base contour has nonpositive level
     inside = reference_cfg.obstacles[0].center
     snap = snapshot(Vec2(500.0, 500.0), [inside, Vec2(400.0, 400.0)], reference_cfg)
-    assert snap.defender_obstacle == math.inf
+    assert snap["ratio_defender_obstacle"] == math.inf
 
 
 def agent_ratio_mismatches(trace, cfg):
@@ -457,11 +458,34 @@ def test_desired_heading_mostly_continuous(reference_run):
     assert jumps < 0.01 * len(headings)
 
 
+def test_state_starts_still_at_the_scenario_starts(reference_cfg):
+    state = SimState(reference_cfg)
+    assert (state.t, state.attacker, state.heading, state.attacker_velocity) == (
+        0.0, reference_cfg.attacker.start, 0.0, Vec2(0.0, 0.0))
+    assert state.positions == list(reference_cfg.defenders.starts)
+    # the goals are the positions list itself, as on a hold step
+    assert state.goals is state.positions
+    assert state.velocities == [Vec2(0.0, 0.0)] * reference_cfg.defenders.count
+    assert (state.desired, state.command, state.t_capture) == (0.0, None, None)
+
+
+@pytest.mark.parametrize("n", [0, 2, 3])
+def test_trace_columns_follow_the_defender_count(n):
+    defender_columns = tuple(f"d{j}_{name}" for j in range(n)
+                             for name in ("x_m", "y_m", "vx_mps", "vy_mps",
+                                          "goal_x_m", "goal_y_m"))
+    assert SimTrace(0.01, n).columns == (
+        "t_s", "attacker_x_m", "attacker_y_m", "attacker_vx_mps", "attacker_vy_mps",
+        "heading_desired_rad", "heading_cmd_rad", *defender_columns,
+        "ratio_attacker_obstacle", "ratio_defender_obstacle", "ratio_defender_defender",
+        "ratio_attacker_defender")
+
+
 def test_non_finite_state_raises():
     from herdsim.errors import IntegrityError
     from herdsim.sim import apply_commands
     cfg = scenario_from_dict(small_scenario_doc())
-    state = new_state(cfg)
+    state = SimState(cfg)
     state.attacker_velocity = Vec2(math.nan, 0.0)
     with pytest.raises(IntegrityError) as exc:
         apply_commands(state, cfg.integrator.dt)
@@ -474,7 +498,7 @@ def test_non_finite_defender_raises_and_dumps_positions(bad):
     from herdsim.errors import IntegrityError
     from herdsim.sim import apply_commands
     cfg = scenario_from_dict(small_scenario_doc())
-    state = new_state(cfg)
+    state = SimState(cfg)
     dt = cfg.integrator.dt
     velocities = [Vec2(0.5 * j, -0.25 * j) for j in range(cfg.defenders.count)]
     velocities[bad] = Vec2(math.inf, 1.0)

@@ -177,6 +177,20 @@ def test_only_geom_sets_record_fields_directly():
     assert [name for name, sets in setters.items() if sets] == []
 
 
+# a record mechanism besides geom.Frozen, or Frozen filling in a field
+RECORD_EXTRAS = re.compile(r"\bNamedTuple\b|\b_defaults\b")
+
+
+def test_one_record_mechanism():
+    # every record is a Frozen, built from one value per field; the safety
+    # ratios are a plain tuple whose names are one constant
+    users = [p.name for p in (REPO / "src" / "herdsim").glob("*.py")
+             if RECORD_EXTRAS.search(p.read_text())]
+    assert users == []
+    from herdsim import environment, sim, svg
+    assert svg.RATIO_COLUMNS is sim.RATIO_COLUMNS is environment.RATIO_COLUMNS
+
+
 def test_no_module_reads_the_environment():
     # every command is configured by its arguments and its scenario alone
     readers = [p.name for p in (REPO / "src" / "herdsim").glob("*.py")
