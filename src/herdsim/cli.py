@@ -7,9 +7,10 @@ other nonzero code is the `exit_code` of the HerdsimError a command raised:
   2  scenario file missing or unreadable, or an --out path that cannot be a
      directory or holds a non-file under an artifact's name (argparse usage
      errors also exit 2)
-  3  scenario malformed (not JSON text, schema mismatch, unusable values, bad
-     index/resolution/margin, a non-finite or non-positive dt or t_max, or
-     more than MAX_STEPS steps), in the file or in an override
+  3  scenario malformed (not JSON text, schema mismatch, unusable values,
+     fewer than two defenders, bad index/resolution/margin, a non-finite or
+     non-positive dt or t_max, or more than MAX_STEPS steps), in the file or
+     in an override
   4  scenario failed validation
   5  run finished but the outcome is unacceptable (no stable capture, safety
      ratio at or above 1, or the protected area was breached)
@@ -154,24 +155,23 @@ def cmd_check(args) -> int:
 
     print(f"scenario: {manifest['scenario']} (sha256 {manifest['scenario_sha256'][:12]})")
     print(f"defenders: {cfg.defenders.count}, obstacles: {len(cfg.obstacles)}")
-    if cfg.defenders.count >= 2:
-        needed = min_spread(cfg.defenders.count, cfg.attacker.standoff_band.lo,
-                            cfg.defenders.peer_band.lo)
-        mag = arc_magnitude(cfg.defenders.count, cfg.formation.spread)
-        print(f"spread: {cfg.formation.spread:.6f} rad (minimum {needed:.6f})")
-        print(f"arc repulsion magnitude: {mag:.6f}")
-        try:
-            gains = solve_tracking_gains(
-                cfg.control.terminal_exponent, min(cfg.defenders.speed_max),
-                cfg.attacker.speed_max, cfg.formation.arc_radius,
-                cfg.control.heading_rate_max)
-        except ConfigError as exc:
-            print(f"tracking gains unsolvable: {exc}")
-        else:
-            print(f"tracking gains: approach {gains.approach_speed:.6f} m/s, "
-                  f"terminal gain {gains.terminal_gain:.6f}, "
-                  f"handoff error {gains.handoff_error:.6f} m")
-            print(f"terminal phase: {terminal_phase_time(gains, gains.handoff_error):.3f} s")
+    needed = min_spread(cfg.defenders.count, cfg.attacker.standoff_band.lo,
+                        cfg.defenders.peer_band.lo)
+    mag = arc_magnitude(cfg.defenders.count, cfg.formation.spread)
+    print(f"spread: {cfg.formation.spread:.6f} rad (minimum {needed:.6f})")
+    print(f"arc repulsion magnitude: {mag:.6f}")
+    try:
+        gains = solve_tracking_gains(
+            cfg.control.terminal_exponent, min(cfg.defenders.speed_max),
+            cfg.attacker.speed_max, cfg.formation.arc_radius,
+            cfg.control.heading_rate_max)
+    except ConfigError as exc:
+        print(f"tracking gains unsolvable: {exc}")
+    else:
+        print(f"tracking gains: approach {gains.approach_speed:.6f} m/s, "
+              f"terminal gain {gains.terminal_gain:.6f}, "
+              f"handoff error {gains.handoff_error:.6f} m")
+        print(f"terminal phase: {terminal_phase_time(gains, gains.handoff_error):.3f} s")
     if cfg.attacker.speed_max > 0.0:
         arrival = dist(cfg.attacker.start, cfg.protected.center) / cfg.attacker.speed_max
         print(f"attacker straight-line arrival bound: {arrival:.3f} s")

@@ -317,8 +317,15 @@ class AttackerConfig(Frozen):
 
 
 class DefenderTeamConfig(Frozen):
+    """At least 2 starts: the arc formation needs two defenders."""
+
     __slots__ = ("starts", "body_radius", "speed_max", "sensing_zone_radius",
                  "peer_band")             # euclidean radii between defenders
+
+    def _check(self):
+        if self.count < 2:
+            raise ConfigError(f"defenders.start_m must hold at least 2 defenders "
+                              f"to form an arc, got {self.count}")
 
     @property
     def count(self) -> int:
@@ -493,11 +500,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     Structural problems raise SchemaError, an unknown key in any section or
     obstacle record among them.  A rule on one value (a number's range, a
-    band's order) is checked here, where the value is read, and breaking it
-    raises ConfigError naming the value's path.  Rules that relate two or more
-    values are left to validate_scenario, which reports them as data; so is a
-    default derived from other values, such as the transition time, when it
-    comes out unusable.
+    band's order, the defender count) is checked here, where the value is
+    read, and breaking it raises ConfigError naming the value's path.  Rules
+    that relate two or more values are left to validate_scenario, which
+    reports them as data; so is a default derived from other values, such as
+    the transition time, when it comes out unusable.
     """
     doc = _Record(doc, "")
 
@@ -548,7 +555,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     co.done()
 
     ca = doc.section("capture")
-    default_transition = transition_heuristic(min(defenders.speed_max, default=attacker.speed_max),
+    default_transition = transition_heuristic(min(defenders.speed_max),
                                               attacker.speed_max, formation.arc_radius)
     capture = CaptureConfig(
         transition_time=ca("transition_time_s", read=_positive, default=default_transition),
@@ -614,13 +621,11 @@ def load_scenario(path) -> tuple[ScenarioConfig, str]:
 # ---------------------------------------------------------------------------
 
 def min_spread(count: int, standoff_min: float, peer_min: float) -> float:
-    """Smallest total arc spread keeping adjacent slots peer_min apart.
+    """Smallest total arc spread keeping count >= 2 adjacent slots peer_min apart.
 
     Chord construction on the circle of radius standoff_min; if the peer
     separation reaches the diameter the per-gap angle saturates at pi.
     """
-    if count < 2:
-        return 0.0
     if peer_min >= 2.0 * standoff_min:
         return (count - 1) * math.pi
     arg = 1.0 - peer_min * peer_min / (2.0 * standoff_min * standoff_min)
@@ -629,12 +634,8 @@ def min_spread(count: int, standoff_min: float, peer_min: float) -> float:
 
 
 def arc_magnitude(count: int, spread: float) -> float:
-    """Norm of the sum of unit vectors evenly fanned over the arc spread."""
-    if count < 1:
-        return 0.0
-    if spread == 0.0:
-        return float(count)
-    half_gap = spread / (2.0 * (count - 1)) if count > 1 else 0.0
+    """Norm of the sum of count >= 2 unit vectors evenly fanned over the arc spread."""
+    half_gap = spread / (2.0 * (count - 1))
     if half_gap == 0.0:
         return float(count)
     return math.sin(count * half_gap) / math.sin(half_gap)
@@ -703,13 +704,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     lo = cfg.attacker.standoff_band.lo
     for k, p in enumerate(starts):
         clearance("attacker_defender", lo, dist(a0, p), "defender {}", k)
-    if cfg.defenders.count < 2:
-        v.append(f"defender-count: an arc needs at least 2 defenders, not {cfg.defenders.count}")
-    if cfg.defenders.count > 0:
-        v_d_min = min(cfg.defenders.speed_max)
-        if not cfg.attacker.speed_max < v_d_min:
-            v.append(f"speed-order: attacker speed {cfg.attacker.speed_max} must be "
-                     f"strictly below every defender speed (min {v_d_min})")
+    v_d_min = min(cfg.defenders.speed_max)
+    if not cfg.attacker.speed_max < v_d_min:
+        v.append(f"speed-order: attacker speed {cfg.attacker.speed_max} must be "
+                 f"strictly below every defender speed (min {v_d_min})")
     if cfg.defenders.body_radius > cfg.attacker.body_radius:
         v.append(f"body-radius: defender radius {cfg.defenders.body_radius} must not "
                  f"exceed attacker radius {cfg.attacker.body_radius}")
@@ -728,41 +726,37 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         v.append(f"peer-separation: minimum defender separation {plo} must exceed "
                  f"the defender radius {cfg.defenders.body_radius}")
 
-    if cfg.defenders.count >= 2:
-        needed = min_spread(cfg.defenders.count, standoff.lo, plo)
-        if cfg.formation.spread < needed:
-            v.append(f"spread: {cfg.formation.spread} rad is below the minimum "
-                     f"{needed:.6f} rad for {cfg.defenders.count} defenders")
-        mag = arc_magnitude(cfg.defenders.count, cfg.formation.spread)
-        # each obstacle's circular repulsion has norm at most 1, and any two
-        # whose influence discs meet fail the obstacle-spacing check below
-        # (the same distance and radius sum), so in an accepted scenario at
-        # most one obstacle repels the attacker at a time
-        reachable = 1.0 if cfg.obstacles else 0.0
-        if not mag > reachable:
-            v.append(f"arc-magnitude: {mag:.6f} must exceed the worst simultaneous "
-                     f"obstacle repulsion {reachable:.1f} or the heading command "
-                     f"becomes unsolvable")
+    needed = min_spread(cfg.defenders.count, standoff.lo, plo)
+    if cfg.formation.spread < needed:
+        v.append(f"spread: {cfg.formation.spread} rad is below the minimum "
+                 f"{needed:.6f} rad for {cfg.defenders.count} defenders")
+    mag = arc_magnitude(cfg.defenders.count, cfg.formation.spread)
+    # each obstacle's circular repulsion has norm at most 1, and any two
+    # whose influence discs meet fail the obstacle-spacing check below
+    # (the same distance and radius sum), so in an accepted scenario at
+    # most one obstacle repels the attacker at a time
+    reachable = 1.0 if cfg.obstacles else 0.0
+    if not mag > reachable:
+        v.append(f"arc-magnitude: {mag:.6f} must exceed the worst simultaneous "
+                 f"obstacle repulsion {reachable:.1f} or the heading command "
+                 f"becomes unsolvable")
 
     # attacker_field and obstacle_push drop every source beyond the sensing
     # radius, so a radius below a band's hi cuts off part of the circle model
     # that the arc-magnitude bound assumes
     bands = [(ob.attacker_band.hi, f"obstacle {i}'s attacker band")
              for i, ob in enumerate(cfg.obstacles)]
-    if cfg.defenders.count > 0:
-        bands.append((cfg.attacker.standoff_band.hi, "the standoff band"))
-    if bands:
-        need, what = max(bands)
-        if cfg.attacker.sensing_radius < need:
-            v.append(f"sensing-radius: attacker sensing radius {cfg.attacker.sensing_radius} "
-                     f"m is below {need:.4f} m, the hi of {what}")
+    bands.append((standoff.hi, "the standoff band"))
+    need, what = max(bands)
+    if cfg.attacker.sensing_radius < need:
+        v.append(f"sensing-radius: attacker sensing radius {cfg.attacker.sensing_radius} "
+                 f"m is below {need:.4f} m, the hi of {what}")
 
-    if cfg.defenders.count > 0:
-        k0 = (min(cfg.defenders.speed_max) - cfg.attacker.speed_max
-              - cfg.formation.arc_radius * cfg.control.heading_rate_max)
-        if k0 <= 0.0:
-            v.append(f"tracking-speed: defender speed budget leaves no tracking "
-                     f"margin (k0 = {k0:.6f} <= 0)")
+    k0 = (v_d_min - cfg.attacker.speed_max
+          - cfg.formation.arc_radius * cfg.control.heading_rate_max)
+    if k0 <= 0.0:
+        v.append(f"tracking-speed: defender speed budget leaves no tracking "
+                 f"margin (k0 = {k0:.6f} <= 0)")
 
     # Each obstacle pair, once.  The attacker's circular influence discs must
     # be disjoint, and so must the outer super-elliptic shells; only shells
@@ -802,23 +796,22 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if touched:
             v.append(f"safe-area-shell: obstacle {i} outer shell reaches into the safe area")
 
-    if cfg.defenders.count > 0:
-        # the defenders plan only while the attacker is in the sensing zone,
-        # so the whole safe area must lie inside it
-        reach = dist(cfg.protected.center, cfg.safe.center) + cfg.safe.radius
-        if reach > cfg.defenders.sensing_zone_radius:
-            v.append(f"sensing-zone: the safe area reaches {reach:.4f} m from the "
-                     f"protected center, beyond the "
-                     f"{cfg.defenders.sensing_zone_radius} m sensing zone")
-        # capture-phase timing must keep the attacker inside once it is in
-        gap = min(cfg.defenders.speed_max) - cfg.attacker.speed_max
-        if gap > 0.0:
-            rho_needed = (cfg.attacker.speed_max * cfg.capture.transition_time
-                          + cfg.attacker.speed_max * cfg.formation.arc_radius / gap)
-            if cfg.safe.radius < rho_needed:
-                v.append(f"safe-radius: {cfg.safe.radius} m is below the "
-                         f"{rho_needed:.4f} m needed to hold the attacker through "
-                         f"the heading transition")
+    # the defenders plan only while the attacker is in the sensing zone,
+    # so the whole safe area must lie inside it
+    reach = dist(cfg.protected.center, cfg.safe.center) + cfg.safe.radius
+    if reach > cfg.defenders.sensing_zone_radius:
+        v.append(f"sensing-zone: the safe area reaches {reach:.4f} m from the "
+                 f"protected center, beyond the "
+                 f"{cfg.defenders.sensing_zone_radius} m sensing zone")
+    # capture-phase timing must keep the attacker inside once it is in
+    gap = v_d_min - cfg.attacker.speed_max
+    if gap > 0.0:
+        rho_needed = (cfg.attacker.speed_max * cfg.capture.transition_time
+                      + cfg.attacker.speed_max * cfg.formation.arc_radius / gap)
+        if cfg.safe.radius < rho_needed:
+            v.append(f"safe-radius: {cfg.safe.radius} m is below the "
+                     f"{rho_needed:.4f} m needed to hold the attacker through "
+                     f"the heading transition")
 
     return v
 
@@ -831,10 +824,9 @@ def scenario_warnings(cfg: ScenarioConfig) -> list[str]:
     if abs(cfg.formation.arc_radius - midpoint) > 1e-9:
         w.append(f"arc-radius-midpoint: arc radius {cfg.formation.arc_radius} is not "
                  f"the midpoint {midpoint} of the saturated standoff band")
-    if cfg.defenders.count > 0:
-        heuristic = transition_heuristic(min(cfg.defenders.speed_max),
-                                         cfg.attacker.speed_max, cfg.formation.arc_radius)
-        if cfg.capture.transition_time < heuristic:
-            w.append(f"transition-time: {cfg.capture.transition_time} s is below the "
-                     f"heuristic floor {heuristic:.4f} s")
+    heuristic = transition_heuristic(min(cfg.defenders.speed_max),
+                                     cfg.attacker.speed_max, cfg.formation.arc_radius)
+    if cfg.capture.transition_time < heuristic:
+        w.append(f"transition-time: {cfg.capture.transition_time} s is below the "
+                 f"heuristic floor {heuristic:.4f} s")
     return w

@@ -161,8 +161,6 @@ class SimTrace:
 
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
-    if not cfg.defenders.count:
-        return RunContext(spec=None, gains=(), guidance=(), avoid=None)
     spec = formation_spec(cfg.defenders.count, cfg.formation.spread, cfg.formation.arc_radius,
                           cfg.attacker.standoff_band.lo, cfg.defenders.peer_band.lo)
     gains = tuple(
@@ -422,10 +420,10 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             terminal = TERM_TIMEOUT if i == n_steps else None
 
         if terminal is None:
-            sensed = dist(r_a, cfg.protected.center) <= cfg.defenders.sensing_zone_radius
-            if sensed and events["t_sense_s"] is None:
+            # the defenders plan while the attacker is in the sensing zone
+            planning = dist(r_a, cfg.protected.center) <= cfg.defenders.sensing_zone_radius
+            if planning and events["t_sense_s"] is None:
                 events["t_sense_s"] = t
-            planning = sensed and ctx.spec is not None
             if (planning and state.t_capture is None and in_safe
                     and events["t_formed_s"] is not None):
                 state.t_capture = t

@@ -149,7 +149,7 @@ def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
     colors = ["darkorange", "seagreen", "royalblue", "crimson"]
 
     speeds = [trace.speed(f"d{j}") for j in range(trace.defender_count)]
-    s_max = max((s for data in speeds for s in data), default=1.0)
+    s_max = max(s for data in speeds for s in data)
     s_max = max(s_max, 1e-9)
 
     # upper band: ratios in y [0.5, 2.5]; lower band: speeds scaled into [-2.4, -0.4]

@@ -189,13 +189,20 @@ def test_malformed_scenario_value_exit_code(tmp_path, capsys, key, value):
     ("capture.dwell_factor", -1, "capture.dwell_factor must be non-negative, got -1.0"),
     ("formation.defender_clearance_m", -0.15,
      "formation.defender_clearance_m must be non-negative, got -0.15"),
+    ("attacker.start_m", [1.0], "attacker.start_m must be a 2-element [x, y] list"),
+    ("defenders.speed_max_mps", [2.6, 2.6],
+     "defenders.speed_max_mps list must match start_m length"),
+    ("obstacle_model.attacker_circle_factors", [1.1],
+     "obstacle_model.attacker_circle_factors must be [mid, hi]"),
+    ("defenders.start_m", 5, "defenders.start_m must be a list of [x, y] pairs"),
 ], ids=["circle-factor", "speed-list-bool", "speed-list-inf", "standoff-band", "defender-start",
         "obstacle-center", "obstacle-extra-key", "formation-extra-key", "solver-section",
         "obstacle-bands-infinite", "obstacle-side-0", "standoff-band-order", "peer-band-order",
         "terminal-exponent", "tangent-margin", "protected-radius", "attacker-body-radius",
         "defender-speed", "defender-speed-list", "arc-radius", "transition-time",
         "attacker-speed", "circle-factor-order", "heading-rate", "goal-tolerance",
-        "dwell-factor", "defender-clearance"])
+        "dwell-factor", "defender-clearance", "attacker-start", "speed-list-length",
+        "circle-factor-length", "defender-start-list"])
 @pytest.mark.parametrize("command", ["check", "simulate", "sweep"])
 def test_bad_scenario_error_names_the_path(tmp_path, capsys, command, key, value, named):
     if "." in key:
@@ -272,16 +279,17 @@ def test_spread_below_minimum_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("count", [0, 1])
-def test_lone_defender_is_a_violation(tmp_path, capsys, count):
-    # capture needs a formed arc, so no world with fewer than 2 defenders can pass
+def test_fewer_than_two_defenders_is_malformed(tmp_path, capsys, count):
+    # an arc needs 2 defenders, so DefenderTeamConfig refuses fewer
     doc = small_scenario_doc(**{"defenders.start_m": [[0.0, 5.0]] * count,
                                 "defenders.speed_max_mps": [2.6] * count})
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    assert main(["check", "--scenario", str(path)]) == 4
-    assert "violation: defender-count" in capsys.readouterr().out
-    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
-    assert "violation: defender-count" in capsys.readouterr().err
+    named = "error: bad scenario: defenders.start_m"
+    assert main(["check", "--scenario", str(path)]) == 3
+    assert named in capsys.readouterr().err
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerance", [1e-6, 0.5, 10.0])

@@ -256,6 +256,15 @@ def test_integrator_config_caps_the_step_count():
             IntegratorConfig(dt=dt, t_max=t_max)
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_defender_team_refuses_fewer_than_two(reference_cfg, count):
+    # no ScenarioConfig, parsed or changed, holds fewer than 2 defenders
+    team = reference_cfg.defenders
+    with pytest.raises(ConfigError, match=f"^defenders.start_m .*, got {count}$"):
+        reference_cfg._replace(defenders=team._replace(starts=team.starts[:count],
+                                                       speed_max=team.speed_max[:count]))
+
+
 def test_min_spread_example():
     assert min_spread(3, 0.3, 0.3) == pytest.approx(2.0 * math.pi / 3.0)
 
@@ -419,6 +428,18 @@ def test_validate_inconsistent_reference_parameters():
     joined = " | ".join(spacing)
     for pair in ("obstacles 0 and 1", "obstacles 3 and 4", "obstacles 3 and 5"):
         assert pair in joined
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"defenders.body_radius_m": 0.15},
+     "body-radius: defender radius 0.15 must not exceed attacker radius 0.1"),
+    ({"defenders.body_radius_m": 0.25, "attacker.body_radius_m": 0.3},
+     "peer-separation: minimum defender separation 0.25 must exceed the defender radius 0.25"),
+], ids=["body-radius", "peer-separation"])
+def test_validate_body_radius_rules(changes, message):
+    code = message.split(":")[0]
+    v = validate_scenario(scenario_from_dict(small_scenario_doc(**changes)))
+    assert [s for s in v if s.startswith(code + ":")] == [message]
 
 
 def test_validate_speed_order():

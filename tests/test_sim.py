@@ -35,8 +35,6 @@ GOLDEN_ARTIFACT_SHA256 = {
 GOLDEN_RATIOS_SHA256 = {
     # the bundled world stopped at step 0 (t_max 0.004 s rounds to 0 steps)
     "step-0": "bb1a42000d43a7a71f5e67fc4080dc1682f7488d1c6e0ca8f9d31dfa6a2c7d38",
-    # no speed curves; the attacker breaches at 18 s
-    "no-defenders": "b40f70cd25b98650912b5622973c1937c96e6c5a241bb53e23b5bc14455a8e5e",
 }
 # sha256 of trace.csv for the bundled world from other attacker starts; each
 # ends captured-stable with every ratio below 1
@@ -130,13 +128,15 @@ def test_run_converges_under_refinement():
 
 
 def test_unopposed_attacker_breaches():
-    doc = small_scenario_doc()
-    doc["defenders"]["start_m"] = []
-    doc["defenders"]["speed_max_mps"] = []
-    doc["attacker"]["start_m"] = [20.0, 48.0]
+    # two idle defenders: the attacker breaches before it enters their 1 m
+    # sensing zone, and it never comes within its 10 m sensing radius of them
+    doc = small_scenario_doc(**{"defenders.start_m": [[-30.0, -30.0], [30.0, -30.0]],
+                                "defenders.sensing_zone_radius_m": 1.0,
+                                "attacker.start_m": [20.0, 48.0]})
     cfg = scenario_from_dict(doc)
     trace = run(cfg, t_max=80.0)
     assert trace.termination == "breached"
+    assert trace.events["t_sense_s"] is None
     # straight-line run: hits the boundary of the protected disc just before
     # the center-arrival bound of 52 s
     assert 52.0 - 2.0 - 0.1 <= trace.events["t_breach_s"] <= 52.0
@@ -224,6 +224,14 @@ def world(seed):
     pytest.param({("attacker", "speed_max_mps"): 0.5}, id="attacker-0.5",
                  marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.75, but the arc "
                                                 "never forms and the run ends t-max")),
+    pytest.param({("control", "heading_rate_max_radps"): 1.75}, id="rate-1.75",
+                 marks=pytest.mark.xfail(reason="ROADMAP 3: every ratio < 0.76, but the arc "
+                                                "never forms and the attacker breaches at "
+                                                "55.86 s")),
+    pytest.param({("control", "heading_rate_max_radps"): 2.0}, id="rate-2.0",
+                 marks=pytest.mark.xfail(reason="ROADMAP 3: every ratio < 0.76, but the arc "
+                                                "never forms and the attacker breaches at "
+                                                "55.86 s")),
 ])
 def test_accepted_scenario_keeps_every_ratio_below_1(bundle_doc, changes):
     doc = copy.deepcopy(bundle_doc)
@@ -414,9 +422,8 @@ def test_lone_defender_rejected():
     doc = small_scenario_doc()
     doc["defenders"]["start_m"] = [[0.0, 5.0]]
     doc["defenders"]["speed_max_mps"] = [2.6]
-    cfg = scenario_from_dict(doc)
     with pytest.raises(ConfigError):
-        build_context(cfg)
+        scenario_from_dict(doc)
 
 
 def assert_moves_only_through_velocity(trace):
@@ -533,11 +540,7 @@ def test_reference_artifacts_match_golden_hash(cli_artifacts, name):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_RATIOS_SHA256))
 def test_ratios_svg_matches_golden_hash(case, reference_cfg):
-    if case == "step-0":
-        trace = run(reference_cfg, t_max=0.004)
-    else:
-        trace = run(scenario_from_dict(small_scenario_doc(
-            **{"defenders.start_m": [], "defenders.speed_max_mps": 2.6})))
+    trace = run(reference_cfg, t_max=0.004)
     digest = hashlib.sha256(ratio_curves_svg(trace).encode()).hexdigest()
     assert digest == GOLDEN_RATIOS_SHA256[case]
 
