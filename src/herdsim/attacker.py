@@ -25,9 +25,13 @@ def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
     """Circular-model push of the obstacles within the sensing radius, as a
     blend (see `geom.repel`); raises at a center.  The arc command and the
     attacker field take the same push, so the command cancels what the
-    attacker feels by construction."""
+    attacker feels by construction.  With no obstacles that is the empty
+    blend, which repel would return unchanged."""
+    empty = (1.0, 0.0, 0.0, False)
+    if not obstacles:
+        return empty
     return repel(position, ((ob.center, ob.attacker_band) for ob in obstacles),
-                 sensing_radius, (1.0, 0.0, 0.0, False))[0]
+                 sensing_radius, empty)[0]
 
 
 def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
@@ -52,6 +56,6 @@ def attacker_step(heading: float, field: Vec2, turn: float) -> float:
     The attacker moves along the returned heading, so consecutive deadlock
     steps keep turning by the same increment.
     """
-    if field.norm() > DEADLOCK_TOL:
+    if math.hypot(field.x, field.y) > DEADLOCK_TOL:
         return math.atan2(field.y, field.x)
     return wrap_angle(heading + turn)

@@ -147,7 +147,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .defender_control import solve_tracking_gains, terminal_phase_time
+    from .defender_control import convergence_bounds, solve_tracking_gains, terminal_phase_time
 
     cfg, manifest = _load(args.scenario)
     violations = validate_scenario(cfg)
@@ -166,6 +166,7 @@ def cmd_check(args) -> int:
             cfg.attacker.speed_max, cfg.formation.arc_radius,
             cfg.control.heading_rate_max)
     except ConfigError as exc:
+        gains = None
         print(f"tracking gains unsolvable: {exc}")
     else:
         print(f"tracking gains: approach {gains.approach_speed:.6f} m/s, "
@@ -175,6 +176,11 @@ def cmd_check(args) -> int:
     if cfg.attacker.speed_max > 0.0:
         arrival = dist(cfg.attacker.start, cfg.protected.center) / cfg.attacker.speed_max
         print(f"attacker straight-line arrival bound: {arrival:.3f} s")
+        if gains is not None:
+            # the slowest defender's time to reach the handoff error from the
+            # start farthest from the attacker's, for comparison only
+            e0 = max(dist(p, cfg.attacker.start) for p in cfg.defenders.starts)
+            print(f"reach: {convergence_bounds(e0, gains):.3f} s against arrival {arrival:.3f} s")
     print("obstacle shells (exponent, formation level lo/mid/hi, defender lo, circle radii):")
     for i, ob in enumerate(cfg.obstacles):
         fb, db, ab = ob.formation_band, ob.defender_band, ob.attacker_band

@@ -13,7 +13,6 @@ continuous at the switch.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Optional, Sequence
 
 from .environment import SOLVER_TOL, Obstacle, bisect
@@ -84,8 +83,9 @@ def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
     """
     p = positions[index]
     blend = follow_obstacles(p, obstacles, goal, True)
-    blend, peer = repel(p, zip(positions[:index] + positions[index + 1:], repeat(peer_band)),
-                        math.inf, blend)
+    peers = [(q, peer_band) for q in positions]
+    del peers[index]
+    blend, peer = repel(p, peers, math.inf, blend)
     blend, threat = repel(p, ((attacker, avoid),), math.inf, blend)
     return close_blend(p, goal, blend), blend[3], peer, threat
 
@@ -105,7 +105,7 @@ def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,
     err = math.hypot(ex, ey)
     if err == 0.0:
         return goal_velocity if not conflict else Vec2(0.0, 0.0)
-    fnorm = field.norm()
+    fnorm = math.hypot(field.x, field.y)
     if fnorm < FIELD_TOL:
         return None
     if err > gains.handoff_error:

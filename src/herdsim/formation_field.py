@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 from .environment import (Obstacle, contour_offsets, superelliptic_distance,
                           tangent_angle_at)
 from .errors import ConfigError, DomainError
-from .geom import TWO_PI, Vec2, blend_weight, unit, wrap_angle, wrap_sector
+from .geom import TWO_PI, Vec2, blend_weight, unit_xy, wrap_angle, wrap_sector
 
 if TYPE_CHECKING:
     # for annotations only: `check` and `simulate` never load numpy
@@ -69,7 +69,7 @@ def repulsive_angle(p: Vec2, ob: Obstacle, target: Vec2) -> float:
 
 def attractive_field(p: Vec2, target: Vec2) -> Vec2:
     """Unit vector toward the target; the zero vector exactly at the target."""
-    return unit(Vec2(target.x - p.x, target.y - p.y))
+    return Vec2(*unit_xy(target.x - p.x, target.y - p.y))
 
 
 def follow_obstacles(p: Vec2, obstacles: Sequence[Obstacle], target: Vec2,
@@ -107,9 +107,9 @@ def combined_field(p: Vec2, obstacles: Sequence[Obstacle], safe_center: Vec2) ->
     # prod * unit(g), not geom.close_blend's (prod * g) / |g|: the two round
     # differently, and switching changes the trace of 39 of the 97 accepted
     # bundled-world starts on the 10 m grid (the bundled start's included)
-    attract = attractive_field(p, safe_center)
+    ux, uy = unit_xy(safe_center.x - p.x, safe_center.y - p.y)
     prod, fx, fy, _ = follow_obstacles(p, obstacles, safe_center, False)
-    return Vec2(prod * attract.x + fx, prod * attract.y + fy)
+    return Vec2(prod * ux + fx, prod * uy + fy)
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,15 @@ class Vec2(Frozen):
 
 def unit(v: Vec2) -> Vec2:
     """Normalize a vector; the zero vector maps to itself."""
-    n = math.hypot(v.x, v.y)
+    return Vec2(*unit_xy(v.x, v.y))
+
+
+def unit_xy(x: float, y: float) -> tuple[float, float]:
+    """unit() of the vector (x, y), as a pair of floats."""
+    n = math.hypot(x, y)
     if n == 0.0:
-        return Vec2(0.0, 0.0)
-    return Vec2(v.x / n, v.y / n)
+        return 0.0, 0.0
+    return x / n, y / n
 
 
 def angle_of(v: Vec2) -> float:

@@ -236,16 +236,22 @@ def refresh_lists(lists: list, agents, cfg: ScenarioConfig) -> None:
         lists[k] = obstacle_list(p, cfg, k > 0)
 
 
-def _max_obstacle_ratio(p: Vec2, ob_list: ObstacleList, r: float) -> float:
-    """Raise r to the largest safety ratio of p against every obstacle.
+def _max_obstacle_ratio(points, lists, r: float) -> float:
+    """Raise r to the largest safety ratio of each point against every
+    obstacle; lists holds each point's ObstacleList in the same order, and
+    any lists beyond the last point are ignored.
 
-    Walks ob_list's bounds in descending order and stops at the first bound
-    at or below r: that bound holds at p, so no later pair can raise r.
+    Walks a list's bounds in descending order and stops at the first bound
+    at or below r: that bound holds at its point, so no later pair of that
+    point can raise r.
     """
-    for bound, lo, ob in ob_list.bounds:
-        if bound <= r:
-            break
-        r = max(r, safety_ratio(lo, superelliptic_distance(p, ob)))
+    for p, ob_list in zip(points, lists):
+        for bound, lo, ob in ob_list.bounds:
+            if bound <= r:
+                break
+            ratio = safety_ratio(lo, superelliptic_distance(p, ob))
+            if ratio > r:
+                r = ratio
     return r
 
 
@@ -257,8 +263,9 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     attacker's and the defenders' largest against an obstacle, then the
     defenders' against each other and against the attacker; any value >= 1
     is a violation.  A nonpositive actual distance (already inside a
-    forbidden region) maps to +inf.  With nothing in the world a ratio is 0
-    by convention.
+    forbidden region) maps to +inf.  With no obstacles the obstacle ratios
+    are 0 by convention; defender_positions holds at least two defenders,
+    as every scenario does.
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
     agent's position; their ratio bounds cut the obstacle scan short, and the
@@ -269,15 +276,11 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     defender fields measured them at these positions; hypot ignores signs
     and a minimum ignores order, so they equal the ones measured here.
     """
-    r_ao = _max_obstacle_ratio(attacker_pos, lists[0], 0.0)
-    r_do = 0.0
-    for p, ob_list in zip(defender_positions, lists[1:]):
-        r_do = _max_obstacle_ratio(p, ob_list, r_do)
+    r_ao = _max_obstacle_ratio((attacker_pos,), lists, 0.0)
+    r_do = _max_obstacle_ratio(defender_positions, lists[1:], 0.0)
     if nearest is None:
-        nearest = (
-            min(itertools.starmap(dist, itertools.combinations(defender_positions, 2)),
-                default=math.inf),
-            min((dist(attacker_pos, p) for p in defender_positions), default=math.inf))
+        nearest = (min(itertools.starmap(dist, itertools.combinations(defender_positions, 2))),
+                   min(dist(attacker_pos, p) for p in defender_positions))
     return (r_ao, r_do, safety_ratio(cfg.defenders.peer_band.lo, nearest[0]),
             safety_ratio(cfg.attacker.standoff_band.lo, nearest[1]))
 
@@ -317,7 +320,8 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, list
     the indices of the defenders held still on a degenerate field.
     """
     r_a = state.attacker
-    push = obstacle_push(r_a, lists[0].near, cfg.attacker.sensing_radius)
+    sensing = cfg.attacker.sensing_radius
+    push = obstacle_push(r_a, lists[0].near, sensing)
     positions = state.positions
     if planning:
         goal_velocities = _plan(state, cfg, ctx, push)
@@ -325,8 +329,8 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, list
         state.goals = positions
         state.velocities = [Vec2(0.0, 0.0)] * len(positions)
 
-    a_field = attacker_field(r_a, positions, push, cfg.protected.center,
-                             cfg.attacker.sensing_radius, cfg.attacker.standoff_band)
+    a_field = attacker_field(r_a, positions, push, cfg.protected.center, sensing,
+                             cfg.attacker.standoff_band)
     speed = cfg.attacker.speed_max
     state.heading = heading = attacker_step(state.heading, a_field, cfg.attacker.deadlock_turn)
     state.attacker_velocity = Vec2(speed * math.cos(heading), speed * math.sin(heading))
@@ -336,10 +340,12 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, list
     peer_min = threat_min = math.inf
     velocities = []
     held = ()
-    for j, (p, goal, gv) in enumerate(zip(positions, state.goals, goal_velocities)):
+    peer_band, avoid = cfg.defenders.peer_band, ctx.avoid
+    for j, (p, goal, gv, gains) in enumerate(zip(positions, state.goals, goal_velocities,
+                                                  ctx.gains)):
         f, conflict, peer, threat = defender_field(j, positions, goal, lists[j + 1].near,
-                                                   cfg.defenders.peer_band, r_a, ctx.avoid)
-        v = defender_velocity(p, goal, gv, f, conflict, ctx.gains[j])
+                                                   peer_band, r_a, avoid)
+        v = defender_velocity(p, goal, gv, f, conflict, gains)
         if v is None:
             held += (j,)
             v = Vec2(0.0, 0.0)
@@ -356,10 +362,20 @@ def apply_commands(state: SimState, dt: float) -> None:
     """Synchronous Euler update of every agent by its commanded velocity,
     p + v * dt, with an integrity check.  The only place an agent moves."""
     a, v = state.attacker, state.attacker_velocity
-    state.attacker = Vec2(a.x + v.x * dt, a.y + v.y * dt)
-    state.positions = [Vec2(p.x + v.x * dt, p.y + v.y * dt)
-                       for p, v in zip(state.positions, state.velocities)]
-    if not state.attacker.is_finite() or any(not p.is_finite() for p in state.positions):
+    x = a.x + v.x * dt
+    y = a.y + v.y * dt
+    state.attacker = Vec2(x, y)
+    # 0 * c is 0 for a finite c and nan for an infinite or nan one, so check
+    # stays 0 while every new coordinate is finite
+    check = 0.0 * x + 0.0 * y
+    positions = []
+    for p, v in zip(state.positions, state.velocities):
+        x = p.x + v.x * dt
+        y = p.y + v.y * dt
+        check += 0.0 * x + 0.0 * y
+        positions.append(Vec2(x, y))
+    state.positions = positions
+    if check != 0.0:
         raise IntegrityError(
             f"non-finite state at t={state.t}",
             dump={"t": state.t,
@@ -387,11 +403,14 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     ctx = build_context(cfg)
     state = SimState(cfg)
     n = cfg.defenders.count
-    trace = SimTrace(cfg.integrator.dt, n)
+    dt = cfg.integrator.dt
+    trace = SimTrace(dt, n)
     events = trace.events = dict.fromkeys(
         ["t_sense_s", "t_formed_s", "t_capture_s", "t_breach_s"])
-    n_steps = round(cfg.integrator.t_max / cfg.integrator.dt)
+    n_steps = round(cfg.integrator.t_max / dt)
     dwell = cfg.capture.dwell_factor * cfg.capture.transition_time
+    safe, protected = cfg.safe, cfg.protected
+    zone = cfg.defenders.sensing_zone_radius
 
     lists = [obstacle_list(p, cfg, k > 0)
              for k, p in enumerate([cfg.attacker.start, *cfg.defenders.starts])]
@@ -399,9 +418,9 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
     planning = False
 
     for i in range(n_steps + 1):
-        state.t = t = i * cfg.integrator.dt
+        state.t = t = i * dt
         r_a = state.attacker
-        in_safe = cfg.safe.contains(r_a)
+        in_safe = safe.contains(r_a)
 
         if state.t_capture is not None and not in_safe:
             # the capture clock stops; the next entry restarts the transition
@@ -411,7 +430,9 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         positions = state.positions
         refresh_lists(lists, [r_a, *positions], cfg)
 
-        if cfg.protected.contains(r_a):
+        # protected.contains(r_a), from the distance the planning test reads
+        to_center = dist(r_a, protected.center)
+        if to_center <= protected.radius:
             events["t_breach_s"] = t
             terminal = TERM_BREACHED
         elif state.t_capture is not None and t - state.t_capture >= dwell:
@@ -421,7 +442,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
 
         if terminal is None:
             # the defenders plan while the attacker is in the sensing zone
-            planning = dist(r_a, cfg.protected.center) <= cfg.defenders.sensing_zone_radius
+            planning = to_center <= zone
             if planning and events["t_sense_s"] is None:
                 events["t_sense_s"] = t
             if (planning and state.t_capture is None and in_safe
@@ -451,7 +472,7 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
         if terminal is not None:
             trace.termination = terminal
             break
-        apply_commands(state, cfg.integrator.dt)
+        apply_commands(state, dt)
 
     events["t_capture_s"] = state.t_capture
     trace.maxima = {name: max(trace.column(name)) for name in RATIO_COLUMNS}

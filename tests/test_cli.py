@@ -31,6 +31,7 @@ arc repulsion magnitude: 2.080605
 tracking gains: approach 1.435000 m/s, terminal gain 1.095294, handoff error 1.088659 m
 terminal phase: 1.905 s
 attacker straight-line arrival bound: 52.000 s
+reach: 37.659 s against arrival 52.000 s
 obstacle shells (exponent, formation level lo/mid/hi, defender lo, circle radii):
   [0] 2x3 @ (10, 23): n=1.109810 levels=(2.3132, 3.1348, 4.0586) defender_lo=0.4095 circle=(5.982, 6.580, 7.178)
   [1] 3x4 @ (-6, 18): n=1.225324 levels=(1.6934, 2.2780, 2.9323) defender_lo=0.3110 circle=(7.388, 8.127, 8.865)
@@ -41,7 +42,7 @@ obstacle shells (exponent, formation level lo/mid/hi, defender lo, circle radii)
 scenario is clean
 """
 # sha256 of the same lines for the benchmark's cluttered world, seed 1
-CHECK_CLUTTERED_1_SHA256 = "b3297070a497e9c96d0959886023bda53044952007b76c85776a0f7159fb8ede"
+CHECK_CLUTTERED_1_SHA256 = "146d3b4a539c935c444184c73fac60be02cd63b9fca6d567ccabd6b2d8d66636"
 
 
 def test_check_stdout_is_pinned(tmp_path, capsys):
@@ -52,6 +53,29 @@ def test_check_stdout_is_pinned(tmp_path, capsys):
     assert main(["check", "--scenario", str(path)]) == 0
     rest = capsys.readouterr().out.split("\n", 1)[1]
     assert hashlib.sha256(rest.encode()).hexdigest() == CHECK_CLUTTERED_1_SHA256
+
+
+def test_check_prints_the_reach_against_the_arrival(tmp_path, capsys, bundle_doc):
+    """At heading_rate_max_radps 1.75 the slot's rotation eats the speed
+    budget, and reach outlasts the attacker's arrival; check still exits 0."""
+    doc = copy.deepcopy(bundle_doc)
+    doc["control"]["heading_rate_max_radps"] = 1.75
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    arrival = lines.index("attacker straight-line arrival bound: 52.000 s")
+    assert lines[arrival + 1] == "reach: 84.770 s against arrival 52.000 s"
+
+
+@pytest.mark.parametrize("overrides", [
+    {"attacker.speed_max_mps": 0}, {"control.heading_rate_max_radps": 50},
+], ids=["attacker-at-rest", "gains-unsolvable"])
+def test_check_prints_no_reach_without_an_arrival_and_gains(tmp_path, capsys, overrides):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(small_scenario_doc(**overrides)))
+    main(["check", "--scenario", str(path)])
+    assert "reach:" not in capsys.readouterr().out
 
 
 def test_check_bundle_clean(capsys):
