@@ -25,8 +25,8 @@ _EXPORTS = {
     "errors": ("ConfigError", "DomainError", "HerdsimError", "InfeasibleHeadingError",
                "IntegrityError", "OutputDirError", "ScenarioFileError", "SchemaError",
                "SolverError"),
-    "formation_field": ("SweepReport", "attractive_field", "combined_field", "follow_field",
-                        "repulsive_angle", "singularity_sweep"),
+    "formation_field": ("SweepReport", "combined_field", "follow_field", "repulsive_angle",
+                        "singularity_sweep"),
     "geom": ("BlendTriplet", "Vec2", "angle_of", "blend_weight", "close_blend", "dist",
              "repel", "unit", "wrap_angle", "wrap_sector"),
     "herding": ("FormationSpec", "formation_goals", "formation_spec", "heading_rate",

@@ -31,7 +31,7 @@ def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
     if not obstacles:
         return empty
     return repel(position, ((ob.center, ob.attacker_band) for ob in obstacles),
-                 sensing_radius, empty)[0]
+                 sensing_radius, empty)
 
 
 def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
@@ -44,7 +44,7 @@ def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
     handles that case.  Coincidence with a defender is outside the model and
     raises.
     """
-    blend, _ = repel(position, zip(defenders, repeat(standoff)), sensing_radius, push)
+    blend = repel(position, zip(defenders, repeat(standoff)), sensing_radius, push)
     return close_blend(position, protected_center, blend)
 
 

@@ -71,9 +71,8 @@ def solve_tracking_gains(terminal_exponent: float, speed_max: float,
 
 def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
                    obstacles: Sequence[Obstacle], peer_band: BlendTriplet,
-                   attacker: Vec2, avoid: BlendTriplet) -> tuple[Vec2, bool, float, float]:
-    """Blended steering field for one defender, its conflict flag, and its
-    distances to the nearest peer (inf with none) and to the attacker.
+                   attacker: Vec2, avoid: BlendTriplet) -> tuple[Vec2, bool]:
+    """Blended steering field for one defender, and its conflict flag.
 
     Conflict means any obstacle, peer (on peer_band) or attacker (on avoid)
     blending weight is nonzero; in that regime the tracking law drops the
@@ -82,12 +81,12 @@ def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
     defender reach, beyond which the weight is exactly 0.
     """
     p = positions[index]
-    blend = follow_obstacles(p, obstacles, goal, True)
-    peers = [(q, peer_band) for q in positions]
-    del peers[index]
-    blend, peer = repel(p, peers, math.inf, blend)
-    blend, threat = repel(p, ((attacker, avoid),), math.inf, blend)
-    return close_blend(p, goal, blend), blend[3], peer, threat
+    # the peers in index order, then the attacker: the order the blend sums them in
+    sources = [(q, peer_band) for q in positions]
+    del sources[index]
+    sources.append((attacker, avoid))
+    blend = repel(p, sources, math.inf, follow_obstacles(p, obstacles, goal, True))
+    return close_blend(p, goal, blend), blend[3]
 
 
 def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,

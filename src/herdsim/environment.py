@@ -69,7 +69,7 @@ class Disc(Frozen):
             raise ConfigError(f"disc radius must be positive, got {self.radius}")
 
     def contains(self, p: Vec2) -> bool:
-        return math.hypot(p.x - self.center.x, p.y - self.center.y) <= self.radius
+        return dist(p, self.center) <= self.radius
 
 
 class Obstacle(Frozen):

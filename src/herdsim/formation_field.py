@@ -67,11 +67,6 @@ def repulsive_angle(p: Vec2, ob: Obstacle, target: Vec2) -> float:
     return _field_angle(math.atan2(dfy, dfx), math.atan2(dsy, dsx), ob)
 
 
-def attractive_field(p: Vec2, target: Vec2) -> Vec2:
-    """Unit vector toward the target; the zero vector exactly at the target."""
-    return Vec2(*unit_xy(target.x - p.x, target.y - p.y))
-
-
 def follow_obstacles(p: Vec2, obstacles: Sequence[Obstacle], target: Vec2,
                      defender: bool):
     """Obstacle-following terms at p toward target, weighted on each

@@ -167,19 +167,15 @@ def repel(p: Vec2, sources, reach: float, blend):
     """Continue a blend with a unit push away from each (point, band) source
     within reach of p, weighted on its band; raises at a source's point.
 
-    Returns the blend and the smallest distance from p to these sources
-    (inf with none).  A source at or beyond its band's hi weighs exactly 0,
-    so it is skipped before its weight is taken.
+    A source at or beyond its band's hi weighs exactly 0, so it is skipped
+    before its weight is taken.
     """
     prod, x, y, hit = blend
     px, py = p.x, p.y
-    nearest = math.inf
     for q, band in sources:
         dx = px - q.x
         dy = py - q.y
         d = math.hypot(dx, dy)
-        if d < nearest:
-            nearest = d
         if d > reach:
             continue
         if d == 0.0:
@@ -193,7 +189,7 @@ def repel(p: Vec2, sources, reach: float, blend):
         prod *= 1.0 - sigma
         x += sigma * dx / d
         y += sigma * dy / d
-    return (prod, x, y, hit), nearest
+    return prod, x, y, hit
 
 
 def close_blend(p: Vec2, target: Vec2, blend) -> Vec2:

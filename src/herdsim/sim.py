@@ -255,8 +255,7 @@ def _max_obstacle_ratio(points, lists, r: float) -> float:
     return r
 
 
-def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
-                    lists, nearest: Optional[tuple[float, float]] = None) -> tuple:
+def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig, lists) -> tuple:
     """Evaluate the four critical relative distances at given positions.
 
     Returns their threshold-over-actual ratios in RATIO_COLUMNS order: the
@@ -271,18 +270,14 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     agent's position; their ratio bounds cut the obstacle scan short, and the
     result is still the exact maximum over every pair.  An agent-agent ratio
     is taken at its pairs' minimum distance: rounded lo / d never increases
-    with d, so that is the largest ratio of any pair.  nearest, where given,
-    holds those minima (defender-defender, attacker-defender) as the
-    defender fields measured them at these positions; hypot ignores signs
-    and a minimum ignores order, so they equal the ones measured here.
+    with d, so that is the largest ratio of any pair.
     """
     r_ao = _max_obstacle_ratio((attacker_pos,), lists, 0.0)
     r_do = _max_obstacle_ratio(defender_positions, lists[1:], 0.0)
-    if nearest is None:
-        nearest = (min(itertools.starmap(dist, itertools.combinations(defender_positions, 2))),
-                   min(dist(attacker_pos, p) for p in defender_positions))
-    return (r_ao, r_do, safety_ratio(cfg.defenders.peer_band.lo, nearest[0]),
-            safety_ratio(cfg.attacker.standoff_band.lo, nearest[1]))
+    d_dd = min(itertools.starmap(dist, itertools.combinations(defender_positions, 2)))
+    d_ad = min(map(dist, itertools.repeat(attacker_pos), defender_positions))
+    return (r_ao, r_do, safety_ratio(cfg.defenders.peer_band.lo, d_dd),
+            safety_ratio(cfg.attacker.standoff_band.lo, d_ad))
 
 
 def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[Vec2]:
@@ -308,16 +303,14 @@ def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[V
 
 
 def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, lists,
-                     planning: bool) -> tuple[Optional[tuple[float, float]], tuple[int, ...]]:
+                     planning: bool) -> tuple[int, ...]:
     """Fill every command for the current step from the step-start snapshot.
 
     lists holds the agents' ObstacleLists (attacker first), each valid at its
     agent's step-start position; the defenders plan only if planning.  Sets
     in `state` the attacker's heading and velocity, the defenders' velocities
     and goals (each a new list) and the plan's headings.  Returns the
-    smallest defender-defender and attacker-defender distances the defender
-    fields measured (safety_snapshot's nearest), None if not planning, and
-    the indices of the defenders held still on a degenerate field.
+    indices of the defenders held still on a degenerate field.
     """
     r_a = state.attacker
     sensing = cfg.attacker.sensing_radius
@@ -336,26 +329,20 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, list
     state.attacker_velocity = Vec2(speed * math.cos(heading), speed * math.sin(heading))
 
     if not planning:
-        return None, ()
-    peer_min = threat_min = math.inf
+        return ()
     velocities = []
     held = ()
     peer_band, avoid = cfg.defenders.peer_band, ctx.avoid
     for j, (p, goal, gv, gains) in enumerate(zip(positions, state.goals, goal_velocities,
                                                   ctx.gains)):
-        f, conflict, peer, threat = defender_field(j, positions, goal, lists[j + 1].near,
-                                                   peer_band, r_a, avoid)
+        f, conflict = defender_field(j, positions, goal, lists[j + 1].near, peer_band, r_a, avoid)
         v = defender_velocity(p, goal, gv, f, conflict, gains)
         if v is None:
             held += (j,)
             v = Vec2(0.0, 0.0)
         velocities.append(v)
-        if peer < peer_min:
-            peer_min = peer
-        if threat < threat_min:
-            threat_min = threat
     state.velocities = velocities
-    return (peer_min, threat_min), held
+    return held
 
 
 def apply_commands(state: SimState, dt: float) -> None:
@@ -448,15 +435,14 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             if (planning and state.t_capture is None and in_safe
                     and events["t_formed_s"] is not None):
                 state.t_capture = t
-            nearest, held = compute_commands(state, cfg, ctx, lists, planning)
+            held = compute_commands(state, cfg, ctx, lists, planning)
             if held:
                 trace.notices += [(t, f"defender {j} held on a degenerate field") for j in held]
         else:
-            nearest = None
             state.attacker_velocity = Vec2(0.0, 0.0)
             state.velocities = [Vec2(0.0, 0.0)] * n
 
-        snap = safety_snapshot(r_a, positions, cfg, lists, nearest)
+        snap = safety_snapshot(r_a, positions, cfg, lists)
         row = [t, r_a.x, r_a.y,
                state.attacker_velocity.x, state.attacker_velocity.y,
                state.desired, 0.0 if state.command is None else state.command]

@@ -99,12 +99,10 @@ def ref_defender_field(index, positions, goal, obstacles, peer_band, attacker, a
     conflict = sigma_max > 0.0
 
     others = [(q, peer_band) for l, q in enumerate(positions) if l != index]
-    distances = []
     for other, band in others + [(attacker, avoid)]:
         dx = p.x - other.x
         dy = p.y - other.y
         d = math.hypot(dx, dy)
-        distances.append(d)
         if d == 0.0:
             raise DomainError(f"defender {index} coincides with {other}")
         sigma = blend_weight(d, band)
@@ -121,7 +119,7 @@ def ref_defender_field(index, positions, goal, obstacles, peer_band, attacker, a
     if g > 0.0:
         rx += prod * gx / g
         ry += prod * gy / g
-    return Vec2(rx, ry), conflict, min(distances[:-1], default=math.inf), distances[-1]
+    return Vec2(rx, ry), conflict
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,11 @@ The attacker's obstacle push, the attacker field and the defender field each
 had their own radial push loop and attraction step; those loops are the
 reference, the attacker's copied below and the defender's in conftest.py
 (its radial loop now also takes the attacker, on its own band, after the
-peers, and hands back the nearest peer's and the attacker's distances), and
-the kernels built on the blend must return equal results, raising where
-they raised.  The loops weigh every source; the kernels skip one at or
-beyond its band's hi.  Positions and band thresholds are multiples of 1/32
-and small, so a source placed a band threshold (or the sensing radius)
-away along an axis sits at exactly that distance.
+peers), and the kernels built on the blend must return equal results,
+raising where they raised.  The loops weigh every source; the kernels skip
+one at or beyond its band's hi.  Positions and band thresholds are
+multiples of 1/32 and small, so a source placed a band threshold (or the
+sensing radius) away along an axis sits at exactly that distance.
 """
 
 import math
@@ -168,11 +167,14 @@ def test_band_edges_and_coincidence():
     p = Vec2(3.0, 4.0)
     empty = (1.0, 0.0, 0.0, False)
     # at mid the weight is 1; at hi, and beyond the reach, nothing is added
-    assert repel(p, [(Vec2(2.0, 4.0), band)], 5.0, empty) == ((0.0, 1.0, 0.0, True), 1.0)
-    assert repel(p, [(Vec2(3.0, 2.0), band)], 5.0, empty) == (empty, 2.0)
-    assert repel(p, [(Vec2(3.0, 4.5), band)], 0.25, empty) == (empty, 0.5)
+    assert repel(p, [(Vec2(2.0, 4.0), band)], 5.0, empty) == (0.0, 1.0, 0.0, True)
+    assert repel(p, [(Vec2(3.0, 2.0), band)], 5.0, empty) == empty
+    assert repel(p, [(Vec2(3.0, 4.5), band)], 0.25, empty) == empty
     with pytest.raises(DomainError, match=r"\(3\.0, 4\.0\)"):
         repel(p, [(p, band)], 5.0, empty)
+    # a coincident source raises wherever it stands among the sources
+    with pytest.raises(DomainError):
+        repel(p, [(Vec2(30.0, 4.0), band), (p, band)], 5.0, empty)
     # the attraction gets the leftover weight, and nothing at the target
     assert close_blend(p, Vec2(3.0, 7.0), (0.5, 0.25, 0.0, True)) == Vec2(0.25, 0.5)
     assert close_blend(p, p, (0.5, 0.25, 0.0, True)) == Vec2(0.25, 0.0)
@@ -235,20 +237,6 @@ def test_cull_at_the_band_edge_matches_the_loops(reference_cfg, monkeypatch, edg
         assert (prod, fx, fy, hit) == (*ref[:3], ref[3] > 0.0)
     assert all(delta < b.hi for delta, b, _ in taken)
     assert bool(taken) == (edge == "below")
-
-
-def test_repel_reports_its_own_nearest_source():
-    band = BlendTriplet(0.5, 1.0, 2.0)
-    p = Vec2(3.0, 4.0)
-    empty = (1.0, 0.0, 0.0, False)
-    assert repel(p, [], 5.0, empty) == (empty, math.inf)
-    # the blend carried in says nothing about the distance handed back
-    blend, nearest = repel(p, [(Vec2(3.0, 4.75), band)], 5.0, empty)
-    assert nearest == 0.75
-    assert repel(p, [(Vec2(3.0, 7.0), band), (Vec2(7.0, 4.0), band)], 5.0, blend) == (blend, 3.0)
-    # a coincident source raises wherever it stands among the sources
-    with pytest.raises(DomainError):
-        repel(p, [(Vec2(30.0, 4.0), band), (p, band)], 5.0, empty)
 
 
 def test_no_weight_taken_on_the_bundled_run_is_zero(reference_cfg, monkeypatch):

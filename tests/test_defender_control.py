@@ -88,16 +88,15 @@ def test_speed_continuous_at_handoff():
 
 def test_field_points_at_goal_when_clear():
     positions = [Vec2(0.0, 0.0), Vec2(10.0, 0.0)]
-    f, conflict, peer, _ = defender_field(0, positions, Vec2(3.0, 4.0), [], PEERS, FAR, AVOID)
+    f, conflict = defender_field(0, positions, Vec2(3.0, 4.0), [], PEERS, FAR, AVOID)
     assert not conflict
-    assert peer == 10.0
     assert f.x == pytest.approx(0.6)
     assert f.y == pytest.approx(0.8)
 
 
 def test_field_pure_peer_repulsion_when_saturated():
     positions = [Vec2(0.0, 0.0), Vec2(0.2, 0.0)]
-    f, conflict, _, _ = defender_field(0, positions, Vec2(5.0, 0.0), [], PEERS, FAR, AVOID)
+    f, conflict = defender_field(0, positions, Vec2(5.0, 0.0), [], PEERS, FAR, AVOID)
     assert conflict
     assert f.x == pytest.approx(-1.0)
     assert f.y == pytest.approx(0.0, abs=1e-12)
@@ -115,7 +114,7 @@ def test_field_obstacle_blend_norm_identity(derivation):
         s = blend_weight(superelliptic_distance(p, ob), ob.defender_band)
         if not (0.0 < s < 1.0):
             continue
-        f, conflict, _, _ = defender_field(0, [p], goal, [ob], PEERS, FAR, AVOID)
+        f, conflict = defender_field(0, [p], goal, [ob], PEERS, FAR, AVOID)
         assert conflict
         toward = math.atan2(goal.y - p.y, goal.x - p.x)
         gap = toward - repulsive_angle(p, ob, goal)
@@ -138,9 +137,8 @@ def test_field_avoids_the_attacker_on_its_band(gap, weight):
     # the band's mid, where the field points straight back; the cubic's
     # midpoint halfway to hi, where push and attraction cancel; nothing from
     # hi on.  Inside the band the defender is in conflict, as near a peer.
-    f, conflict, peer, threat = defender_field(0, [Vec2(0.0, 0.0)], Vec2(5.0, 0.0), [], PEERS,
-                                               Vec2(gap, 0.0), AVOID)
-    assert (peer, threat) == (math.inf, gap)
+    f, conflict = defender_field(0, [Vec2(0.0, 0.0)], Vec2(5.0, 0.0), [], PEERS,
+                                 Vec2(gap, 0.0), AVOID)
     assert conflict == (weight > 0.0)
     assert f.x == pytest.approx(1.0 - 2.0 * weight)
     assert f.y == 0.0

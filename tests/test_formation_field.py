@@ -9,8 +9,8 @@ from herdsim.environment import (Disc, contour_offsets, derive_obstacle,
 from herdsim.errors import DomainError
 from herdsim.formation_field import (SWEEP_SUBSAMPLES, _cell_extrema, _field_angle_np,
                                      _gap_lattice, _tangent_angle_np, _wrap_angle_np,
-                                     attractive_field, combined_field, follow_field,
-                                     follow_obstacles, repulsive_angle, singularity_sweep)
+                                     combined_field, follow_field, follow_obstacles,
+                                     repulsive_angle, singularity_sweep)
 from herdsim.geom import Vec2, blend_weight, wrap_angle
 from herdsim.svg import _fmt, sweep_heatmap_svg
 
@@ -74,14 +74,6 @@ def test_angle_rejects_degenerate_points(square):
         repulsive_angle(square.center, square, Vec2(0.0, 10.0))
     with pytest.raises(DomainError):
         repulsive_angle(Vec2(0.0, 3.0), square, square.center)
-
-
-def test_attractive_field_cases():
-    assert attractive_field(Vec2(0.0, 0.0), Vec2(0.0, 5.0)) == Vec2(0.0, 1.0)
-    assert attractive_field(Vec2(2.0, -1.0), Vec2(2.0, -1.0)) == Vec2(0.0, 0.0)
-    v = attractive_field(Vec2(3.0, 4.0), Vec2(0.0, 0.0))
-    assert v.x == pytest.approx(-0.6)
-    assert v.y == pytest.approx(-0.8)
 
 
 def test_combined_field_far_is_pure_attraction(square):

@@ -324,10 +324,10 @@ def agent_ratio_mismatches(trace, cfg):
 
 
 def test_handed_back_agent_ratios_are_exact(reference_cfg, reference_run, bundle_doc):
-    """On planning steps the snapshot takes its agent-agent minima from the
-    defender fields; every row must still hold the ratios of its positions.
-    The second run starts 20 m outside the sensing zone, so its first 2,000
-    rows and its terminal row take the snapshot's own measurement."""
+    """Every row's agent-agent ratios are the snapshot's own measurement at
+    that row's positions, on planning steps as on the others.  The second
+    run starts 20 m outside the sensing zone, so its first 2,000 rows and
+    its terminal row are not planning steps."""
     trace, _ = reference_run
     assert agent_ratio_mismatches(trace, reference_cfg) == []
     doc = copy.deepcopy(bundle_doc)
@@ -695,10 +695,10 @@ def test_degenerate_field_holds_the_defender_for_one_step(reference_cfg, monkeyp
     calls = itertools.count()
 
     def vanishing(index, *args):
-        f, conflict, peer, threat = original(index, *args)
+        f, conflict = original(index, *args)
         if index == 1 and next(calls) == 50:
             f = Vec2(0.0, 0.0)
-        return f, conflict, peer, threat
+        return f, conflict
 
     monkeypatch.setattr(sim, "defender_field", vanishing)
     trace = run(reference_cfg, t_max=1.0)

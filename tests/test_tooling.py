@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -196,3 +197,39 @@ def test_no_module_reads_the_environment():
     readers = [p.name for p in (REPO / "src" / "herdsim").glob("*.py")
                if "os.environ" in p.read_text() or "getenv" in p.read_text()]
     assert readers == []
+
+
+def identifiers(node):
+    """Every name the code under node reads, binds, imports or looks up as
+    an attribute; strings and comments name nothing."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rpartition(".")[2]
+
+
+def test_every_src_name_has_a_caller():
+    # each module-level function, class and constant of the package is named
+    # by code in src/herdsim beyond its own definition, or by a demo; the
+    # package's export table lists names as strings, so it calls nothing
+    src = sorted((REPO / "src" / "herdsim").glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in src + sorted((REPO / "demos").glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in identifiers(tree))
+    uncalled = []
+    for p in src:
+        if p.name == "__init__.py":
+            continue
+        for node in trees[p].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = Counter(identifiers(node))
+            uncalled += [f"{p.stem}.{name}" for name in defined if uses[name] == own[name]]
+    assert uncalled == []
