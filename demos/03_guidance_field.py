@@ -21,8 +21,7 @@ from herdsim import (Disc, ObstacleDerivation, Vec2, combined_field,
                      singularity_sweep, superelliptic_distance)
 from herdsim.svg import Canvas
 
-params = ObstacleDerivation(formation_radius=0.65, clearance=0.2,
-                            defender_clearance=0.1, defender_radius=0.1,
+params = ObstacleDerivation(formation_pad=0.65 + 0.2, defender_pad=0.1 + 0.1,
                             attacker_mid_factor=1.15, attacker_hi_factor=1.3)
 obstacle = derive_obstacle(Vec2(0.0, 0.0), 4.0, 3.0, params)
 safe = Disc(Vec2(3.0, 7.0), 1.0)

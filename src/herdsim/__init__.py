@@ -23,8 +23,7 @@ _EXPORTS = {
                     "shell_points", "solve_shape_exponent", "superelliptic_distance",
                     "validate_scenario"),
     "errors": ("ConfigError", "DomainError", "HerdsimError", "InfeasibleHeadingError",
-               "IntegrityError", "OutputDirError", "ScenarioFileError", "SchemaError",
-               "SolverError"),
+               "IntegrityError", "PathError", "SolverError"),
     "formation_field": ("SweepReport", "combined_field", "follow_field", "repulsive_angle",
                         "singularity_sweep"),
     "geom": ("BlendTriplet", "Vec2", "angle_of", "blend_weight", "close_blend", "dist",

@@ -36,7 +36,7 @@ from pathlib import Path
 from . import __version__
 from .environment import (arc_magnitude, load_scenario, min_spread, reference_scenario_path,
                           scenario_warnings, validate_scenario)
-from .errors import ConfigError, HerdsimError, OutputDirError, SchemaError
+from .errors import ConfigError, HerdsimError, PathError
 from .geom import dist
 
 EXIT_OK = 0
@@ -49,8 +49,8 @@ def _load(scenario_arg):
     path = Path(scenario_arg) if scenario_arg else reference_scenario_path()
     try:
         cfg, digest = load_scenario(path)
-    except (SchemaError, ConfigError) as exc:
-        raise type(exc)(f"bad scenario: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"bad scenario: {exc}") from exc
     return cfg, {"scenario": str(scenario_arg) if scenario_arg else "bundled:reference_scenario",
                  "scenario_sha256": digest, "tool_version": __version__}
 
@@ -62,10 +62,10 @@ def _out_dir(arg, names) -> Path:
     out = Path(arg)
     found = next(p for p in (out, *out.parents) if p.exists())
     if not found.is_dir():
-        raise OutputDirError(f"cannot write to --out {arg}: {found} is not a directory")
+        raise PathError(f"cannot write to --out {arg}: {found} is not a directory")
     for path in (out / name for name in names):
         if path.exists() and not path.is_file():
-            raise OutputDirError(f"cannot write to --out {arg}: {path} is not a regular file")
+            raise PathError(f"cannot write to --out {arg}: {path} is not a regular file")
     return out
 
 
@@ -242,7 +242,3 @@ def main(argv=None) -> int:
     except HerdsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,7 +21,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigError, ScenarioFileError, SchemaError, SolverError
+from .errors import ConfigError, PathError, SolverError
 from .geom import BlendTriplet, Frozen, Vec2, dist
 
 # Slack on the obstacle culling constants.  Evaluating a level rounds E + 1
@@ -102,10 +102,9 @@ ATTACKER_CIRCLE_FACTORS = (1.15, 1.3)
 class ObstacleDerivation(Frozen):
     """Parameters driving the rectangle -> Obstacle derivation."""
 
-    __slots__ = ("formation_radius",      # arc radius + defender body radius
-                 "clearance",             # standoff added around the formation
-                 "defender_clearance",    # standoff added around a single defender
-                 "defender_radius", "attacker_mid_factor", "attacker_hi_factor")
+    __slots__ = ("formation_pad",         # arc radius + defender body radius + clearance
+                 "defender_pad",          # defender body radius + defender clearance
+                 "attacker_mid_factor", "attacker_hi_factor")
 
 
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
@@ -262,7 +261,7 @@ def derive_obstacle(center: Vec2, width: float, height: float,
     """
     if not (width > 0.0 and height > 0.0):
         raise ConfigError(f"obstacle sides must be positive, got {width}x{height}")
-    pad = params.formation_radius + params.clearance
+    pad = params.formation_pad
     fw = width + 2.0 * pad
     fh = height + 2.0 * pad
     try:
@@ -283,7 +282,7 @@ def derive_obstacle(center: Vec2, width: float, height: float,
                               for f in (1.0, *OUTER_PAD_FACTORS)])
 
     formation_band = band(pad)
-    defender_band = band(params.defender_radius + params.defender_clearance)
+    defender_band = band(params.defender_pad)
 
     # lo is the inflated rectangle's full diagonal, so the circle holds it
     r_lo = math.hypot(fw, fh)
@@ -389,7 +388,7 @@ def _at(where: str, i) -> str:
 
 def _vec(v, where: str) -> Vec2:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise SchemaError(f"{where} must be a 2-element [x, y] list")
+        raise ConfigError(f"{where} must be a 2-element [x, y] list")
     return Vec2(_num(v[0], where, 0), _num(v[1], where, 1))
 
 
@@ -397,7 +396,7 @@ def _num(v, where: str, i=None) -> float:
     """A JSON number (an int or a float, never a bool or a quoted number):
     the value at where, or element i of the list there."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{_at(where, i)} must be a number, got {v!r}")
+        raise ConfigError(f"{_at(where, i)} must be a number, got {v!r}")
     try:
         out = float(v)
     except OverflowError:           # an integer literal beyond the float range
@@ -423,7 +422,7 @@ _nonnegative = _num_in(lambda x: x >= 0.0, "non-negative")
 
 def _band(v, where: str) -> BlendTriplet:
     if not (isinstance(v, (list, tuple)) and len(v) == 3):
-        raise SchemaError(f"{where} must be a 3-element [lo, mid, hi] list")
+        raise ConfigError(f"{where} must be a 3-element [lo, mid, hi] list")
     lo, mid, hi = (_num(x, where, k) for k, x in enumerate(v))
     try:
         return BlendTriplet(lo, mid, hi)
@@ -436,13 +435,13 @@ def _speeds(v, where: str, count: int) -> tuple[float, ...]:
     if not isinstance(v, list):
         return (_positive(v, where),) * count
     if len(v) != count:
-        raise SchemaError(f"{where} list must match start_m length")
+        raise ConfigError(f"{where} list must match start_m length")
     return tuple(_positive(s, where, k) for k, s in enumerate(v))
 
 
 def _circle_factors(v, where: str) -> tuple[float, float]:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise SchemaError(f"{where} must be [mid, hi]")
+        raise ConfigError(f"{where} must be [mid, hi]")
     mid, hi = _num(v[0], where, 0), _num(v[1], where, 1)
     if not 1.0 < mid < hi:
         raise ConfigError(f"{where} must satisfy 1 < mid < hi, got {v}")
@@ -453,7 +452,7 @@ def _list_of(read, what: str = ""):
     """A reader of a JSON list whose element k is read(element, path[k])."""
     def read_list(v, where: str) -> list:
         if not isinstance(v, list):
-            raise SchemaError(f"{where} must be a list{what}")
+            raise ConfigError(f"{where} must be a list{what}")
         return [read(x, _at(where, k)) for k, x in enumerate(v)]
     return read_list
 
@@ -467,7 +466,7 @@ class _Record:
 
     def __init__(self, v, where: str):
         if not isinstance(v, dict):
-            raise SchemaError(f"{where or 'scenario document'} must be a JSON object")
+            raise ConfigError(f"{where or 'scenario document'} must be a JSON object")
         self._left = dict(v)
         self._where = where
         self._prefix = f"{where}." if where else ""
@@ -476,7 +475,7 @@ class _Record:
         if key in self._left:
             return read(self._left.pop(key), self._prefix + key)
         if default is None:
-            raise SchemaError(f"missing key '{key}' in {self._where or 'scenario'}")
+            raise ConfigError(f"missing key '{key}' in {self._where or 'scenario'}")
         return default
 
     def section(self, key: str, optional: bool = False) -> _Record:
@@ -485,7 +484,7 @@ class _Record:
 
     def done(self) -> None:
         if self._left:
-            raise SchemaError(f"unknown key(s) {', '.join(self._prefix + k for k in self._left)}")
+            raise ConfigError(f"unknown key(s) {', '.join(self._prefix + k for k in self._left)}")
 
 
 def transition_heuristic(defender_speed_min: float, attacker_speed: float,
@@ -498,10 +497,10 @@ def transition_heuristic(defender_speed_min: float, attacker_speed: float,
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed scenario document.
 
-    Structural problems raise SchemaError, an unknown key in any section or
-    obstacle record among them.  A rule on one value (a number's range, a
-    band's order, the defender count) is checked here, where the value is
-    read, and breaking it raises ConfigError naming the value's path.  Rules
+    Structural problems raise ConfigError, an unknown key in any section or
+    obstacle record among them.  So does breaking a rule on one value (a
+    number's range, a band's order, the defender count), which is checked
+    here, where the value is read; the message names the value's path.  Rules
     that relate two or more values are left to validate_scenario, which
     reports them as data; so is a default derived from other values, such as
     the transition time, when it comes out unusable.
@@ -575,10 +574,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     om.done()
 
     derivation = ObstacleDerivation(
-        formation_radius=formation.arc_radius + defenders.body_radius,
-        clearance=formation.clearance,
-        defender_clearance=formation.defender_clearance,
-        defender_radius=defenders.body_radius,
+        formation_pad=formation.arc_radius + defenders.body_radius + formation.clearance,
+        defender_pad=defenders.body_radius + formation.defender_clearance,
         attacker_mid_factor=mid_f,
         attacker_hi_factor=hi_f,
     )
@@ -602,17 +599,17 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
 def load_scenario(path) -> tuple[ScenarioConfig, str]:
     """Load a scenario JSON file; returns (config, sha256 of the file bytes).
-    An unreadable file raises ScenarioFileError, one not JSON text SchemaError."""
+    An unreadable file raises PathError, one not JSON text ConfigError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise ScenarioFileError(f"cannot read scenario file: {exc}") from exc
+        raise PathError(f"cannot read scenario file: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:     # also not UTF-8, or nested too deep
-        raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc), digest
 
 

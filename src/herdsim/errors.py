@@ -8,22 +8,14 @@ class HerdsimError(Exception):
 
 
 class ConfigError(HerdsimError, ValueError):
-    """A parameter value is unusable (wrong sign, bad ordering, non-finite)."""
+    """A scenario document does not match the expected structure, or a
+    parameter value is unusable (wrong sign, bad ordering, non-finite)."""
     exit_code = 3
 
 
-class SchemaError(HerdsimError):
-    """A scenario document does not match the expected structure."""
-    exit_code = 3
-
-
-class ScenarioFileError(HerdsimError):
-    """A scenario file is missing or cannot be read."""
-    exit_code = 2
-
-
-class OutputDirError(HerdsimError):
-    """An --out path cannot be made a directory."""
+class PathError(HerdsimError):
+    """A scenario file is missing or cannot be read, or an --out path cannot
+    be made a directory."""
     exit_code = 2
 
 

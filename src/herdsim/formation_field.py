@@ -38,6 +38,8 @@ SWEEP_SUBSAMPLES = 3
 # (3 r + 1)^2 samples, about 400 MB peak at 768, and the heatmap draws a
 # cell below one pixel beyond it
 SWEEP_MAX_RESOLUTION = 768
+# follow_field's path budget, in metres
+FOLLOW_MAX_PATH = 400.0
 
 
 def _field_angle(beta_f: float, beta_s: float, ob: Obstacle) -> float:
@@ -290,9 +292,9 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128,
 
 
 def follow_field(start: Vec2, obstacles: Sequence[Obstacle], safe: Disc,
-                 step: float = 0.03, max_path: float = 400.0):
+                 step: float = 0.03):
     """Integrate the normalized field from start until the safe area is
-    reached or the path budget runs out.
+    reached or the path budget of FOLLOW_MAX_PATH metres runs out.
 
     Returns (points, converged, min_norm, min_level_slack) where
     min_level_slack is the smallest margin of any sampled point above any
@@ -302,7 +304,7 @@ def follow_field(start: Vec2, obstacles: Sequence[Obstacle], safe: Disc,
     points = [p]
     min_norm = math.inf
     min_slack = math.inf
-    steps = int(max_path / step)
+    steps = int(FOLLOW_MAX_PATH / step)
     converged = False
     for _ in range(steps):
         if safe.contains(p):

@@ -14,6 +14,10 @@ from typing import Optional, TextIO
 from .environment import RATIO_COLUMNS, shell_points
 
 
+# the blank margin, in pixels, around a Canvas's plot area
+PAD = 30
+
+
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
@@ -22,17 +26,15 @@ class Canvas:
     """Fixed-viewport SVG document with a y-up world frame, written to the
     text stream out one element at a time; close() ends the document."""
 
-    def __init__(self, out: TextIO, x_min, x_max, y_min, y_max, width=720, height=720,
-                 pad=30):
+    def __init__(self, out: TextIO, x_min, x_max, y_min, y_max, width=720, height=720):
         self.out = out
         self.width = width
         self.height = height
-        sx = (width - 2 * pad) / (x_max - x_min)
-        sy = (height - 2 * pad) / (y_max - y_min)
+        sx = (width - 2 * PAD) / (x_max - x_min)
+        sy = (height - 2 * PAD) / (y_max - y_min)
         self.scale = min(sx, sy)
         self.x_min = x_min
         self.y_max = y_max
-        self.pad = pad
         self._element(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                       f'height="{height}" viewBox="0 0 {width} {height}">')
         self._element(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
@@ -42,40 +44,40 @@ class Canvas:
         self.out.write("\n")
 
     def to_px(self, x, y):
-        return (self.pad + (x - self.x_min) * self.scale,
-                self.pad + (self.y_max - y) * self.scale)
+        return (PAD + (x - self.x_min) * self.scale,
+                PAD + (self.y_max - y) * self.scale)
 
-    def polyline(self, points, stroke="black", width=1.0, dash=None, fill="none"):
+    def polyline(self, points, stroke="black", width=1.0, dash=None):
         if not points:
             return
-        pad, x_min, y_max, k = self.pad, self.x_min, self.y_max, self.scale
+        x_min, y_max, k = self.x_min, self.y_max, self.scale
         # to_px and _fmt, inline: one f-string per point
-        px = " ".join(f"{pad + (x - x_min) * k:.3f},{pad + (y_max - y) * k:.3f}"
+        px = " ".join(f"{PAD + (x - x_min) * k:.3f},{PAD + (y_max - y) * k:.3f}"
                       for x, y in points)
-        self._polyline(px, stroke, width, dash, fill)
+        self._polyline(px, stroke, width, dash)
 
     def x_px(self, xs) -> list:
         """Pixel x of each world x, formatted for series()."""
-        pad, x_min, k = self.pad, self.x_min, self.scale
-        return [f"{pad + (x - x_min) * k:.3f}," for x in xs]
+        x_min, k = self.x_min, self.scale
+        return [f"{PAD + (x - x_min) * k:.3f}," for x in xs]
 
     def series(self, x_px, ys, stroke="black", width=1.0):
         """polyline() through the points (x, y), each x given by x_px(), so
         that curves over one axis format it once."""
-        pad, y_max, k = self.pad, self.y_max, self.scale
-        px = " ".join([f"{x}{pad + (y_max - y) * k:.3f}" for x, y in zip(x_px, ys)])
-        self._polyline(px, stroke, width, None, "none")
+        y_max, k = self.y_max, self.scale
+        px = " ".join([f"{x}{PAD + (y_max - y) * k:.3f}" for x, y in zip(x_px, ys)])
+        self._polyline(px, stroke, width, None)
 
-    def _polyline(self, px, stroke, width, dash, fill):
+    def _polyline(self, px, stroke, width, dash):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self._element(f'<polyline points="{px}" fill="{fill}" stroke="{stroke}" '
+        self._element(f'<polyline points="{px}" fill="none" stroke="{stroke}" '
                       f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
-    def circle(self, cx, cy, r, stroke="black", fill="none", width=1.0, dash=None):
+    def circle(self, cx, cy, r, stroke="black", width=1.0, dash=None):
         x, y = self.to_px(cx, cy)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self._element(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r * self.scale)}" '
-                      f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
+                      f'fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
 
     def rect(self, cx, cy, w, h, stroke="black", fill="none", width=1.0):
         x, y = self.to_px(cx - w / 2.0, cy + h / 2.0)

@@ -556,6 +556,15 @@ def test_numpy_is_imported_only_where_arrays_are_built(tmp_path, argv, code, loa
     assert proc.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
 
 
+def test_python_dash_m_herdsim_runs_the_cli(tmp_path):
+    # the benchmark's children and the README start the program this way
+    for argv, out in [(["--version"], "herdsim 0.1.0\n"), (["check"], "scenario is clean\n")]:
+        proc = subprocess.run([sys.executable, "-m", "herdsim", *argv], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(out), argv
+
+
 def test_simulate_prints_the_run_notices(tmp_path, capsys, monkeypatch):
     # the re-arm world of tests/test_sim.py: its 2 m safe area fails
     # safe-radius, and the attacker leaves it twice after the arc formed
@@ -698,7 +707,10 @@ def test_every_error_exits_with_its_documented_code(monkeypatch, capsys):
         assert main(["check"]) == kind.exit_code, kind.__name__
         assert capsys.readouterr().err == "error: raised by the command\n"
         assert kind.exit_code in table, kind.__name__
-    assert {k.exit_code for k in kinds} == {1, 2, 3, 6}
+    codes = [k.exit_code for k in kinds]
+    assert set(codes) == {1, 2, 3, 6}
+    # one class per input exit code, so a caller catches each by one name
+    assert (codes.count(2), codes.count(3)) == (1, 1)
 
 
 def test_svg_off_suppresses_plots(tmp_path):

@@ -76,10 +76,8 @@ def full_scan_snapshot(attacker_pos, defender_positions, cfg):
 
 derivations = st.builds(
     ObstacleDerivation,
-    formation_radius=st.floats(0.05, 3.0),
-    clearance=st.floats(0.01, 1.0),
-    defender_clearance=st.floats(0.01, 0.5),
-    defender_radius=st.floats(0.01, 0.5),
+    formation_pad=st.floats(0.06, 4.0),
+    defender_pad=st.floats(0.02, 1.0),
     attacker_mid_factor=st.just(ATTACKER_CIRCLE_FACTORS[0]),
     attacker_hi_factor=st.just(ATTACKER_CIRCLE_FACTORS[1]),
 )

@@ -178,7 +178,7 @@ def derive_obstacle_by_hand(center, width, height, params):
     """derive_obstacle as it was written before the bands shared one formula:
     the reference that test_derive_obstacle_bands_match_the_hand_formulas
     compares against."""
-    pad = params.formation_radius + params.clearance
+    pad = params.formation_pad
     fw = width + 2.0 * pad
     fh = height + 2.0 * pad
     exponent, lvl_lo = solve_shape_exponent(width, height, fw, fh)
@@ -190,7 +190,7 @@ def derive_obstacle_by_hand(center, width, height, params):
                            height + 2.0 * f_mid * pad, exponent)
     lvl_hi = corner_level(width, height, width + 2.0 * f_hi * pad,
                           height + 2.0 * f_hi * pad, exponent)
-    pad_d = params.defender_radius + params.defender_clearance
+    pad_d = params.defender_pad
     dw = width + 2.0 * pad_d
     dh = height + 2.0 * pad_d
     d_lo = corner_level(width, height, dw, dh, exponent)
@@ -215,8 +215,7 @@ def test_derive_obstacle_bands_match_the_hand_formulas():
     rng = random.Random(14)
     for _ in range(300):
         params = ObstacleDerivation(
-            formation_radius=rng.uniform(0.1, 3.0), clearance=rng.uniform(0.05, 1.0),
-            defender_clearance=rng.uniform(0.01, 0.5), defender_radius=rng.uniform(0.05, 0.5),
+            formation_pad=rng.uniform(0.15, 4.0), defender_pad=rng.uniform(0.06, 1.0),
             attacker_mid_factor=rng.uniform(1.01, 1.2), attacker_hi_factor=rng.uniform(1.25, 1.5))
         center = Vec2(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
         width, height = rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0)

@@ -45,9 +45,8 @@ def test_invalid_band_rejected(bad):
 
 def test_positional_and_keyword_construction_agree():
     assert BlendTriplet(1.0, 2.0, 3.0) == BlendTriplet(hi=3.0, lo=1.0, mid=2.0)
-    assert ObstacleDerivation(0.65, 0.2, 0.1, 0.1, 1.2, 1.4) == ObstacleDerivation(
-        formation_radius=0.65, clearance=0.2, defender_clearance=0.1, defender_radius=0.1,
-        attacker_mid_factor=1.2, attacker_hi_factor=1.4)
+    assert ObstacleDerivation(0.85, 0.2, 1.2, 1.4) == ObstacleDerivation(
+        formation_pad=0.85, defender_pad=0.2, attacker_mid_factor=1.2, attacker_hi_factor=1.4)
 
 
 @pytest.mark.parametrize("args, kwargs", [((1.0, 2.0), {}),
@@ -61,7 +60,7 @@ def test_constructor_refuses_missing_and_unknown_fields(args, kwargs):
 def test_records_have_no_defaults():
     # scenario_from_dict passes both attacker circle factors; nothing fills them in
     with pytest.raises(TypeError):
-        ObstacleDerivation(0.65, 0.2, 0.1, 0.1)
+        ObstacleDerivation(0.85, 0.2)
 
 
 def test_checks_run_on_construction_and_replace():
