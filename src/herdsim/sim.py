@@ -7,8 +7,8 @@ Every per-step quantity is computed from the step-start snapshot and all
 position updates are applied together at the end of the step.
 
 Step order: sense -> obstacle push on the attacker (once) -> plan (guidance
-field, heading schedule, arc command against that push, slots) -> attacker
-heading (the same push) -> defender tracking -> synchronous Euler update of
+field, heading schedule, arc command against that push, slots) and defender
+tracking -> attacker heading (the same push) -> synchronous Euler update of
 every agent by its commanded velocity -> safety snapshot.
 """
 
@@ -78,9 +78,10 @@ class SimState:
 class RunContext(Frozen):
     """Quantities derived once per run.  guidance holds every obstacle that
     can act on the guidance field within the defenders' sensing zone, the
-    only place where run() lets _plan evaluate it.  avoid, the defenders'
-    attacker band, runs from the standoff lo to the arc radius less the goal
-    tolerance: a defender within tolerance of its slot never feels it."""
+    only place where run() lets compute_commands evaluate it.  avoid, the
+    defenders' attacker band, runs from the standoff lo to the arc radius
+    less the goal tolerance: a defender within tolerance of its slot never
+    feels it."""
 
     __slots__ = ("spec", "gains", "guidance", "avoid")
 
@@ -236,15 +237,16 @@ def refresh_lists(lists: list, agents, cfg: ScenarioConfig) -> None:
         lists[k] = obstacle_list(p, cfg, k > 0)
 
 
-def _max_obstacle_ratio(points, lists, r: float) -> float:
-    """Raise r to the largest safety ratio of each point against every
-    obstacle; lists holds each point's ObstacleList in the same order, and
-    any lists beyond the last point are ignored.
+def _max_obstacle_ratio(points, lists) -> float:
+    """The largest safety ratio of any point against any obstacle, 0 if
+    there is none; lists holds each point's ObstacleList in the same order,
+    and any lists beyond the last point are ignored.
 
     Walks a list's bounds in descending order and stops at the first bound
-    at or below r: that bound holds at its point, so no later pair of that
-    point can raise r.
+    at or below the running maximum r: that bound holds at its point, so no
+    later pair of that point can raise r.
     """
+    r = 0.0
     for p, ob_list in zip(points, lists):
         for bound, lo, ob in ob_list.bounds:
             if bound <= r:
@@ -272,34 +274,12 @@ def safety_snapshot(attacker_pos: Vec2, defender_positions, cfg: ScenarioConfig,
     is taken at its pairs' minimum distance: rounded lo / d never increases
     with d, so that is the largest ratio of any pair.
     """
-    r_ao = _max_obstacle_ratio((attacker_pos,), lists, 0.0)
-    r_do = _max_obstacle_ratio(defender_positions, lists[1:], 0.0)
+    r_ao = _max_obstacle_ratio((attacker_pos,), lists)
+    r_do = _max_obstacle_ratio(defender_positions, lists[1:])
     d_dd = min(itertools.starmap(dist, itertools.combinations(defender_positions, 2)))
     d_ad = min(map(dist, itertools.repeat(attacker_pos), defender_positions))
     return (r_ao, r_do, safety_ratio(cfg.defenders.peer_band.lo, d_dd),
             safety_ratio(cfg.attacker.standoff_band.lo, d_ad))
-
-
-def _plan(state: SimState, cfg: ScenarioConfig, ctx: RunContext, push) -> list[Vec2]:
-    """Guidance for this step: desired heading, arc command, slot targets.
-    Returns the slots' velocities, the defenders' feedforward, in order.
-
-    push is the attacker's obstacle push at its position; the guidance field
-    scans ctx.guidance, which holds every obstacle that can act on it here.
-    """
-    r_a = state.attacker
-    field_angle = angle_of(combined_field(r_a, ctx.guidance, cfg.safe.center))
-    state.desired = schedule_heading(field_angle, state.t, state.t_capture,
-                                     cfg.capture.transition_time,
-                                     cfg.capture.tangent_margin)
-    mag, gamma = obstacle_resultant(push)
-    command = solve_command_heading(state.desired, mag, gamma, ctx.spec.arc_magnitude)
-    rate = 0.0 if state.command is None else heading_rate(
-        state.command, command, cfg.integrator.dt, cfg.control.heading_rate_max)
-    state.command = command
-    state.goals, velocities = formation_goals(r_a, state.attacker_velocity, command, rate,
-                                              ctx.spec)
-    return velocities
 
 
 def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, lists,
@@ -316,8 +296,32 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, list
     sensing = cfg.attacker.sensing_radius
     push = obstacle_push(r_a, lists[0].near, sensing)
     positions = state.positions
+    held = ()
     if planning:
-        goal_velocities = _plan(state, cfg, ctx, push)
+        field_angle = angle_of(combined_field(r_a, ctx.guidance, cfg.safe.center))
+        state.desired = schedule_heading(field_angle, state.t, state.t_capture,
+                                         cfg.capture.transition_time,
+                                         cfg.capture.tangent_margin)
+        mag, gamma = obstacle_resultant(push)
+        command = solve_command_heading(state.desired, mag, gamma, ctx.spec.arc_magnitude)
+        rate = 0.0 if state.command is None else heading_rate(
+            state.command, command, cfg.integrator.dt, cfg.control.heading_rate_max)
+        state.command = command
+        # the slots ride the attacker's previous-step velocity: plan before it is replaced
+        state.goals, goal_velocities = formation_goals(r_a, state.attacker_velocity, command,
+                                                       rate, ctx.spec)
+        velocities = []
+        peer_band, avoid = cfg.defenders.peer_band, ctx.avoid
+        for j, (p, goal, gv, gains) in enumerate(zip(positions, state.goals, goal_velocities,
+                                                      ctx.gains)):
+            f, conflict = defender_field(j, positions, goal, lists[j + 1].near, peer_band,
+                                         r_a, avoid)
+            v = defender_velocity(p, goal, gv, f, conflict, gains)
+            if v is None:
+                held += (j,)
+                v = Vec2(0.0, 0.0)
+            velocities.append(v)
+        state.velocities = velocities
     else:
         state.goals = positions
         state.velocities = [Vec2(0.0, 0.0)] * len(positions)
@@ -327,21 +331,6 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, list
     speed = cfg.attacker.speed_max
     state.heading = heading = attacker_step(state.heading, a_field, cfg.attacker.deadlock_turn)
     state.attacker_velocity = Vec2(speed * math.cos(heading), speed * math.sin(heading))
-
-    if not planning:
-        return ()
-    velocities = []
-    held = ()
-    peer_band, avoid = cfg.defenders.peer_band, ctx.avoid
-    for j, (p, goal, gv, gains) in enumerate(zip(positions, state.goals, goal_velocities,
-                                                  ctx.gains)):
-        f, conflict = defender_field(j, positions, goal, lists[j + 1].near, peer_band, r_a, avoid)
-        v = defender_velocity(p, goal, gv, f, conflict, gains)
-        if v is None:
-            held += (j,)
-            v = Vec2(0.0, 0.0)
-        velocities.append(v)
-    state.velocities = velocities
     return held
 
 

@@ -172,6 +172,24 @@ def random_world(seed):
     doc["safe_area"]["center_m"] = [round(rng.uniform(-30, 30), 2), round(rng.uniform(40, 70), 2)]
     return doc
 
+def random_params(seed):
+    """The bundled scenario document with the agents' speeds, turn rate, arc,
+    transition time, safe radius and sensing radius drawn from seed: the
+    generator of the parameter census (ROADMAP item 2).  One defender speed
+    serves all three defenders."""
+    doc = json.loads(reference_scenario_path().read_text())
+    rng = random.Random(seed)
+    for section, key, lo, hi in [("attacker", "speed_max_mps", 0.3, 1.6),
+                                 ("defenders", "speed_max_mps", 1.2, 3.5),
+                                 ("control", "heading_rate_max_radps", 0.05, 2.5),
+                                 ("formation", "spread_rad", 1.0, 3.6),
+                                 ("formation", "arc_radius_m", 0.35, 0.95),
+                                 ("capture", "transition_time_s", 1, 8),
+                                 ("safe_area", "radius_m", 3, 10),
+                                 ("attacker", "sensing_radius_m", 2, 12)]:
+        doc[section][key] = round(rng.uniform(lo, hi), 3)
+    return doc
+
 def small_scenario_doc(**overrides):
     """A minimal open-field scenario the tests can bend per case."""
     doc = {

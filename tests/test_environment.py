@@ -21,8 +21,8 @@ from herdsim.environment import (CULL_SLACK, EXPONENT_RESIDUAL_MAX, MAX_STEPS,
 from herdsim.errors import ConfigError, SolverError
 from herdsim.geom import BlendTriplet, Vec2
 
-from conftest import (REFERENCE_OBSTACLES, contour_tangent_angle, random_world,
-                      small_scenario_doc)
+from conftest import (REFERENCE_OBSTACLES, contour_tangent_angle, random_params,
+                      random_world, small_scenario_doc)
 
 
 def bisect_exponent_oracle(w, h, iw, ih):
@@ -658,3 +658,20 @@ def test_world_census_counts():
         first[violations[0].split(":")[0] if violations else "accepted"] += 1
     assert first == {"accepted": 260, "obstacle-spacing": 848, "start-clearance": 264,
                      "safe-area-shell": 126, "sensing-zone": 2}
+
+
+def test_param_census_counts():
+    # ROADMAP item 2's census: seeds 0-2,999 by first violation and by every
+    # rule a draw breaks, validation only
+    first = collections.Counter()
+    fired = collections.Counter()
+    for seed in range(3000):
+        violations = validate_scenario(scenario_from_dict(random_params(seed)))
+        first[violations[0].split(":")[0] if violations else "accepted"] += 1
+        fired.update({v.split(":")[0] for v in violations})
+    assert first == {"sensing-radius": 837, "arc-radius": 759, "spread": 583,
+                     "arc-magnitude": 384, "accepted": 126, "obstacle-spacing": 112,
+                     "tracking-speed": 85, "speed-order": 73, "safe-radius": 41}
+    assert fired == {"sensing-radius": 2150, "obstacle-spacing": 1836, "safe-radius": 874,
+                     "tracking-speed": 850, "spread": 817, "arc-radius": 779,
+                     "arc-magnitude": 543, "speed-order": 73, "safe-area-shell": 30}

@@ -19,7 +19,7 @@ from herdsim.geom import Vec2, blend_weight
 from herdsim.sim import SimState, SimTrace, build_context, run, safety_snapshot
 from herdsim.svg import ratio_curves_svg, trajectory_svg
 
-from conftest import load_bench_workloads, random_world, small_scenario_doc
+from conftest import load_bench_workloads, random_params, random_world, small_scenario_doc
 
 # sha256 of the bundled scenario's trace.csv; bench/run.py gates on the same value
 GOLDEN_TRACE_SHA256 = "fb2507b0a5192badb68e321148f3ac080a3bf8be92c1a1695baa7edba68d81a4"
@@ -187,13 +187,19 @@ def world(seed):
     return {(section,): value for section, value in random_world(seed).items()}
 
 
+def params(seed):
+    """The changes that turn the bundled document into random_params(seed)."""
+    return {(section,): value for section, value in random_params(seed).items()}
+
+
 # Accepted scenarios that must capture with every ratio below 1.  (40, 30)
 # and (40, 100) reached attacker_defender 1.0038 and 1.4818 while the
 # defenders did not avoid the attacker (ROADMAP 1(a)).  The rest break a
 # guarantee today, each named by its open ROADMAP item; the worlds are the
-# six of the census's 260 accepted worlds that do.  Mending one makes its
-# test pass, which xfail_strict turns into a failure until the mark is
-# removed.
+# six of the world census's 260 accepted worlds that do, and the params are
+# one draw of each parameter-census class that item 1 does not mend.
+# Mending one makes its test pass, which xfail_strict turns into a failure
+# until the mark is removed.
 @pytest.mark.parametrize("changes", [
     pytest.param({("attacker", "start_m"): [40.0, 30.0]}, id="start-40-30"),
     pytest.param({("attacker", "start_m"): [40.0, 100.0]}, id="start-40-100"),
@@ -221,6 +227,13 @@ def world(seed):
     pytest.param(world(1200), id="world-1200",
                  marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.76, but the arc "
                                                 "forms only at 183.72 s and the run ends t-max")),
+    pytest.param(params(577), id="params-577",
+                 marks=pytest.mark.xfail(reason="ROADMAP 4: every ratio < 0.89, but adjacent "
+                                                "slots sit 0.407 m apart, below the peer band's "
+                                                "hi, the arc never forms and the run ends t-max")),
+    pytest.param(params(546), id="params-546",
+                 marks=pytest.mark.xfail(reason="ROADMAP 9: every ratio < 0.73, but the arc "
+                                                "forms only at 122.75 s and the run ends t-max")),
     pytest.param({("attacker", "speed_max_mps"): 0.5}, id="attacker-0.5",
                  marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.75, but the arc "
                                                 "never forms and the run ends t-max")),
@@ -323,7 +336,7 @@ def agent_ratio_mismatches(trace, cfg):
     return bad
 
 
-def test_handed_back_agent_ratios_are_exact(reference_cfg, reference_run, bundle_doc):
+def test_agent_ratios_are_the_snapshots_own_measurement(reference_cfg, reference_run, bundle_doc):
     """Every row's agent-agent ratios are the snapshot's own measurement at
     that row's positions, on planning steps as on the others.  The second
     run starts 20 m outside the sensing zone, so its first 2,000 rows and
