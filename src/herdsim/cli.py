@@ -20,9 +20,9 @@ other nonzero code is the `exit_code` of the HerdsimError a command raised:
 `warning:` line with its time.  The dynamics are deterministic, so no
 command takes a seed; no command reads the environment.
 
-Each command imports, at its top, the modules that only it runs, so `check`
-and `--version` never load the step loop or the SVG writers, and `sweep`
-never loads the step loop.
+Each command imports, at its top, the modules that only it runs, and the SVG
+writers only when it writes an SVG, so `check`, `--version` and `--svg off`
+never load the SVG writers, and only `simulate` loads the step loop.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def _json_dump(obj) -> str:
 
 def cmd_simulate(args) -> int:
     from .sim import RATIO_COLUMNS, TERM_CAPTURED, run
-    from .svg import ratio_curves_svg, trajectory_svg
 
     outputs = {"trace_csv": "trace.csv", "summary_json": "summary.json"}
     if args.svg == "on":
@@ -98,6 +97,8 @@ def cmd_simulate(args) -> int:
     with open(out / "trace.csv", "w") as fh:
         trace.to_csv(fh)
     if args.svg == "on":
+        from .svg import ratio_curves_svg, trajectory_svg
+
         with open(out / "trajectories.svg", "w") as fh:
             trajectory_svg(trace, cfg, fh)
         with open(out / "ratios.svg", "w") as fh:
@@ -122,7 +123,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .formation_field import singularity_sweep
-    from .svg import sweep_heatmap_svg
 
     svg = ["sweep.svg"] if args.svg == "on" else []
     out = _out_dir(args.out, ["sweep.csv", "sweep_summary.json", *svg])
@@ -133,13 +133,17 @@ def cmd_sweep(args) -> int:
     report = singularity_sweep(cfg.obstacles[args.obstacle],
                                resolution=args.resolution, margin=args.margin)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(report.to_csv())
+    with open(out / "sweep.csv", "w") as fh:
+        report.to_csv(fh)
     summary = report.summary()
     summary["obstacle"] = args.obstacle
     summary["manifest"] = manifest
     (out / "sweep_summary.json").write_text(_json_dump(summary))
     if args.svg == "on":
-        (out / "sweep.svg").write_text(sweep_heatmap_svg(report))
+        from .svg import sweep_heatmap_svg
+
+        with open(out / "sweep.svg", "w") as fh:
+            sweep_heatmap_svg(report, fh)
     verdict = "pass" if report.passed else "FAIL"
     print(f"obstacle {args.obstacle}: max |gap| = {report.max_abs:.4f} rad, "
           f"limit {math.pi - report.margin:.4f} rad -> {verdict}")

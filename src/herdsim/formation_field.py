@@ -17,8 +17,9 @@ vanishing anywhere except the safe center.
 
 from __future__ import annotations
 
+import io
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from .environment import (Obstacle, contour_offsets, superelliptic_distance,
                           tangent_angle_at)
@@ -34,10 +35,13 @@ if TYPE_CHECKING:
 # the sweep samples the gap this many times per cell along each axis and
 # reports each cell's extrema over its covering window
 SWEEP_SUBSAMPLES = 3
-# the largest resolution the sweep accepts: the fine lattice holds
-# (3 r + 1)^2 samples, about 400 MB peak at 768, and the heatmap draws a
-# cell below one pixel beyond it
+# the largest resolution the sweep accepts: the heatmap draws a cell below
+# one pixel beyond it
 SWEEP_MAX_RESOLUTION = 768
+# the sweep evaluates the fine lattice this many cell rows at a time, so that
+# each block's temporaries stay in cache (of 2 to 64, 16 timed fastest at
+# resolutions 128 and 384, and within 1% of the fastest at 768)
+SWEEP_BLOCK_ROWS = 16
 # follow_field's path budget, in metres
 FOLLOW_MAX_PATH = 400.0
 
@@ -184,18 +188,27 @@ class SweepReport:
     def passed(self) -> bool:
         return self.max_abs < math.pi - self.margin
 
-    def to_csv(self) -> str:
-        lines = ["target_angle_rad,span_rad,gap_min_rad,gap_max_rad"]
+    def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
+        """Write the report as CSV to the text stream out, one target row at
+        a time; with no stream, return the CSV as a string."""
+        if out is None:
+            buf = io.StringIO()
+            self.to_csv(buf)
+            return buf.getvalue()
+        out.write("target_angle_rad,span_rad,gap_min_rad,gap_max_rad\n")
         # plain Python floats: repr of a numpy scalar is "np.float64(...)"
         bc = (0.5 * (self.target_angles[:-1] + self.target_angles[1:])).tolist()
         sc = (0.5 * (self.span_angles[:-1] + self.span_angles[1:])).tolist()
-        # each row's target and each column's span are formatted once
-        spans = [f"{s!r}," for s in sc]
-        for b, lo_row, hi_row in zip(bc, self.cell_min.tolist(), self.cell_max.tolist()):
-            target = f"{b!r},"
-            lines += [f"{target}{s}{lo!r},{hi!r}"
-                      for s, lo, hi in zip(spans, lo_row, hi_row)]
-        return "\n".join(lines) + "\n"
+        # one row's lines as a list of fields: each column's span is
+        # formatted once, and each row fills in its target and gaps
+        cols = len(sc)
+        line = [None, None, None, ",", None, "\n"] * cols
+        line[1::6] = [f"{s!r}," for s in sc]
+        for b, lo_row, hi_row in zip(bc, self.cell_min, self.cell_max):
+            line[0::6] = [f"{b!r},"] * cols
+            line[2::6] = map(repr, lo_row.tolist())
+            line[4::6] = map(repr, hi_row.tolist())
+            out.write("".join(line))
 
     def summary(self) -> dict:
         return {
@@ -209,25 +222,27 @@ class SweepReport:
         }
 
 
-def _cell_extrema(values: np.ndarray, cells: int, sub: int):
-    """Reduce a fine lattice of shape (sub*cells+1, sub*cells+1) to per-cell
-    (minima, maxima) over each (sub+1) x (sub+1) covering window."""
+def _cell_extrema(values: np.ndarray, sub: int):
+    """Reduce a fine lattice of shape (sub*rows+1, sub*cols+1) to per-cell
+    (minima, maxima), each of shape (rows, cols), over each (sub+1) x (sub+1)
+    covering window."""
     import numpy as np
 
-    idx = sub * np.arange(cells)[:, None] + np.arange(sub + 1)[None, :]
-    window = values[idx]                    # (cells, sub+1, fine)
-    return (window.min(axis=1)[:, idx].min(axis=2),     # (cells, cells)
-            window.max(axis=1)[:, idx].max(axis=2))
+    rows, cols = ((n - 1) // sub for n in values.shape)
+    idx_r = sub * np.arange(rows)[:, None] + np.arange(sub + 1)[None, :]
+    idx_c = sub * np.arange(cols)[:, None] + np.arange(sub + 1)[None, :]
+    window = values[idx_r]                  # (rows, sub+1, fine columns)
+    return (window.min(axis=1)[:, idx_c].min(axis=2),   # (rows, cols)
+            window.max(axis=1)[:, idx_c].max(axis=2))
 
 
-def _gap_lattice(ob: Obstacle, level: float, fine: int) -> np.ndarray:
+def _gap_lattice(ob: Obstacle, level: float, beta_s: np.ndarray,
+                 span: np.ndarray) -> np.ndarray:
     """Component angle gap with target and sample on the contour E = level:
-    rows are target sector angles over [0, pi/2], columns spans over
-    [0, 2*pi], fine samples each."""
+    rows are the target sector angles beta_s, columns the spans, which run
+    over [0, 2*pi] end to end.  Each sample depends only on its own
+    (beta_s, span) pair."""
     import numpy as np
-
-    beta_s = np.linspace(0.0, math.pi / 2.0, fine)
-    span = np.linspace(0.0, TWO_PI, fine)
 
     bs = beta_s[:, None]
     dv = span[None, :]
@@ -275,10 +290,19 @@ def singularity_sweep(ob: Obstacle, resolution: int = 128,
     import numpy as np
 
     level = ob.formation_band.hi
-    fine = SWEEP_SUBSAMPLES * resolution + 1
+    sub = SWEEP_SUBSAMPLES
+    fine = sub * resolution + 1
+    beta_s = np.linspace(0.0, math.pi / 2.0, fine)
+    span = np.linspace(0.0, TWO_PI, fine)
 
-    gap = _gap_lattice(ob, level, fine)
-    cell_min, cell_max = _cell_extrema(gap, resolution, SWEEP_SUBSAMPLES)
+    # each block of cell rows reads its fine rows, sharing the edge row with
+    # the next block
+    cell_min = np.empty((resolution, resolution))
+    cell_max = np.empty((resolution, resolution))
+    for r0 in range(0, resolution, SWEEP_BLOCK_ROWS):
+        r1 = min(r0 + SWEEP_BLOCK_ROWS, resolution)
+        gap = _gap_lattice(ob, level, beta_s[sub * r0:sub * r1 + 1], span)
+        cell_min[r0:r1], cell_max[r0:r1] = _cell_extrema(gap, sub)
 
     edges_b = np.linspace(0.0, math.pi / 2.0, resolution + 1)
     edges_s = np.linspace(0.0, TWO_PI, resolution + 1)

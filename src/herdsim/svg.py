@@ -12,6 +12,7 @@ import math
 from typing import Optional, TextIO
 
 from .environment import RATIO_COLUMNS, shell_points
+from .errors import DomainError
 
 
 # the blank margin, in pixels, around a Canvas's plot area
@@ -174,27 +175,43 @@ def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
     canvas.close()
 
 
-def sweep_heatmap_svg(report) -> str:
-    """Grayscale map of the worst component-angle gap per sweep cell."""
-    cells = report.cell_min.shape[0]
+def sweep_heatmap_svg(report, out: Optional[TextIO] = None) -> Optional[str]:
+    """Grayscale map of the worst component-angle gap per sweep cell.
+    Written to the text stream out; with no stream, returned as a string.
+    Raises DomainError, before writing anything, if a gap is not finite."""
+    if out is None:
+        buf = io.StringIO()
+        sweep_heatmap_svg(report, buf)
+        return buf.getvalue()
+    # only the sweep loads numpy
+    import numpy as np
+
+    worst = np.maximum(np.abs(report.cell_min), np.abs(report.cell_max))
+    if not np.isfinite(worst).all():
+        raise DomainError("sweep gap is not finite: no shade to draw")
+    # every cell's shade, with the same operations in the same order as
+    # int(255 * (1.0 - min(worst / pi, 1.0))) cell by cell
+    shades = (255 * (1.0 - np.minimum(worst / math.pi, 1.0))).astype(np.int64)
+    cells = len(shades)
     size = max(256, min(768, 4 * cells))
     px = size / cells
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size + 40}" '
-             f'viewBox="0 0 {size} {size + 40}">',
-             f'<rect x="0" y="0" width="{size}" height="{size + 40}" fill="white"/>']
-    # each column's x, each row's y and the cell size are formatted once
-    xs = [f'<rect x="{_fmt(j * px)}" y="' for j in range(cells)]
+    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size + 40}" '
+              f'viewBox="0 0 {size} {size + 40}">\n'
+              f'<rect x="0" y="0" width="{size}" height="{size + 40}" fill="white"/>\n')
+    # one row's rects as a list of fields: each column's x, each row's y,
+    # the cell size and each shade's fill are formatted once
     side = _fmt(px)
-    rows = zip(report.cell_min.tolist(), report.cell_max.tolist())
-    for i, (lo_row, hi_row) in enumerate(rows):
-        row = f'{_fmt(size - (i + 1) * px)}" width="{side}" height="{side}" fill="rgb('
-        for x, lo, hi in zip(xs, lo_row, hi_row):
-            shade = int(255 * (1.0 - min(max(abs(lo), abs(hi)) / math.pi, 1.0)))
-            parts.append(f'{x}{row}{shade},{shade},255)"/>')
-    parts.append(f'<text x="4" y="{size + 16}" font-size="12" font-family="sans-serif">'
-                 f'max |gap| = {report.max_abs:.4f} rad '
-                 f'(limit {math.pi - report.margin:.4f})</text>')
-    parts.append(f'<text x="4" y="{size + 32}" font-size="12" font-family="sans-serif">'
-                 f'x: span over [0, 2pi), y: target angle over [0, pi/2]</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    fills = [f'{shade},{shade},255)"/>\n' for shade in range(256)]
+    rects = [None, None, None] * cells
+    rects[0::3] = [f'<rect x="{_fmt(j * px)}" y="' for j in range(cells)]
+    for i, row_shades in enumerate(shades):
+        rects[1::3] = [f'{_fmt(size - (i + 1) * px)}" width="{side}" height="{side}" '
+                       'fill="rgb('] * cells
+        rects[2::3] = map(fills.__getitem__, row_shades.tolist())
+        out.write("".join(rects))
+    out.write(f'<text x="4" y="{size + 16}" font-size="12" font-family="sans-serif">'
+              f'max |gap| = {report.max_abs:.4f} rad '
+              f'(limit {math.pi - report.margin:.4f})</text>\n'
+              f'<text x="4" y="{size + 32}" font-size="12" font-family="sans-serif">'
+              f'x: span over [0, 2pi), y: target angle over [0, pi/2]</text>\n'
+              '</svg>\n')

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ import pytest
 from herdsim.environment import (Disc, contour_offsets, derive_obstacle,
                                  superelliptic_distance, tangent_angle_at)
 from herdsim.errors import DomainError
-from herdsim.formation_field import (SWEEP_SUBSAMPLES, _cell_extrema, _field_angle_np,
-                                     _gap_lattice, _tangent_angle_np, _wrap_angle_np,
-                                     combined_field, follow_field, follow_obstacles,
-                                     repulsive_angle, singularity_sweep)
+from herdsim.formation_field import (SWEEP_BLOCK_ROWS, SWEEP_SUBSAMPLES, _cell_extrema,
+                                     _field_angle_np, _gap_lattice, _tangent_angle_np,
+                                     _wrap_angle_np, combined_field, follow_field,
+                                     follow_obstacles, repulsive_angle, singularity_sweep)
 from herdsim.geom import Vec2, blend_weight, wrap_angle
 from herdsim.svg import _fmt, sweep_heatmap_svg
 
@@ -283,7 +285,7 @@ def test_sweep_cells_off_the_end_columns_unchanged(reference_cfg):
     for ob in reference_cfg.obstacles:
         report = singularity_sweep(ob, resolution=resolution)
         old = nudged_gap_lattice(ob, ob.formation_band.hi, sub * resolution + 1)
-        old_min, old_max = _cell_extrema(old, resolution, sub)
+        old_min, old_max = _cell_extrema(old, sub)
         assert np.array_equal(report.cell_min[:, 1:-1], old_min[:, 1:-1])
         assert np.array_equal(report.cell_max[:, 1:-1], old_max[:, 1:-1])
 
@@ -295,11 +297,13 @@ def test_sweep_end_columns_hold_the_coincidence_limit(reference_cfg):
     # leads the target; the tangent here comes from the gradient of E at the
     # contour point, independent of tangent_angle_at
     fine = 3 * 128 + 1
+    betas = np.linspace(0.0, math.pi / 2.0, fine)
+    spans = np.linspace(0.0, 2.0 * math.pi, fine)
     for ob in reference_cfg.obstacles:
         level = ob.formation_band.hi
-        gap = _gap_lattice(ob, level, fine)
+        gap = _gap_lattice(ob, level, betas, spans)
         two_n = 2.0 * ob.exponent
-        for i, beta in enumerate(np.linspace(0.0, math.pi / 2.0, fine).tolist()):
+        for i, beta in enumerate(betas.tolist()):
             x, y = (float(v) for v in contour_offsets(ob, np.cos(beta), np.sin(beta), level))
             gx = (x / ob.semi_x) ** (two_n - 1.0) / ob.semi_x
             gy = (y / ob.semi_y) ** (two_n - 1.0) / ob.semi_y
@@ -312,6 +316,57 @@ def test_sweep_end_columns_hold_the_coincidence_limit(reference_cfg):
                 phi = field_angle_np(beta + span, beta, ob)
                 near = math.atan2(y - fy, x - fx) - phi
                 assert abs(wrap_angle(near - gap[i, col])) < 1e-4
+
+
+@pytest.mark.parametrize("resolution", [128, 100])
+def test_blocked_sweep_equals_the_whole_lattice(reference_cfg, resolution):
+    # 100 is no multiple of the block size, so its last block is short;
+    # every block shares its edge fine row with the next
+    assert (resolution % SWEEP_BLOCK_ROWS != 0) == (resolution == 100)
+    sub = SWEEP_SUBSAMPLES
+    fine = sub * resolution + 1
+    betas = np.linspace(0.0, math.pi / 2.0, fine)
+    spans = np.linspace(0.0, 2.0 * math.pi, fine)
+    for ob in reference_cfg.obstacles:
+        report = singularity_sweep(ob, resolution=resolution)
+        whole_min, whole_max = _cell_extrema(
+            _gap_lattice(ob, ob.formation_band.hi, betas, spans), sub)
+        # bit for bit, signed zeros included
+        assert report.cell_min.tobytes() == whole_min.tobytes()
+        assert report.cell_max.tobytes() == whole_max.tobytes()
+
+
+def test_sweep_peak_memory_stays_blocked(reference_cfg):
+    # the whole (3r + 1)^2 lattice at r = 384 peaked at 107.7 MB (10^6
+    # bytes); blocks of SWEEP_BLOCK_ROWS cell rows stay far below the pin
+    tracemalloc.start()
+    try:
+        singularity_sweep(reference_cfg.obstacles[0], resolution=384)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_sweep_writers_stream_the_documents_they_return(square):
+    report = singularity_sweep(square, resolution=64)
+    csv, svg = io.StringIO(), io.StringIO()
+    assert report.to_csv(csv) is None and sweep_heatmap_svg(report, svg) is None
+    assert csv.getvalue() == report.to_csv()
+    assert svg.getvalue() == sweep_heatmap_svg(report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["cell_min", "cell_max"])
+def test_heatmap_refuses_a_non_finite_gap(square, which, bad):
+    # a gap with no shade fails before the document starts, never as a
+    # silent shade
+    report = singularity_sweep(square, resolution=64)
+    getattr(report, which)[5, 7] = bad
+    out = io.StringIO()
+    with pytest.raises(DomainError, match="not finite"):
+        sweep_heatmap_svg(report, out)
+    assert out.getvalue() == ""
 
 
 def test_streamlines_reach_safe_area(derivation):

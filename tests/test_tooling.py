@@ -104,14 +104,17 @@ print(sorted(m.removeprefix("herdsim.") for m in sys.modules if m.startswith("he
 """
 
 
-# each command compiles only the modules it runs: check and --version never
-# load the step loop or the SVG writers, and sweep never loads the step loop
+# each command compiles only the modules it runs: check, --version and
+# --svg off never load the SVG writers, and only simulate loads the step loop
 @pytest.mark.parametrize("argv, unused", [
     (["--version"], {"sim", "svg", "herding", "attacker"}),
     (["check"], {"sim", "svg", "herding", "attacker"}),
     (["sweep", "--obstacle", "0", "--resolution", "64", "--out", "o"],
      {"sim", "herding", "attacker"}),
-], ids=["version", "check", "sweep"])
+    (["simulate", "--t-max", "1", "--svg", "off", "--out", "o"], {"svg"}),
+    (["sweep", "--obstacle", "0", "--resolution", "64", "--svg", "off", "--out", "o"],
+     {"sim", "svg", "herding", "attacker"}),
+], ids=["version", "check", "sweep", "simulate-svg-off", "sweep-svg-off"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     proc = subprocess.run([sys.executable, "-c", LOADED_PROBE.format(argv=argv)],
                           cwd=tmp_path, env=child_env(), capture_output=True, text=True,
