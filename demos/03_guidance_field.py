@@ -39,11 +39,11 @@ for x in np.linspace(-8.5, 8.5, 24):
         p = Vec2(float(x), float(y))
         if superelliptic_distance(p, obstacle) < obstacle.formation_band.lo:
             continue
-        d = combined_field(p, [obstacle], safe.center)
-        n = d.norm()
+        dx, dy = combined_field(p, [obstacle], safe.center)
+        n = math.hypot(dx, dy)
         if n == 0.0:
             continue
-        tip = Vec2(p.x + 0.55 * d.x / n, p.y + 0.55 * d.y / n)
+        tip = Vec2(p.x + 0.55 * dx / n, p.y + 0.55 * dy / n)
         canvas.polyline([(p.x, p.y), (tip.x, tip.y)], stroke="gray", width=0.7)
         canvas.marker(tip.x, tip.y, r=1.2, fill="gray")
 

@@ -33,8 +33,8 @@ while p.norm() > 1e-6 and t < 20.0:
     for level in milestones:
         if milestones[level] is None and p.norm() <= level:
             milestones[level] = t
-    v = defender_velocity(p, goal, Vec2(0.0, 0.0), unit(goal - p), False, gains)
-    p = Vec2(p.x + v.x * dt, p.y + v.y * dt)
+    vx, vy = defender_velocity(p, goal, Vec2(0.0, 0.0), unit(goal - p), False, gains)
+    p = Vec2(p.x + vx * dt, p.y + vy * dt)
     t += dt
 
 print("\nintegrated error decay (explicit Euler, dt = 1 ms):")

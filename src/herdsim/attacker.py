@@ -36,9 +36,9 @@ def obstacle_push(position: Vec2, obstacles: Sequence[Obstacle],
 
 def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
                    protected_center: Vec2, sensing_radius: float,
-                   standoff: BlendTriplet) -> Vec2:
-    """Blended steering field at the attacker's position, given the
-    obstacles' `obstacle_push` there.
+                   standoff: BlendTriplet) -> tuple[float, float]:
+    """Blended steering field at the attacker's position, as an (x, y)
+    pair, given the obstacles' `obstacle_push` there.
 
     May legitimately be the zero vector (opposing terms cancel); the caller
     handles that case.  Coincidence with a defender is outside the model and
@@ -48,14 +48,15 @@ def attacker_field(position: Vec2, defenders: Sequence[Vec2], push,
     return close_blend(position, protected_center, blend)
 
 
-def attacker_step(heading: float, field: Vec2, turn: float) -> float:
-    """The attacker's heading for this step: along the field, or, where the
-    field cancels out, the last heading turned by `turn` (the deadlock
-    escape).
+def attacker_step(heading: float, field, turn: float) -> float:
+    """The attacker's heading for this step: along the field, an (x, y)
+    pair, or, where the field cancels out, the last heading turned by
+    `turn` (the deadlock escape).
 
     The attacker moves along the returned heading, so consecutive deadlock
     steps keep turning by the same increment.
     """
-    if math.hypot(field.x, field.y) > DEADLOCK_TOL:
-        return math.atan2(field.y, field.x)
+    fx, fy = field
+    if math.hypot(fx, fy) > DEADLOCK_TOL:
+        return math.atan2(fy, fx)
     return wrap_angle(heading + turn)

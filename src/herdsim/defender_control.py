@@ -71,8 +71,9 @@ def solve_tracking_gains(terminal_exponent: float, speed_max: float,
 
 def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
                    obstacles: Sequence[Obstacle], peer_band: BlendTriplet,
-                   attacker: Vec2, avoid: BlendTriplet) -> tuple[Vec2, bool]:
-    """Blended steering field for one defender, and its conflict flag.
+                   attacker: Vec2, avoid: BlendTriplet) -> tuple[tuple[float, float], bool]:
+    """Blended steering field for one defender, as an (x, y) pair, and its
+    conflict flag.
 
     Conflict means any obstacle, peer (on peer_band) or attacker (on avoid)
     blending weight is nonzero; in that regime the tracking law drops the
@@ -89,9 +90,10 @@ def defender_field(index: int, positions: Sequence[Vec2], goal: Vec2,
     return close_blend(p, goal, blend), blend[3]
 
 
-def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,
-                      field: Vec2, conflict: bool, gains: TrackingGains) -> Optional[Vec2]:
-    """Commanded velocity for one defender.
+def defender_velocity(position: Vec2, goal: Vec2, goal_velocity, field, conflict: bool,
+                      gains: TrackingGains) -> Optional[tuple[float, float]]:
+    """Commanded velocity for one defender, as an (x, y) pair; goal_velocity
+    and field are (x, y) pairs too.
 
     Conflict-free motion tracks the slot velocity plus the error-shaping term
     along the field; in conflict only the field term survives, so the speed
@@ -102,20 +104,22 @@ def defender_velocity(position: Vec2, goal: Vec2, goal_velocity: Vec2,
     ex = position.x - goal.x
     ey = position.y - goal.y
     err = math.hypot(ex, ey)
+    gvx, gvy = goal_velocity
     if err == 0.0:
-        return goal_velocity if not conflict else Vec2(0.0, 0.0)
-    fnorm = math.hypot(field.x, field.y)
+        return (gvx, gvy) if not conflict else (0.0, 0.0)
+    fx, fy = field
+    fnorm = math.hypot(fx, fy)
     if fnorm < FIELD_TOL:
         return None
     if err > gains.handoff_error:
         speed = gains.approach_speed * math.tanh(err)
     else:
         speed = gains.terminal_gain * err ** gains.terminal_exponent
-    ux = field.x / fnorm
-    uy = field.y / fnorm
+    ux = fx / fnorm
+    uy = fy / fnorm
     if conflict:
-        return Vec2(speed * ux, speed * uy)
-    return Vec2(goal_velocity.x + speed * ux, goal_velocity.y + speed * uy)
+        return speed * ux, speed * uy
+    return gvx + speed * ux, gvy + speed * uy
 
 
 def convergence_bounds(initial_error: float, gains: TrackingGains) -> float:

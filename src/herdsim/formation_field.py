@@ -99,8 +99,10 @@ def follow_obstacles(p: Vec2, obstacles: Sequence[Obstacle], target: Vec2,
     return prod, fx, fy, hit
 
 
-def combined_field(p: Vec2, obstacles: Sequence[Obstacle], safe_center: Vec2) -> Vec2:
-    """Blend the converging field with the obstacle-following fields.
+def combined_field(p: Vec2, obstacles: Sequence[Obstacle],
+                   safe_center: Vec2) -> tuple[float, float]:
+    """Blend the converging field with the obstacle-following fields, as an
+    (x, y) pair.
 
     With disjoint outer shells the result is nonzero everywhere outside the
     inner shells except at the safe center.
@@ -110,7 +112,7 @@ def combined_field(p: Vec2, obstacles: Sequence[Obstacle], safe_center: Vec2) ->
     # bundled-world starts on the 10 m grid (the bundled start's included)
     ux, uy = unit_xy(safe_center.x - p.x, safe_center.y - p.y)
     prod, fx, fy, _ = follow_obstacles(p, obstacles, safe_center, False)
-    return Vec2(prod * ux + fx, prod * uy + fy)
+    return prod * ux + fx, prod * uy + fy
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,9 @@ class SweepReport:
 
     Rows index the target sector angle over [0, pi/2]; columns index the
     sector span between the sample point and the target over [0, 2*pi).
-    A result that holds arrays, so it compares by identity.
+    A result that holds arrays, so it compares by identity.  Raises
+    DomainError if a cell's gap is not finite: no verdict, summary or shade
+    can be drawn from it.
     """
 
     __slots__ = ("target_angles", "span_angles", "cell_min", "cell_max", "margin")
@@ -166,6 +170,11 @@ class SweepReport:
                  span_angles: np.ndarray,            # cell edges, shape (cells+1,)
                  cell_min: np.ndarray,               # shape (cells, cells)
                  cell_max: np.ndarray, margin: float):
+        import numpy as np
+
+        bad = np.argwhere(~(np.isfinite(cell_min) & np.isfinite(cell_max)))
+        if len(bad):
+            raise DomainError(f"sweep gap is not finite in cell {tuple(bad[0].tolist())}")
         self.target_angles = target_angles
         self.span_angles = span_angles
         self.cell_min = cell_min
@@ -334,14 +343,14 @@ def follow_field(start: Vec2, obstacles: Sequence[Obstacle], safe: Disc,
         if safe.contains(p):
             converged = True
             break
-        field = combined_field(p, obstacles, safe.center)
-        norm = field.norm()
+        fx, fy = combined_field(p, obstacles, safe.center)
+        norm = math.hypot(fx, fy)
         min_norm = min(min_norm, norm)
         for ob in obstacles:
             min_slack = min(min_slack,
                             superelliptic_distance(p, ob) - ob.formation_band.lo)
         if norm == 0.0:
             break
-        p = Vec2(p.x + step * field.x / norm, p.y + step * field.y / norm)
+        p = Vec2(p.x + step * fx / norm, p.y + step * fy / norm)
         points.append(p)
     return points, converged, min_norm, min_slack

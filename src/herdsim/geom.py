@@ -1,4 +1,4 @@
-"""Planar geometry primitives: 2-vectors, angle wrapping, the smooth on/off
+"""Planar geometry primitives: points, angle wrapping, the smooth on/off
 distance ramp, and the blend that every steering field in the package is
 built from."""
 
@@ -69,8 +69,9 @@ class Frozen:
 
 
 class Vec2(Frozen):
-    """Planar vector; meters for positions, meters/second for velocities.
-    It unpacks like a pair (x, y = v), but never equals one."""
+    """Planar point in meters: a position, a goal or a center.  The vectors a
+    step computes (fields and velocities) are plain (x, y) float pairs, not
+    records; a Vec2 unpacks like one (x, y = v), but never equals one."""
 
     __slots__ = ("x", "y")
 
@@ -109,10 +110,6 @@ def unit_xy(x: float, y: float) -> tuple[float, float]:
     if n == 0.0:
         return 0.0, 0.0
     return x / n, y / n
-
-
-def angle_of(v: Vec2) -> float:
-    return math.atan2(v.y, v.x)
 
 
 def dist(a: Vec2, b: Vec2) -> float:
@@ -192,9 +189,9 @@ def repel(p: Vec2, sources, reach: float, blend):
     return prod, x, y, hit
 
 
-def close_blend(p: Vec2, target: Vec2, blend) -> Vec2:
-    """The blend's field: its sum plus prod times the unit vector from p
-    toward target (nothing exactly at the target)."""
+def close_blend(p: Vec2, target: Vec2, blend) -> tuple[float, float]:
+    """The blend's field, as an (x, y) pair: its sum plus prod times the
+    unit vector from p toward target (nothing exactly at the target)."""
     prod, x, y, _ = blend
     gx = target.x - p.x
     gy = target.y - p.y
@@ -202,7 +199,7 @@ def close_blend(p: Vec2, target: Vec2, blend) -> Vec2:
     if g > 0.0:
         x += prod * gx / g
         y += prod * gy / g
-    return Vec2(x, y)
+    return x, y
 
 
 def wrap_angle(theta: float) -> float:

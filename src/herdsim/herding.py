@@ -94,10 +94,10 @@ def schedule_heading(field_angle: float, t: float, t_capture: Optional[float],
     return wrap_angle(field_angle + offset)
 
 
-def formation_goals(attacker_pos: Vec2, attacker_vel: Vec2, command: float,
-                    command_rate: float, spec: FormationSpec) -> tuple[list[Vec2], list[Vec2]]:
+def formation_goals(attacker_pos: Vec2, attacker_vel, command: float, command_rate: float,
+                    spec: FormationSpec) -> tuple[list[Vec2], list[tuple[float, float]]]:
     """Slot positions and feedforward velocities on the arc, as two lists in
-    defender order.
+    defender order; the attacker's velocity and each slot's are (x, y) pairs.
 
     Slots ride the circle of the arc radius around the attacker, centered on
     the direction opposite the command heading; their velocities combine the
@@ -106,10 +106,10 @@ def formation_goals(attacker_pos: Vec2, attacker_vel: Vec2, command: float,
     goals = []
     velocities = []
     r = spec.arc_radius
+    vx, vy = attacker_vel
     for off in spec.offsets:
         a = command + math.pi + off
         c, s = math.cos(a), math.sin(a)
         goals.append(Vec2(attacker_pos.x + r * c, attacker_pos.y + r * s))
-        velocities.append(Vec2(attacker_vel.x - r * command_rate * s,
-                               attacker_vel.y + r * command_rate * c))
+        velocities.append((vx - r * command_rate * s, vy + r * command_rate * c))
     return goals, velocities

@@ -26,7 +26,7 @@ from .environment import (RATIO_COLUMNS, ScenarioConfig, distance_floor, level_f
                           safety_ratio, superelliptic_distance)
 from .errors import IntegrityError
 from .formation_field import combined_field
-from .geom import BlendTriplet, Frozen, Vec2, angle_of, dist
+from .geom import BlendTriplet, Frozen, Vec2, dist
 from .herding import (formation_goals, formation_spec, heading_rate, obstacle_resultant,
                       schedule_heading, solve_command_heading)
 
@@ -44,7 +44,8 @@ SKIN_M = 1.0
 
 class SimState:
     """The attacker is a position, heading and velocity; the defenders are
-    three lists in defender order.  A step replaces each list whole and
+    three lists in defender order.  Positions and goals are Vec2 points,
+    velocities (x, y) pairs.  A step replaces each list whole and
     never mutates one in place, so the positions list run() reads at step
     start stays the step-start snapshot for the safety snapshot, the trace
     row and the formed test.  SimState(cfg) is the state at t = 0: every
@@ -67,9 +68,9 @@ class SimState:
         self.t = 0.0
         self.attacker = cfg.attacker.start
         self.heading = 0.0
-        self.attacker_velocity = Vec2(0.0, 0.0)
+        self.attacker_velocity = (0.0, 0.0)
         self.positions = self.goals = starts
-        self.velocities = [Vec2(0.0, 0.0)] * len(starts)
+        self.velocities = [(0.0, 0.0)] * len(starts)
         self.desired = 0.0
         self.command: Optional[float] = None
         self.t_capture: Optional[float] = None
@@ -164,11 +165,12 @@ class SimTrace:
 def build_context(cfg: ScenarioConfig) -> RunContext:
     spec = formation_spec(cfg.defenders.count, cfg.formation.spread, cfg.formation.arc_radius,
                           cfg.attacker.standoff_band.lo, cfg.defenders.peer_band.lo)
-    gains = tuple(
-        solve_tracking_gains(cfg.control.terminal_exponent, vmax,
-                             cfg.attacker.speed_max, cfg.formation.arc_radius,
-                             cfg.control.heading_rate_max)
-        for vmax in cfg.defenders.speed_max)
+    # one solve per distinct speed, in the order the speeds first appear
+    gains_of = {vmax: solve_tracking_gains(cfg.control.terminal_exponent, vmax,
+                                           cfg.attacker.speed_max, cfg.formation.arc_radius,
+                                           cfg.control.heading_rate_max)
+                for vmax in dict.fromkeys(cfg.defenders.speed_max)}
+    gains = tuple(map(gains_of.__getitem__, cfg.defenders.speed_max))
     zone = cfg.defenders.sensing_zone_radius
     guidance = tuple(ob for ob in cfg.obstacles
                      if level_floor(ob, distance_floor(cfg.protected.center, ob, zone))
@@ -298,8 +300,8 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, list
     positions = state.positions
     held = ()
     if planning:
-        field_angle = angle_of(combined_field(r_a, ctx.guidance, cfg.safe.center))
-        state.desired = schedule_heading(field_angle, state.t, state.t_capture,
+        gx, gy = combined_field(r_a, ctx.guidance, cfg.safe.center)
+        state.desired = schedule_heading(math.atan2(gy, gx), state.t, state.t_capture,
                                          cfg.capture.transition_time,
                                          cfg.capture.tangent_margin)
         mag, gamma = obstacle_resultant(push)
@@ -319,35 +321,36 @@ def compute_commands(state: SimState, cfg: ScenarioConfig, ctx: RunContext, list
             v = defender_velocity(p, goal, gv, f, conflict, gains)
             if v is None:
                 held += (j,)
-                v = Vec2(0.0, 0.0)
+                v = (0.0, 0.0)
             velocities.append(v)
         state.velocities = velocities
     else:
         state.goals = positions
-        state.velocities = [Vec2(0.0, 0.0)] * len(positions)
+        state.velocities = [(0.0, 0.0)] * len(positions)
 
     a_field = attacker_field(r_a, positions, push, cfg.protected.center, sensing,
                              cfg.attacker.standoff_band)
     speed = cfg.attacker.speed_max
     state.heading = heading = attacker_step(state.heading, a_field, cfg.attacker.deadlock_turn)
-    state.attacker_velocity = Vec2(speed * math.cos(heading), speed * math.sin(heading))
+    state.attacker_velocity = (speed * math.cos(heading), speed * math.sin(heading))
     return held
 
 
 def apply_commands(state: SimState, dt: float) -> None:
     """Synchronous Euler update of every agent by its commanded velocity,
     p + v * dt, with an integrity check.  The only place an agent moves."""
-    a, v = state.attacker, state.attacker_velocity
-    x = a.x + v.x * dt
-    y = a.y + v.y * dt
+    a = state.attacker
+    vx, vy = state.attacker_velocity
+    x = a.x + vx * dt
+    y = a.y + vy * dt
     state.attacker = Vec2(x, y)
     # 0 * c is 0 for a finite c and nan for an infinite or nan one, so check
     # stays 0 while every new coordinate is finite
     check = 0.0 * x + 0.0 * y
     positions = []
-    for p, v in zip(state.positions, state.velocities):
-        x = p.x + v.x * dt
-        y = p.y + v.y * dt
+    for p, (vx, vy) in zip(state.positions, state.velocities):
+        x = p.x + vx * dt
+        y = p.y + vy * dt
         check += 0.0 * x + 0.0 * y
         positions.append(Vec2(x, y))
     state.positions = positions
@@ -428,15 +431,15 @@ def run(cfg: ScenarioConfig, dt: Optional[float] = None,
             if held:
                 trace.notices += [(t, f"defender {j} held on a degenerate field") for j in held]
         else:
-            state.attacker_velocity = Vec2(0.0, 0.0)
-            state.velocities = [Vec2(0.0, 0.0)] * n
+            state.attacker_velocity = (0.0, 0.0)
+            state.velocities = [(0.0, 0.0)] * n
 
         snap = safety_snapshot(r_a, positions, cfg, lists)
-        row = [t, r_a.x, r_a.y,
-               state.attacker_velocity.x, state.attacker_velocity.y,
+        vx, vy = state.attacker_velocity
+        row = [t, r_a.x, r_a.y, vx, vy,
                state.desired, 0.0 if state.command is None else state.command]
-        for p, v, g in zip(positions, state.velocities, state.goals):
-            row += [p.x, p.y, v.x, v.y, g.x, g.y]
+        for p, (vx, vy), g in zip(positions, state.velocities, state.goals):
+            row += [p.x, p.y, vx, vy, g.x, g.y]
         row += snap
         trace.values.fromlist(row)
 

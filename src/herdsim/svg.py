@@ -12,7 +12,6 @@ import math
 from typing import Optional, TextIO
 
 from .environment import RATIO_COLUMNS, shell_points
-from .errors import DomainError
 
 
 # the blank margin, in pixels, around a Canvas's plot area
@@ -177,8 +176,7 @@ def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
 
 def sweep_heatmap_svg(report, out: Optional[TextIO] = None) -> Optional[str]:
     """Grayscale map of the worst component-angle gap per sweep cell.
-    Written to the text stream out; with no stream, returned as a string.
-    Raises DomainError, before writing anything, if a gap is not finite."""
+    Written to the text stream out; with no stream, returned as a string."""
     if out is None:
         buf = io.StringIO()
         sweep_heatmap_svg(report, buf)
@@ -186,9 +184,8 @@ def sweep_heatmap_svg(report, out: Optional[TextIO] = None) -> Optional[str]:
     # only the sweep loads numpy
     import numpy as np
 
+    # the report's gaps are finite (SweepReport checks them)
     worst = np.maximum(np.abs(report.cell_min), np.abs(report.cell_max))
-    if not np.isfinite(worst).all():
-        raise DomainError("sweep gap is not finite: no shade to draw")
     # every cell's shade, with the same operations in the same order as
     # int(255 * (1.0 - min(worst / pi, 1.0))) cell by cell
     shades = (255 * (1.0 - np.minimum(worst / math.pi, 1.0))).astype(np.int64)

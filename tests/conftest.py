@@ -119,7 +119,7 @@ def ref_defender_field(index, positions, goal, obstacles, peer_band, attacker, a
     if g > 0.0:
         rx += prod * gx / g
         ry += prod * gy / g
-    return Vec2(rx, ry), conflict
+    return (rx, ry), conflict
 
 
 @pytest.fixture(scope="session")

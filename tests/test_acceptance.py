@@ -15,7 +15,7 @@ from herdsim.defender_control import (convergence_bounds, defender_velocity,
                                       solve_tracking_gains, terminal_phase_time)
 from herdsim.environment import superelliptic_distance
 from herdsim.formation_field import follow_field, singularity_sweep
-from herdsim.geom import BlendTriplet, Vec2, angle_of, blend_weight, unit, wrap_angle
+from herdsim.geom import BlendTriplet, Vec2, blend_weight, unit, wrap_angle
 from herdsim.herding import formation_goals, formation_spec, solve_command_heading
 from herdsim.attacker import attacker_field, obstacle_push
 
@@ -144,9 +144,9 @@ def test_c06_command_heading_correctness(derivation):
         r_a = Vec2(ob.center.x + d * math.cos(bearing),
                    ob.center.y + d * math.sin(bearing))
         defenders, _ = formation_goals(r_a, Vec2(0.0, 0.0), command, 0.0, spec)
-        field = attacker_field(r_a, defenders, obstacle_push(r_a, [ob], 1e6),
-                               Vec2(800.0, 0.0), 1e6, standoff)
-        worst_align = max(worst_align, abs(wrap_angle(angle_of(field) - desired)))
+        fx, fy = attacker_field(r_a, defenders, obstacle_push(r_a, [ob], 1e6),
+                                Vec2(800.0, 0.0), 1e6, standoff)
+        worst_align = max(worst_align, abs(wrap_angle(math.atan2(fy, fx) - desired)))
     ok = worst_residual < 1e-9 and worst_align < 1e-6
     report("C6", ok,
            f"1000 tuples: worst alignment-equation residual {worst_residual:.2e} "
@@ -173,8 +173,8 @@ def test_c07_finite_time_tracking():
         if err < 1e-6:
             t_zero = t
             break
-        v = defender_velocity(p, goal, Vec2(0.0, 0.0), unit(goal - p), False, gains)
-        p = Vec2(p.x + v.x * dt, p.y + v.y * dt)
+        vx, vy = defender_velocity(p, goal, Vec2(0.0, 0.0), unit(goal - p), False, gains)
+        p = Vec2(p.x + vx * dt, p.y + vy * dt)
         t += dt
     ok = (t_reach is not None and t_reach <= reach_bound
           and t_zero is not None and t_zero <= total_bound)

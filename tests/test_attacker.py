@@ -13,18 +13,19 @@ STANDOFF = BlendTriplet(0.3, 0.8, 0.9)
 
 def test_unopposed_field_points_at_protected():
     p = Vec2(4.0, 3.0)
-    f = attacker_field(p, [], obstacle_push(p, [], 10.0), Vec2(0.0, 0.0), 10.0, STANDOFF)
-    assert f.x == pytest.approx(-0.8)
-    assert f.y == pytest.approx(-0.6)
+    fx, fy = attacker_field(p, [], obstacle_push(p, [], 10.0), Vec2(0.0, 0.0), 10.0,
+                            STANDOFF)
+    assert fx == pytest.approx(-0.8)
+    assert fy == pytest.approx(-0.6)
 
 
 def test_saturated_defender_annihilates_attraction():
     p = Vec2(0.0, 0.0)
-    f = attacker_field(p, [Vec2(0.5, 0.0)], obstacle_push(p, [], 10.0), Vec2(100.0, 0.0),
-                       10.0, STANDOFF)
+    fx, fy = attacker_field(p, [Vec2(0.5, 0.0)], obstacle_push(p, [], 10.0),
+                            Vec2(100.0, 0.0), 10.0, STANDOFF)
     # weight 1 kills the attractive product; only repulsion away from the defender
-    assert f.x == pytest.approx(-1.0)
-    assert f.y == pytest.approx(0.0)
+    assert fx == pytest.approx(-1.0)
+    assert fy == pytest.approx(0.0)
 
 
 def test_out_of_range_defender_ignored():
@@ -39,10 +40,10 @@ def test_obstacle_repulsion_uses_circular_band(derivation):
     ob = derive_obstacle(Vec2(0.0, 6.0), 2.0, 2.0, derivation)
     d = 0.5 * (ob.attacker_band.lo + ob.attacker_band.mid)  # saturated weight
     p = Vec2(0.0, 6.0 - d)
-    f = attacker_field(p, [], obstacle_push(p, [ob], 100.0), Vec2(0.0, -100.0), 100.0,
-                       STANDOFF)
-    assert f.x == pytest.approx(0.0, abs=1e-12)
-    assert f.y == pytest.approx(-1.0)
+    fx, fy = attacker_field(p, [], obstacle_push(p, [ob], 100.0), Vec2(0.0, -100.0), 100.0,
+                            STANDOFF)
+    assert fx == pytest.approx(0.0, abs=1e-12)
+    assert fy == pytest.approx(-1.0)
 
 
 def test_coincident_defender_rejected():
@@ -87,5 +88,5 @@ def test_translation_equivariance(ox, oy):
     moved = attacker_field(pos + off, [d + off for d in defenders],
                            obstacle_push(pos + off, [], 10.0), protected + off, 10.0,
                            STANDOFF)
-    assert moved.x == pytest.approx(base.x, abs=1e-9)
-    assert moved.y == pytest.approx(base.y, abs=1e-9)
+    assert moved[0] == pytest.approx(base[0], abs=1e-9)
+    assert moved[1] == pytest.approx(base[1], abs=1e-9)

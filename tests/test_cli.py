@@ -681,6 +681,22 @@ def test_artifact_name_taken_by_a_directory_exits_2_before_any_work(tmp_path, ca
         f"error: cannot write to --out {out}: {out / name} is not a regular file\n"
 
 
+@pytest.mark.parametrize("svg", ["on", "off"])
+def test_sweep_with_a_non_finite_gap_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                                monkeypatch, svg):
+    gap_lattice = formation_field._gap_lattice
+
+    def with_a_nan(*args):
+        gap = gap_lattice(*args)
+        gap[1, 1] = math.nan
+        return gap
+    monkeypatch.setattr(formation_field, "_gap_lattice", with_a_nan)
+    out = tmp_path / "o"
+    assert main(["sweep", "--obstacle", "0", "--svg", svg, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: sweep gap is not finite in cell (0, 0)\n")
+    assert not out.exists()
+
+
 def test_svg_off_leaves_the_svg_names_unchecked(tmp_path):
     out = tmp_path / "o"
     (out / "sweep.svg").mkdir(parents=True)

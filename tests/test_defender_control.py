@@ -88,18 +88,18 @@ def test_speed_continuous_at_handoff():
 
 def test_field_points_at_goal_when_clear():
     positions = [Vec2(0.0, 0.0), Vec2(10.0, 0.0)]
-    f, conflict = defender_field(0, positions, Vec2(3.0, 4.0), [], PEERS, FAR, AVOID)
+    (fx, fy), conflict = defender_field(0, positions, Vec2(3.0, 4.0), [], PEERS, FAR, AVOID)
     assert not conflict
-    assert f.x == pytest.approx(0.6)
-    assert f.y == pytest.approx(0.8)
+    assert fx == pytest.approx(0.6)
+    assert fy == pytest.approx(0.8)
 
 
 def test_field_pure_peer_repulsion_when_saturated():
     positions = [Vec2(0.0, 0.0), Vec2(0.2, 0.0)]
-    f, conflict = defender_field(0, positions, Vec2(5.0, 0.0), [], PEERS, FAR, AVOID)
+    (fx, fy), conflict = defender_field(0, positions, Vec2(5.0, 0.0), [], PEERS, FAR, AVOID)
     assert conflict
-    assert f.x == pytest.approx(-1.0)
-    assert f.y == pytest.approx(0.0, abs=1e-12)
+    assert fx == pytest.approx(-1.0)
+    assert fy == pytest.approx(0.0, abs=1e-12)
 
 
 def test_field_obstacle_blend_norm_identity(derivation):
@@ -119,7 +119,7 @@ def test_field_obstacle_blend_norm_identity(derivation):
         toward = math.atan2(goal.y - p.y, goal.x - p.x)
         gap = toward - repulsive_angle(p, ob, goal)
         expect = math.sqrt(1.0 + 2.0 * s * (1.0 - s) * (math.cos(gap) - 1.0))
-        assert f.norm() == pytest.approx(expect, abs=1e-12)
+        assert math.hypot(*f) == pytest.approx(expect, abs=1e-12)
         checked += 1
 
 
@@ -137,18 +137,18 @@ def test_field_avoids_the_attacker_on_its_band(gap, weight):
     # the band's mid, where the field points straight back; the cubic's
     # midpoint halfway to hi, where push and attraction cancel; nothing from
     # hi on.  Inside the band the defender is in conflict, as near a peer.
-    f, conflict = defender_field(0, [Vec2(0.0, 0.0)], Vec2(5.0, 0.0), [], PEERS,
-                                 Vec2(gap, 0.0), AVOID)
+    (fx, fy), conflict = defender_field(0, [Vec2(0.0, 0.0)], Vec2(5.0, 0.0), [], PEERS,
+                                        Vec2(gap, 0.0), AVOID)
     assert conflict == (weight > 0.0)
-    assert f.x == pytest.approx(1.0 - 2.0 * weight)
-    assert f.y == 0.0
+    assert fx == pytest.approx(1.0 - 2.0 * weight)
+    assert fy == 0.0
 
 
 def test_velocity_tracks_goal_velocity_at_zero_error():
     gains = bundle_gains()
-    v = defender_velocity(Vec2(1.0, 1.0), Vec2(1.0, 1.0), Vec2(0.4, -0.2),
-                          Vec2(1.0, 0.0), False, gains)
-    assert v == Vec2(0.4, -0.2)
+    v = defender_velocity(Vec2(1.0, 1.0), Vec2(1.0, 1.0), (0.4, -0.2), (1.0, 0.0), False,
+                          gains)
+    assert v == (0.4, -0.2)
 
 
 def test_velocity_branches_agree_at_handoff():
@@ -160,14 +160,14 @@ def test_velocity_branches_agree_at_handoff():
     near = defender_velocity(p, goal, Vec2(0.0, 0.0), field, True, gains)
     far_gains = gains
     far = far_gains.approach_speed * math.tanh(e)
-    assert near.norm() == pytest.approx(far, abs=1e-12)
+    assert math.hypot(*near) == pytest.approx(far, abs=1e-12)
 
 
 def test_velocity_saturates_far_out():
     gains = bundle_gains()
     v = defender_velocity(Vec2(10.0, 0.0), Vec2(0.0, 0.0), Vec2(0.5, 0.5),
                           Vec2(-1.0, 0.0), True, gains)
-    assert v.norm() == pytest.approx(gains.approach_speed, rel=1e-6)
+    assert math.hypot(*v) == pytest.approx(gains.approach_speed, rel=1e-6)
 
 
 def test_velocity_degenerate_field_holds():
@@ -192,7 +192,7 @@ def test_velocity_bounded_by_budget():
         gv = Vec2(gv_mag * math.cos(gv_angle), gv_mag * math.sin(gv_angle))
         conflict = bool(rng.integers(0, 2))
         v = defender_velocity(p, goal, gv, field, conflict, gains)
-        assert v.norm() <= vmax + 1e-12
+        assert math.hypot(*v) <= vmax + 1e-12
 
 
 def test_convergence_bounds_examples():
@@ -219,8 +219,8 @@ def test_convergence_bounds_match_the_integrated_tracking_law(heading_rate):
     t = 0.0
     dt = 1e-4
     while p.norm() > gains.handoff_error:
-        v = defender_velocity(p, goal, goal, goal - p, False, gains)
-        p = Vec2(p.x + v.x * dt, p.y + v.y * dt)
+        vx, vy = defender_velocity(p, goal, goal, goal - p, False, gains)
+        p = Vec2(p.x + vx * dt, p.y + vy * dt)
         t += dt
     assert t == pytest.approx(convergence_bounds(2.0, gains), rel=0.005)
 

@@ -9,10 +9,11 @@ import pytest
 from herdsim.environment import (Disc, contour_offsets, derive_obstacle,
                                  superelliptic_distance, tangent_angle_at)
 from herdsim.errors import DomainError
-from herdsim.formation_field import (SWEEP_BLOCK_ROWS, SWEEP_SUBSAMPLES, _cell_extrema,
-                                     _field_angle_np, _gap_lattice, _tangent_angle_np,
-                                     _wrap_angle_np, combined_field, follow_field,
-                                     follow_obstacles, repulsive_angle, singularity_sweep)
+from herdsim.formation_field import (SWEEP_BLOCK_ROWS, SWEEP_SUBSAMPLES, SweepReport,
+                                     _cell_extrema, _field_angle_np, _gap_lattice,
+                                     _tangent_angle_np, _wrap_angle_np, combined_field,
+                                     follow_field, follow_obstacles, repulsive_angle,
+                                     singularity_sweep)
 from herdsim.geom import Vec2, blend_weight, wrap_angle
 from herdsim.svg import _fmt, sweep_heatmap_svg
 
@@ -83,7 +84,7 @@ def test_combined_field_far_is_pure_attraction(square):
     p = Vec2(20.0, -5.0)
     prod, _, _, hit = follow_obstacles(p, [square], safe, False)
     assert prod == 1.0 and not hit
-    assert abs(combined_field(p, [square], safe).norm() - 1.0) < 1e-15
+    assert abs(math.hypot(*combined_field(p, [square], safe)) - 1.0) < 1e-15
 
 
 def test_combined_field_saturated_is_pure_following(square):
@@ -91,11 +92,11 @@ def test_combined_field_saturated_is_pure_following(square):
     p = contour_point(square, 0.3, square.formation_band.lo)  # weight saturates at 1
     prod, _, _, hit = follow_obstacles(p, [square], safe, False)
     assert prod == 0.0 and hit
-    field = combined_field(p, [square], safe)
-    assert abs(field.norm() - 1.0) < 1e-15
+    fx, fy = combined_field(p, [square], safe)
+    assert abs(math.hypot(fx, fy) - 1.0) < 1e-15
     phi = repulsive_angle(p, square, safe)
-    assert field.x == pytest.approx(math.cos(phi))
-    assert field.y == pytest.approx(math.sin(phi))
+    assert fx == pytest.approx(math.cos(phi))
+    assert fy == pytest.approx(math.sin(phi))
 
 
 def test_blend_norm_identity():
@@ -120,7 +121,7 @@ def test_combined_norm_matches_composition_formula(square):
         field = combined_field(p, [square], safe)
         gap = component_angle_gap(p, square, safe)
         expect = math.sqrt(1.0 + 2.0 * s * (1.0 - s) * (math.cos(gap) - 1.0))
-        assert field.norm() == pytest.approx(expect, abs=1e-12)
+        assert math.hypot(*field) == pytest.approx(expect, abs=1e-12)
         checked += 1
 
 
@@ -359,14 +360,14 @@ def test_sweep_writers_stream_the_documents_they_return(square):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("which", ["cell_min", "cell_max"])
 def test_heatmap_refuses_a_non_finite_gap(square, which, bad):
-    # a gap with no shade fails before the document starts, never as a
-    # silent shade
+    # a gap with no shade, verdict or summary is refused where the report is
+    # built, so no writer ever sees one
     report = singularity_sweep(square, resolution=64)
-    getattr(report, which)[5, 7] = bad
-    out = io.StringIO()
-    with pytest.raises(DomainError, match="not finite"):
-        sweep_heatmap_svg(report, out)
-    assert out.getvalue() == ""
+    cells = {"cell_min": report.cell_min.copy(), "cell_max": report.cell_max.copy()}
+    cells[which][5, 7] = bad
+    with pytest.raises(DomainError, match=r"not finite in cell \(5, 7\)"):
+        SweepReport(report.target_angles, report.span_angles, cells["cell_min"],
+                    cells["cell_max"], report.margin)
 
 
 def test_streamlines_reach_safe_area(derivation):

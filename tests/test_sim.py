@@ -14,8 +14,11 @@ import pytest
 from herdsim.environment import scenario_from_dict, validate_scenario
 from herdsim.errors import ConfigError
 from herdsim import attacker, formation_field, sim
+from herdsim.attacker import attacker_step
+from herdsim.defender_control import defender_velocity, solve_tracking_gains
 from herdsim.environment import safety_ratio, superelliptic_distance
 from herdsim.geom import Vec2, blend_weight
+from herdsim.herding import formation_goals, formation_spec
 from herdsim.sim import SimState, SimTrace, build_context, run, safety_snapshot
 from herdsim.svg import ratio_curves_svg, trajectory_svg
 
@@ -431,10 +434,11 @@ def test_trace_row_retains_at_most_300_bytes(reference_cfg):
     assert retained / (trace.summary()["steps"] + 1) <= 300
 
 
-def test_step_builds_fewer_than_20_vec2s(reference_cfg, monkeypatch):
-    """Counted, not timed: a step of the bundled run builds 19.0 Vec2s on
-    average.  It built 21.0 while combined_field normalized its attraction
-    through two throwaway records."""
+def test_step_builds_fewer_than_8_vec2s(reference_cfg, monkeypatch):
+    """Counted, not timed: a step of the bundled run builds 7.0 Vec2s on
+    average, its 4 new positions and 3 goals; every velocity and field is an
+    (x, y) pair.  It built 19.0 while those were records too, and 21.0 while
+    combined_field normalized its attraction through two throwaway records."""
     run(reference_cfg, t_max=1.0)   # lazy set-up is not the step's
     built = 0
     init = Vec2.__init__
@@ -446,7 +450,47 @@ def test_step_builds_fewer_than_20_vec2s(reference_cfg, monkeypatch):
 
     monkeypatch.setattr(Vec2, "__init__", counting_init)
     trace = run(reference_cfg)
-    assert built / (trace.summary()["steps"] + 1) < 20
+    assert built / (trace.summary()["steps"] + 1) < 8
+
+
+def test_gains_are_solved_once_per_distinct_speed(monkeypatch):
+    cfg = scenario_from_dict(small_scenario_doc(**{"defenders.speed_max_mps": [2.6, 3.1, 2.6]}))
+    solved = []
+
+    def counting(exponent, vmax, *rest):
+        solved.append(vmax)
+        return solve_tracking_gains(exponent, vmax, *rest)
+    monkeypatch.setattr(sim, "solve_tracking_gains", counting)
+    gains = build_context(cfg).gains
+    assert solved == [2.6, 3.1]
+    assert gains == tuple(
+        solve_tracking_gains(cfg.control.terminal_exponent, vmax, cfg.attacker.speed_max,
+                             cfg.formation.arc_radius, cfg.control.heading_rate_max)
+        for vmax in (2.6, 3.1, 2.6))
+
+
+@pytest.mark.parametrize("conflict", [False, True])
+def test_a_vec2_argument_gives_what_the_equal_pair_gives(conflict):
+    """The step hands its velocities and fields on as (x, y) pairs; a Vec2 in
+    their place unpacks to the same floats, so every result is bit for bit
+    the same, and a velocity comes back as a pair either way."""
+    gains = solve_tracking_gains(0.5, 2.6, 1.0, 0.55, 0.3)
+    goal = Vec2(0.3, -0.7)
+    for p, gv, field in [(Vec2(1.9, 2.3), (0.4, -0.2), (-0.6, 0.1)),      # tanh regime
+                         (Vec2(0.31, -0.69), (-0.3, 0.25), (0.2, -0.9)),  # power law
+                         (goal, (0.4, -0.2), (1.0, 0.0)),                 # on the goal
+                         (Vec2(1.0, 0.0), (0.4, -0.2), (0.0, 0.0))]:      # a hold
+        as_pairs = defender_velocity(p, goal, gv, field, conflict, gains)
+        as_records = defender_velocity(p, goal, Vec2(*gv), Vec2(*field), conflict, gains)
+        assert as_pairs is None or type(as_pairs) is tuple
+        assert repr(as_records) == repr(as_pairs)
+    for field in [(0.3, -0.9), (1e-7, 0.0), (-0.0, 0.0)]:
+        assert (repr(attacker_step(1.0, Vec2(*field), 0.05))
+                == repr(attacker_step(1.0, field, 0.05)))
+    spec = formation_spec(3, 2.0, 0.55, 0.3, 0.25)
+    vel = (0.37, -1.1)
+    assert (repr(formation_goals(goal, Vec2(*vel), 0.8, 0.3, spec))
+            == repr(formation_goals(goal, vel, 0.8, 0.3, spec)))
 
 
 def test_lone_defender_rejected():
@@ -499,11 +543,11 @@ def test_desired_heading_mostly_continuous(reference_run):
 def test_state_starts_still_at_the_scenario_starts(reference_cfg):
     state = SimState(reference_cfg)
     assert (state.t, state.attacker, state.heading, state.attacker_velocity) == (
-        0.0, reference_cfg.attacker.start, 0.0, Vec2(0.0, 0.0))
+        0.0, reference_cfg.attacker.start, 0.0, (0.0, 0.0))
     assert state.positions == list(reference_cfg.defenders.starts)
     # the goals are the positions list itself, as on a hold step
     assert state.goals is state.positions
-    assert state.velocities == [Vec2(0.0, 0.0)] * reference_cfg.defenders.count
+    assert state.velocities == [(0.0, 0.0)] * reference_cfg.defenders.count
     assert (state.desired, state.command, state.t_capture) == (0.0, None, None)
 
 
