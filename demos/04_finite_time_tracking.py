@@ -8,8 +8,11 @@ hold for a field that points at the goal and no conflict, as in the
 integration below.
 """
 
-from herdsim import Vec2, convergence_bounds, solve_tracking_gains, terminal_phase_time, unit
+import math
+
+from herdsim import Vec2, convergence_bounds, solve_tracking_gains, terminal_phase_time
 from herdsim.defender_control import defender_velocity
+from herdsim.geom import unit_xy
 
 gains = solve_tracking_gains(terminal_exponent=0.5, speed_max=2.6,
                              attacker_speed_max=1.0, arc_radius=0.55,
@@ -29,11 +32,12 @@ goal = Vec2(0.0, 0.0)
 dt = 1e-3
 t = 0.0
 milestones = {1.5: None, 1.0: None, 0.5: None, 0.1: None, 1e-3: None}
-while p.norm() > 1e-6 and t < 20.0:
+while math.hypot(p.x, p.y) > 1e-6 and t < 20.0:
     for level in milestones:
-        if milestones[level] is None and p.norm() <= level:
+        if milestones[level] is None and math.hypot(p.x, p.y) <= level:
             milestones[level] = t
-    vx, vy = defender_velocity(p, goal, Vec2(0.0, 0.0), unit(goal - p), False, gains)
+    field = unit_xy(goal.x - p.x, goal.y - p.y)
+    vx, vy = defender_velocity(p, goal, (0.0, 0.0), field, False, gains)
     p = Vec2(p.x + vx * dt, p.y + vy * dt)
     t += dt
 

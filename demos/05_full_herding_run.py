@@ -40,7 +40,9 @@ print(f"peak defender speeds: "
       f"(limits {list(cfg.defenders.speed_max)})")
 
 here = Path(__file__).parent
-(here / "herding_trajectories.svg").write_text(trajectory_svg(trace, cfg))
-(here / "herding_ratios.svg").write_text(ratio_curves_svg(trace))
+with open(here / "herding_trajectories.svg", "w") as fh:
+    trajectory_svg(trace, cfg, fh)
+with open(here / "herding_ratios.svg", "w") as fh:
+    ratio_curves_svg(trace, fh)
 print(f"\nwrote {here / 'herding_trajectories.svg'}")
 print(f"wrote {here / 'herding_ratios.svg'}")

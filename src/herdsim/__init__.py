@@ -26,7 +26,7 @@ _EXPORTS = {
                "IntegrityError", "PathError", "SolverError"),
     "formation_field": ("SweepReport", "combined_field", "follow_field", "repulsive_angle",
                         "singularity_sweep"),
-    "geom": ("BlendTriplet", "Vec2", "blend_weight", "close_blend", "dist", "repel", "unit",
+    "geom": ("BlendTriplet", "Vec2", "blend_weight", "close_blend", "dist", "repel",
              "wrap_angle", "wrap_sector"),
     "herding": ("FormationSpec", "formation_goals", "formation_spec", "heading_rate",
                 "obstacle_resultant", "schedule_heading", "solve_command_heading"),

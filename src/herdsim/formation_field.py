@@ -17,9 +17,8 @@ vanishing anywhere except the safe center.
 
 from __future__ import annotations
 
-import io
 import math
-from typing import TYPE_CHECKING, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .environment import (Obstacle, contour_offsets, superelliptic_distance,
                           tangent_angle_at)
@@ -107,7 +106,7 @@ def combined_field(p: Vec2, obstacles: Sequence[Obstacle],
     With disjoint outer shells the result is nonzero everywhere outside the
     inner shells except at the safe center.
     """
-    # prod * unit(g), not geom.close_blend's (prod * g) / |g|: the two round
+    # prod * unit_xy(g), not geom.close_blend's (prod * g) / |g|: the two round
     # differently, and switching changes the trace of 39 of the 97 accepted
     # bundled-world starts on the 10 m grid (the bundled start's included)
     ux, uy = unit_xy(safe_center.x - p.x, safe_center.y - p.y)
@@ -197,13 +196,9 @@ class SweepReport:
     def passed(self) -> bool:
         return self.max_abs < math.pi - self.margin
 
-    def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
+    def to_csv(self, out: TextIO) -> None:
         """Write the report as CSV to the text stream out, one target row at
-        a time; with no stream, return the CSV as a string."""
-        if out is None:
-            buf = io.StringIO()
-            self.to_csv(buf)
-            return buf.getvalue()
+        a time."""
         out.write("target_angle_rad,span_rad,gap_min_rad,gap_max_rad\n")
         # plain Python floats: repr of a numpy scalar is "np.float64(...)"
         bc = (0.5 * (self.target_angles[:-1] + self.target_angles[1:])).tolist()

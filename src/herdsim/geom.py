@@ -69,28 +69,11 @@ class Frozen:
 
 
 class Vec2(Frozen):
-    """Planar point in meters: a position, a goal or a center.  The vectors a
-    step computes (fields and velocities) are plain (x, y) float pairs, not
-    records; a Vec2 unpacks like one (x, y = v), but never equals one."""
+    """Planar point in meters: a position, a goal or a center, with no vector
+    algebra.  The vectors a step computes (fields and velocities) are plain
+    (x, y) float pairs; a Vec2 unpacks like one (x, y = v), but never equals one."""
 
     __slots__ = ("x", "y")
-
-    def __add__(self, other):
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s):
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Vec2(-self.x, -self.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
@@ -99,13 +82,9 @@ class Vec2(Frozen):
         return iter((self.x, self.y))
 
 
-def unit(v: Vec2) -> Vec2:
-    """Normalize a vector; the zero vector maps to itself."""
-    return Vec2(*unit_xy(v.x, v.y))
-
-
 def unit_xy(x: float, y: float) -> tuple[float, float]:
-    """unit() of the vector (x, y), as a pair of floats."""
+    """The unit vector along (x, y), as a pair of floats; the zero vector
+    maps to itself."""
     n = math.hypot(x, y)
     if n == 0.0:
         return 0.0, 0.0

@@ -30,9 +30,8 @@ class FormationSpec(Frozen):
 
 def formation_spec(count: int, spread: float, arc_radius: float,
                    standoff_min: float, peer_min: float) -> FormationSpec:
-    """Build the arc geometry, rejecting spreads too tight for safe slots."""
-    if count < 2:
-        raise ConfigError(f"a formation needs at least 2 defenders, got {count}")
+    """Build the arc geometry of count >= 2 defenders (the team config
+    refuses fewer), rejecting spreads too tight for safe slots."""
     needed = min_spread(count, standoff_min, peer_min)
     if spread < needed:
         raise ConfigError(

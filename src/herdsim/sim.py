@@ -140,7 +140,8 @@ class SimTrace:
 
     def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
         """Write the trace as CSV to the text stream out, one row at a time;
-        with no stream, return the CSV as a string."""
+        with no stream, return the CSV as a string (the benchmark hashes the
+        trace that way)."""
         if out is None:
             buf = io.StringIO()
             self.to_csv(buf)

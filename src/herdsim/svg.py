@@ -7,9 +7,8 @@ byte-identical documents.
 
 from __future__ import annotations
 
-import io
 import math
-from typing import Optional, TextIO
+from typing import TextIO
 
 from .environment import RATIO_COLUMNS, shell_points
 
@@ -98,13 +97,9 @@ class Canvas:
         self.out.write("</svg>\n")
 
 
-def trajectory_svg(trace, cfg, out: Optional[TextIO] = None) -> Optional[str]:
+def trajectory_svg(trace, cfg, out: TextIO) -> None:
     """World-frame overview: areas, obstacles with their shells, agent paths.
-    Written to the text stream out; with no stream, returned as a string."""
-    if out is None:
-        buf = io.StringIO()
-        trajectory_svg(trace, cfg, buf)
-        return buf.getvalue()
+    Written to the text stream out."""
     paths = [(trace.column(f"{agent}_x_m"), trace.column(f"{agent}_y_m"))
              for agent in ["attacker"] + [f"d{j}" for j in range(trace.defender_count)]]
     # each path's extremes, then the areas' and the shells' extents
@@ -138,14 +133,10 @@ def trajectory_svg(trace, cfg, out: Optional[TextIO] = None) -> Optional[str]:
     canvas.close()
 
 
-def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
+def ratio_curves_svg(trace, out: TextIO) -> None:
     """Critical relative distances (upper band) and defender speeds (lower
     band) over time, with the ratio-1 violation line marked.  Written to the
-    text stream out; with no stream, returned as a string."""
-    if out is None:
-        buf = io.StringIO()
-        ratio_curves_svg(trace, buf)
-        return buf.getvalue()
+    text stream out."""
     # a run stopped at step 0 has one row at t = 0: give the axis a width
     t_end = trace.t_end if trace.t_end > 0.0 else 1.0
     colors = ["darkorange", "seagreen", "royalblue", "crimson"]
@@ -174,13 +165,9 @@ def ratio_curves_svg(trace, out: Optional[TextIO] = None) -> Optional[str]:
     canvas.close()
 
 
-def sweep_heatmap_svg(report, out: Optional[TextIO] = None) -> Optional[str]:
+def sweep_heatmap_svg(report, out: TextIO) -> None:
     """Grayscale map of the worst component-angle gap per sweep cell.
-    Written to the text stream out; with no stream, returned as a string."""
-    if out is None:
-        buf = io.StringIO()
-        sweep_heatmap_svg(report, buf)
-        return buf.getvalue()
+    Written to the text stream out."""
     # only the sweep loads numpy
     import numpy as np
 

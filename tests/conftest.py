@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import math
 import os
@@ -59,6 +60,13 @@ def component_angle_gap(p, ob, target):
         return 0.0
     toward = math.atan2(target.y - p.y, target.x - p.x)
     return wrap_angle(toward - repulsive_angle(p, ob, target))
+
+
+def written(writer, *args) -> str:
+    """The document writer(*args, out) writes to the text stream out."""
+    out = io.StringIO()
+    writer(*args, out)
+    return out.getvalue()
 
 
 def outcome(fn, *args):

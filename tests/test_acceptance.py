@@ -15,7 +15,7 @@ from herdsim.defender_control import (convergence_bounds, defender_velocity,
                                       solve_tracking_gains, terminal_phase_time)
 from herdsim.environment import superelliptic_distance
 from herdsim.formation_field import follow_field, singularity_sweep
-from herdsim.geom import BlendTriplet, Vec2, blend_weight, unit, wrap_angle
+from herdsim.geom import BlendTriplet, Vec2, blend_weight, unit_xy, wrap_angle
 from herdsim.herding import formation_goals, formation_spec, solve_command_heading
 from herdsim.attacker import attacker_field, obstacle_push
 
@@ -167,13 +167,14 @@ def test_c07_finite_time_tracking():
     t_reach = None
     t_zero = None
     while t < total_bound + 1.0:
-        err = p.norm()
+        err = math.hypot(p.x, p.y)
         if t_reach is None and err <= gains.handoff_error:
             t_reach = t
         if err < 1e-6:
             t_zero = t
             break
-        vx, vy = defender_velocity(p, goal, Vec2(0.0, 0.0), unit(goal - p), False, gains)
+        field = unit_xy(goal.x - p.x, goal.y - p.y)
+        vx, vy = defender_velocity(p, goal, (0.0, 0.0), field, False, gains)
         p = Vec2(p.x + vx * dt, p.y + vy * dt)
         t += dt
     ok = (t_reach is not None and t_reach <= reach_bound

@@ -79,14 +79,16 @@ def test_step_displacement_bounded():
 
 @given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
 def test_translation_equivariance(ox, oy):
-    off = Vec2(ox, oy)
+    def shift(q):
+        return Vec2(q.x + ox, q.y + oy)
+
     pos = Vec2(1.0, 2.0)
     defenders = [Vec2(1.4, 2.3), Vec2(0.5, 1.8)]
     protected = Vec2(-3.0, -4.0)
     base = attacker_field(pos, defenders, obstacle_push(pos, [], 10.0), protected,
                           10.0, STANDOFF)
-    moved = attacker_field(pos + off, [d + off for d in defenders],
-                           obstacle_push(pos + off, [], 10.0), protected + off, 10.0,
+    moved = attacker_field(shift(pos), [shift(d) for d in defenders],
+                           obstacle_push(shift(pos), [], 10.0), shift(protected), 10.0,
                            STANDOFF)
     assert moved[0] == pytest.approx(base[0], abs=1e-9)
     assert moved[1] == pytest.approx(base[1], abs=1e-9)

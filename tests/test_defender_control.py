@@ -218,8 +218,8 @@ def test_convergence_bounds_match_the_integrated_tracking_law(heading_rate):
     p = Vec2(2.0, 0.0)
     t = 0.0
     dt = 1e-4
-    while p.norm() > gains.handoff_error:
-        vx, vy = defender_velocity(p, goal, goal, goal - p, False, gains)
+    while math.hypot(p.x, p.y) > gains.handoff_error:
+        vx, vy = defender_velocity(p, goal, goal, (goal.x - p.x, goal.y - p.y), False, gains)
         p = Vec2(p.x + vx * dt, p.y + vy * dt)
         t += dt
     assert t == pytest.approx(convergence_bounds(2.0, gains), rel=0.005)

@@ -30,11 +30,6 @@ def test_spread_below_minimum_rejected():
     formation_spec(3, 2.0 * math.pi / 3.0 + 1e-6, 0.55, 0.3, 0.3)
 
 
-def test_one_defender_rejected():
-    with pytest.raises(ConfigError):
-        formation_spec(1, 1.0, 0.55, 0.3, 0.1)
-
-
 def test_resultant_empty():
     assert obstacle_resultant(obstacle_push(Vec2(0.0, 0.0), [], 10.0)) == (0.0, 0.0)
 

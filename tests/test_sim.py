@@ -2,6 +2,7 @@ import ast
 import copy
 import gc
 import hashlib
+import inspect
 import itertools
 import math
 import sys
@@ -20,9 +21,10 @@ from herdsim.environment import safety_ratio, superelliptic_distance
 from herdsim.geom import Vec2, blend_weight
 from herdsim.herding import formation_goals, formation_spec
 from herdsim.sim import SimState, SimTrace, build_context, run, safety_snapshot
-from herdsim.svg import ratio_curves_svg, trajectory_svg
+from herdsim.svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
 
-from conftest import load_bench_workloads, random_params, random_world, small_scenario_doc
+from conftest import (load_bench_workloads, random_params, random_world, small_scenario_doc,
+                      written)
 
 # sha256 of the bundled scenario's trace.csv; bench/run.py gates on the same value
 GOLDEN_TRACE_SHA256 = "fb2507b0a5192badb68e321148f3ac080a3bf8be92c1a1695baa7edba68d81a4"
@@ -671,7 +673,7 @@ def test_reference_artifacts_match_golden_hash(cli_artifacts, name):
 @pytest.mark.parametrize("case", sorted(GOLDEN_RATIOS_SHA256))
 def test_ratios_svg_matches_golden_hash(case, reference_cfg):
     trace = run(reference_cfg, t_max=0.004)
-    digest = hashlib.sha256(ratio_curves_svg(trace).encode()).hexdigest()
+    digest = hashlib.sha256(written(ratio_curves_svg, trace).encode()).hexdigest()
     assert digest == GOLDEN_RATIOS_SHA256[case]
 
 
@@ -692,11 +694,20 @@ def test_streamed_trace_csv_equals_to_csv(cli_artifacts, reference_run):
 
 def test_streamed_svgs_equal_the_returned_strings(cli_artifacts, reference_run,
                                                   reference_cfg):
-    # `simulate` streams both SVGs into their files element by element
+    # `simulate` streams both SVGs into their files element by element; the
+    # same writers give the same documents in process
     trace, _ = reference_run
-    written = cli_artifacts["first"]
-    assert written["trajectories.svg"] == trajectory_svg(trace, reference_cfg).encode()
-    assert written["ratios.svg"] == ratio_curves_svg(trace).encode()
+    files = cli_artifacts["first"]
+    assert files["trajectories.svg"] == written(trajectory_svg, trace, reference_cfg).encode()
+    assert files["ratios.svg"] == written(ratio_curves_svg, trace).encode()
+
+
+def test_writers_take_the_stream_they_write_to():
+    # SimTrace.to_csv alone also returns its document: the benchmark hashes it
+    for writer in (trajectory_svg, ratio_curves_svg, sweep_heatmap_svg,
+                   formation_field.SweepReport.to_csv):
+        assert inspect.signature(writer).parameters["out"].default is inspect.Parameter.empty
+    assert inspect.signature(SimTrace.to_csv).parameters["out"].default is None
 
 
 def test_capture_re_arms_after_the_attacker_leaves_the_safe_area(bundle_doc):

@@ -202,6 +202,22 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
+# the floor of pyproject's requires-python, read without a TOML parser
+REQUIRES_PYTHON = re.compile(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', re.M)
+
+
+def test_sources_parse_at_the_requires_python_floor():
+    # the grammar is checked by the running interpreter's parser, told to
+    # refuse what the oldest supported version could not read
+    floor = REQUIRES_PYTHON.search(PYPROJECT.read_text())
+    assert floor is not None
+    version = (int(floor[1]), int(floor[2]))
+    files = sorted((REPO / "src" / "herdsim").glob("*.py")) + sorted((REPO / "demos").glob("*.py"))
+    assert len(files) > 10
+    for p in files:
+        ast.parse(p.read_text(), filename=str(p), feature_version=version)
+
+
 def identifiers(node):
     """Every name the code under node reads, binds, imports or looks up as
     an attribute; strings and comments name nothing."""
