@@ -5,32 +5,28 @@ finite-time formation tracking.
 The package loads its modules on first use (PEP 562): `herdsim.run` imports
 `herdsim.sim` when it is first looked up, so a command loads only the modules
 it runs.  A lookup is never stored in the package namespace; each one returns
-the module's current attribute.
+the module's current attribute.  The package exports what its callers import
+from it: the names a demo, the benchmark or the README imports from
+`herdsim`, and the error classes.  Every other name is imported from its
+module, e.g. `from herdsim.sim import SimTrace`.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# module -> the names the package exports from it
+# module -> the names the package exports from it: those its callers import
+# from `herdsim`, and the error classes; others are imported from the module
 _EXPORTS = {
-    "attacker": ("attacker_field", "attacker_step"),
-    "defender_control": ("TrackingGains", "convergence_bounds", "defender_field",
-                         "defender_velocity", "solve_tracking_gains", "terminal_phase_time"),
-    "environment": ("Disc", "Obstacle", "ObstacleDerivation", "ScenarioConfig",
-                    "arc_magnitude", "derive_obstacle", "load_scenario", "min_spread",
-                    "reference_scenario_path", "scenario_from_dict", "scenario_warnings",
-                    "shell_points", "solve_shape_exponent", "superelliptic_distance",
-                    "validate_scenario"),
+    "defender_control": ("convergence_bounds", "solve_tracking_gains", "terminal_phase_time"),
+    "environment": ("Disc", "ObstacleDerivation", "derive_obstacle", "load_scenario",
+                    "reference_scenario_path", "scenario_from_dict", "shell_points",
+                    "superelliptic_distance", "validate_scenario"),
     "errors": ("ConfigError", "DomainError", "HerdsimError", "InfeasibleHeadingError",
                "IntegrityError", "PathError", "SolverError"),
-    "formation_field": ("SweepReport", "combined_field", "follow_field", "repulsive_angle",
-                        "singularity_sweep"),
-    "geom": ("BlendTriplet", "Vec2", "blend_weight", "close_blend", "dist", "repel",
-             "wrap_angle", "wrap_sector"),
-    "herding": ("FormationSpec", "formation_goals", "formation_spec", "heading_rate",
-                "obstacle_resultant", "schedule_heading", "solve_command_heading"),
-    "sim": ("SimState", "SimTrace", "build_context", "run", "safety_snapshot"),
+    "formation_field": ("combined_field", "follow_field", "singularity_sweep"),
+    "geom": ("BlendTriplet", "Vec2", "blend_weight"),
+    "sim": ("build_context", "run"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -27,8 +27,6 @@ class Canvas:
 
     def __init__(self, out: TextIO, x_min, x_max, y_min, y_max, width=720, height=720):
         self.out = out
-        self.width = width
-        self.height = height
         sx = (width - 2 * PAD) / (x_max - x_min)
         sy = (height - 2 * PAD) / (y_max - y_min)
         self.scale = min(sx, sy)
@@ -47,8 +45,6 @@ class Canvas:
                 PAD + (self.y_max - y) * self.scale)
 
     def polyline(self, points, stroke="black", width=1.0, dash=None):
-        if not points:
-            return
         x_min, y_max, k = self.x_min, self.y_max, self.scale
         # to_px and _fmt, inline: one f-string per point
         px = " ".join(f"{PAD + (x - x_min) * k:.3f},{PAD + (y_max - y) * k:.3f}"

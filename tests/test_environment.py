@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from herdsim import sim
 from herdsim.environment import (CULL_SLACK, EXPONENT_RESIDUAL_MAX, MAX_STEPS,
-                                 OUTER_PAD_FACTORS, SOLVER_TOL, IntegratorConfig,
+                                 OUTER_PAD_FACTORS, SOLVER_TOL, Disc, IntegratorConfig,
                                  ObstacleDerivation, ScenarioConfig,
-                                 arc_magnitude, contour_offsets, corner_level,
+                                 arc_magnitude, bisect, contour_offsets, corner_level,
                                  derive_obstacle, load_scenario, min_spread,
                                  reference_scenario_path, scenario_from_dict,
                                  scenario_warnings, shell_points, solve_shape_exponent,
@@ -266,6 +267,18 @@ def test_defender_team_refuses_fewer_than_two(reference_cfg, count):
 
 def test_min_spread_example():
     assert min_spread(3, 0.3, 0.3) == pytest.approx(2.0 * math.pi / 3.0)
+
+
+def test_disc_refuses_a_non_finite_center_and_a_non_positive_radius():
+    with pytest.raises(ConfigError, match="^disc must be finite"):
+        Disc(Vec2(math.nan, 0.0), 1.0)
+    with pytest.raises(ConfigError, match="^disc radius must be positive, got 0.0$"):
+        Disc(Vec2(0.0, 0.0), 0.0)
+
+
+def test_bisect_refuses_a_bracket_with_no_sign_change():
+    with pytest.raises(SolverError, match=r"^bisection found no sign change on \[1.0, 2.0\]$"):
+        bisect(lambda x: x, 1.0, 2.0, 1e-9)
 
 
 def test_validate_clean_bundle(reference_cfg):
@@ -628,6 +641,11 @@ def test_arc_magnitude_below_one_obstacle_rejected():
         "repulsion 1.0 or the heading command becomes unsolvable"]
 
 
+def test_arc_magnitude_of_a_zero_spread_is_the_count():
+    # the unit vectors coincide, and sin(0) / sin(0) is not evaluated
+    assert arc_magnitude(3, 0.0) == 3.0
+
+
 def test_arc_magnitude_without_obstacles_accepted():
     v = validate_scenario(scenario_from_dict(two_defender_doc(3.0, [])))
     assert not any(s.startswith("arc-magnitude") for s in v)
@@ -650,25 +668,40 @@ def test_spacing_check_bounds_overlap_count(obstacles):
     assert spaced == (_max_overlap_count(cfg) <= 1)
 
 
+def run_briefly(cfg):
+    # what the validator accepts, the run builds: the refusals that
+    # BlendTriplet, formation_spec and solve_tracking_gains repeat from the
+    # validator's arc-radius, spread and tracking-speed rules never fire
+    sim.build_context(cfg)
+    sim.run(cfg, t_max=0.2)
+
+
 def test_world_census_counts():
-    # ROADMAP item 7's census: seeds 0-1,499 by first violation, validation only
+    # ROADMAP item 7's census: seeds 0-1,499 by first violation; each
+    # accepted world builds and runs its first 0.2 s
     first = collections.Counter()
     for seed in range(1500):
-        violations = validate_scenario(scenario_from_dict(random_world(seed)))
+        cfg = scenario_from_dict(random_world(seed))
+        violations = validate_scenario(cfg)
         first[violations[0].split(":")[0] if violations else "accepted"] += 1
+        if not violations:
+            run_briefly(cfg)
     assert first == {"accepted": 260, "obstacle-spacing": 848, "start-clearance": 264,
                      "safe-area-shell": 126, "sensing-zone": 2}
 
 
 def test_param_census_counts():
     # ROADMAP item 2's census: seeds 0-2,999 by first violation and by every
-    # rule a draw breaks, validation only
+    # rule a draw breaks; each accepted draw builds and runs its first 0.2 s
     first = collections.Counter()
     fired = collections.Counter()
     for seed in range(3000):
-        violations = validate_scenario(scenario_from_dict(random_params(seed)))
+        cfg = scenario_from_dict(random_params(seed))
+        violations = validate_scenario(cfg)
         first[violations[0].split(":")[0] if violations else "accepted"] += 1
         fired.update({v.split(":")[0] for v in violations})
+        if not violations:
+            run_briefly(cfg)
     assert first == {"sensing-radius": 837, "arc-radius": 759, "spread": 583,
                      "arc-magnitude": 384, "accepted": 126, "obstacle-spacing": 112,
                      "tracking-speed": 85, "speed-order": 73, "safe-radius": 41}

@@ -135,6 +135,8 @@ def test_vec2_is_an_immutable_pair_but_not_a_tuple():
     v = Vec2(1.0, 2.0)
     with pytest.raises(AttributeError):
         v.x = 3.0
+    with pytest.raises(AttributeError, match="^cannot delete field 'x'$"):
+        del v.x
     # a slots record: no per-instance dict, and no tuple underneath
     assert not hasattr(v, "__dict__") and not issubclass(Vec2, tuple)
     x, y = v

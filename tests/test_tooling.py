@@ -252,3 +252,37 @@ def test_every_src_name_has_a_caller():
             own = Counter(identifiers(node))
             uncalled += [f"{p.stem}.{name}" for name in defined if uses[name] == own[name]]
     assert uncalled == []
+
+
+# the README's `from herdsim import ...` lines, parenthesised or not
+README_IMPORT = re.compile(r"^from herdsim import (\([^)]*\)|.*)$", re.M)
+
+
+def package_callers_import():
+    """The names that demos/ and bench/ import from `herdsim` or read as
+    `herdsim.<name>`, and those the README imports, less the submodules and
+    dunders that the import system resolves itself."""
+    names = set()
+    for p in sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "bench").glob("*.py")):
+        for n in ast.walk(ast.parse(p.read_text())):
+            if isinstance(n, ast.ImportFrom) and n.module == "herdsim" and n.level == 0:
+                names.update(a.name for a in n.names)
+            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id == "herdsim"):
+                names.add(n.attr)
+    for m in README_IMPORT.finditer((REPO / "README.md").read_text()):
+        names.update(re.findall(r"\w+", m[1]))
+    modules = {p.stem for p in (REPO / "src" / "herdsim").glob("*.py")}
+    return {n for n in names if n not in modules and not n.startswith("__")}
+
+
+def test_package_exports_what_its_callers_import():
+    # every other name is imported from its module, e.g. herdsim.sim.SimTrace;
+    # the error classes are exported for the library callers the README's
+    # exit-code section names them to
+    import herdsim
+    from herdsim import errors
+    kinds = {name for name, c in vars(errors).items()
+             if isinstance(c, type) and c.__module__ == errors.__name__}
+    assert len(kinds) == 7
+    assert sorted(package_callers_import() | kinds) == herdsim.__all__
