@@ -16,9 +16,10 @@ other nonzero code is the `exit_code` of the HerdsimError a command raised:
      ratio at or above 1, or the protected area was breached)
   6  numerical solver failure
 
-`simulate` prints each notice of the run (trace.notices) to stderr as a
-`warning:` line with its time.  The dynamics are deterministic, so no
-command takes a seed; no command reads the environment.
+`check` and `simulate` print each rule the scenario breaks as a `violation:`
+line and exit 4.  `simulate` prints each notice of the run (trace.notices) to
+stderr as a `warning:` line with its time.  The dynamics are deterministic,
+so no command takes a seed; no command reads the environment.
 
 Each command imports, at its top, the modules that only it runs, and the SVG
 writers only when it writes an SVG, so `check`, `--version` and `--svg off`
@@ -35,7 +36,7 @@ from pathlib import Path
 
 from . import __version__
 from .environment import (arc_magnitude, load_scenario, min_spread, reference_scenario_path,
-                          scenario_warnings, validate_scenario)
+                          validate_scenario)
 from .errors import ConfigError, HerdsimError, PathError
 from .geom import dist
 
@@ -83,8 +84,6 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args.out, outputs.values())
     cfg, manifest = _load(args.scenario)
     violations = validate_scenario(cfg)
-    for w in scenario_warnings(cfg):
-        print(f"warning: {w}", file=sys.stderr)
     if violations:
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
@@ -155,7 +154,6 @@ def cmd_check(args) -> int:
 
     cfg, manifest = _load(args.scenario)
     violations = validate_scenario(cfg)
-    warnings = scenario_warnings(cfg)
 
     print(f"scenario: {manifest['scenario']} (sha256 {manifest['scenario_sha256'][:12]})")
     print(f"defenders: {cfg.defenders.count}, obstacles: {len(cfg.obstacles)}")
@@ -192,8 +190,6 @@ def cmd_check(args) -> int:
               f"n={ob.exponent:.6f} levels=({fb.lo:.4f}, {fb.mid:.4f}, {fb.hi:.4f}) "
               f"defender_lo={db.lo:.4f} circle=({ab.lo:.3f}, {ab.mid:.3f}, {ab.hi:.3f})")
 
-    for w in warnings:
-        print(f"warning: {w}")
     if violations:
         print(f"{len(violations)} violation(s):")
         for v in violations:

@@ -1,5 +1,6 @@
 """World model: protected/safe areas, rectangular obstacles with their derived
-super-elliptic shells, scenario configuration, and scenario validation.
+super-elliptic shells, the defender arc's geometry, scenario configuration,
+and scenario validation.
 
 Each axis-aligned rectangular obstacle carries one super-ellipse family whose
 level coordinate is
@@ -11,6 +12,9 @@ the raw rectangle.  The exponent n and the corner level of the inflated
 rectangle are coupled through an implicit pair of relations solved here; all
 blending thresholds for the formation field, the defenders, and the attacker's
 circular stand-in are derived from that single family.
+
+The arc's spread rule is written once: formation_spec refuses a spread below
+min_spread, and validate_scenario reports that refusal as its spread violation.
 """
 
 from __future__ import annotations
@@ -489,8 +493,7 @@ class _Record:
 
 def transition_heuristic(defender_speed_min: float, attacker_speed: float,
                          arc_radius: float) -> float:
-    """(pi/2)(v_min - v_a)/R: the default capture transition time, and the
-    floor below which scenario_warnings flags a given one."""
+    """(pi/2)(v_min - v_a)/R: the default capture transition time."""
     return (math.pi / 2.0) * (defender_speed_min - attacker_speed) / arc_radius
 
 
@@ -638,6 +641,30 @@ def arc_magnitude(count: int, spread: float) -> float:
     return math.sin(count * half_gap) / math.sin(half_gap)
 
 
+class FormationSpec(Frozen):
+    """Static geometry of the defender arc."""
+
+    __slots__ = ("arc_radius",            # distance of each slot from the attacker
+                 "offsets",               # symmetric slot offsets along the arc, a tuple
+                 "arc_magnitude")         # norm of the summed unit repulsions
+
+
+def formation_spec(count: int, spread: float, arc_radius: float,
+                   standoff_min: float, peer_min: float) -> FormationSpec:
+    """Build the arc geometry of count >= 2 defenders (the team config
+    refuses fewer), rejecting spreads too tight for safe slots; the refusal's
+    message is validate_scenario's spread violation."""
+    needed = min_spread(count, standoff_min, peer_min)
+    if spread < needed:
+        raise ConfigError(
+            f"spread: {spread} rad is below the minimum {needed:.6f} rad "
+            f"for {count} defenders")
+    offsets = tuple(spread * (2 * j - count - 1) / (2 * count - 2)
+                    for j in range(1, count + 1))
+    return FormationSpec(arc_radius=arc_radius, offsets=offsets,
+                         arc_magnitude=arc_magnitude(count, spread))
+
+
 def shell_points(ob: Obstacle, level: float, samples: int) -> list[Vec2]:
     """The contour E = level on `samples` evenly spaced rays from the
     obstacle center, counter-clockwise from +x."""
@@ -723,10 +750,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         v.append(f"peer-separation: minimum defender separation {plo} must exceed "
                  f"the defender radius {cfg.defenders.body_radius}")
 
-    needed = min_spread(cfg.defenders.count, standoff.lo, plo)
-    if cfg.formation.spread < needed:
-        v.append(f"spread: {cfg.formation.spread} rad is below the minimum "
-                 f"{needed:.6f} rad for {cfg.defenders.count} defenders")
+    # the run builds its arc by this same call
+    try:
+        formation_spec(cfg.defenders.count, cfg.formation.spread, cfg.formation.arc_radius,
+                       standoff.lo, plo)
+    except ConfigError as exc:
+        v.append(str(exc))
     mag = arc_magnitude(cfg.defenders.count, cfg.formation.spread)
     # each obstacle's circular repulsion has norm at most 1, and any two
     # whose influence discs meet fail the obstacle-spacing check below
@@ -812,18 +841,3 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 
     return v
 
-
-def scenario_warnings(cfg: ScenarioConfig) -> list[str]:
-    """Non-fatal consistency notes (the run may still be sound)."""
-    w: list[str] = []
-    band = cfg.attacker.standoff_band
-    midpoint = 0.5 * (band.lo + band.mid)
-    if abs(cfg.formation.arc_radius - midpoint) > 1e-9:
-        w.append(f"arc-radius-midpoint: arc radius {cfg.formation.arc_radius} is not "
-                 f"the midpoint {midpoint} of the saturated standoff band")
-    heuristic = transition_heuristic(min(cfg.defenders.speed_max),
-                                     cfg.attacker.speed_max, cfg.formation.arc_radius)
-    if cfg.capture.transition_time < heuristic:
-        w.append(f"transition-time: {cfg.capture.transition_time} s is below the "
-                 f"heuristic floor {heuristic:.4f} s")
-    return w

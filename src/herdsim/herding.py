@@ -8,39 +8,21 @@ rotated just enough that the total field seen by the attacker lines up with
 the desired direction.  A time schedule retargets that desired direction once
 the attacker is inside the safe area, swinging it to nearly perpendicular so
 the attacker orbits instead of escaping.
+
+The arc's static geometry, FormationSpec, is built and checked in
+environment (formation_spec), beside the spread rule the validator applies.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .environment import arc_magnitude, min_spread
-from .errors import ConfigError, InfeasibleHeadingError
-from .geom import Frozen, Vec2, wrap_angle
+from .errors import InfeasibleHeadingError
+from .geom import Vec2, wrap_angle
 
-
-class FormationSpec(Frozen):
-    """Static geometry of the defender arc."""
-
-    __slots__ = ("arc_radius",            # distance of each slot from the attacker
-                 "offsets",               # symmetric slot offsets along the arc, a tuple
-                 "arc_magnitude")         # norm of the summed unit repulsions
-
-
-def formation_spec(count: int, spread: float, arc_radius: float,
-                   standoff_min: float, peer_min: float) -> FormationSpec:
-    """Build the arc geometry of count >= 2 defenders (the team config
-    refuses fewer), rejecting spreads too tight for safe slots."""
-    needed = min_spread(count, standoff_min, peer_min)
-    if spread < needed:
-        raise ConfigError(
-            f"spread {spread} rad is below the minimum {needed:.6f} rad "
-            f"for {count} defenders")
-    offsets = tuple(spread * (2 * j - count - 1) / (2 * count - 2)
-                    for j in range(1, count + 1))
-    return FormationSpec(arc_radius=arc_radius, offsets=offsets,
-                         arc_magnitude=arc_magnitude(count, spread))
+if TYPE_CHECKING:
+    from .environment import FormationSpec
 
 
 def obstacle_resultant(push) -> tuple[float, float]:

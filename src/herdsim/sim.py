@@ -22,13 +22,13 @@ from typing import Optional, TextIO
 
 from .attacker import attacker_field, attacker_step, obstacle_push
 from .defender_control import defender_field, defender_velocity, solve_tracking_gains
-from .environment import (RATIO_COLUMNS, ScenarioConfig, distance_floor, level_floor,
-                          safety_ratio, superelliptic_distance)
+from .environment import (RATIO_COLUMNS, ScenarioConfig, distance_floor, formation_spec,
+                          level_floor, safety_ratio, superelliptic_distance)
 from .errors import IntegrityError
 from .formation_field import combined_field
 from .geom import BlendTriplet, Frozen, Vec2, dist
-from .herding import (formation_goals, formation_spec, heading_rate, obstacle_resultant,
-                      schedule_heading, solve_command_heading)
+from .herding import (formation_goals, heading_rate, obstacle_resultant, schedule_heading,
+                      solve_command_heading)
 
 TERM_CAPTURED = "captured-stable"
 TERM_TIMEOUT = "t-max"

@@ -13,10 +13,10 @@ import pytest
 
 from herdsim.defender_control import (convergence_bounds, defender_velocity,
                                       solve_tracking_gains, terminal_phase_time)
-from herdsim.environment import superelliptic_distance
+from herdsim.environment import formation_spec, superelliptic_distance
 from herdsim.formation_field import follow_field, singularity_sweep
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, unit_xy, wrap_angle
-from herdsim.herding import formation_goals, formation_spec, solve_command_heading
+from herdsim.herding import formation_goals, solve_command_heading
 from herdsim.attacker import attacker_field, obstacle_push
 
 

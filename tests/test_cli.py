@@ -434,6 +434,18 @@ def test_bundled_world_violation(tmp_path, capsys, bundle_doc, section, key, val
     assert f"violation: {violation}" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(reason="ROADMAP 10: check calls this scenario clean, but sweep --obstacle 0 "
+                          "finds a half-turn gap (max |gap| 3.1416 rad against the limit "
+                          "3.0416) and the guidance field vanishes 9.1 m from the safe center")
+def test_thin_wall_whose_field_vanishes_is_a_violation(tmp_path, bundle_doc):
+    doc = json.loads(json.dumps(bundle_doc))
+    doc["obstacles"] = [{"center_m": [0.0, 40.0], "width_m": 6.0, "height_m": 1.0}]
+    doc["safe_area"]["center_m"] = [4.0, 33.07]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 4
+
+
 def test_zero_heading_rate_limit_keeps_the_defenders_under_their_cap(tmp_path, bundle_doc):
     # a negative limit is refused where it is read: heading_rate's clamp
     # turns it into +|limit|, and the gains then budget an approach speed

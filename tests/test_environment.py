@@ -15,9 +15,9 @@ from herdsim.environment import (CULL_SLACK, EXPONENT_RESIDUAL_MAX, MAX_STEPS,
                                  OUTER_PAD_FACTORS, SOLVER_TOL, Disc, IntegratorConfig,
                                  ObstacleDerivation, ScenarioConfig,
                                  arc_magnitude, bisect, contour_offsets, corner_level,
-                                 derive_obstacle, load_scenario, min_spread,
+                                 derive_obstacle, formation_spec, load_scenario, min_spread,
                                  reference_scenario_path, scenario_from_dict,
-                                 scenario_warnings, shell_points, solve_shape_exponent,
+                                 shell_points, solve_shape_exponent,
                                  superelliptic_distance, validate_scenario)
 from herdsim.errors import ConfigError, SolverError
 from herdsim.geom import BlendTriplet, Vec2
@@ -283,7 +283,17 @@ def test_bisect_refuses_a_bracket_with_no_sign_change():
 
 def test_validate_clean_bundle(reference_cfg):
     assert validate_scenario(reference_cfg) == []
-    assert scenario_warnings(reference_cfg) == []
+
+
+def test_spread_violation_is_the_kernels_refusal():
+    # a zero standoff saturates every gap of the arc at a half turn; the
+    # validator reports formation_spec's own refusal, word for word
+    cfg = scenario_from_dict(small_scenario_doc(
+        **{"attacker.defender_standoff_band_m": [0.0, 0.8, 0.9]}))
+    with pytest.raises(ConfigError) as refusal:
+        formation_spec(cfg.defenders.count, cfg.formation.spread, cfg.formation.arc_radius,
+                       cfg.attacker.standoff_band.lo, cfg.defenders.peer_band.lo)
+    assert [s for s in validate_scenario(cfg) if s.startswith("spread")] == [str(refusal.value)]
 
 
 def test_shell_points_lie_on_their_level_and_rays(derivation):
@@ -575,12 +585,6 @@ def test_readme_scenario_block_parses():
     scenario_from_dict(json.loads(block))
 
 
-def test_arc_radius_midpoint_warning():
-    doc = small_scenario_doc(**{"formation.arc_radius_m": 0.5})
-    w = scenario_warnings(scenario_from_dict(doc))
-    assert any(s.startswith("arc-radius-midpoint") for s in w)
-
-
 def test_corner_level_helper():
     n = 1.25
     lvl = corner_level(2.0, 3.0, 3.0, 4.0, n)
@@ -670,8 +674,8 @@ def test_spacing_check_bounds_overlap_count(obstacles):
 
 def run_briefly(cfg):
     # what the validator accepts, the run builds: the refusals that
-    # BlendTriplet, formation_spec and solve_tracking_gains repeat from the
-    # validator's arc-radius, spread and tracking-speed rules never fire
+    # BlendTriplet and solve_tracking_gains repeat from the validator's
+    # arc-radius and tracking-speed rules never fire
     sim.build_context(cfg)
     sim.run(cfg, t_max=0.2)
 

@@ -1,14 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from herdsim.attacker import attacker_field, obstacle_push
-from herdsim.environment import derive_obstacle
+from herdsim.environment import derive_obstacle, formation_spec
 from herdsim.errors import ConfigError, InfeasibleHeadingError
 from herdsim.geom import BlendTriplet, Vec2, blend_weight, dist, wrap_angle
-from herdsim.herding import (formation_goals, formation_spec, heading_rate,
-                             obstacle_resultant, schedule_heading, solve_command_heading)
+from herdsim.herding import (formation_goals, heading_rate, obstacle_resultant,
+                             schedule_heading, solve_command_heading)
 
 
 def test_offsets_symmetric_thirds():
@@ -25,8 +26,10 @@ def test_arc_magnitude_value():
 
 def test_spread_below_minimum_rejected():
     # peers as large as the standoff force 2*pi/3 for three defenders
-    with pytest.raises(ConfigError):
-        formation_spec(3, 2.0 * math.pi / 3.0 - 1e-6, 0.55, 0.3, 0.3)
+    spread = 2.0 * math.pi / 3.0 - 1e-6
+    with pytest.raises(ConfigError, match=rf"^spread: {re.escape(repr(spread))} rad is below "
+                                          r"the minimum 2\.094395 rad for 3 defenders$"):
+        formation_spec(3, spread, 0.55, 0.3, 0.3)
     formation_spec(3, 2.0 * math.pi / 3.0 + 1e-6, 0.55, 0.3, 0.3)
 
 

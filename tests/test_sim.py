@@ -17,9 +17,9 @@ from herdsim.errors import ConfigError
 from herdsim import attacker, formation_field, sim
 from herdsim.attacker import attacker_step
 from herdsim.defender_control import defender_velocity, solve_tracking_gains
-from herdsim.environment import safety_ratio, superelliptic_distance
+from herdsim.environment import formation_spec, safety_ratio, superelliptic_distance
 from herdsim.geom import Vec2, blend_weight
-from herdsim.herding import formation_goals, formation_spec
+from herdsim.herding import formation_goals
 from herdsim.sim import SimState, SimTrace, build_context, run, safety_snapshot
 from herdsim.svg import ratio_curves_svg, sweep_heatmap_svg, trajectory_svg
 
@@ -163,10 +163,10 @@ def test_attacker_starting_inside_safe_is_captured_once_the_arc_forms():
         cfg.capture.dwell_factor * cfg.capture.transition_time, abs=0.011)
 
 
-# ROADMAP 1(g): the straight path from these starts crosses the safe area
-# for longer than the dwell before any arc forms, which once passed for a
-# capture (at 25.66 and 35.4 s, with no t_formed_s).  start -> (events,
-# t_end, worst safety ratio to 3 places)
+# The capture clock waits for a formed arc: the straight path from these
+# starts crosses the safe area for longer than the dwell before any arc
+# forms, which once passed for a capture (at 25.66 and 35.4 s, with no
+# t_formed_s).  start -> (events, t_end, worst safety ratio to 3 places)
 FORMED_CAPTURE_PINS = {
     (-10.0, 90.0): ({"t_sense_s": 10.56, "t_formed_s": 69.35000000000001,
                      "t_capture_s": 85.15, "t_breach_s": None}, 94.35000000000001, 0.706),
@@ -199,38 +199,39 @@ def params(seed):
 
 # Accepted scenarios that must capture with every ratio below 1.  (40, 30)
 # and (40, 100) reached attacker_defender 1.0038 and 1.4818 while the
-# defenders did not avoid the attacker (ROADMAP 1(a)).  The rest break a
-# guarantee today, each named by its open ROADMAP item; the worlds are the
-# six of the world census's 260 accepted worlds that do, and the params are
-# one draw of each parameter-census class that item 1 does not mend.
+# defenders did not avoid the attacker, a class since mended.  The rest
+# break a guarantee today, each named by its open ROADMAP item; the worlds
+# are the six of the world census's 260 accepted worlds that do, and the
+# params are one draw of each parameter-census class that item 1 does not
+# mend.
 # Mending one makes its test pass, which xfail_strict turns into a failure
 # until the mark is removed.
 @pytest.mark.parametrize("changes", [
     pytest.param({("attacker", "start_m"): [40.0, 30.0]}, id="start-40-30"),
     pytest.param({("attacker", "start_m"): [40.0, 100.0]}, id="start-40-100"),
     pytest.param({("attacker", "start_m"): [0.0, 25.0]}, id="start-0-25",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(c): attacker_obstacle ratio "
                                                 "1.038 before the arc forms")),
     pytest.param({("attacker", "start_m"): [5.0, 30.0]}, id="start-5-30",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(c): attacker_obstacle ratio "
                                                 "1.101 before the arc forms")),
     pytest.param(world(198), id="world-198",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(c): attacker_obstacle ratio "
                                                 "2.010 before the arc forms")),
     pytest.param(world(869), id="world-869",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(c): attacker_obstacle ratio "
                                                 "1.229 before the arc forms")),
     pytest.param(world(1006), id="world-1006",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(c): attacker_obstacle ratio "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(c): attacker_obstacle ratio "
                                                 "1.739 before the arc forms")),
     pytest.param(world(1155), id="world-1155",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(h): attacker_obstacle ratio 1.072 "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(h): attacker_obstacle ratio 1.072 "
                                                 "at 76.76 s, after the arc formed at 74.95 s")),
     pytest.param(world(558), id="world-558",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.76, but the arc "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(i): every ratio < 0.76, but the arc "
                                                 "forms only at 187.42 s and the run ends t-max")),
     pytest.param(world(1200), id="world-1200",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.76, but the arc "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(i): every ratio < 0.76, but the arc "
                                                 "forms only at 183.72 s and the run ends t-max")),
     pytest.param(params(577), id="params-577",
                  marks=pytest.mark.xfail(reason="ROADMAP 4: every ratio < 0.89, but adjacent "
@@ -240,7 +241,7 @@ def params(seed):
                  marks=pytest.mark.xfail(reason="ROADMAP 9: every ratio < 0.73, but the arc "
                                                 "forms only at 122.75 s and the run ends t-max")),
     pytest.param({("attacker", "speed_max_mps"): 0.5}, id="attacker-0.5",
-                 marks=pytest.mark.xfail(reason="ROADMAP 1(i): every ratio < 0.75, but the arc "
+                 marks=pytest.mark.xfail(reason="ROADMAP 5(i): every ratio < 0.75, but the arc "
                                                 "never forms and the run ends t-max")),
     pytest.param({("control", "heading_rate_max_radps"): 1.75}, id="rate-1.75",
                  marks=pytest.mark.xfail(reason="ROADMAP 3: every ratio < 0.76, but the arc "

@@ -286,3 +286,21 @@ def test_package_exports_what_its_callers_import():
              if isinstance(c, type) and c.__module__ == errors.__name__}
     assert len(kinds) == 7
     assert sorted(package_callers_import() | kinds) == herdsim.__all__
+
+
+# a violation's leading `code: `, and a row of the README's code table
+VIOLATION_CODE = re.compile(r"^([a-z]+(?:-[a-z]+)*): ")
+README_CODE_ROW = re.compile(r"^\| `([a-z-]+)` \| .* \|$", re.M)
+
+
+def test_readme_lists_every_violation_code():
+    # environment writes every violation, the spread refusal included, so
+    # the string literals there that start with a code are the codes
+    tree = ast.parse((REPO / "src" / "herdsim" / "environment.py").read_text())
+    emitted = {m[1] for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)
+               for m in [VIOLATION_CODE.match(n.value)] if m}
+    section = (REPO / "README.md").read_text().split("### Violation codes", 1)[1]
+    table = README_CODE_ROW.findall(section.split("\n#", 1)[0])
+    assert len(emitted) == 17
+    assert sorted(table) == sorted(emitted)
